@@ -56,9 +56,9 @@ JobReport RunLogical(double rate, KeptRun* keep = nullptr) {
   CountdownLatch done(&b->env, 1);
   LogicalDumpOptions opt;
   opt.volume_name = "home";
-  b->env.Spawn(SupervisedLogicalBackupJob(b->filer.get(), b->fs.get(),
-                                          b->drives[0].get(), opt, &policy, &r,
-                                          &done));
+  b->env.Spawn(LogicalBackupJob(b->filer.get(), b->fs.get(),
+                                b->drives[0].get(), opt, &r, &done, {},
+                                &policy));
   b->env.Run();
   bench::CheckStatus(r.report.status, "supervised logical backup");
   r.report.name = "Logical Backup";
@@ -82,10 +82,10 @@ JobReport RunImage(double rate, KeptRun* keep = nullptr) {
   SupervisionPolicy policy;
   ImageBackupJobResult r;
   CountdownLatch done(&b->env, 1);
-  b->env.Spawn(SupervisedImageBackupJob(b->filer.get(), b->fs.get(),
-                                        b->drives[1].get(), ImageDumpOptions{},
-                                        /*delete_snapshot_after=*/true,
-                                        &policy, &r, &done));
+  b->env.Spawn(ImageBackupJob(b->filer.get(), b->fs.get(), b->drives[1].get(),
+                              ImageDumpOptions{},
+                              /*delete_snapshot_after=*/true, &r, &done, {},
+                              &policy));
   b->env.Run();
   bench::CheckStatus(r.report.status, "supervised physical backup");
   r.report.name = "Physical Backup";

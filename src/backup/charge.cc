@@ -176,9 +176,21 @@ Task DiskRuns(SimEnvironment* env, Volume* volume, Disk* disk,
   latch->CountDown();
 }
 
-void AppendAccess(std::map<Disk*, std::vector<Run>>* per_disk, Disk* disk,
-                  Dbn dbn) {
-  std::vector<Run>& runs = (*per_disk)[disk];
+// One disk's share of an access, keyed in the per-disk schedule by its
+// (RAID group, column): the schedule — and so the order the disks are
+// charged and draw injected faults — follows the volume's layout, never the
+// heap addresses of its Disk objects.
+using DiskKey = std::pair<size_t, size_t>;
+struct DiskSchedule {
+  Disk* disk = nullptr;
+  std::vector<Run> runs;
+};
+
+void AppendAccess(std::map<DiskKey, DiskSchedule>* per_disk, DiskKey key,
+                  Disk* disk, Dbn dbn) {
+  DiskSchedule& schedule = (*per_disk)[key];
+  schedule.disk = disk;
+  std::vector<Run>& runs = schedule.runs;
   if (!runs.empty()) {
     Run& last = runs.back();
     if (dbn >= last.start && dbn < last.start + last.count) {
@@ -198,33 +210,31 @@ Task ChargeDiskAccess(SimEnvironment* env, Volume* volume,
                       std::span<const Vbn> vbns, bool parity_writes,
                       const DiskFaultPolicy* policy, Status* error,
                       int priority) {
-  std::map<Disk*, std::vector<Run>> per_disk;
+  std::map<DiskKey, DiskSchedule> per_disk;
   // Parity: per RAID group, mirror of the data run pattern (one parity
   // touch per distinct stripe, coalesced the same way).
-  std::map<Disk*, std::vector<Run>> parity;
+  std::map<DiskKey, DiskSchedule> parity;
   for (Vbn v : vbns) {
     Volume::Placement p = volume->Locate(v);
-    AppendAccess(&per_disk, p.disk, p.dbn);
+    AppendAccess(&per_disk, {p.group_index, p.column}, p.disk, p.dbn);
     if (parity_writes) {
-      AppendAccess(&parity, p.parity_disk, p.dbn);
+      AppendAccess(&parity, {p.group_index, p.group->data_width()},
+                   p.parity_disk, p.dbn);
     }
   }
   if (parity_writes) {
-    // Parity disks are distinct from data disks, so their runs just join
-    // the per-disk schedule (AppendAccess already deduplicated the one
+    // Parity disks are distinct from data disks, so their schedules just
+    // join the per-disk ones (AppendAccess already deduplicated the one
     // parity block shared by a stripe's data writes).
-    for (auto& [disk, runs] : parity) {
-      std::vector<Run>& merged = per_disk[disk];
-      merged.insert(merged.end(), runs.begin(), runs.end());
-    }
+    per_disk.merge(parity);
   }
   if (per_disk.empty()) {
     co_return;
   }
   CountdownLatch latch(env, static_cast<int>(per_disk.size()));
-  for (auto& [disk, runs] : per_disk) {
-    env->Spawn(DiskRuns(env, volume, disk, std::move(runs), policy, error,
-                        priority, &latch));
+  for (auto& [key, schedule] : per_disk) {
+    env->Spawn(DiskRuns(env, volume, schedule.disk, std::move(schedule.runs),
+                        policy, error, priority, &latch));
   }
   co_await latch.Wait();
 }

@@ -1,726 +1,148 @@
+// Every job entry point of jobs.h, parallel.h and remote.h: one body per
+// engine and direction, run over a StreamEndpoint by the local job, the
+// remote job and the parts of a parallel job alike.
 #include "src/backup/jobs.h"
 
-#include <algorithm>
+#include <cassert>
+#include <cctype>
 
+#include "src/backup/parallel.h"
+#include "src/backup/remote.h"
+#include "src/backup/replay.h"
 #include "src/backup/supervisor.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace bkup {
 
-PhaseSpanner::PhaseSpanner(SimEnvironment* env, const std::string& job_name)
-    : tracer_(env->tracer()) {
-  if (tracer_ != nullptr) {
-    track_ = tracer_->Track("job:" + job_name);
-  }
-}
-
-PhaseSpanner::~PhaseSpanner() { Close(); }
-
-void PhaseSpanner::Enter(JobPhase phase) {
-  if (tracer_ == nullptr || phase == current_) {
-    return;
-  }
-  if (current_ != JobPhase::kCount) {
-    tracer_->End(track_);
-  }
-  current_ = phase;
-  tracer_->Begin(track_, JobPhaseName(phase));
-}
-
-void PhaseSpanner::Close() {
-  if (tracer_ != nullptr && current_ != JobPhase::kCount) {
-    tracer_->End(track_);
-    current_ = JobPhase::kCount;
-  }
-}
-
-// Recovers a failed tape write of stream[begin, end). On entry `*st` holds
-// the error. Transient errors back off and re-issue; an error that outlives
-// the retry budget is treated as a media fault: the mounted media is
-// abandoned for the next spare and everything it held — stream[*media_start,
-// begin) plus the failing piece — is rewritten from the checkpoint, exactly
-// the way a dump(8) operator re-feeds a tape after a write error. Nested
-// failures (a defective spare) loop back through the same ladder until the
-// spares run out.
-Task RecoverTapeWrite(SimEnvironment* env, TapeDrive* tape,
-                      std::span<const uint8_t> stream, uint64_t begin,
-                      uint64_t end, std::span<Tape* const> spares,
-                      uint64_t chunk_bytes, const SupervisionPolicy& sup,
-                      size_t* next_spare, uint64_t* media_start,
-                      JobReport* report, Status* st) {
-  FaultCounters& faults = report->faults;
-  uint64_t cursor = begin;     // start of the piece whose write failed
-  uint64_t failed_at = begin;  // where the retry budget is being spent
-  int attempt = 1;
-  while (true) {
-    ++faults.tape_errors;
-    TRACE_INSTANT(env, "faults", "tape.error");
-    if (st->code() == ErrorCode::kNoSpace) {
-      co_return;  // capacity is the spanning path's job, not a fault
-    }
-    if (attempt < sup.tape_retry.max_attempts) {
-      ++faults.tape_retries;
-      TRACE_INSTANT(env, "faults", "tape.retry");
-      co_await env->Delay(sup.tape_retry.BackoffBefore(attempt));
-      ++attempt;
-    } else {
-      // Persistent: remount a spare and rewind to the checkpoint.
-      if (!sup.remount_on_media_error || *next_spare >= spares.size()) {
-        co_return;  // unrecoverable; *st keeps the final error
-      }
-      Tape* spare = spares[(*next_spare)++];
-      co_await tape->TimedLoadMedia(spare);
-      ++faults.tape_remounts;
-      TRACE_INSTANT(env, "faults", "tape.remount");
-      report->tapes_used.push_back(spare->label());
-      if (!report->final_media.empty()) {
-        report->final_media.pop_back();  // the abandoned media
-      }
-      report->final_media.push_back(spare->label());
-      faults.bytes_rewritten += cursor - *media_start;
-      cursor = *media_start;
-      failed_at = cursor;
-      attempt = 1;
-    }
-    // Replay [cursor, end) piecewise; stop at the first failure.
-    *st = Status::Ok();
-    while (cursor < end && st->ok()) {
-      const uint64_t n = std::min<uint64_t>(chunk_bytes, end - cursor);
-      co_await tape->TimedWrite(stream.subspan(cursor, n), st);
-      if (st->ok()) {
-        cursor += n;
-      }
-    }
-    if (st->ok()) {
-      co_return;
-    }
-    if (cursor != failed_at) {
-      failed_at = cursor;  // progress was made: fresh retry budget
-      attempt = 1;
-    }
-  }
-}
-
 namespace {
 
-// Consumer half of a backup pipeline: drains chunks to the tape, loading
-// the next spare media when the mounted one fills (multi-volume dumps).
-// Under supervision, write errors run the retry/remount ladder above.
-Task TapeWriterProc(ReplayConfig cfg, std::span<const uint8_t> stream,
-                    Channel<StreamChunk>* channel, JobReport* report,
-                    SimEvent* writer_done) {
-  SimEnvironment* env = cfg.filer->env();
-  size_t next_spare = 0;
-  // Checkpoint: the stream offset where the mounted media begins. Tape
-  // content is always stream[media_start, media_start + position), which is
-  // what makes abandon-and-rewrite possible.
-  uint64_t media_start = 0;
-  if (cfg.tape->loaded()) {
-    report->tapes_used.push_back(cfg.tape->tape()->label());
-    report->final_media.push_back(cfg.tape->tape()->label());
-  }
-  while (true) {
-    std::optional<StreamChunk> chunk = co_await channel->Recv();
-    if (!chunk.has_value()) {
-      break;
-    }
-    const uint64_t n = chunk->end - chunk->begin;
-    if (cfg.tape->loaded() &&
-        cfg.tape->position() + n > cfg.tape->tape()->capacity()) {
-      if (next_spare < cfg.spare_tapes.size()) {
-        co_await cfg.tape->TimedLoadMedia(cfg.spare_tapes[next_spare++]);
-        report->tapes_used.push_back(cfg.tape->tape()->label());
-        report->final_media.push_back(cfg.tape->tape()->label());
-        media_start = chunk->begin;
-      }  // else fall through: the write fails with NoSpace below
-    }
-    Status st;
-    co_await cfg.tape->TimedWrite(stream.subspan(chunk->begin, n), &st);
-    if (!st.ok() && cfg.supervision != nullptr) {
-      co_await RecoverTapeWrite(cfg.filer->env(), cfg.tape, stream,
-                                chunk->begin, chunk->end, cfg.spare_tapes,
-                                cfg.chunk_bytes, *cfg.supervision, &next_spare,
-                                &media_start, report, &st);
-    }
-    if (!st.ok() && report->status.ok()) {
-      report->status = st;
-    }
-    report->TouchPhase(chunk->phase, env->now(),
-                       cfg.filer->cpu().BusyIntegral());
-    report->phase(chunk->phase).tape_bytes += n;
-  }
-  writer_done->Notify();
+void OpenReport(JobReport* report, Filer* filer, std::string name) {
+  report->name = std::move(name);
+  report->start_time = filer->env()->now();
+  report->cpu_busy_start = filer->cpu().BusyIntegral();
 }
 
-// Producer half of a restore pipeline: reads the tape and publishes how
-// many stream bytes have arrived, spanning onto the next media of a
-// multi-volume set as each tape runs dry. Under supervision, read errors
-// retry on the tape backoff schedule (a failed read does not advance the
-// head, so a re-issue is exact).
-Task TapeReaderProc(ReplayConfig cfg, uint64_t total_bytes,
-                    Channel<uint64_t>* channel, JobReport* report) {
-  SimEnvironment* env = cfg.filer->env();
-  std::vector<uint8_t> scratch(cfg.chunk_bytes);
-  size_t next_spare = 0;
-  if (cfg.tape->loaded()) {
-    report->tapes_used.push_back(cfg.tape->tape()->label());
-  }
-  uint64_t pos = 0;
-  while (pos < total_bytes) {
-    uint64_t remaining_on_tape =
-        cfg.tape->loaded() ? cfg.tape->tape()->size() - cfg.tape->position()
-                           : 0;
-    if (remaining_on_tape == 0) {
-      if (next_spare >= cfg.spare_tapes.size()) {
-        if (report->status.ok()) {
-          report->status = Corruption("multi-volume set ended early");
-        }
-        break;
-      }
-      co_await cfg.tape->TimedLoadMedia(cfg.spare_tapes[next_spare++]);
-      report->tapes_used.push_back(cfg.tape->tape()->label());
-      remaining_on_tape = cfg.tape->tape()->size();
-    }
-    const uint64_t n = std::min<uint64_t>(
-        {cfg.chunk_bytes, total_bytes - pos, remaining_on_tape});
-    if (cfg.qos.throttle != nullptr) {
-      co_await cfg.qos.throttle->Acquire(n);
-    }
-    Status st;
-    co_await cfg.tape->TimedRead(std::span(scratch).first(n), &st);
-    if (!st.ok() && cfg.supervision != nullptr) {
-      const RetryPolicy& retry = cfg.supervision->tape_retry;
-      int attempt = 1;
-      while (!st.ok() && attempt < retry.max_attempts) {
-        ++report->faults.tape_errors;
-        ++report->faults.tape_retries;
-        TRACE_INSTANT(env, "faults", "tape.retry");
-        co_await env->Delay(retry.BackoffBefore(attempt));
-        ++attempt;
-        co_await cfg.tape->TimedRead(std::span(scratch).first(n), &st);
-      }
-      if (!st.ok()) {
-        ++report->faults.tape_errors;
-      }
-    }
-    if (!st.ok() && report->status.ok()) {
-      report->status = st;
-    }
-    pos += n;
-    co_await channel->Send(pos);
-  }
-  channel->Close();
+void CloseReport(JobReport* report, Filer* filer) {
+  report->end_time = filer->env()->now();
+  report->cpu_busy_end = filer->cpu().BusyIntegral();
 }
 
-// Producer half of a ranged restore: seeks to each range and reads it,
-// publishing the absolute stream offset reached so far. Watermarks stay
-// monotone because ranges ascend; bytes inside the gaps are never touched —
-// the tape moves O(needed), not O(stream). Read errors run the same retry
-// ladder as the sequential reader.
-Task RangedTapeReaderProc(ReplayConfig cfg, std::vector<StreamRange> ranges,
-                          Channel<uint64_t>* channel, JobReport* report) {
-  SimEnvironment* env = cfg.filer->env();
-  std::vector<uint8_t> scratch(cfg.chunk_bytes);
-  if (cfg.tape->loaded()) {
-    const std::string& label = cfg.tape->tape()->label();
-    if (report->tapes_used.empty() || report->tapes_used.back() != label) {
-      report->tapes_used.push_back(label);
-    }
+// A job over a link reports as "Remote <local name>".
+std::string JobName(const StreamEndpoint& ep, std::string local) {
+  if (ep.link == nullptr) {
+    return local;
   }
-  for (const StreamRange& r : ranges) {
-    Status st;
-    co_await cfg.tape->TimedSeekTo(r.begin, &st);
-    if (!st.ok()) {
-      if (report->status.ok()) {
-        report->status = st;
-      }
-      break;
-    }
-    uint64_t pos = r.begin;
-    while (pos < r.end) {
-      const uint64_t on_tape =
-          cfg.tape->loaded()
-              ? cfg.tape->tape()->size() - cfg.tape->position()
-              : 0;
-      if (on_tape == 0) {
-        if (report->status.ok()) {
-          report->status = Corruption("tape ended inside a restore range");
-        }
-        break;
-      }
-      const uint64_t n =
-          std::min<uint64_t>({cfg.chunk_bytes, r.end - pos, on_tape});
-      if (cfg.qos.throttle != nullptr) {
-        co_await cfg.qos.throttle->Acquire(n);
-      }
-      co_await cfg.tape->TimedRead(std::span(scratch).first(n), &st);
-      if (!st.ok() && cfg.supervision != nullptr) {
-        const RetryPolicy& retry = cfg.supervision->tape_retry;
-        int attempt = 1;
-        while (!st.ok() && attempt < retry.max_attempts) {
-          ++report->faults.tape_errors;
-          ++report->faults.tape_retries;
-          TRACE_INSTANT(env, "faults", "tape.retry");
-          co_await env->Delay(retry.BackoffBefore(attempt));
-          ++attempt;
-          co_await cfg.tape->TimedRead(std::span(scratch).first(n), &st);
-        }
-        if (!st.ok()) {
-          ++report->faults.tape_errors;
-        }
-      }
-      if (!st.ok() && report->status.ok()) {
-        report->status = st;
-      }
-      pos += n;
-      co_await channel->Send(pos);
-    }
-  }
-  channel->Close();
+  local[0] = static_cast<char>(std::tolower(static_cast<unsigned char>(local[0])));
+  return "Remote " + local;
 }
 
-// Charges one event's disk reads, then signals its ready-event and frees a
-// slot in the read-ahead window.
-Task DiskFetch(ReplayConfig cfg, const IoEvent* event, JobReport* report,
-               SimEvent* ready, Resource* window) {
-  DiskFaultPolicy policy;
-  const DiskFaultPolicy* pp = nullptr;
-  if (cfg.supervision != nullptr) {
-    policy = cfg.supervision->MakeDiskPolicy(&report->faults);
-    pp = &policy;
-  }
-  Status error;
-  co_await ChargeDiskAccess(cfg.filer->env(), cfg.volume, event->disk_reads,
-                            /*parity_writes=*/false, pp, &error,
-                            cfg.qos.io_priority);
-  if (!error.ok() && report->status.ok()) {
-    report->status = error;
-  }
-  ready->Notify();
-  window->Release();
+// The snapshot a job creates when its options name none.
+std::string DefaultSnapshot(const StreamEndpoint& ep, const char* engine) {
+  return std::string(engine) + (ep.link == nullptr ? ".auto" : ".remote");
 }
 
-// Write-behind worker for the restore side.
-Task DiskFlush(ReplayConfig cfg, std::vector<Vbn> writes,
-               uint64_t seq_blocks, JobReport* report, Resource* window) {
-  SimEnvironment* env = cfg.filer->env();
-  DiskFaultPolicy policy;
-  const DiskFaultPolicy* pp = nullptr;
-  if (cfg.supervision != nullptr) {
-    policy = cfg.supervision->MakeDiskPolicy(&report->faults);
-    pp = &policy;
-  }
-  Status error;
-  if (!writes.empty()) {
-    co_await ChargeDiskAccess(env, cfg.volume, writes,
-                              /*parity_writes=*/true, pp, &error,
-                              cfg.qos.io_priority);
-  } else if (seq_blocks > 0) {
-    co_await ChargeSequentialWrites(env, cfg.volume, seq_blocks, pp, &error,
-                                    cfg.qos.io_priority);
-  }
-  if (!error.ok() && report->status.ok()) {
-    report->status = error;
-  }
-  window->Release();
+// Meta-data write amplification measured from the real consistency points
+// the functional restore performed since the file system's last mark.
+double MetaMultiplier(Filesystem* fs) {
+  const uint64_t data_writes = fs->cp_data_writes_since_mark();
+  const uint64_t meta_writes = fs->cp_meta_writes_since_mark();
+  return data_writes > 0 ? static_cast<double>(meta_writes) /
+                               static_cast<double>(data_writes)
+                         : 0.5;
 }
 
-}  // namespace
+// What an endpoint's media hold, read back for a restore: the mounted tape
+// spliced with its spares (resent and rewritten bytes never reach the media
+// twice, so the set splices back into one stream) and, with content
+// stages, the raw stream decoded from that wire image, every store-backed
+// frame verified. Not copyable: the spans point into the owned buffers.
+struct MediaImage {
+  MediaImage() = default;
+  MediaImage(const MediaImage&) = delete;
+  MediaImage& operator=(const MediaImage&) = delete;
 
-Task ReplayProducer(ReplayConfig cfg, const IoTrace* trace,
-                    Channel<StreamChunk>* out, PhaseSpanner* spans,
-                    JobReport* report) {
-  SimEnvironment* env = cfg.filer->env();
-  // Read-ahead: keep up to disk_window events' disk reads in flight; the
-  // stream is still produced in order.
-  const size_t n_events = trace->events.size();
-  std::vector<std::unique_ptr<SimEvent>> ready(n_events);
-  Resource window(env, static_cast<int64_t>(std::max<size_t>(
-                           1, cfg.disk_window)), "readahead");
-  size_t spawned = 0;
-  auto SpawnFetchesUpTo = [&](size_t limit) -> Task {
-    while (spawned < std::min(limit, n_events)) {
-      const IoEvent& ev = trace->events[spawned];
-      ready[spawned] = std::make_unique<SimEvent>(env);
-      if (ev.disk_reads.empty()) {
-        ready[spawned]->Notify();
-      } else {
-        co_await window.Acquire();
-        env->Spawn(DiskFetch(cfg, &ev, report, ready[spawned].get(),
-                             &window));
-      }
-      ++spawned;
-    }
-  };
+  std::span<const uint8_t> media;  // what the tapes hold; the replay moves it
+  std::span<const uint8_t> raw;    // what the engines restore from
+  const FrameMap* content_map = nullptr;  // set when `media` is a wire image
 
-  uint64_t sent = 0;
-  for (size_t i = 0; i < n_events; ++i) {
-    const IoEvent& e = trace->events[i];
-    spans->Enter(e.phase);
-    co_await SpawnFetchesUpTo(i + cfg.disk_window + 1);
-    report->TouchPhase(e.phase, env->now(), cfg.filer->cpu().BusyIntegral());
-    co_await ready[i]->Wait();
-    report->phase(e.phase).disk_bytes += e.disk_reads.size() * kBlockSize;
-    co_await cfg.filer->ChargeCpu(e.cpu, cfg.qos.io_priority);
-    while (sent < e.stream_end) {
-      const uint64_t n =
-          std::min<uint64_t>(cfg.chunk_bytes, e.stream_end - sent);
-      if (cfg.qos.throttle != nullptr) {
-        co_await cfg.qos.throttle->Acquire(n);
-      }
-      co_await out->Send(StreamChunk{sent, sent + n, e.phase});
-      sent += n;
-    }
-    report->TouchPhase(e.phase, env->now(), cfg.filer->cpu().BusyIntegral());
+  std::vector<uint8_t> spliced;
+  std::vector<uint8_t> decoded;
+  FrameMap map;
+};
+
+Status ReadMedia(const StreamEndpoint& ep, MediaImage* out,
+                 ContentStats* stats) {
+  if (!ep.drive->loaded()) {
+    return FailedPrecondition("no tape loaded for restore");
   }
+  out->media = ep.drive->tape()->contents();
+  if (!ep.spare_tapes.empty()) {
+    out->spliced.assign(out->media.begin(), out->media.end());
+    for (Tape* t : ep.spare_tapes) {
+      out->spliced.insert(out->spliced.end(), t->contents().begin(),
+                          t->contents().end());
+    }
+    out->media = out->spliced;
+  }
+  out->raw = out->media;
+  if (!ep.content.enabled()) {
+    return Status::Ok();
+  }
+  BKUP_ASSIGN_OR_RETURN(out->map, FrameMap::FromWire(out->media));
+  BKUP_ASSIGN_OR_RETURN(out->decoded,
+                        StagePipeline(ep.content).Decode(out->media, stats));
+  out->raw = out->decoded;
+  out->content_map = &out->map;
+  return Status::Ok();
 }
 
-Task ContentChunkAdapter(ReplayConfig cfg, const FrameMap* map,
-                         Channel<StreamChunk>* in, Channel<StreamChunk>* out,
-                         JobReport* report, SimEvent* done) {
-  const SimDuration cpu_per_mb = cfg.content.EncodeCpuPerMb();
-  uint64_t raw_done = 0;
-  uint64_t cpu_charged = 0;
-  uint64_t wire_sent = 0;
-  while (true) {
-    std::optional<StreamChunk> chunk = co_await in->Recv();
-    if (!chunk.has_value()) {
-      break;
-    }
-    // Encode CPU is priced per *raw* MB moved; the running total keeps the
-    // charge exact across chunks of any size.
-    raw_done += chunk->end - chunk->begin;
-    const uint64_t cpu_due =
-        static_cast<uint64_t>(cpu_per_mb) * raw_done / 1000000;
-    if (cpu_due > cpu_charged) {
-      co_await cfg.filer->cpu().Use(
-          1, static_cast<SimDuration>(cpu_due - cpu_charged),
-          cfg.qos.io_priority);
-      report->content.encode_cpu_us += cpu_due - cpu_charged;
-      cpu_charged = cpu_due;
-    }
-    const uint64_t wire_end = map->WireOf(chunk->end);
-    if (wire_end > wire_sent) {
-      // QoS paces post-stage wire bytes: the rate cap applies to what the
-      // tape or link actually moves, not the pre-compression stream.
-      if (cfg.qos.throttle != nullptr) {
-        co_await cfg.qos.throttle->Acquire(wire_end - wire_sent);
-      }
-      co_await out->Send(StreamChunk{wire_sent, wire_end, chunk->phase});
-      wire_sent = wire_end;
-    }
+template <typename Part>
+JobReport MergeParts(const std::string& name, const JobReport* control,
+                     const std::vector<std::unique_ptr<Part>>& parts) {
+  std::vector<JobReport> reports;
+  if (control != nullptr) {
+    reports.push_back(*control);
   }
-  out->Close();
-  done->Notify();
+  for (const auto& p : parts) {
+    reports.push_back(p->report);
+  }
+  return MergeReports(name, reports);
 }
 
-Task ContentWatermarkAdapter(ReplayConfig cfg, const FrameMap* map,
-                             std::vector<StreamRange> wire_ranges,
-                             Channel<uint64_t>* in, Channel<uint64_t>* out,
-                             JobReport* report, SimEvent* done) {
-  if (wire_ranges.empty()) {
-    wire_ranges.push_back(StreamRange{0, map->wire_total()});
-  }
-  const SimDuration cpu_per_mb = cfg.content.DecodeCpuPerMb();
-  size_t range = 0;          // first range the watermark has not passed
-  uint64_t completed_raw = 0;  // raw size of fully delivered ranges
-  uint64_t cpu_charged = 0;
-  while (true) {
-    std::optional<uint64_t> watermark = co_await in->Recv();
-    if (!watermark.has_value()) {
-      break;
+// Snapshot create -> logical dump -> replay over `ep` -> snapshot delete
+// (the stage sequence of Table 3's "Logical Dump" rows). The parts of a
+// parallel dump run with `own_snapshot` false: they dump from the control
+// job's snapshot and leave it alone.
+Task LogicalBackupBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
+                       LogicalDumpOptions options, std::string name,
+                       bool own_snapshot, LogicalBackupJobResult* result,
+                       CountdownLatch* done) {
+  SimEnvironment* env = filer->env();
+  JobReport& report = result->report;
+  OpenReport(&report, filer, JobName(ep, std::move(name)));
+  if (own_snapshot) {
+    if (options.snapshot_name.empty()) {
+      options.snapshot_name = DefaultSnapshot(ep, "dump");
     }
-    const uint64_t wire = *watermark;
-    while (range < wire_ranges.size() && wire >= wire_ranges[range].end) {
-      completed_raw += map->RawSizeOfWireRange(wire_ranges[range]);
-      ++range;
-    }
-    // Raw bytes the ranges have actually moved so far — NOT RawAvailable
-    // of the global offset, which would bill decode CPU for skipped gaps
-    // in a resumed or single-file replay.
-    uint64_t moved_raw = completed_raw;
-    if (range < wire_ranges.size() && wire > wire_ranges[range].begin) {
-      moved_raw += map->RawAvailable(wire) -
-                   map->RawAvailable(wire_ranges[range].begin);
-    }
-    const uint64_t cpu_due =
-        static_cast<uint64_t>(cpu_per_mb) * moved_raw / 1000000;
-    if (cpu_due > cpu_charged) {
-      co_await cfg.filer->cpu().Use(
-          1, static_cast<SimDuration>(cpu_due - cpu_charged),
-          cfg.qos.io_priority);
-      report->content.decode_cpu_us += cpu_due - cpu_charged;
-      cpu_charged = cpu_due;
-    }
-    co_await out->Send(map->RawAvailable(wire));
-  }
-  out->Close();
-  done->Notify();
-}
-
-Task ReplayToTape(ReplayConfig cfg, const IoTrace* trace,
-                  std::span<const uint8_t> stream, JobReport* report,
-                  CountdownLatch* done) {
-  SimEnvironment* env = cfg.filer->env();
-  if (cfg.content.enabled()) {
-    // Encode once, functionally; the tape stores the wire image while the
-    // producer still replays the engine's raw-coordinate trace.
-    Result<EncodeResult> encoded = StagePipeline(cfg.content).Encode(stream);
-    if (!encoded.ok()) {
-      if (report->status.ok()) {
-        report->status = encoded.status();
-      }
+    report.status = fs->CreateSnapshot(options.snapshot_name);
+    if (!report.status.ok()) {
       done->CountDown();
       co_return;
     }
-    const std::vector<uint8_t> wire = std::move(encoded->wire);
-    const FrameMap map = std::move(encoded->map);
-    report->content.Add(encoded->stats);
-
-    Channel<StreamChunk> raw_channel(env, cfg.pipeline_depth);
-    Channel<StreamChunk> wire_channel(env, cfg.pipeline_depth);
-    SimEvent writer_done(env);
-    SimEvent adapter_done(env);
-    env->Spawn(TapeWriterProc(cfg, wire, &wire_channel, report,
-                              &writer_done));
-    env->Spawn(ContentChunkAdapter(cfg, &map, &raw_channel, &wire_channel,
-                                   report, &adapter_done));
-    // The adapter owns the throttle (wire-byte pacing); the producer must
-    // not also acquire raw bytes from the same bucket.
-    ReplayConfig producer_cfg = cfg;
-    producer_cfg.qos.throttle = nullptr;
-    PhaseSpanner spans(env, report->name);
-    co_await ReplayProducer(producer_cfg, trace, &raw_channel, &spans,
-                            report);
-    raw_channel.Close();
-    co_await adapter_done.Wait();
-    co_await writer_done.Wait();
-    spans.Close();
-    report->stream_bytes += stream.size();
-    done->CountDown();
-    co_return;
+    co_await SnapshotPhase(filer, &report, JobPhase::kCreateSnapshot,
+                           filer->model().snapshot_create_time,
+                           ep.qos.io_priority);
   }
-  Channel<StreamChunk> channel(env, cfg.pipeline_depth);
-  SimEvent writer_done(env);
-  env->Spawn(TapeWriterProc(cfg, stream, &channel, report, &writer_done));
-
-  PhaseSpanner spans(env, report->name);
-  co_await ReplayProducer(cfg, trace, &channel, &spans, report);
-  channel.Close();
-  co_await writer_done.Wait();
-  // Close after the writer drains so the final phase's span covers the tape
-  // tail, not just the last produced chunk.
-  spans.Close();
-  report->stream_bytes += stream.size();
-  done->CountDown();
-}
-
-Task ReplayConsumer(ReplayConfig cfg, const IoTrace* trace,
-                    uint64_t stream_bytes, Channel<uint64_t>* arrived,
-                    PhaseSpanner* spans, JobReport* report) {
-  SimEnvironment* env = cfg.filer->env();
-  const auto window_depth =
-      static_cast<int64_t>(std::max<size_t>(1, cfg.disk_window));
-  Resource write_window(env, window_depth, "writebehind");
-
-  uint64_t available = 0;
-  uint64_t consumed = 0;
-  for (const IoEvent& e : trace->events) {
-    spans->Enter(e.phase);
-    // Wait for the stream to deliver this event's bytes.
-    while (available < e.stream_end) {
-      std::optional<uint64_t> watermark = co_await arrived->Recv();
-      if (!watermark.has_value()) {
-        available = stream_bytes;
-        break;
-      }
-      available = *watermark;
-    }
-    report->TouchPhase(e.phase, env->now(), cfg.filer->cpu().BusyIntegral());
-    // With content stages, the tape/link moved wire bytes: attribute the
-    // event's share in wire coordinates (exact at frame boundaries).
-    uint64_t delta = e.stream_end - consumed;
-    if (cfg.content_map != nullptr) {
-      delta = cfg.content_map->WireOf(e.stream_end) -
-              cfg.content_map->WireOf(consumed);
-    }
-    report->phase(e.phase).tape_bytes += delta;
-    if (cfg.count_net_bytes) {
-      report->phase(e.phase).net_bytes += delta;
-    }
-    consumed = e.stream_end;
-
-    co_await cfg.filer->ChargeCpu(e.cpu, cfg.qos.io_priority);
-    if (cfg.charge_nvram && e.nvram_bytes > 0) {
-      co_await cfg.filer->ChargeNvram(e.nvram_bytes, cfg.qos.io_priority);
-    }
-    // Disk flushes proceed write-behind, bounded by the disk window.
-    if (!e.disk_writes.empty()) {
-      // The engine knows the exact addresses (image restore).
-      co_await write_window.Acquire();
-      env->Spawn(DiskFlush(cfg, e.disk_writes, 0, report, &write_window));
-      report->phase(e.phase).disk_bytes +=
-          e.disk_writes.size() * kBlockSize;
-    } else if (e.blocks_written > 0) {
-      // Write-anywhere flush: sequential burst plus CP meta amplification.
-      const auto blocks = static_cast<uint64_t>(
-          static_cast<double>(e.blocks_written) *
-          (1.0 + cfg.write_meta_multiplier));
-      co_await write_window.Acquire();
-      env->Spawn(DiskFlush(cfg, {}, blocks, report, &write_window));
-      report->phase(e.phase).disk_bytes += blocks * kBlockSize;
-    }
-    report->TouchPhase(e.phase, env->now(), cfg.filer->cpu().BusyIntegral());
-  }
-  // Drain any watermarks still queued (trailing stream padding) and wait
-  // for outstanding write-behind flushes.
-  while (true) {
-    std::optional<uint64_t> watermark = co_await arrived->Recv();
-    if (!watermark.has_value()) {
-      break;
-    }
-  }
-  co_await write_window.Acquire(window_depth);
-  write_window.Release(window_depth);
-}
-
-Task ReplayFromTape(ReplayConfig cfg, const IoTrace* trace,
-                    uint64_t stream_bytes, JobReport* report,
-                    CountdownLatch* done) {
-  SimEnvironment* env = cfg.filer->env();
-  if (cfg.content_map != nullptr) {
-    // The tape holds the wire image: read wire_total bytes, translate the
-    // reader's wire watermarks back to raw for the consumer, charging the
-    // decode stages' CPU along the way.
-    Channel<uint64_t> wire_channel(env, cfg.pipeline_depth);
-    Channel<uint64_t> raw_channel(env, cfg.pipeline_depth);
-    SimEvent adapter_done(env);
-    env->Spawn(TapeReaderProc(cfg, cfg.content_map->wire_total(),
-                              &wire_channel, report));
-    env->Spawn(ContentWatermarkAdapter(cfg, cfg.content_map, {},
-                                       &wire_channel, &raw_channel, report,
-                                       &adapter_done));
-    PhaseSpanner spans(env, report->name);
-    co_await ReplayConsumer(cfg, trace, stream_bytes, &raw_channel, &spans,
-                            report);
-    co_await adapter_done.Wait();
-    spans.Close();
-    report->stream_bytes += stream_bytes;
-    done->CountDown();
-    co_return;
-  }
-  Channel<uint64_t> channel(env, cfg.pipeline_depth);
-  env->Spawn(TapeReaderProc(cfg, stream_bytes, &channel, report));
-
-  PhaseSpanner spans(env, report->name);
-  co_await ReplayConsumer(cfg, trace, stream_bytes, &channel, &spans, report);
-  spans.Close();
-  report->stream_bytes += stream_bytes;
-  done->CountDown();
-}
-
-Task ReplayFromTapeRanges(ReplayConfig cfg, const IoTrace* trace,
-                          std::vector<StreamRange> ranges,
-                          uint64_t stream_bytes, JobReport* report,
-                          CountdownLatch* done) {
-  SimEnvironment* env = cfg.filer->env();
-  if (cfg.content_map != nullptr) {
-    // Resume/catalog offsets are raw; the tape holds wire frames. Translate
-    // to the frame-aligned wire cover and read only that — the bounded-
-    // replay guarantee now stated in post-stage coordinates.
-    std::vector<StreamRange> wire_ranges =
-        cfg.content_map->WireRangesOf(ranges);
-    uint64_t moved = 0;
-    for (const StreamRange& r : wire_ranges) {
-      moved += r.size();
-    }
-    Channel<uint64_t> wire_channel(env, cfg.pipeline_depth);
-    Channel<uint64_t> raw_channel(env, cfg.pipeline_depth);
-    SimEvent adapter_done(env);
-    env->Spawn(RangedTapeReaderProc(cfg, wire_ranges, &wire_channel, report));
-    env->Spawn(ContentWatermarkAdapter(cfg, cfg.content_map,
-                                       std::move(wire_ranges), &wire_channel,
-                                       &raw_channel, report, &adapter_done));
-    PhaseSpanner spans(env, report->name);
-    co_await ReplayConsumer(cfg, trace, stream_bytes, &raw_channel, &spans,
-                            report);
-    co_await adapter_done.Wait();
-    spans.Close();
-    report->stream_bytes += moved;
-    done->CountDown();
-    co_return;
-  }
-  uint64_t moved = 0;
-  for (const StreamRange& r : ranges) {
-    moved += r.size();
-  }
-  Channel<uint64_t> channel(env, cfg.pipeline_depth);
-  env->Spawn(RangedTapeReaderProc(cfg, std::move(ranges), &channel, report));
-
-  PhaseSpanner spans(env, report->name);
-  co_await ReplayConsumer(cfg, trace, stream_bytes, &channel, &spans, report);
-  spans.Close();
-  // Account only the bytes the tape actually moved, not the skipped gaps —
-  // the number the bounded-replay guarantee is stated in.
-  report->stream_bytes += moved;
-  done->CountDown();
-}
-
-Task SnapshotPhase(Filer* filer, JobReport* report, JobPhase phase,
-                   SimDuration duration, int priority) {
-  SimEnvironment* env = filer->env();
-  PhaseSpanner spans(env, report->name);
-  spans.Enter(phase);
-  report->TouchPhase(phase, env->now(), filer->cpu().BusyIntegral());
-  // Duty-cycle the CPU at the target fraction in short slices so that
-  // concurrent jobs are not starved for the whole window.
-  const SimTime deadline = env->now() + duration;
-  const SimDuration slice = 20 * kMillisecond;
-  const auto busy_slice = static_cast<SimDuration>(
-      static_cast<double>(slice) * filer->model().snapshot_cpu_fraction);
-  while (env->now() < deadline) {
-    co_await filer->cpu().Use(1, busy_slice, priority);
-    const SimDuration idle =
-        std::min<SimDuration>(slice - busy_slice, deadline - env->now());
-    if (idle > 0) {
-      co_await env->Delay(idle);
-    }
-  }
-  report->TouchPhase(phase, env->now(), filer->cpu().BusyIntegral());
-}
-
-Task LogicalBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                      LogicalDumpOptions options,
-                      LogicalBackupJobResult* result, CountdownLatch* done,
-                      std::vector<Tape*> spare_tapes,
-                      const SupervisionPolicy* supervision, BackupQos qos,
-                      ContentConfig content) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  report.name = "Logical backup";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  const std::string snap =
-      options.snapshot_name.empty() ? "dump.auto" : options.snapshot_name;
-  options.snapshot_name = snap;
-  report.status = fs->CreateSnapshot(snap);
-  if (!report.status.ok()) {
-    done->CountDown();
-    co_return;
-  }
-  co_await SnapshotPhase(filer, &report, JobPhase::kCreateSnapshot,
-                         filer->model().snapshot_create_time,
-                         qos.io_priority);
 
   options.dump_time = env->now();
-  if (supervision != nullptr && supervision->skip_unreadable_files) {
+  if (ep.supervision != nullptr && ep.supervision->skip_unreadable_files) {
     // Graceful degradation: a logical dump can drop what it cannot read
     // and still produce a consistent stream; an image dump cannot.
     options.skip_unreadable = true;
   }
-  Result<FsReader> reader = fs->SnapshotReader(snap);
+  Result<FsReader> reader = fs->SnapshotReader(options.snapshot_name);
   if (!reader.ok()) {
     report.status = reader.status();
     done->CountDown();
@@ -735,31 +157,231 @@ Task LogicalBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
   result->dump = std::move(*dump);
   report.faults.files_skipped += result->dump.stats.files_skipped;
 
-  ReplayConfig cfg;
-  cfg.filer = filer;
-  cfg.volume = fs->volume();
-  cfg.tape = tape;
-  cfg.spare_tapes = std::move(spare_tapes);
-  cfg.supervision = supervision;
-  cfg.qos = qos;
-  cfg.content = content;
+  ReplayConfig cfg{.filer = filer, .volume = fs->volume(), .endpoint = &ep};
   CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayToTape(cfg, &result->dump.trace, result->dump.stream,
+  env->Spawn(ReplayBackup(cfg, &result->dump.trace, result->dump.stream,
                           &report, &replay_done));
   co_await replay_done.Wait();
 
-  Status del = fs->DeleteSnapshot(snap);
-  if (!del.ok() && report.status.ok()) {
-    report.status = del;
+  if (own_snapshot) {
+    KeepFirstError(&report, fs->DeleteSnapshot(options.snapshot_name));
+    co_await SnapshotPhase(filer, &report, JobPhase::kDeleteSnapshot,
+                           filer->model().snapshot_delete_time,
+                           ep.qos.io_priority);
   }
-  co_await SnapshotPhase(filer, &report, JobPhase::kDeleteSnapshot,
-                         filer->model().snapshot_delete_time,
-                         qos.io_priority);
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
+  CloseReport(&report, filer);
   report.data_bytes = result->dump.stats.data_blocks * kBlockSize;
   done->CountDown();
+}
+
+// Snapshot create -> block-order image dump -> replay over `ep` [->
+// snapshot delete]. The snapshot may already exist when several parallel
+// parts share one quiesce point; only a job that created it deletes it.
+Task ImageBackupBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
+                     ImageDumpOptions options, bool delete_snapshot_after,
+                     std::string name, ImageBackupJobResult* result,
+                     CountdownLatch* done) {
+  SimEnvironment* env = filer->env();
+  JobReport& report = result->report;
+  OpenReport(&report, filer, JobName(ep, std::move(name)));
+  if (options.snapshot_name.empty()) {
+    options.snapshot_name = DefaultSnapshot(ep, "image");
+  }
+  const bool created_here = !fs->FindSnapshot(options.snapshot_name).ok();
+  if (created_here) {
+    report.status = fs->CreateSnapshot(options.snapshot_name);
+    if (!report.status.ok()) {
+      done->CountDown();
+      co_return;
+    }
+    co_await SnapshotPhase(filer, &report, JobPhase::kCreateSnapshot,
+                           filer->model().snapshot_create_time,
+                           ep.qos.io_priority);
+  }
+
+  options.dump_time = env->now();
+  Result<ImageDumpOutput> dump = RunImageDump(fs->volume(), options);
+  if (!dump.ok()) {
+    report.status = dump.status();
+    done->CountDown();
+    co_return;
+  }
+  result->dump = std::move(*dump);
+
+  ReplayConfig cfg{.filer = filer, .volume = fs->volume(), .endpoint = &ep};
+  CountdownLatch replay_done(env, 1);
+  env->Spawn(ReplayBackup(cfg, &result->dump.trace, result->dump.stream,
+                          &report, &replay_done));
+  co_await replay_done.Wait();
+
+  if (delete_snapshot_after && created_here) {
+    KeepFirstError(&report, fs->DeleteSnapshot(options.snapshot_name));
+    co_await SnapshotPhase(filer, &report, JobPhase::kDeleteSnapshot,
+                           filer->model().snapshot_delete_time,
+                           ep.qos.io_priority);
+  }
+  CloseReport(&report, filer);
+  report.data_bytes = result->dump.stats.blocks_dumped * kBlockSize;
+  done->CountDown();
+}
+
+// The endpoint's media -> functional logical restore -> replay through the
+// file system. With `bypass_nvram`, models the paper's footnote-2 variant.
+Task LogicalRestoreBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
+                        LogicalRestoreOptions options, bool bypass_nvram,
+                        LogicalRestoreJobResult* result,
+                        CountdownLatch* done) {
+  SimEnvironment* env = filer->env();
+  JobReport& report = result->report;
+  OpenReport(&report, filer,
+             JobName(ep, bypass_nvram ? "Logical restore (NVRAM bypass)"
+                                      : "Logical restore"));
+  MediaImage media;
+  if (Status st = ReadMedia(ep, &media, &report.content); !st.ok()) {
+    report.status = st;
+    done->CountDown();
+    co_return;
+  }
+  fs->MarkCpCounters();
+  Result<LogicalRestoreOutput> restored =
+      RunLogicalRestore(fs, media.raw, options);
+  if (!restored.ok()) {
+    report.status = restored.status();
+    done->CountDown();
+    co_return;
+  }
+  result->restore = std::move(*restored);
+
+  ReplayConfig cfg{.filer = filer,
+                   .volume = fs->volume(),
+                   .endpoint = &ep,
+                   .charge_nvram = !bypass_nvram,
+                   .write_meta_multiplier = MetaMultiplier(fs),
+                   .content_map = media.content_map};
+  CountdownLatch replay_done(env, 1);
+  env->Spawn(ReplayRestore(cfg, &result->restore.trace, media.media, {},
+                           &report, &replay_done));
+  co_await replay_done.Wait();
+
+  CloseReport(&report, filer);
+  report.data_bytes = result->restore.stats.bytes_restored;
+  done->CountDown();
+}
+
+// The endpoint's media -> image restore straight through the RAID layer.
+Task ImageRestoreBody(Filer* filer, Volume* volume, StreamEndpoint ep,
+                      ImageRestoreJobResult* result, CountdownLatch* done) {
+  SimEnvironment* env = filer->env();
+  JobReport& report = result->report;
+  OpenReport(&report, filer, JobName(ep, "Physical restore"));
+  MediaImage media;
+  if (Status st = ReadMedia(ep, &media, &report.content); !st.ok()) {
+    report.status = st;
+    done->CountDown();
+    co_return;
+  }
+  Result<ImageRestoreOutput> restored = RunImageRestore(volume, media.raw);
+  if (!restored.ok()) {
+    report.status = restored.status();
+    done->CountDown();
+    co_return;
+  }
+  result->restore = std::move(*restored);
+
+  // "bypass the NVRAM ... further enhancing performance"
+  ReplayConfig cfg{.filer = filer,
+                   .volume = volume,
+                   .endpoint = &ep,
+                   .content_map = media.content_map};
+  CountdownLatch replay_done(env, 1);
+  env->Spawn(ReplayRestore(cfg, &result->restore.trace, media.media, {},
+                           &report, &replay_done));
+  co_await replay_done.Wait();
+
+  CloseReport(&report, filer);
+  report.data_bytes = result->restore.stats.blocks_restored * kBlockSize;
+  done->CountDown();
+}
+
+// The control job of a striped image dump: one shared snapshot, part k of
+// N streamed to parts[k]. Remote parts share one link, which is what makes
+// the link the bottleneck where local parallel physical dump scales with
+// drives.
+Task ParallelImageBackupBody(Filer* filer, Filesystem* fs,
+                             std::vector<StreamEndpoint> parts,
+                             ImageDumpOptions base_options,
+                             bool delete_snapshot_after,
+                             ParallelImageBackupResult* result,
+                             CountdownLatch* done) {
+  assert(!parts.empty());
+  SimEnvironment* env = filer->env();
+  const bool remote = parts.front().link != nullptr;
+  const int priority = parts.front().qos.io_priority;
+  const std::string title =
+      remote ? "Parallel remote physical backup" : "Parallel physical backup";
+  JobReport& control = result->control;
+  OpenReport(&control, filer, title + " (control)");
+
+  const std::string snap =
+      !base_options.snapshot_name.empty() ? base_options.snapshot_name
+      : remote                            ? "image.remote.parallel"
+                                          : "image.parallel";
+  const bool created_here = !fs->FindSnapshot(snap).ok();
+  if (created_here) {
+    control.status = fs->CreateSnapshot(snap);
+    if (!control.status.ok()) {
+      done->CountDown();
+      co_return;
+    }
+    co_await SnapshotPhase(filer, &control, JobPhase::kCreateSnapshot,
+                           filer->model().snapshot_create_time, priority);
+  }
+
+  const auto n = static_cast<uint32_t>(parts.size());
+  CountdownLatch parts_done(env, static_cast<int>(n));
+  for (uint32_t k = 0; k < n; ++k) {
+    ImageDumpOptions options = base_options;
+    options.snapshot_name = snap;
+    options.part_index = k;
+    options.part_count = n;
+    result->parts.push_back(std::make_unique<ImageBackupJobResult>());
+    env->Spawn(ImageBackupBody(
+        filer, fs, std::move(parts[k]), options,
+        /*delete_snapshot_after=*/false,
+        "Physical backup [part " + std::to_string(k) + "/" +
+            std::to_string(n) + "]",
+        result->parts.back().get(), &parts_done));
+  }
+  co_await parts_done.Wait();
+
+  if (delete_snapshot_after && created_here) {
+    KeepFirstError(&control, fs->DeleteSnapshot(snap));
+    co_await SnapshotPhase(filer, &control, JobPhase::kDeleteSnapshot,
+                           filer->model().snapshot_delete_time, priority);
+  }
+  CloseReport(&control, filer);
+  result->merged = MergeParts(title, &control, result->parts);
+  done->CountDown();
+}
+
+}  // namespace
+
+// ----------------------------------------------------------- local jobs ---
+
+Task LogicalBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
+                      LogicalDumpOptions options,
+                      LogicalBackupJobResult* result, CountdownLatch* done,
+                      std::vector<Tape*> spare_tapes,
+                      const SupervisionPolicy* supervision, BackupQos qos,
+                      ContentConfig content) {
+  return LogicalBackupBody(filer, fs,
+                           {.drive = tape,
+                            .spare_tapes = std::move(spare_tapes),
+                            .supervision = supervision,
+                            .qos = qos,
+                            .content = std::move(content)},
+                           std::move(options), "Logical backup",
+                           /*own_snapshot=*/true, result, done);
 }
 
 Task LogicalRestoreJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
@@ -768,93 +390,43 @@ Task LogicalRestoreJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
                        std::vector<Tape*> spare_tapes,
                        const SupervisionPolicy* supervision,
                        ContentConfig content) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  report.name = bypass_nvram ? "Logical restore (NVRAM bypass)"
-                             : "Logical restore";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
+  return LogicalRestoreBody(filer, fs,
+                            {.drive = tape,
+                             .spare_tapes = std::move(spare_tapes),
+                             .supervision = supervision,
+                             .qos = {},
+                             .content = std::move(content)},
+                            std::move(options), bypass_nvram, result, done);
+}
 
-  if (!tape->loaded()) {
-    report.status = FailedPrecondition("no tape loaded for restore");
-    done->CountDown();
-    co_return;
-  }
-  // A multi-volume set restores as the concatenation of its media.
-  std::vector<uint8_t> spanned;
-  std::span<const uint8_t> stream = tape->tape()->contents();
-  if (!spare_tapes.empty()) {
-    spanned.assign(stream.begin(), stream.end());
-    for (Tape* t : spare_tapes) {
-      spanned.insert(spanned.end(), t->contents().begin(),
-                     t->contents().end());
-    }
-    stream = spanned;
-  }
+Task ImageBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
+                    ImageDumpOptions options, bool delete_snapshot_after,
+                    ImageBackupJobResult* result, CountdownLatch* done,
+                    std::vector<Tape*> spare_tapes,
+                    const SupervisionPolicy* supervision, BackupQos qos,
+                    ContentConfig content) {
+  return ImageBackupBody(filer, fs,
+                         {.drive = tape,
+                          .spare_tapes = std::move(spare_tapes),
+                          .supervision = supervision,
+                          .qos = qos,
+                          .content = std::move(content)},
+                         std::move(options), delete_snapshot_after,
+                         "Physical backup", result, done);
+}
 
-  // With content stages, the media hold the wire image: invert the pipeline
-  // first (verifying every store-backed frame) so the restore engine sees
-  // the exact raw stream the dump produced.
-  FrameMap content_map;
-  std::vector<uint8_t> decoded;
-  if (content.enabled()) {
-    Result<FrameMap> map = FrameMap::FromWire(stream);
-    if (!map.ok()) {
-      report.status = map.status();
-      done->CountDown();
-      co_return;
-    }
-    Result<std::vector<uint8_t>> raw =
-        StagePipeline(content).Decode(stream, &report.content);
-    if (!raw.ok()) {
-      report.status = raw.status();
-      done->CountDown();
-      co_return;
-    }
-    content_map = std::move(*map);
-    decoded = std::move(*raw);
-    stream = decoded;
-  }
-
-  fs->MarkCpCounters();
-  Result<LogicalRestoreOutput> restored =
-      RunLogicalRestore(fs, stream, options);
-  if (!restored.ok()) {
-    report.status = restored.status();
-    done->CountDown();
-    co_return;
-  }
-  result->restore = std::move(*restored);
-
-  // Meta-data write amplification measured from the real consistency
-  // points the functional restore performed.
-  const uint64_t data_writes = fs->cp_data_writes_since_mark();
-  const uint64_t meta_writes = fs->cp_meta_writes_since_mark();
-  ReplayConfig cfg;
-  cfg.filer = filer;
-  cfg.volume = fs->volume();
-  cfg.tape = tape;
-  cfg.spare_tapes = std::move(spare_tapes);
-  cfg.supervision = supervision;
-  cfg.charge_nvram = !bypass_nvram;
-  cfg.write_meta_multiplier =
-      data_writes > 0
-          ? static_cast<double>(meta_writes) / static_cast<double>(data_writes)
-          : 0.5;
-  if (content.enabled()) {
-    cfg.content = content;
-    cfg.content_map = &content_map;
-  }
-
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayFromTape(cfg, &result->restore.trace, stream.size(),
-                            &report, &replay_done));
-  co_await replay_done.Wait();
-
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = result->restore.stats.bytes_restored;
-  done->CountDown();
+Task ImageRestoreJob(Filer* filer, Volume* volume, TapeDrive* tape,
+                     ImageRestoreJobResult* result, CountdownLatch* done,
+                     std::vector<Tape*> spare_tapes,
+                     const SupervisionPolicy* supervision,
+                     ContentConfig content) {
+  return ImageRestoreBody(filer, volume,
+                          {.drive = tape,
+                           .spare_tapes = std::move(spare_tapes),
+                           .supervision = supervision,
+                           .qos = {},
+                           .content = std::move(content)},
+                          result, done);
 }
 
 Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
@@ -867,46 +439,26 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
                                 CountdownLatch* done) {
   SimEnvironment* env = filer->env();
   JobReport& report = result->report;
-  report.name = "Resumable logical restore";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  if (!tape->loaded()) {
-    report.status = FailedPrecondition("no tape loaded for restore");
-    done->CountDown();
-    co_return;
-  }
+  OpenReport(&report, filer, "Resumable logical restore");
   if (resume.catalog == nullptr) {
     report.status = InvalidArgument("resumable restore needs a catalog");
     done->CountDown();
     co_return;
   }
-  // Single-media only: the ranged reads address the mounted tape directly.
-  std::span<const uint8_t> stream = tape->tape()->contents();
-
-  // Decode the wire image once (it is a pure function of the media); each
+  // Single-media: the ranged reads address the mounted tape directly. The
+  // wire image is decoded once (it is a pure function of the media); each
   // incarnation's ranged replay still pays tape and decode CPU only for the
   // wire frames its resume actually needs.
-  FrameMap content_map;
-  std::vector<uint8_t> decoded;
-  const bool has_content = resume.content.enabled();
-  if (has_content) {
-    Result<FrameMap> map = FrameMap::FromWire(stream);
-    if (!map.ok()) {
-      report.status = map.status();
-      done->CountDown();
-      co_return;
-    }
-    Result<std::vector<uint8_t>> raw =
-        StagePipeline(resume.content).Decode(stream, &report.content);
-    if (!raw.ok()) {
-      report.status = raw.status();
-      done->CountDown();
-      co_return;
-    }
-    content_map = std::move(*map);
-    decoded = std::move(*raw);
-    stream = decoded;
+  const StreamEndpoint ep{.drive = tape,
+                          .spare_tapes = {},
+                          .supervision = supervision,
+                          .qos = {},
+                          .content = resume.content};
+  MediaImage media;
+  if (Status st = ReadMedia(ep, &media, &report.content); !st.ok()) {
+    report.status = st;
+    done->CountDown();
+    co_return;
   }
 
   options.catalog = resume.catalog;
@@ -932,7 +484,7 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
     options.resume = attempt > 0;
     (*fs)->MarkCpCounters();
     Result<LogicalRestoreOutput> restored =
-        RunLogicalRestore(fs->get(), stream, options);
+        RunLogicalRestore(fs->get(), media.raw, options);
     if (!restored.ok()) {
       report.status = restored.status();
       break;
@@ -945,26 +497,16 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
     }
     report.data_bytes += restored->stats.bytes_restored;
 
-    const uint64_t data_writes = (*fs)->cp_data_writes_since_mark();
-    const uint64_t meta_writes = (*fs)->cp_meta_writes_since_mark();
-    ReplayConfig cfg;
-    cfg.filer = filer;
-    cfg.volume = volume;
-    cfg.tape = tape;
-    cfg.supervision = supervision;
-    cfg.charge_nvram = !bypass_nvram;
-    cfg.write_meta_multiplier =
-        data_writes > 0 ? static_cast<double>(meta_writes) /
-                              static_cast<double>(data_writes)
-                        : 0.5;
-    if (has_content) {
-      cfg.content = resume.content;
-      cfg.content_map = &content_map;
-    }
+    ReplayConfig cfg{.filer = filer,
+                     .volume = volume,
+                     .endpoint = &ep,
+                     .charge_nvram = !bypass_nvram,
+                     .write_meta_multiplier = MetaMultiplier(fs->get()),
+                     .content_map = media.content_map};
     CountdownLatch replay_done(env, 1);
-    env->Spawn(ReplayFromTapeRanges(cfg, &restored->trace,
-                                    restored->consumed_ranges, stream.size(),
-                                    &report, &replay_done));
+    env->Spawn(ReplayRestore(cfg, &restored->trace, media.media,
+                             restored->consumed_ranges, &report,
+                             &replay_done));
     co_await replay_done.Wait();
 
     const bool interrupted = restored->interrupted;
@@ -1003,8 +545,7 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
     }
   }
 
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
+  CloseReport(&report, filer);
   // Chaos-kill black box: a run that had to resume leaves a flight record
   // whose kill points and replayed-range stats mirror JobReport.resume.
   if (FlightRecorder* recorder = env->flight_recorder();
@@ -1021,159 +562,307 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
           .Field("status_ok", report.status.ok())
           .EndObject();
     });
-    const Status dumped = recorder->Dump("restore_resume");
-    if (!dumped.ok() && report.status.ok()) {
-      report.status = dumped;
-    }
+    KeepFirstError(&report, recorder->Dump("restore_resume"));
     recorder->RemoveStateProvider("resumable_restore");
   }
   done->CountDown();
 }
 
-Task ImageBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                    ImageDumpOptions options, bool delete_snapshot_after,
-                    ImageBackupJobResult* result, CountdownLatch* done,
-                    std::vector<Tape*> spare_tapes,
-                    const SupervisionPolicy* supervision, BackupQos qos,
-                    ContentConfig content) {
+// -------------------------------------------------------- parallel jobs ---
+
+Task ParallelLogicalBackupJob(Filer* filer, Filesystem* fs,
+                              std::vector<TapeDrive*> drives,
+                              std::vector<std::string> subtrees,
+                              LogicalDumpOptions base_options,
+                              ParallelLogicalBackupResult* result,
+                              CountdownLatch* done,
+                              const SupervisionPolicy* supervision,
+                              std::vector<std::vector<Tape*>> spare_tapes,
+                              BackupQos qos, ContentConfig content) {
+  assert(drives.size() == subtrees.size() && !drives.empty());
   SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  report.name = "Physical backup";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
+  JobReport& control = result->control;
+  OpenReport(&control, filer, "Parallel logical backup (control)");
 
-  const std::string snap =
-      options.snapshot_name.empty() ? "image.auto" : options.snapshot_name;
-  options.snapshot_name = snap;
-  // The snapshot may already exist when several parallel part-jobs share
-  // one quiesce point; only the first creates it.
-  const bool created_here = !fs->FindSnapshot(snap).ok();
-  if (created_here) {
-    report.status = fs->CreateSnapshot(snap);
-    if (!report.status.ok()) {
-      done->CountDown();
-      co_return;
-    }
-    co_await SnapshotPhase(filer, &report, JobPhase::kCreateSnapshot,
-                           filer->model().snapshot_create_time,
-                           qos.io_priority);
-  }
-
-  options.dump_time = env->now();
-  Result<ImageDumpOutput> dump = RunImageDump(fs->volume(), options);
-  if (!dump.ok()) {
-    report.status = dump.status();
+  const std::string snap = base_options.snapshot_name.empty()
+                               ? "dump.parallel"
+                               : base_options.snapshot_name;
+  control.status = fs->CreateSnapshot(snap);
+  if (!control.status.ok()) {
     done->CountDown();
     co_return;
   }
-  result->dump = std::move(*dump);
+  co_await SnapshotPhase(filer, &control, JobPhase::kCreateSnapshot,
+                         filer->model().snapshot_create_time,
+                         qos.io_priority);
 
-  ReplayConfig cfg;
-  cfg.filer = filer;
-  cfg.volume = fs->volume();
-  cfg.tape = tape;
-  cfg.spare_tapes = std::move(spare_tapes);
-  cfg.supervision = supervision;
-  cfg.qos = qos;
-  cfg.content = content;
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayToTape(cfg, &result->dump.trace, result->dump.stream,
-                          &report, &replay_done));
-  co_await replay_done.Wait();
-
-  if (delete_snapshot_after && created_here) {
-    Status del = fs->DeleteSnapshot(snap);
-    if (!del.ok() && report.status.ok()) {
-      report.status = del;
-    }
-    co_await SnapshotPhase(filer, &report, JobPhase::kDeleteSnapshot,
-                           filer->model().snapshot_delete_time,
-                           qos.io_priority);
+  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
+  for (size_t k = 0; k < drives.size(); ++k) {
+    LogicalDumpOptions options = base_options;
+    options.snapshot_name = snap;
+    options.subtree = subtrees[k];
+    result->parts.push_back(std::make_unique<LogicalBackupJobResult>());
+    // Each part draws remount media from its own slice of the stacker.
+    env->Spawn(LogicalBackupBody(
+        filer, fs,
+        {.drive = drives[k],
+         .spare_tapes = k < spare_tapes.size() ? spare_tapes[k]
+                                               : std::vector<Tape*>{},
+         .supervision = supervision,
+         .qos = qos,
+         .content = content},
+        options, "Logical backup [" + subtrees[k] + "]",
+        /*own_snapshot=*/false, result->parts.back().get(), &parts_done));
   }
+  co_await parts_done.Wait();
 
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes = result->dump.stats.blocks_dumped * kBlockSize;
+  KeepFirstError(&control, fs->DeleteSnapshot(snap));
+  co_await SnapshotPhase(filer, &control, JobPhase::kDeleteSnapshot,
+                         filer->model().snapshot_delete_time,
+                         qos.io_priority);
+  CloseReport(&control, filer);
+  result->merged =
+      MergeParts("Parallel logical backup", &control, result->parts);
   done->CountDown();
 }
 
-Task ImageRestoreJob(Filer* filer, Volume* volume, TapeDrive* tape,
-                     ImageRestoreJobResult* result, CountdownLatch* done,
-                     std::vector<Tape*> spare_tapes,
-                     const SupervisionPolicy* supervision,
-                     ContentConfig content) {
+Task ParallelLogicalRestoreJob(Filer* filer, Filesystem* fs,
+                               std::vector<TapeDrive*> drives,
+                               std::vector<std::string> target_dirs,
+                               bool bypass_nvram,
+                               ParallelLogicalRestoreResult* result,
+                               CountdownLatch* done, ContentConfig content) {
+  assert(drives.size() == target_dirs.size() && !drives.empty());
+  SimEnvironment* env = filer->env();
+  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
+  for (size_t k = 0; k < drives.size(); ++k) {
+    if (target_dirs[k] != "/" && !fs->LookupPath(target_dirs[k]).ok()) {
+      Result<Inum> made = fs->Mkdir(target_dirs[k], 0755);
+      if (!made.ok()) {
+        result->merged.status = made.status();
+        done->CountDown();
+        co_return;
+      }
+    }
+    LogicalRestoreOptions options;
+    options.target_dir = target_dirs[k];
+    result->parts.push_back(std::make_unique<LogicalRestoreJobResult>());
+    env->Spawn(LogicalRestoreJob(filer, fs, drives[k], options, bypass_nvram,
+                                 result->parts.back().get(), &parts_done, {},
+                                 nullptr, content));
+  }
+  co_await parts_done.Wait();
+  result->merged =
+      MergeParts("Parallel logical restore", nullptr, result->parts);
+  done->CountDown();
+}
+
+Task ParallelImageBackupJob(Filer* filer, Filesystem* fs,
+                            std::vector<TapeDrive*> drives,
+                            ImageDumpOptions base_options,
+                            bool delete_snapshot_after,
+                            ParallelImageBackupResult* result,
+                            CountdownLatch* done,
+                            const SupervisionPolicy* supervision,
+                            std::vector<std::vector<Tape*>> spare_tapes,
+                            BackupQos qos, ContentConfig content) {
+  std::vector<StreamEndpoint> parts;
+  for (size_t k = 0; k < drives.size(); ++k) {
+    parts.push_back({.drive = drives[k],
+                     .spare_tapes = k < spare_tapes.size()
+                                        ? spare_tapes[k]
+                                        : std::vector<Tape*>{},
+                     .supervision = supervision,
+                     .qos = qos,
+                     .content = content});
+  }
+  return ParallelImageBackupBody(filer, fs, std::move(parts),
+                                 std::move(base_options),
+                                 delete_snapshot_after, result, done);
+}
+
+Task ParallelImageRestoreJob(Filer* filer, Volume* volume,
+                             std::vector<TapeDrive*> drives,
+                             ParallelImageRestoreResult* result,
+                             CountdownLatch* done, ContentConfig content) {
+  assert(!drives.empty());
+  SimEnvironment* env = filer->env();
+  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
+  for (TapeDrive* drive : drives) {
+    result->parts.push_back(std::make_unique<ImageRestoreJobResult>());
+    env->Spawn(ImageRestoreJob(filer, volume, drive,
+                               result->parts.back().get(), &parts_done, {},
+                               nullptr, content));
+  }
+  co_await parts_done.Wait();
+  result->merged =
+      MergeParts("Parallel physical restore", nullptr, result->parts);
+  done->CountDown();
+}
+
+// ---------------------------------------------------------- remote jobs ---
+
+Task RemoteLogicalBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
+                            LogicalDumpOptions options,
+                            LogicalBackupJobResult* result,
+                            CountdownLatch* done) {
+  return LogicalBackupBody(filer, fs, std::move(target), std::move(options),
+                           "Logical backup", /*own_snapshot=*/true, result,
+                           done);
+}
+
+Task RemoteLogicalRestoreJob(Filer* filer, Filesystem* fs, RemoteTarget target,
+                             LogicalRestoreOptions options, bool bypass_nvram,
+                             LogicalRestoreJobResult* result,
+                             CountdownLatch* done) {
+  return LogicalRestoreBody(filer, fs, std::move(target), std::move(options),
+                            bypass_nvram, result, done);
+}
+
+Task RemoteImageBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
+                          ImageDumpOptions options, bool delete_snapshot_after,
+                          ImageBackupJobResult* result, CountdownLatch* done) {
+  return ImageBackupBody(filer, fs, std::move(target), std::move(options),
+                         delete_snapshot_after, "Physical backup", result,
+                         done);
+}
+
+Task RemoteImageRestoreJob(Filer* filer, Volume* volume, RemoteTarget target,
+                           ImageRestoreJobResult* result,
+                           CountdownLatch* done) {
+  return ImageRestoreBody(filer, volume, std::move(target), result, done);
+}
+
+Task RemoteSingleFileRestoreJob(Filer* filer, Filesystem* fs,
+                                RemoteTarget target,
+                                const TapeCatalog* catalog,
+                                std::string path,  // by value: outlives spawn
+                                LogicalRestoreOptions options,
+                                bool bypass_nvram, LinkBudget* budget,
+                                RemoteSingleFileRestoreResult* result,
+                                CountdownLatch* done) {
   SimEnvironment* env = filer->env();
   JobReport& report = result->report;
-  report.name = "Physical restore";
-  report.start_time = env->now();
-  report.cpu_busy_start = filer->cpu().BusyIntegral();
-
-  if (!tape->loaded()) {
-    report.status = FailedPrecondition("no tape loaded for restore");
+  OpenReport(&report, filer, "Remote single-file restore");
+  if (catalog == nullptr) {
+    report.status = InvalidArgument("single-file restore needs a catalog");
     done->CountDown();
     co_return;
   }
-  // A multi-media image restores as the concatenation of its media.
-  std::vector<uint8_t> spanned;
-  std::span<const uint8_t> stream = tape->tape()->contents();
-  if (!spare_tapes.empty()) {
-    spanned.assign(stream.begin(), stream.end());
-    for (Tape* t : spare_tapes) {
-      spanned.insert(spanned.end(), t->contents().begin(),
-                     t->contents().end());
-    }
-    stream = spanned;
+  // Single-media only: the ranged reads address the mounted tape directly.
+  // With content stages, the tape holds the wire image: it is decoded for
+  // the name table and the engine, while budget and link accounting below
+  // move to post-stage wire coordinates.
+  target.spare_tapes.clear();
+  MediaImage media;
+  const Status read = ReadMedia(target, &media, &report.content);
+  result->full_stream_bytes = media.media.size();
+  if (!read.ok()) {
+    report.status = read;
+    done->CountDown();
+    co_return;
   }
-  FrameMap content_map;
-  std::vector<uint8_t> decoded;
-  if (content.enabled()) {
-    Result<FrameMap> map = FrameMap::FromWire(stream);
-    if (!map.ok()) {
-      report.status = map.status();
+  // Catalog ranges are raw; what the link will move is their frame-aligned
+  // wire cover.
+  auto LinkSizeOf = [&](const std::vector<StreamRange>& raw_ranges) {
+    uint64_t total = 0;
+    for (const StreamRange& r :
+         media.content_map != nullptr
+             ? media.content_map->WireRangesOf(raw_ranges)
+             : raw_ranges) {
+      total += r.size();
+    }
+    return total;
+  };
+
+  // Reserve the link allowance up front from the catalog's estimate — the
+  // ranges the restore will pull, known before any byte moves.
+  uint64_t estimate = 0;
+  {
+    Result<RestoreCatalog> names = BuildRestoreCatalog(media.raw);
+    if (!names.ok()) {
+      report.status = names.status();
       done->CountDown();
       co_return;
     }
-    Result<std::vector<uint8_t>> raw =
-        StagePipeline(content).Decode(stream, &report.content);
-    if (!raw.ok()) {
-      report.status = raw.status();
+    Result<Inum> selected = names->Namei(path);
+    if (!selected.ok()) {
+      report.status = selected.status();
       done->CountDown();
       co_return;
     }
-    content_map = std::move(*map);
-    decoded = std::move(*raw);
-    stream = decoded;
+    const std::vector<Inum> wanted = names->Descendants(*selected);
+    estimate = LinkSizeOf(catalog->RestoreRanges(wanted));
   }
-  Result<ImageRestoreOutput> restored = RunImageRestore(volume, stream);
+  if (budget != nullptr && !budget->TryReserve(estimate)) {
+    result->budget_rejected = true;
+    report.status = Exhausted("link budget rejected single-file restore");
+    done->CountDown();
+    co_return;
+  }
+
+  options.select = {path};
+  options.catalog = catalog;
+  fs->MarkCpCounters();
+  Result<LogicalRestoreOutput> restored =
+      RunLogicalRestore(fs, media.raw, options);
   if (!restored.ok()) {
+    if (budget != nullptr) {
+      budget->Cancel(estimate);
+    }
     report.status = restored.status();
     done->CountDown();
     co_return;
   }
   result->restore = std::move(*restored);
 
-  ReplayConfig cfg;
-  cfg.filer = filer;
-  cfg.volume = volume;
-  cfg.tape = tape;
-  cfg.spare_tapes = std::move(spare_tapes);
-  cfg.supervision = supervision;
-  cfg.charge_nvram = false;  // "bypass the NVRAM ... further enhancing
-                             // performance"
-  if (content.enabled()) {
-    cfg.content = content;
-    cfg.content_map = &content_map;
-  }
+  ReplayConfig cfg{.filer = filer,
+                   .volume = fs->volume(),
+                   .endpoint = &target,
+                   .charge_nvram = !bypass_nvram,
+                   .write_meta_multiplier = MetaMultiplier(fs),
+                   .content_map = media.content_map};
   CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayFromTape(cfg, &result->restore.trace, stream.size(),
-                            &report, &replay_done));
+  env->Spawn(ReplayRestore(cfg, &result->restore.trace, media.media,
+                           result->restore.consumed_ranges, &report,
+                           &replay_done));
   co_await replay_done.Wait();
 
-  report.end_time = env->now();
-  report.cpu_busy_end = filer->cpu().BusyIntegral();
-  report.data_bytes =
-      result->restore.stats.blocks_restored * kBlockSize;
+  result->link_bytes = LinkSizeOf(result->restore.consumed_ranges);
+  if (budget != nullptr) {
+    budget->Commit(estimate, result->link_bytes);
+  }
+  MetricsRegistry::Default()
+      .GetCounter("restore.single_file.link_bytes")
+      ->Increment(result->link_bytes);
+
+  CloseReport(&report, filer);
+  report.data_bytes = result->restore.stats.bytes_restored;
   done->CountDown();
+}
+
+Task ParallelRemoteImageBackupJob(Filer* filer, Filesystem* fs, NetLink* link,
+                                  TapeServer* server,
+                                  std::vector<TapeDrive*> drives,
+                                  ImageDumpOptions base_options,
+                                  bool delete_snapshot_after,
+                                  const SupervisionPolicy* supervision,
+                                  ParallelRemoteImageBackupResult* result,
+                                  CountdownLatch* done, BackupQos qos,
+                                  ContentConfig content) {
+  std::vector<StreamEndpoint> parts;
+  for (TapeDrive* drive : drives) {
+    parts.push_back({.link = link,
+                     .server = server,
+                     .drive = drive,
+                     .spare_tapes = {},
+                     .supervision = supervision,
+                     .qos = qos,
+                     .content = content});
+  }
+  return ParallelImageBackupBody(filer, fs, std::move(parts),
+                                 std::move(base_options),
+                                 delete_snapshot_after, result, done);
 }
 
 }  // namespace bkup

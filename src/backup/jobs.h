@@ -18,6 +18,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/backup/charge.h"
 #include "src/backup/filer.h"
@@ -34,166 +35,59 @@
 
 namespace bkup {
 
+class NetLink;             // src/net/link.h
+class TapeServer;          // src/net/tape_server.h
 struct SupervisionPolicy;  // src/backup/supervisor.h
-class Tracer;              // src/obs/trace.h
 
 // Backup QoS (DESIGN.md §15): how much a dump may interfere with live
-// foreground traffic. `throttle` caps the dump's stream rate (the producer
-// acquires every chunk's bytes from the bucket before moving them);
-// `io_priority` demotes the dump's CPU, NVRAM and disk-arm acquisitions to
-// the background class, so queued foreground requests are always served
-// first. The default is the pre-QoS behaviour: unthrottled, equal priority.
+// foreground traffic. `throttle` caps the dump's stream rate (see
+// StreamEndpoint::qos for where the bytes are drawn); `io_priority` demotes
+// the dump's CPU, NVRAM and disk-arm acquisitions to the background class,
+// so queued foreground requests are always served first. The default is the
+// pre-QoS behaviour: unthrottled, equal priority.
 struct BackupQos {
   BackupThrottle* throttle = nullptr;
   int io_priority = kPriorityForeground;
 };
 
-struct ReplayConfig {
-  Filer* filer = nullptr;
-  Volume* volume = nullptr;
-  TapeDrive* tape = nullptr;
-  // Multi-volume dumps: when the mounted tape fills, the next media in this
-  // list is loaded (paying the stacker's load time) and the stream
-  // continues — the operator-feeding-tapes model of dump(8). The same list,
-  // in the same order, must be supplied to the restore replay.
+// Where a job's stream goes (backup) or comes from (restore): one drive
+// and its spare media, the fault-recovery policy, QoS and content stages.
+// With no `link` the drive is attached to the filer; with one, the drive
+// sits on `server` across the link and the stream crosses it as StreamConn
+// frames (remote.h).
+//
+// `spare_tapes` is both the spanning set — when the mounted tape fills, the
+// next media in the list is loaded (paying the stacker's load time) and the
+// stream continues, the operator-feeding-tapes model of dump(8) — and the
+// remount pool for supervised media errors. A restore must be given the
+// same list, in the same order. A null `supervision` fails the job on the
+// first unrecovered device or link error; with a policy, disk accesses
+// retry/reconstruct, tape errors retry/remount and connections are re-made,
+// each charged to the report's FaultCounters.
+struct StreamEndpoint {
+  NetLink* link = nullptr;
+  TapeServer* server = nullptr;
+  TapeDrive* drive = nullptr;
   std::vector<Tape*> spare_tapes;
-  // Logical restore pays the NVRAM log; image restore bypasses it.
-  bool charge_nvram = false;
-  // Extra meta-data blocks written per data block at consistency points
-  // (measured from the functional run's CP reports).
-  double write_meta_multiplier = 0.0;
-  // Pipeline buffer pool: chunks in flight between producer and consumer.
-  size_t pipeline_depth = 8;
-  uint64_t chunk_bytes = 256 * kKiB;
-  // Outstanding disk operations: dump-side read-ahead (the kernel dump
-  // "generates its own read-ahead policy") and restore-side write-behind
-  // (consistency points flush asynchronously).
-  size_t disk_window = 8;
-  // Fault recovery: when set, disk accesses retry/reconstruct and tape
-  // errors retry/remount per the policy, charging the work to the report's
-  // FaultCounters. Null = fail on first error (the pre-supervision model).
   const SupervisionPolicy* supervision = nullptr;
-  // Remote jobs: the stream crosses a NetLink, so the consumer attributes
-  // arriving bytes to the phase's net_bytes as well (link MB/s columns).
-  bool count_net_bytes = false;
-  // Backup QoS: stream-rate cap and device scheduling class for every charge
-  // this replay makes (see BackupQos above).
+  // Backup QoS. A local stream is paced where its bytes are produced (raw
+  // bytes, or post-stage wire bytes with content stages); a remote one only
+  // at its StreamConns, which acquire each frame's bytes before
+  // transmitting. Either way every byte is paced once. io_priority demotes
+  // the filer-side CPU, NVRAM and disk charges of backups and restores.
   BackupQos qos;
-  // Content stages (DESIGN.md §16). Backup side: ReplayToTape/ReplayToNet
-  // encode the stream when any stage is enabled, so tapes and links move
-  // *wire* bytes and the throttle paces post-stage rates.
+  // Content stages (DESIGN.md §16): backups encode on the filer, so tapes
+  // and links move wire bytes (the throttle, acked floors and reconnect
+  // resends all work in post-stage coordinates); restores decode on the
+  // filer. A restore must pass the same config — in particular the same
+  // ChunkIndex — the backup ran with.
   ContentConfig content;
-  // Restore side: the wire image's coordinate map. When set, the tape/net
-  // readers move wire bytes, watermarks are translated back to raw through
-  // a ContentWatermarkAdapter, and per-phase tape/net byte counts are wire
-  // deltas. The caller decodes the wire image before replay (the engines
-  // always see raw bytes).
-  const FrameMap* content_map = nullptr;
 };
-
-// ------------------------------------------------ replay building blocks ---
-// The halves ReplayToTape/ReplayFromTape are composed from, exposed so the
-// remote jobs (src/backup/remote.h) can splice a network between producer
-// and consumer without duplicating the replay logic.
-
-// One pipeline chunk: stream bytes [begin, end) produced under `phase`.
-struct StreamChunk {
-  uint64_t begin;
-  uint64_t end;
-  JobPhase phase;
-};
-
-// Keeps one span open per job track, closing the previous phase's span and
-// opening the next as a replay loop crosses phase boundaries. The track is
-// "job:<report name>", so each (uniquely named) job gets its own timeline
-// row and phases appear as contiguous spans along it. No-op without a tracer.
-class PhaseSpanner {
- public:
-  PhaseSpanner(SimEnvironment* env, const std::string& job_name);
-  ~PhaseSpanner();
-  PhaseSpanner(const PhaseSpanner&) = delete;
-  PhaseSpanner& operator=(const PhaseSpanner&) = delete;
-
-  void Enter(JobPhase phase);
-  void Close();
-
- private:
-  Tracer* tracer_;
-  uint32_t track_ = 0;
-  JobPhase current_ = JobPhase::kCount;
-};
-
-// Producer half of a backup replay: charges read-ahead disk fetches and CPU
-// per trace event and emits the stream as ordered chunks on `out`. Does not
-// close the channel — the caller composes the shutdown order.
-Task ReplayProducer(ReplayConfig cfg, const IoTrace* trace,
-                    Channel<StreamChunk>* out, PhaseSpanner* spans,
-                    JobReport* report);
-
-// Consumer half of a restore replay: waits for the `arrived` watermark
-// (stream bytes delivered so far) to cover each trace event, then charges
-// CPU, NVRAM and write-behind disk flushes. Drains the watermark channel and
-// settles outstanding flushes before returning.
-Task ReplayConsumer(ReplayConfig cfg, const IoTrace* trace,
-                    uint64_t stream_bytes, Channel<uint64_t>* arrived,
-                    PhaseSpanner* spans, JobReport* report);
-
-// Content-stage adapters: spliced between the replay halves when content
-// stages are on. The chunk adapter translates raw producer chunks into wire
-// chunks through the FrameMap, charging the enabled encode stages' CPU per
-// raw MB at the replay's priority and pacing the QoS throttle on the
-// post-stage wire bytes (the producer's own throttle must be cleared).
-// Closes `out` and notifies `done` when `in` drains.
-Task ContentChunkAdapter(ReplayConfig cfg, const FrameMap* map,
-                         Channel<StreamChunk>* in, Channel<StreamChunk>* out,
-                         JobReport* report, SimEvent* done);
-
-// The inverse: wire-offset watermarks from a tape/net reader become raw
-// watermarks for ReplayConsumer. Decode CPU is charged only for raw bytes
-// the wire ranges actually moved — a resumed or single-file replay never
-// pays decode for skipped gaps. Empty `wire_ranges` means the whole stream.
-Task ContentWatermarkAdapter(ReplayConfig cfg, const FrameMap* map,
-                             std::vector<StreamRange> wire_ranges,
-                             Channel<uint64_t>* in, Channel<uint64_t>* out,
-                             JobReport* report, SimEvent* done);
-
-// Retry/remount ladder for a failed tape write of stream[begin, end). On
-// entry *st holds the error; transient errors back off and re-issue, and an
-// error outliving the retry budget abandons the mounted media for the next
-// spare and rewrites from the checkpoint (*media_start). Exposed for the
-// remote tape writer on the tape-server side of a link.
-Task RecoverTapeWrite(SimEnvironment* env, TapeDrive* tape,
-                      std::span<const uint8_t> stream, uint64_t begin,
-                      uint64_t end, std::span<Tape* const> spares,
-                      uint64_t chunk_bytes, const SupervisionPolicy& policy,
-                      size_t* next_spare, uint64_t* media_start,
-                      JobReport* report, Status* st);
-
-// Replays a dump-side trace: charges disk reads and CPU per event and
-// streams the produced bytes to the tape. Accumulates phase stats into
-// `report` (does not set the report's envelope fields).
-Task ReplayToTape(ReplayConfig cfg, const IoTrace* trace,
-                  std::span<const uint8_t> stream, JobReport* report,
-                  CountdownLatch* done);
-
-// Replays a restore-side trace: reads the stream back off the tape and
-// charges CPU, NVRAM, and disk writes as each event's bytes arrive.
-Task ReplayFromTape(ReplayConfig cfg, const IoTrace* trace,
-                    uint64_t stream_bytes, JobReport* report,
-                    CountdownLatch* done);
-
-// Ranged variant for catalog-driven restores: moves only `ranges` off the
-// tape (seek/read ladders, ascending), publishing absolute stream offsets as
-// watermarks, so resumed and single-file restores pay O(needed bytes) of
-// tape time instead of O(stream). The trace's events must all fall inside
-// the ranges (the engine's consumed_ranges guarantee). Single-media only:
-// ranges address the mounted tape, not a spanned set.
-Task ReplayFromTapeRanges(ReplayConfig cfg, const IoTrace* trace,
-                          std::vector<StreamRange> ranges,
-                          uint64_t stream_bytes, JobReport* report,
-                          CountdownLatch* done);
 
 // ------------------------------------------------------- complete jobs ---
+// The local jobs below take their drive, `spare_tapes`, `supervision`, `qos`
+// and `content` as the fields of a local StreamEndpoint; remote.h has the
+// same jobs over a link.
 
 struct LogicalBackupJobResult {
   LogicalDumpOutput dump;
@@ -294,12 +188,6 @@ Task ImageRestoreJob(Filer* filer, Volume* volume, TapeDrive* tape,
                      std::vector<Tape*> spare_tapes = {},
                      const SupervisionPolicy* supervision = nullptr,
                      ContentConfig content = {});
-
-// Charges a snapshot create/delete window (~30 s at ~50% CPU) and records
-// it as `phase` in the report. Exposed for composed multi-tape jobs. The
-// duty-cycled CPU slices run at `priority`.
-Task SnapshotPhase(Filer* filer, JobReport* report, JobPhase phase,
-                   SimDuration duration, int priority = kPriorityForeground);
 
 }  // namespace bkup
 

@@ -1,11 +1,11 @@
-// Remote backup and restore: the local jobs of jobs.h with a simulated
-// network spliced between the filer and the tape.
+// Remote backup and restore: the jobs of jobs.h over an endpoint whose
+// drive sits across a simulated network.
 //
 // The paper's dump-stream portability claim (§2: the stream "can be written
 // to tape, to a file, or sent over a network"; §6's three-way restore
-// matrix) is exercised literally here — the same functional engines and the
-// same replay halves run, but the producer lives on the filer and the tape
-// writer on a `TapeServer` across a `NetLink`:
+// matrix) is exercised literally here — the same job bodies, engines and
+// replay run, but the producer lives on the filer and the tape writer on a
+// `TapeServer` across a `NetLink`:
 //
 //     [disk reads + CPU] -> Channel<chunk> -> StreamConn -> [tape writes]
 //         (filer)                              (NetLink)    (tape server)
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/backup/jobs.h"
+#include "src/backup/parallel.h"
 #include "src/backup/supervisor.h"
 #include "src/net/link.h"
 #include "src/net/stream_conn.h"
@@ -28,30 +29,10 @@
 
 namespace bkup {
 
-// Where a remote job's stream lands (or comes from): one drive on a tape
-// server, reached over a link. `spare_tapes` plays the same double role as
-// in ReplayConfig — spanning set and remount pool, now on the server side.
-// A null `supervision` fails the job on the first unrecovered link or tape
-// error; with a policy, connections are re-made per `link_retry`.
-struct RemoteTarget {
-  NetLink* link = nullptr;
-  TapeServer* server = nullptr;
-  TapeDrive* drive = nullptr;
-  std::vector<Tape*> spare_tapes;
-  const SupervisionPolicy* supervision = nullptr;
-  // Backup QoS for jobs run against this target. The throttle paces the
-  // *wire* (every StreamConn of the session acquires each frame's bytes
-  // before transmitting — not the producer, so bytes are charged once);
-  // io_priority demotes the filer-side disk/CPU charges as for local jobs.
-  BackupQos qos;
-  // Content stages (DESIGN.md §16): backups encode on the filer before the
-  // link, so the session ships wire bytes (the throttle and the acked-floor
-  // reconnect machinery operate in post-stage coordinates, and a resend
-  // never re-charges encode CPU); restores decode on the filer after the
-  // link. Restores must pass the same config — in particular the same
-  // ChunkIndex — the backup ran with.
-  ContentConfig content;
-};
+// A remote job's endpoint: `link` and `server` are set, and `drive` (with
+// `spare_tapes`) sits on the server. Its QoS throttle paces the wire, so
+// every connection the supervisor re-makes stays under the cap.
+using RemoteTarget = StreamEndpoint;
 
 // Snapshot create -> 4-phase dump, streamed over the link to the server's
 // drive -> snapshot delete. The report's net columns show the link payload.
@@ -99,11 +80,7 @@ Task RemoteImageBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
 Task RemoteImageRestoreJob(Filer* filer, Volume* volume, RemoteTarget target,
                            ImageRestoreJobResult* result, CountdownLatch* done);
 
-struct ParallelRemoteImageBackupResult {
-  std::vector<std::unique_ptr<ImageBackupJobResult>> parts;
-  JobReport control;
-  JobReport merged;
-};
+using ParallelRemoteImageBackupResult = ParallelImageBackupResult;
 
 // Stripes one image dump over N server drives (part k of N per drive) from
 // one shared snapshot, each part on its own stream session — all of them

@@ -12,51 +12,4 @@ DiskFaultPolicy SupervisionPolicy::MakeDiskPolicy(
   return policy;
 }
 
-// The supervised jobs are the plain jobs with the policy threaded through;
-// the recovery logic itself lives in the replay pipelines (jobs.cc) and the
-// disk-charging layer (charge.cc), where the failures surface.
-
-Task SupervisedLogicalBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                                LogicalDumpOptions options,
-                                const SupervisionPolicy* policy,
-                                LogicalBackupJobResult* result,
-                                CountdownLatch* done,
-                                std::vector<Tape*> spare_tapes) {
-  return LogicalBackupJob(filer, fs, tape, std::move(options), result, done,
-                          std::move(spare_tapes), policy);
-}
-
-Task SupervisedLogicalRestoreJob(Filer* filer, Filesystem* fs,
-                                 TapeDrive* tape,
-                                 LogicalRestoreOptions options,
-                                 bool bypass_nvram,
-                                 const SupervisionPolicy* policy,
-                                 LogicalRestoreJobResult* result,
-                                 CountdownLatch* done,
-                                 std::vector<Tape*> spare_tapes) {
-  return LogicalRestoreJob(filer, fs, tape, std::move(options), bypass_nvram,
-                           result, done, std::move(spare_tapes), policy);
-}
-
-Task SupervisedImageBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                              ImageDumpOptions options,
-                              bool delete_snapshot_after,
-                              const SupervisionPolicy* policy,
-                              ImageBackupJobResult* result,
-                              CountdownLatch* done,
-                              std::vector<Tape*> spare_tapes) {
-  return ImageBackupJob(filer, fs, tape, std::move(options),
-                        delete_snapshot_after, result, done,
-                        std::move(spare_tapes), policy);
-}
-
-Task SupervisedImageRestoreJob(Filer* filer, Volume* volume, TapeDrive* tape,
-                               const SupervisionPolicy* policy,
-                               ImageRestoreJobResult* result,
-                               CountdownLatch* done,
-                               std::vector<Tape*> spare_tapes) {
-  return ImageRestoreJob(filer, volume, tape, result, done,
-                         std::move(spare_tapes), policy);
-}
-
 }  // namespace bkup

@@ -14,12 +14,13 @@
 //   * a logical dump may skip files it cannot read and press on, where an
 //     image dump must hard-fail (it has no file boundaries to skip at).
 //
+// A job runs supervised when its entry point is given a policy (the
+// `supervision` field of its StreamEndpoint); `spare_tapes` then doubles as
+// the spanning set and the remount pool — the operator's stacker feeds both.
 // Every recovery action is counted in the job report's FaultCounters; with a
 // deterministic fault plan the counters are bit-identical across runs.
 #ifndef BKUP_BACKUP_SUPERVISOR_H_
 #define BKUP_BACKUP_SUPERVISOR_H_
-
-#include <vector>
 
 #include "src/backup/jobs.h"
 
@@ -52,39 +53,6 @@ struct SupervisionPolicy {
   // The disk-layer view of this policy, charging recovery to `counters`.
   DiskFaultPolicy MakeDiskPolicy(FaultCounters* counters) const;
 };
-
-// Supervised variants of the four jobs in jobs.h: identical pipelines with
-// the fault-recovery policy armed. `spare_tapes` doubles as the spanning
-// set and the remount pool — the operator's stacker feeds both.
-Task SupervisedLogicalBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                                LogicalDumpOptions options,
-                                const SupervisionPolicy* policy,
-                                LogicalBackupJobResult* result,
-                                CountdownLatch* done,
-                                std::vector<Tape*> spare_tapes = {});
-
-Task SupervisedLogicalRestoreJob(Filer* filer, Filesystem* fs,
-                                 TapeDrive* tape,
-                                 LogicalRestoreOptions options,
-                                 bool bypass_nvram,
-                                 const SupervisionPolicy* policy,
-                                 LogicalRestoreJobResult* result,
-                                 CountdownLatch* done,
-                                 std::vector<Tape*> spare_tapes = {});
-
-Task SupervisedImageBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                              ImageDumpOptions options,
-                              bool delete_snapshot_after,
-                              const SupervisionPolicy* policy,
-                              ImageBackupJobResult* result,
-                              CountdownLatch* done,
-                              std::vector<Tape*> spare_tapes = {});
-
-Task SupervisedImageRestoreJob(Filer* filer, Volume* volume, TapeDrive* tape,
-                               const SupervisionPolicy* policy,
-                               ImageRestoreJobResult* result,
-                               CountdownLatch* done,
-                               std::vector<Tape*> spare_tapes = {});
 
 }  // namespace bkup
 

@@ -3,8 +3,9 @@
 //
 // A dump stream leaves the functional engines as *raw* bytes in raw stream
 // coordinates — the coordinates every IoTrace event, TapeCatalog offset and
-// resume checkpoint is stated in. When a ReplayConfig enables content
-// stages, the stream is encoded once, functionally, into a *wire* image:
+// resume checkpoint is stated in. When a job's StreamEndpoint enables
+// content stages, the stream is encoded once, functionally, into a *wire*
+// image:
 //
 //     raw stream --ChunkStage--> chunks --DedupStage--> literal/ref frames
 //                --CompressStage--> smaller literal payloads
@@ -84,9 +85,9 @@ class ChunkIndex {
 };
 
 // Which stages run, their parameters, and their per-MB CPU prices. Lives on
-// ReplayConfig (local jobs), RemoteTarget (remote jobs) and
-// ResumableRestoreConfig. Default: every stage off — the pre-content
-// behaviour, raw bytes end to end.
+// StreamEndpoint (local and remote jobs alike) and ResumableRestoreConfig.
+// Default: every stage off — the pre-content behaviour, raw bytes end to
+// end.
 struct ContentConfig {
   bool chunk = false;     // content-defined chunking (vs fixed-size)
   bool dedup = false;     // literal-or-reference frames against `index`

@@ -1,5 +1,7 @@
 #include "src/dump/format.h"
 
+#include <algorithm>
+
 #include "src/util/checksum.h"
 #include "src/util/serdes.h"
 
@@ -172,7 +174,9 @@ Result<std::vector<DirEntry>> DecodeDumpDirectory(
   ByteReader r(bytes);
   BKUP_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
   std::vector<DirEntry> entries;
-  entries.reserve(count);
+  // `count` is untrusted: reserve no more entries than the remaining bytes
+  // could hold (at least 7 each: u32 inum, u8 type, u16 name length).
+  entries.reserve(std::min<size_t>(count, r.remaining() / 7));
   for (uint32_t i = 0; i < count; ++i) {
     DirEntry e;
     BKUP_ASSIGN_OR_RETURN(e.inum, r.ReadU32());

@@ -1,5 +1,7 @@
 #include "src/fs/layout.h"
 
+#include <algorithm>
+
 #include "src/util/checksum.h"
 
 namespace bkup {
@@ -73,11 +75,16 @@ Result<std::vector<DirEntry>> ParseDirectory(std::span<const uint8_t> bytes) {
   ByteReader r(bytes);
   BKUP_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
   std::vector<DirEntry> entries;
-  entries.reserve(count);
+  // `count` is untrusted: reserve no more entries than the remaining bytes
+  // could hold (at least 7 each: u32 inum, u8 type, u16 name length).
+  entries.reserve(std::min<size_t>(count, r.remaining() / 7));
   for (uint32_t i = 0; i < count; ++i) {
     DirEntry e;
     BKUP_ASSIGN_OR_RETURN(e.inum, r.ReadU32());
     BKUP_ASSIGN_OR_RETURN(uint8_t type_raw, r.ReadU8());
+    if (type_raw > static_cast<uint8_t>(InodeType::kSymlink)) {
+      return Corruption("bad entry type in directory");
+    }
     e.type = static_cast<InodeType>(type_raw);
     BKUP_ASSIGN_OR_RETURN(e.name, r.ReadString());
     entries.push_back(std::move(e));

@@ -3,7 +3,7 @@
 // The node that NDMP calls the "tape service": it owns drives fed from a
 // `TapeLibrary` and sits across the link from the filer. The server is
 // structural — drives, media, naming; the supervised writer/reader
-// coroutines that pair it with a dump stream live in src/backup/remote.cc,
+// coroutines that pair it with a dump stream live in src/backup/replay.cc,
 // which keeps src/net independent of the backup layer.
 #ifndef BKUP_NET_TAPE_SERVER_H_
 #define BKUP_NET_TAPE_SERVER_H_

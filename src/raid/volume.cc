@@ -41,7 +41,7 @@ Volume::Placement Volume::Locate(Vbn vbn) {
   }
   RaidGroup* group = groups_[g].get();
   RaidGroup::Placement p = group->Locate(vbn - group_start_[g]);
-  return Placement{group, g, p.disk, p.dbn, group->parity_disk()};
+  return Placement{group, g, p.disk, p.dbn, p.column, group->parity_disk()};
 }
 
 Status Volume::ReadBlock(Vbn vbn, Block* out) {

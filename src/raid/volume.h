@@ -40,6 +40,7 @@ class Volume {
     size_t group_index;
     Disk* disk;
     Dbn dbn;
+    size_t column;  // `disk`'s column in the group; parity is data_width()
     Disk* parity_disk;
   };
   Placement Locate(Vbn vbn);

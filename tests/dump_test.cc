@@ -13,6 +13,7 @@
 #include "src/dump/logical_dump.h"
 #include "src/dump/logical_restore.h"
 #include "src/fs/filesystem.h"
+#include "src/fs/layout.h"
 #include "src/util/checksum.h"
 #include "src/util/random.h"
 
@@ -171,6 +172,19 @@ TEST(DumpFormatTest, DirectoryEncodingRoundTrip) {
   EXPECT_EQ((*back)[0].name, "alpha");
   EXPECT_EQ((*back)[1].type, InodeType::kDirectory);
   EXPECT_EQ((*back)[2].inum, 12u);
+
+  // Hostile bytes get kCorruption from the dump decoder and the on-disk
+  // parser alike: an entry count far past what the bytes could hold must
+  // not size an allocation, and an entry type past kSymlink is rejected.
+  const std::vector<uint8_t> huge_count = {0xff, 0xff, 0xff, 0x7f, 10, 0, 0};
+  std::vector<uint8_t> bad_type = bytes;
+  bad_type[8] = 0xee;  // the first entry's type, after count and inum
+  for (const std::vector<uint8_t>& hostile : {huge_count, bad_type}) {
+    EXPECT_EQ(DecodeDumpDirectory(hostile).status().code(),
+              ErrorCode::kCorruption);
+    EXPECT_EQ(ParseDirectory(hostile).status().code(),
+              ErrorCode::kCorruption);
+  }
 }
 
 // ------------------------------------------------------------- dumpdates ---

@@ -242,9 +242,8 @@ ScenarioRun RunTripleFaultScenario() {
   SupervisionPolicy policy;
   LogicalBackupJobResult backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(SupervisedLogicalBackupJob(&filer, fs.get(), &drive,
-                                       LogicalDumpOptions{}, &policy, &backup,
-                                       &done, {&t1, &t2}));
+  env.Spawn(LogicalBackupJob(&filer, fs.get(), &drive, LogicalDumpOptions{},
+                             &backup, &done, {&t1, &t2}, &policy));
   env.Run();
   out.backup_ok = backup.report.status.ok();
   EXPECT_TRUE(out.backup_ok) << backup.report.status.ToString();
@@ -281,9 +280,9 @@ ScenarioRun RunTripleFaultScenario() {
   }
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&env, 1);
-  env.Spawn(SupervisedLogicalRestoreJob(&filer, rfs.get(), &rdrive,
-                                        LogicalRestoreOptions{}, false,
-                                        &policy, &restore, &rdone, rspares));
+  env.Spawn(LogicalRestoreJob(&filer, rfs.get(), &rdrive,
+                              LogicalRestoreOptions{}, false, &restore, &rdone,
+                              rspares, &policy));
   env.Run();
   out.restore_ok = restore.report.status.ok();
   EXPECT_TRUE(out.restore_ok) << restore.report.status.ToString();
@@ -373,9 +372,9 @@ TEST(FaultSupervisionTest, FlakyTapeReadsAreRetriedDuringRestore) {
   SupervisionPolicy policy;
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&env, 1);
-  env.Spawn(SupervisedLogicalRestoreJob(&filer, rfs.get(), &rdrive,
-                                        LogicalRestoreOptions{}, false,
-                                        &policy, &restore, &rdone));
+  env.Spawn(LogicalRestoreJob(&filer, rfs.get(), &rdrive,
+                              LogicalRestoreOptions{}, false, &restore, &rdone,
+                              {}, &policy));
   env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();

@@ -268,9 +268,9 @@ TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
 
   LogicalBackupJobResult backup;
   CountdownLatch done(&w.env, 1);
-  w.env.Spawn(SupervisedLogicalBackupJob(&filer, w.src.get(), &drive,
-                                         LogicalDumpOptions{}, &policy,
-                                         &backup, &done));
+  w.env.Spawn(LogicalBackupJob(&filer, w.src.get(), &drive,
+                               LogicalDumpOptions{}, &backup, &done, {},
+                               &policy));
   w.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
@@ -327,9 +327,9 @@ TEST(RecoveryChaosTest, ChaosKillLeavesMatchingFlightRecord) {
 
   LogicalBackupJobResult backup;
   CountdownLatch done(&w.env, 1);
-  w.env.Spawn(SupervisedLogicalBackupJob(&filer, w.src.get(), &drive,
-                                         LogicalDumpOptions{}, &policy,
-                                         &backup, &done));
+  w.env.Spawn(LogicalBackupJob(&filer, w.src.get(), &drive,
+                               LogicalDumpOptions{}, &backup, &done, {},
+                               &policy));
   w.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);

@@ -197,9 +197,9 @@ TEST(RestartTest, SupervisedRestoreResumesAfterFilerRestart) {
   SupervisionPolicy policy;
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(SupervisedLogicalBackupJob(&filer, f.fs.get(), &drive,
-                                         LogicalDumpOptions{}, &policy,
-                                         &backup, &done));
+  f.env.Spawn(LogicalBackupJob(&filer, f.fs.get(), &drive,
+                               LogicalDumpOptions{}, &backup, &done, {},
+                               &policy));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok());
   EXPECT_FALSE(backup.report.faults.any())
@@ -222,9 +222,9 @@ TEST(RestartTest, SupervisedRestoreResumesAfterFilerRestart) {
   rdrive.LoadMedia(&t0);
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(SupervisedLogicalRestoreJob(&filer, rebooted->get(), &rdrive,
-                                          LogicalRestoreOptions{}, false,
-                                          &policy, &restore, &rdone));
+  f.env.Spawn(LogicalRestoreJob(&filer, rebooted->get(), &rdrive,
+                                LogicalRestoreOptions{}, false, &restore,
+                                &rdone, {}, &policy));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();
@@ -364,9 +364,9 @@ TEST(SpanningFaultTest, DefectOnSecondTapeRemountsAndRestores) {
   SupervisionPolicy policy;
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(SupervisedLogicalBackupJob(&filer, f.fs.get(), &drive,
-                                         LogicalDumpOptions{}, &policy,
-                                         &backup, &done, {&t1, &t2, &t3}));
+  f.env.Spawn(LogicalBackupJob(&filer, f.fs.get(), &drive,
+                               LogicalDumpOptions{}, &backup, &done,
+                               {&t1, &t2, &t3}, &policy));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok())
       << backup.report.status.ToString();
@@ -385,9 +385,9 @@ TEST(SpanningFaultTest, DefectOnSecondTapeRemountsAndRestores) {
   rdrive.LoadMedia(&t0);
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(SupervisedLogicalRestoreJob(&filer, rfs.get(), &rdrive,
-                                          LogicalRestoreOptions{}, false,
-                                          &policy, &restore, &rdone, {&t2}));
+  f.env.Spawn(LogicalRestoreJob(&filer, rfs.get(), &rdrive,
+                                LogicalRestoreOptions{}, false, &restore,
+                                &rdone, {&t2}, &policy));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "src/backup/jobs.h"
+#include "src/backup/remote.h"
 #include "src/image/image_dump.h"
 #include "src/workload/population.h"
 
@@ -116,6 +117,77 @@ TEST(SpanningTest, MediaLoadTimeIsCharged) {
   const TapeTiming timing;
   EXPECT_GT(spanned, single + 2 * timing.load_time - kSecond)
       << "each media change should cost about one load time";
+}
+
+// The same spanning over a link: the tape server's writer loads the
+// endpoint's spares as its drive fills, and a remote restore over the same
+// endpoint splices the set back into one stream.
+TEST(SpanningTest, RemoteDumpsSpanServerMedia) {
+  SpanFixture f;
+  const auto src_sums = ChecksumTree(f.fs->LiveReader()).value();
+  NetLink link(&f.env, "wan", LinkParams{});
+  TapeServer server(&f.env, "vault");
+  TapeDrive* drive = server.AddDrive("dlt0");
+  const std::vector<std::string> three_media = {"m.0", "m.1", "m.2"};
+
+  // ~11 MiB of logical stream onto 5 MiB media: the mounted tape plus both
+  // spares.
+  Tape l0("m.0", 5 * kMiB), l1("m.1", 5 * kMiB), l2("m.2", 5 * kMiB);
+  RemoteTarget target;
+  target.link = &link;
+  target.server = &server;
+  target.drive = drive;
+  target.spare_tapes = {&l1, &l2};
+  drive->LoadMedia(&l0);
+  LogicalBackupJobResult backup;
+  CountdownLatch done(&f.env, 1);
+  f.env.Spawn(RemoteLogicalBackupJob(&f.filer, f.fs.get(), target,
+                                     LogicalDumpOptions{}, &backup, &done));
+  f.env.Run();
+  ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
+  EXPECT_EQ(backup.report.tapes_used, three_media);
+  EXPECT_EQ(l0.size() + l1.size() + l2.size(), backup.report.stream_bytes);
+
+  drive->LoadMedia(&l0);
+  auto rvolume = Volume::Create(&f.env, "r", Geometry());
+  auto rfs = std::move(Filesystem::Format(rvolume.get(), &f.env)).value();
+  LogicalRestoreJobResult restore;
+  CountdownLatch rdone(&f.env, 1);
+  f.env.Spawn(RemoteLogicalRestoreJob(&f.filer, rfs.get(), target,
+                                      LogicalRestoreOptions{}, false,
+                                      &restore, &rdone));
+  f.env.Run();
+  ASSERT_TRUE(restore.report.status.ok()) << restore.report.status.ToString();
+  EXPECT_EQ(restore.report.tapes_used, three_media);
+  EXPECT_EQ(ChecksumTree(rfs->LiveReader()).value(), src_sums);
+
+  // The image of the same volume, onto a fresh set of three.
+  Tape i0("m.0", 5 * kMiB), i1("m.1", 5 * kMiB), i2("m.2", 5 * kMiB);
+  target.spare_tapes = {&i1, &i2};
+  drive->LoadMedia(&i0);
+  ImageBackupJobResult ibackup;
+  CountdownLatch idone(&f.env, 1);
+  f.env.Spawn(RemoteImageBackupJob(&f.filer, f.fs.get(), target,
+                                   ImageDumpOptions{}, true, &ibackup,
+                                   &idone));
+  f.env.Run();
+  ASSERT_TRUE(ibackup.report.status.ok())
+      << ibackup.report.status.ToString();
+  EXPECT_EQ(ibackup.report.tapes_used, three_media);
+
+  drive->LoadMedia(&i0);
+  auto ivolume = Volume::Create(&f.env, "i", Geometry());
+  ImageRestoreJobResult irestore;
+  CountdownLatch irdone(&f.env, 1);
+  f.env.Spawn(RemoteImageRestoreJob(&f.filer, ivolume.get(), target,
+                                    &irestore, &irdone));
+  f.env.Run();
+  ASSERT_TRUE(irestore.report.status.ok())
+      << irestore.report.status.ToString();
+  EXPECT_EQ(irestore.report.tapes_used, three_media);
+  auto mounted = Filesystem::Mount(ivolume.get(), &f.env);
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  EXPECT_EQ(ChecksumTree((*mounted)->LiveReader()).value(), src_sums);
 }
 
 // ---------------------------------------------------------- portability ---
