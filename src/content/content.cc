@@ -597,8 +597,14 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
   ContentStats local;
   local.wire_bytes = wire.size();
 
+  // raw_total is untrusted: reserve no more than the frames could rebuild.
+  // Every frame spends at least a header on the wire and yields at most one
+  // chunk, so a crafted header cannot force a huge allocation.
+  const uint64_t max_frames =
+      (wire.size() - kContentStreamHeaderBytes) / kContentFrameHeaderBytes;
   std::vector<uint8_t> raw;
-  raw.reserve(header.raw_total);
+  raw.reserve(std::min<uint64_t>(header.raw_total,
+                                 max_frames * cfg_.max_chunk_bytes));
   ByteReader r(wire.subspan(kContentStreamHeaderBytes));
   while (!r.exhausted()) {
     BKUP_ASSIGN_OR_RETURN(FrameHeader f, ReadFrameHeader(&r));

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/obs/trace.h"
-#include "src/sim/shard.h"
 
 namespace bkup {
 
@@ -57,17 +56,6 @@ SimDuration NetLink::SerializeTime(uint64_t nbytes) const {
   const auto t =
       static_cast<SimDuration>(static_cast<double>(nbytes) / bytes_per_us);
   return t > 0 ? t : 1;
-}
-
-void NetLink::BindShards(ShardedSimEnvironment* sharded, int src_shard,
-                         int dst_shard) const {
-  // The wire is symmetric: payload one way, acks the other, neither faster
-  // than the propagation delay. Lookahead must be >= 1 us even on a
-  // zero-delay test link.
-  const SimDuration lookahead = std::max<SimDuration>(
-      params_.propagation_delay, 1);
-  sharded->Connect(src_shard, dst_shard, lookahead);
-  sharded->Connect(dst_shard, src_shard, lookahead);
 }
 
 void NetLink::Instant(const char* event) {

@@ -24,7 +24,6 @@
 namespace bkup {
 
 class NetLink;
-class ShardedSimEnvironment;  // src/sim/shard.h
 
 struct LinkParams {
   // Effective payload rate. 125 MB/s is a clean 1 GbE-class link; the
@@ -99,15 +98,6 @@ class NetLink {
 
   // Time to clock `nbytes` onto the wire at the configured bandwidth.
   SimDuration SerializeTime(uint64_t nbytes) const;
-
-  // Declares this link as a lookahead edge between two shards of a
-  // parallel simulation (both directions): no message crossing the link
-  // can land sooner than the propagation delay, which is exactly the
-  // conservative synchronization slack the sharded scheduler needs. A
-  // fleet scenario calls this once per cross-shard link after Connect-ing
-  // its topology; see src/sim/shard.h and DESIGN.md §17.
-  void BindShards(ShardedSimEnvironment* sharded, int src_shard,
-                  int dst_shard) const;
 
   // Arms the link against a fault engine; null disarms.
   void set_fault_hook(LinkFaultHook* hook) { fault_hook_ = hook; }

@@ -73,35 +73,9 @@ double Histogram::Percentile(double fraction) const {
 
 // -------------------------------------------------------------- registry ---
 
-namespace {
-// Per-thread override installed by ScopedMetricsRegistry; Default() falls
-// back to the process-wide instance when no scope is active.
-thread_local MetricsRegistry* t_default_override = nullptr;
-}  // namespace
-
 MetricsRegistry& MetricsRegistry::Default() {
-  if (t_default_override != nullptr) {
-    return *t_default_override;
-  }
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
-}
-
-ScopedMetricsRegistry::ScopedMetricsRegistry(MetricsRegistry* registry)
-    : previous_(t_default_override) {
-  t_default_override = registry;
-}
-
-ScopedMetricsRegistry::ScopedMetricsRegistry(
-    ScopedMetricsRegistry&& other) noexcept
-    : previous_(other.previous_) {
-  other.engaged_ = false;
-}
-
-ScopedMetricsRegistry::~ScopedMetricsRegistry() {
-  if (engaged_) {
-    t_default_override = previous_;
-  }
 }
 
 std::string MetricsRegistry::SeriesKey(std::string_view name,

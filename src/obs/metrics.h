@@ -155,27 +155,6 @@ class MetricsRegistry {
   std::unordered_map<std::string, Series<Histogram>> histograms_;
 };
 
-// Redirects MetricsRegistry::Default() on the current thread for the
-// scope's lifetime (nestable; the innermost scope wins). This is how the
-// sharded simulator (src/sim/shard.h) gives each shard a private registry
-// without threading a registry pointer through every component: a shard
-// worker holds one while running its shard, so components that resolved
-// handles via Default() at build time and components that look up lazily
-// both land on the shard's registry.
-class ScopedMetricsRegistry {
- public:
-  explicit ScopedMetricsRegistry(MetricsRegistry* registry);
-  ~ScopedMetricsRegistry();
-  ScopedMetricsRegistry(const ScopedMetricsRegistry&) = delete;
-  ScopedMetricsRegistry& operator=(const ScopedMetricsRegistry&) = delete;
-  ScopedMetricsRegistry(ScopedMetricsRegistry&&) noexcept;
-  ScopedMetricsRegistry& operator=(ScopedMetricsRegistry&&) = delete;
-
- private:
-  MetricsRegistry* previous_;
-  bool engaged_ = true;
-};
-
 }  // namespace bkup
 
 #endif  // BKUP_OBS_METRICS_H_

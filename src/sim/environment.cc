@@ -9,47 +9,41 @@ namespace bkup {
 
 namespace {
 
-// Per-thread stack of live/activated environments; the newest is "active".
+// Stack of live environments (a bench may nest a fresh one per
+// measurement); the newest is "active" and its clock prefixes log messages.
 // Registration is what lets log messages carry simulated time without util
-// depending on sim. The stack is thread-local so shard worker threads each
-// see their own shard's clock, and `t_active` caches the top so the lookup
-// on the logging path is a single pointer read.
-thread_local std::vector<SimEnvironment*> t_env_stack;
-thread_local SimEnvironment* t_active = nullptr;
+// depending on sim, and `g_active` caches the top so the lookup on the
+// logging path is a single pointer read.
+std::vector<SimEnvironment*> g_env_stack;
+SimEnvironment* g_active = nullptr;
 
 int64_t ActiveSimTimeMicros() {
-  return t_active != nullptr ? t_active->now() : -1;
+  return g_active != nullptr ? g_active->now() : -1;
 }
 
 }  // namespace
 
-void SimEnvironment::PushActive(SimEnvironment* env) {
-  t_env_stack.push_back(env);
-  t_active = env;
+SimEnvironment::SimEnvironment() {
+  g_env_stack.push_back(this);
+  g_active = this;
   SetSimLogClock(&ActiveSimTimeMicros);
 }
 
-void SimEnvironment::PopActive(SimEnvironment* env) {
+SimEnvironment::~SimEnvironment() {
   // Remove the newest occurrence; environments normally unwind LIFO but a
   // bench may destroy them out of order.
-  for (size_t i = t_env_stack.size(); i > 0; --i) {
-    if (t_env_stack[i - 1] == env) {
-      t_env_stack.erase(t_env_stack.begin() + static_cast<ptrdiff_t>(i - 1));
+  for (size_t i = g_env_stack.size(); i > 0; --i) {
+    if (g_env_stack[i - 1] == this) {
+      g_env_stack.erase(g_env_stack.begin() + static_cast<ptrdiff_t>(i - 1));
       break;
     }
   }
   // Re-arm the new stack top (or disarm the sim clock entirely) so log
   // prefixes fall back to the enclosing environment's clock instead of
   // dangling on the destroyed one.
-  t_active = t_env_stack.empty() ? nullptr : t_env_stack.back();
-  SetSimLogClock(t_active != nullptr ? &ActiveSimTimeMicros : nullptr);
+  g_active = g_env_stack.empty() ? nullptr : g_env_stack.back();
+  SetSimLogClock(g_active != nullptr ? &ActiveSimTimeMicros : nullptr);
 }
-
-SimEnvironment::SimEnvironment() { PushActive(this); }
-
-SimEnvironment::~SimEnvironment() { PopActive(this); }
-
-SimEnvironment* SimEnvironment::Active() { return t_active; }
 
 void SimEnvironment::Spawn(Task task) {
   auto handle = task.Release();
@@ -79,18 +73,6 @@ SimTime SimEnvironment::RunUntil(SimTime deadline) {
     now_ = deadline;
   }
   return now_;
-}
-
-uint64_t SimEnvironment::RunBefore(SimTime bound) {
-  uint64_t processed = 0;
-  while (!queue_.Empty() && queue_.NextTime() < bound) {
-    const QueuedEvent ev = queue_.Pop();
-    now_ = ev.when;
-    ++events_processed_;
-    ++processed;
-    ev.handle.resume();
-  }
-  return processed;
 }
 
 }  // namespace bkup

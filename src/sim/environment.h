@@ -1,12 +1,11 @@
 // The discrete-event simulation environment: a virtual clock and an event
 // queue of coroutine resumptions. Fully deterministic: events at equal
-// times run in schedule (FIFO) order. A SimEnvironment is single-threaded;
-// parallel simulations run one environment per shard (src/sim/shard.h),
-// each pinned to at most one worker thread at a time, with deterministic
-// cross-shard scheduling (DESIGN.md §17).
+// times run in schedule (FIFO) order. The whole simulation runs on one
+// thread (DESIGN.md §17).
 #ifndef BKUP_SIM_ENVIRONMENT_H_
 #define BKUP_SIM_ENVIRONMENT_H_
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 
@@ -26,30 +25,6 @@ class SimEnvironment {
   SimEnvironment(const SimEnvironment&) = delete;
   SimEnvironment& operator=(const SimEnvironment&) = delete;
 
-  // The most recently activated live environment on the *calling thread*,
-  // or nullptr. Logging uses this to prefix messages with simulated time;
-  // nested environments (a bench creating a fresh one per measurement)
-  // behave as a stack. The lookup is one thread-local pointer read — the
-  // top of the stack is cached so the hot path never walks it.
-  static SimEnvironment* Active();
-
-  // Activates this environment on the current thread for the scope's
-  // lifetime (Active(), log clock). Construction already activates on the
-  // constructing thread; shard workers use this to adopt a shard's
-  // environment built elsewhere.
-  class ScopedActivate {
-   public:
-    explicit ScopedActivate(SimEnvironment* env) : env_(env) {
-      PushActive(env_);
-    }
-    ~ScopedActivate() { PopActive(env_); }
-    ScopedActivate(const ScopedActivate&) = delete;
-    ScopedActivate& operator=(const ScopedActivate&) = delete;
-
-   private:
-    SimEnvironment* env_;
-  };
-
   // Optional span tracer (src/obs/trace.h) attached to this environment.
   // Owned by the caller; the TRACE_* macros and instrumented subsystems
   // no-op when it is null.
@@ -66,7 +41,8 @@ class SimEnvironment {
 
   // Schedules a coroutine resumption at absolute time `when` (>= now).
   void ScheduleAt(SimTime when, std::coroutine_handle<> handle) {
-    queue_.Push(when, next_seq_++, handle, now_);
+    assert(when >= now_ && "cannot schedule into the simulated past");
+    queue_.Push(when, next_seq_++, handle);
   }
   void ScheduleNow(std::coroutine_handle<> handle) { ScheduleAt(now_, handle); }
 
@@ -81,17 +57,7 @@ class SimEnvironment {
   // is clamped forward to `deadline` if the queue ran dry early.
   SimTime RunUntil(SimTime deadline);
 
-  // Runs every event with timestamp strictly before `bound` and stops
-  // without clamping the clock — the shard execution window primitive:
-  // a conservative parallel run grants each shard a bound and lets it
-  // drain up to (not including) it. Returns events processed in the call.
-  uint64_t RunBefore(SimTime bound);
-
-  // Timestamp of the next pending event, or kNoPendingEvent when idle.
-  // (Non-const: may stage the next wheel bucket.)
-  SimTime NextEventTime() { return queue_.NextTime(); }
-
-  bool idle() { return queue_.Empty(); }
+  bool idle() const { return queue_.Empty(); }
 
   // Awaitable: suspend the current task for `d` simulated time.
   //   co_await env.Delay(50 * kMillisecond);
@@ -111,9 +77,6 @@ class SimEnvironment {
   uint64_t events_processed() const { return events_processed_; }
 
  private:
-  static void PushActive(SimEnvironment* env);
-  static void PopActive(SimEnvironment* env);
-
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;

@@ -1,42 +1,19 @@
-// The simulator's pending-event set: a hierarchical calendar-queue /
-// timer-wheel hybrid that replaces the seed's std::priority_queue while
-// preserving its contract exactly — events pop in ascending (when, seq)
-// order, so simultaneous events stay FIFO by schedule order.
-//
-// Layout (DESIGN.md §17):
-//
-//   ready   events at the clock's current instant, a plain FIFO ring.
-//           Resource release/acquire chains, channel handoffs and zero
-//           delays all land here; popping is an index bump, no heap sift.
-//   staged  the current wheel bucket, sorted by (when, seq) once when the
-//           cursor enters it; late inserts into the open bucket (or below
-//           its range after a far cursor jump) binary-insert in place.
-//   wheel   kNumBuckets buckets of kBucketWidth simulated time each,
-//           covering ~65 ms of near future; insertion is O(1) append.
-//           Bucket vectors are reusable slabs: staging swaps the drained
-//           staged slab with the bucket's, so steady-state operation
-//           allocates nothing.
-//   heap    far-future overflow (long device repositions, nightly timers);
-//           refilled into the wheel whenever the cursor's horizon grows.
-//
-// The structure is intrusive to nothing: events are 24-byte values
-// (when, seq, coroutine handle) moved between slabs.
+// The simulator's pending-event set: a binary min-heap on (when, seq).
+// Events pop in ascending time order, and simultaneous events stay FIFO
+// by schedule order because `seq` is issued monotonically (DESIGN.md §17).
 #ifndef BKUP_SIM_EVENT_QUEUE_H_
 #define BKUP_SIM_EVENT_QUEUE_H_
 
-#include <array>
+#include <algorithm>
+#include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/util/units.h"
 
 namespace bkup {
-
-// Sentinel for "no pending event" (NextTime on an empty queue).
-inline constexpr SimTime kNoPendingEvent = std::numeric_limits<SimTime>::max();
 
 struct QueuedEvent {
   SimTime when;
@@ -50,75 +27,37 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  bool Empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
+  bool Empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
-  // Inserts an event. `now` is the caller's clock: events at `now` join the
-  // ready ring (they can only have been scheduled by the event currently
-  // executing, so append order is seq order); `when` must be >= `now`.
-  void Push(SimTime when, uint64_t seq, std::coroutine_handle<> handle,
-            SimTime now);
+  void Push(SimTime when, uint64_t seq, std::coroutine_handle<> handle) {
+    heap_.push_back(QueuedEvent{when, seq, handle});
+    std::push_heap(heap_.begin(), heap_.end(), After);
+  }
 
-  // Timestamp of the next event, kNoPendingEvent when empty. Stages the
-  // next bucket if needed; O(1) when a candidate is already staged.
-  SimTime NextTime();
+  // Timestamp of the (when, seq)-minimal event. Queue must not be empty.
+  SimTime NextTime() const {
+    assert(!heap_.empty() && "NextTime on an empty event queue");
+    return heap_.front().when;
+  }
 
   // Removes and returns the (when, seq)-minimal event. Queue must not be
   // empty.
-  QueuedEvent Pop();
-
- private:
-  // 64 us buckets x 1024 buckets = ~65 ms of near future on the wheel;
-  // microsecond-scale CPU charges and millisecond-scale device I/O stay on
-  // the O(1) path, multi-second repositions and nightly timers overflow to
-  // the heap.
-  static constexpr int kBucketBits = 6;
-  static constexpr SimTime kBucketWidth = SimTime{1} << kBucketBits;
-  static constexpr size_t kNumBuckets = 1024;
-  static constexpr uint64_t kBucketMask = kNumBuckets - 1;
-  static constexpr size_t kOccWords = kNumBuckets / 64;
-
-  static bool Before(const QueuedEvent& a, const QueuedEvent& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  QueuedEvent Pop() {
+    assert(!heap_.empty() && "Pop on an empty event queue");
+    std::pop_heap(heap_.begin(), heap_.end(), After);
+    const QueuedEvent ev = heap_.back();
+    heap_.pop_back();
+    return ev;
   }
 
-  // Ensures ready/staged hold the queue minimum (if any): advances the
-  // cursor, refills the wheel from the heap as the horizon grows, and
-  // sorts the next occupied bucket into `staged_`.
-  void Stage();
-  // Moves heap events that now fall inside the wheel horizon onto the
-  // wheel. Called whenever `cursor_` advances.
-  void RefillFromHeap();
-  // First occupied bucket number in [cursor_, cursor_ + kNumBuckets), or
-  // kNoBucket when the wheel is empty.
-  uint64_t FirstOccupiedBucket() const;
-  static constexpr uint64_t kNoBucket = ~uint64_t{0};
+ private:
+  // Heap comparator: `a` orders after `b`, which makes the std heap a
+  // min-heap on (when, seq).
+  static bool After(const QueuedEvent& a, const QueuedEvent& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
 
-  void HeapPush(QueuedEvent ev);
-  QueuedEvent HeapPop();
-
-  size_t size_ = 0;
-
-  // Ready ring: all events here have when == the caller's current clock.
-  std::vector<QueuedEvent> ready_;
-  size_t ready_pos_ = 0;
-
-  // Staged slab: the open bucket, sorted ascending by (when, seq).
-  std::vector<QueuedEvent> staged_;
-  size_t staged_pos_ = 0;
-  // Exclusive upper edge of the staged bucket's time range; inserts below
-  // it (and above `now`) go into `staged_` to keep the wheel scan sound.
-  SimTime staged_range_end_ = 0;
-
-  // Wheel: bucket number b covers [b << kBucketBits, (b+1) << kBucketBits);
-  // slot b & kBucketMask holds it. No lap mixing: only buckets in
-  // [cursor_, cursor_ + kNumBuckets) are populated.
-  std::array<std::vector<QueuedEvent>, kNumBuckets> buckets_;
-  std::array<uint64_t, kOccWords> occupied_{};
-  size_t wheel_count_ = 0;
-  uint64_t cursor_ = 0;  // absolute bucket number of the open bucket
-
-  // Far-future overflow min-heap on (when, seq).
   std::vector<QueuedEvent> heap_;
 };
 

@@ -7,9 +7,7 @@ namespace bkup {
 
 namespace {
 LogLevel g_level = LogLevel::kWarning;
-// Thread-local: each shard worker thread logs against its own shard's
-// clock; the main thread keeps whatever environment it activated last.
-thread_local SimLogClockFn g_sim_clock = nullptr;
+SimLogClockFn g_sim_clock = nullptr;
 
 // "T+12.345678s" when a simulation is active, "14:03:22" otherwise.
 std::string TimePrefix() {

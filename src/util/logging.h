@@ -18,10 +18,7 @@ LogLevel GetLogLevel();
 // correlate with exported traces; otherwise with wall-clock time of day.
 // The function returns the current simulated time in microseconds, or a
 // negative value when no simulation is active. SimEnvironment installs one
-// automatically; util itself must not depend on sim, hence the hook. The
-// hook is per-thread: shard workers (src/sim/shard.h) each arm it with
-// their own shard's environment, so concurrent shards never race on it and
-// every log line carries the clock of the shard that emitted it.
+// automatically; util itself must not depend on sim, hence the hook.
 using SimLogClockFn = int64_t (*)();
 void SetSimLogClock(SimLogClockFn clock);
 

@@ -402,6 +402,21 @@ TEST(ContentAdversarialTest, DamagedWireImageIsCorruption) {
   decoded = pipe.Decode(bad_header);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+
+  // A header claiming raw_total = 2^62 under a valid re-sealed header CRC:
+  // the decoder must not trust the size for its allocation.
+  std::vector<uint8_t> huge_total = encoded->wire;
+  const uint64_t claimed = uint64_t{1} << 62;
+  for (int i = 0; i < 8; ++i) {
+    huge_total[24 + i] = static_cast<uint8_t>(claimed >> (8 * i));
+  }
+  const uint32_t crc = Crc32c(std::span<const uint8_t>(huge_total).first(32));
+  for (int i = 0; i < 4; ++i) {
+    huge_total[32 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  decoded = pipe.Decode(huge_total);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
 }
 
 // -------------------------------------------------------------- dedup safety

@@ -121,8 +121,7 @@ TEST(SimTest, RunUntilClampsIdleClockForward) {
   EXPECT_EQ(env.now(), 250);
   // A deadline in the past never moves the clock backwards.
   EXPECT_EQ(env.RunUntil(100), 250);
-  // Events may now be scheduled relative to the clamped clock — including
-  // far enough ahead that the first Delay crosses the wheel horizon.
+  // Events may now be scheduled relative to the clamped clock.
   SimTime woke = -1;
   env.Spawn(Sleeper(&env, 200 * kMillisecond, &woke));
   env.Run();
@@ -138,41 +137,23 @@ TEST(SimTest, RunUntilRunsEventExactlyAtDeadline) {
   EXPECT_EQ(env.now(), 100);
 }
 
-TEST(SimTest, RunBeforeIsStrictAndDoesNotClamp) {
-  SimEnvironment env;
-  SimTime woke = -1;
-  env.Spawn(Sleeper(&env, 100, &woke));
-  EXPECT_EQ(env.RunBefore(100), 1u);  // the t=0 spawn event runs...
-  EXPECT_EQ(woke, -1);                // ...but not the t=100 wake-up
-  EXPECT_EQ(env.now(), 0);            // and the clock is NOT clamped to 99
-  EXPECT_EQ(env.NextEventTime(), 100);
-  EXPECT_EQ(env.RunBefore(101), 1u);
-  EXPECT_EQ(woke, 100);
-  EXPECT_TRUE(env.idle());
-  EXPECT_EQ(env.NextEventTime(), kNoPendingEvent);
-}
-
 // ------------------------------------------------------------ EventQueue ---
 //
-// The calendar-queue hybrid must present exactly the ordering contract the
-// old std::priority_queue gave: pops come out sorted by (when, seq), FIFO
-// at equal timestamps. These tests drive the queue directly (handles are
-// never resumed, so null coroutine handles are fine).
+// The queue's ordering contract: pops come out sorted by (when, seq), FIFO
+// at equal timestamps. The randomized test drives the queue directly
+// (handles are never resumed, so null coroutine handles are fine).
 
-TEST(EventQueueTest, FifoPreservedAtEqualTimestampsAcrossWheelAndHeap) {
-  // One shared timestamp that starts beyond the wheel horizon (so early
-  // pushes land in the overflow heap) and later — after the cursor advances
-  // — inside it (so late pushes land in a wheel bucket). FIFO across that
-  // migration is the subtle case: heap order and bucket-sort order must
-  // agree on seq.
+TEST(EventQueueTest, FifoPreservedAtEqualTimestamps) {
+  // One shared timestamp scheduled first from far ahead and later from
+  // close in: the late pushes must still run after the early ones.
   SimEnvironment env;
   std::vector<int> order;
-  const SimDuration far = 400 * kMillisecond;  // > 1024 * 64us horizon
+  const SimDuration far = 400 * kMillisecond;
   for (int i = 0; i < 8; ++i) {
     env.Spawn(Appender(&env, far, i, &order));
   }
   // A mid-flight waker that schedules more events for the *same* absolute
-  // time from much closer in (within the wheel horizon by then).
+  // time from much closer in.
   auto late_waves = [](SimEnvironment* e, SimDuration target,
                        std::vector<int>* out) -> Task {
     co_await e->Delay(target - 30 * kMillisecond);
@@ -187,11 +168,10 @@ TEST(EventQueueTest, FifoPreservedAtEqualTimestampsAcrossWheelAndHeap) {
 }
 
 TEST(EventQueueTest, RandomizedEquivalenceWithReferenceHeap) {
-  // 64 seeded adversarial workloads: the hybrid queue must pop the exact
-  // sequence a (when, seq)-ordered binary heap pops. Delay mix is chosen to
-  // exercise every internal path: ready ring (0), staged bucket (tiny),
-  // wheel (up to ~65ms) and overflow heap (up to 2s), plus pushes below an
-  // already-staged range.
+  // 64 seeded adversarial workloads: the queue must pop the exact sequence
+  // a (when, seq)-ordered std::priority_queue pops. The delay mix covers
+  // zero delays, tiny and millisecond delays, far timers (up to 2s) and
+  // duplicates of a pending timestamp.
   struct Ref {
     SimTime when;
     uint64_t seq;
@@ -217,7 +197,7 @@ TEST(EventQueueTest, RandomizedEquivalenceWithReferenceHeap) {
             d = 0;
             break;
           case 1:
-            d = static_cast<SimDuration>(rng() % 64);  // same bucket
+            d = static_cast<SimDuration>(rng() % 64);
             break;
           case 2:
             d = static_cast<SimDuration>(rng() % (65 * kMillisecond));
@@ -229,7 +209,7 @@ TEST(EventQueueTest, RandomizedEquivalenceWithReferenceHeap) {
             d = ref.empty() ? 17 : ref.top().when - now;
             break;
         }
-        q.Push(now + d, seq, std::coroutine_handle<>{}, now);
+        q.Push(now + d, seq, std::coroutine_handle<>{});
         ref.push(Ref{now + d, seq});
         ++seq;
       }
@@ -245,8 +225,7 @@ TEST(EventQueueTest, RandomizedEquivalenceWithReferenceHeap) {
       ASSERT_GE(got.when, now) << "seed " << seed;
       now = got.when;
       ref.pop();
-      // Interleave pushes so the queue refills mid-drain (cursor mid-wheel,
-      // staged slab partially consumed).
+      // Interleave pushes so the queue refills mid-drain.
       if (++step % 3 == 0 && step < 600) {
         push_some(static_cast<int>(rng() % 4));
       }

@@ -14,14 +14,6 @@ chaos soak reuses the tool with --filter/--env:
   seed_sweep.py /path/to/recovery_chaos_test 2 \\
       --filter=RecoveryChaosTest.KilledRestoresConvergeEverywhere \\
       --env=BKUP_RECOVERY_SEED_OFFSET
-
---threads crosses the sweep with a worker-thread matrix for suites that
-honor BKUP_SIM_THREADS (the sharded-simulator determinism stress): each
-seed offset is run once per thread count, so every seed block is checked
-at every parallelism level.
-
-  seed_sweep.py /path/to/shard_test 2 --threads=1,2,4 \\
-      --filter=ShardStressTest.* --env=BKUP_SIM_SEED_OFFSET
 """
 
 import os
@@ -33,25 +25,17 @@ def main():
     args = sys.argv[1:]
     gtest_filter = "SchedulerPropertyTest.*"
     env_var = "BKUP_SCHED_SEED_OFFSET"
-    threads_matrix = [None]  # None = leave BKUP_SIM_THREADS untouched
     positional = []
     for arg in args:
         if arg.startswith("--filter="):
             gtest_filter = arg[len("--filter="):]
         elif arg.startswith("--env="):
             env_var = arg[len("--env="):]
-        elif arg.startswith("--threads="):
-            threads_matrix = [int(t) for t in
-                              arg[len("--threads="):].split(",") if t]
-            if not threads_matrix:
-                print("FAIL: --threads needs a comma-separated list")
-                return 2
         else:
             positional.append(arg)
     if not positional:
         print("usage: seed_sweep.py /path/to/test_binary [num_offsets]"
-              " [--filter=PATTERN] [--env=SEED_OFFSET_VAR]"
-              " [--threads=1,2,4]")
+              " [--filter=PATTERN] [--env=SEED_OFFSET_VAR]")
         return 2
     binary = positional[0]
     num_offsets = int(positional[1]) if len(positional) > 1 else 8
@@ -61,29 +45,21 @@ def main():
 
     failures = []
     for offset in range(1, num_offsets + 1):
-        for threads in threads_matrix:
-            env = dict(os.environ)
-            env[env_var] = str(offset)
-            tag = ""
-            if threads is not None:
-                env["BKUP_SIM_THREADS"] = str(threads)
-                tag = ", %d thread(s)" % threads
-            print("=== seed offset %d/%d (%s%s) ===" % (
-                offset, num_offsets, env_var, tag), flush=True)
-            proc = subprocess.run(
-                [binary, "--gtest_filter=" + gtest_filter],
-                env=env,
-            )
-            if proc.returncode != 0:
-                failures.append((offset, threads))
+        env = dict(os.environ)
+        env[env_var] = str(offset)
+        print("=== seed offset %d/%d (%s) ===" % (offset, num_offsets, env_var),
+              flush=True)
+        proc = subprocess.run(
+            [binary, "--gtest_filter=" + gtest_filter],
+            env=env,
+        )
+        if proc.returncode != 0:
+            failures.append(offset)
 
     if failures:
-        print("FAIL: property suite failed at (offset, threads) %s"
-              % failures)
+        print("FAIL: property suite failed at seed offsets %s" % failures)
         return 1
-    print("seed sweep: %d offsets of %s OK (threads matrix: %s)" % (
-        num_offsets, gtest_filter,
-        ",".join("env" if t is None else str(t) for t in threads_matrix)))
+    print("seed sweep: %d offsets of %s OK" % (num_offsets, gtest_filter))
     return 0
 
 
