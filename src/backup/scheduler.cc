@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdarg>
 #include <cstdio>
-#include <numeric>
 #include <optional>
 
 #include "src/obs/flight_recorder.h"
@@ -41,6 +40,19 @@ uint32_t MaxDrivesFor(const VolumeSpec& spec) {
 
 constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
+// Planning model: assumed per-drive stream rate and fixed per-job cost
+// (media load + snapshot bookkeeping) behind every estimate.
+constexpr double kPlanningMBps = 9.0;
+constexpr SimDuration kPlanningFixedCost = 80 * kSecond;
+// Remount spares drawn from the library per local drive per dispatch.
+constexpr uint32_t kSpareMediaPerJob = 1;
+// A volume whose first attempt fails is re-dispatched once.
+constexpr int kMaxAttemptsPerVolume = 2;
+// Live SLO sampling cadence: every period the night's SloMonitor reads
+// drive progress, projects each volume's ETA and appends a `night_health`
+// sample. Sampling is read-only; it never changes a dispatch decision.
+constexpr SimDuration kHealthSamplePeriod = 30 * kSecond;
+
 void AppendLine(std::string* out, const char* fmt, ...) {
   char buf[512];
   va_list args;
@@ -76,8 +88,6 @@ NightlyScheduler::NightlyScheduler(Filer* filer, FleetConfig config,
   assert(config_.library != nullptr);
   for (const VolumeSpec& v : volumes_) {
     assert(v.fs != nullptr);
-    assert(MinDrivesFor(v) <= config_.drives.size() &&
-           "volume needs more drives than the fleet has");
     if (IsRemote(v.mode)) {
       assert(config_.link != nullptr && config_.server != nullptr &&
              "remote volume in a fleet without a link/tape server");
@@ -92,10 +102,10 @@ SimDuration NightlyScheduler::EstimatedDuration(const VolumeSpec& spec,
     drives = 1;
   }
   const double bytes_per_s =
-      config_.planning_mb_per_s * 1e6 * static_cast<double>(drives);
+      kPlanningMBps * 1e6 * static_cast<double>(drives);
   return SecondsToSim(static_cast<double>(spec.estimated_bytes) /
                       bytes_per_s) +
-         config_.planning_fixed_cost;
+         kPlanningFixedCost;
 }
 
 SimTime NightlyScheduler::LatestFeasibleStart(const VolumeSpec& spec) const {
@@ -120,119 +130,140 @@ bool NightlyScheduler::QueueBefore(size_t a, size_t b) const {
   return a < b;
 }
 
+std::vector<size_t> NightlyScheduler::Queue() const {
+  std::vector<size_t> queue;
+  for (size_t v = 0; v < volumes_.size(); ++v) {
+    if (MinDrivesFor(volumes_[v]) <= config_.drives.size()) {
+      queue.push_back(v);
+    }
+  }
+  std::sort(queue.begin(), queue.end(),
+            [this](size_t a, size_t b) { return QueueBefore(a, b); });
+  return queue;
+}
+
+// ------------------------------------------------------------- dispatch ---
+
+void NightlyScheduler::DispatchPass(SimTime now, std::vector<size_t>* pending,
+                                    const DispatchSite& site) const {
+  const int ndrv = static_cast<int>(config_.drives.size());
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    std::vector<int> idle;
+    for (int d = 0; d < ndrv; ++d) {
+      if (site.drive(d) == DriveState::kIdle) {
+        idle.push_back(d);
+      }
+    }
+    if (idle.empty()) {
+      break;
+    }
+    std::vector<size_t> parked;
+    for (auto it = pending->begin(); it != pending->end(); ++it) {
+      const size_t v = *it;
+      const VolumeSpec& spec = volumes_[v];
+      const uint32_t max_d = MaxDrivesFor(spec);
+
+      // Affinity: take the volume's drive when it is free; while it is busy,
+      // wait until the latest feasible start, then fall back to any drive.
+      int aff = spec.affinity_drive;
+      if (aff >= ndrv || (aff >= 0 && site.drive(aff) == DriveState::kGone)) {
+        aff = -1;  // a dead affinity drive releases the volume to the pool
+      }
+      std::vector<int> take;
+      if (aff >= 0 && site.drive(aff) == DriveState::kIdle) {
+        take.push_back(aff);
+      } else if (aff >= 0 && now < LatestFeasibleStart(spec)) {
+        parked.push_back(v);
+        continue;
+      }
+      for (int d : idle) {
+        if (d != aff && take.size() < max_d) {
+          take.push_back(d);
+        }
+      }
+      if (take.size() < MinDrivesFor(spec)) {
+        parked.push_back(v);
+        continue;
+      }
+
+      const Admission admission = site.admit(v);
+      if (admission == Admission::kDrop) {
+        pending->erase(it);
+        progress = true;
+        break;
+      }
+      if (admission == Admission::kPark) {
+        parked.push_back(v);
+        continue;
+      }
+
+      // Backfill past a parked volume only if this one's estimated finish
+      // precedes every parked volume's latest feasible start.
+      const SimDuration est =
+          EstimatedDuration(spec, static_cast<uint32_t>(take.size()));
+      const bool backfill = !parked.empty();
+      if (backfill &&
+          std::any_of(parked.begin(), parked.end(), [&](size_t u) {
+            return now + est > LatestFeasibleStart(volumes_[u]);
+          })) {
+        site.cancel(v);
+        parked.push_back(v);
+        continue;
+      }
+      pending->erase(it);
+      site.start(v, take, backfill, est);
+      progress = true;
+      break;
+    }
+  }
+}
+
 // ----------------------------------------------------------------- plan ---
 
 NightPlan NightlyScheduler::BuildPlan() const {
-  const size_t ndrv = config_.drives.size();
   NightPlan plan;
-
-  std::vector<SimTime> free_at(ndrv, 0);
-  std::vector<size_t> pending(volumes_.size());
-  std::iota(pending.begin(), pending.end(), size_t{0});
-  std::sort(pending.begin(), pending.end(),
-            [this](size_t a, size_t b) { return QueueBefore(a, b); });
+  std::vector<SimTime> free_at(config_.drives.size(), 0);
+  std::vector<size_t> pending = Queue();
 
   // Plan-time link accounting: dispatched remote estimates never come back,
   // so a rejection is permanent and the volume is left out of the plan.
   uint64_t planned_link_bytes = 0;
 
   SimTime t = 0;
-  while (!pending.empty()) {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      std::vector<int> idle;
-      for (size_t d = 0; d < ndrv; ++d) {
-        if (free_at[d] <= t) {
-          idle.push_back(static_cast<int>(d));
-        }
-      }
-      if (idle.empty()) {
-        break;
-      }
-      std::vector<size_t> parked;
-      for (auto it = pending.begin(); it != pending.end(); ++it) {
-        if (!parked.empty() && !config_.backfill) {
-          break;  // strict order: the parked head blocks everything behind it
-        }
-        const size_t v = *it;
-        const VolumeSpec& spec = volumes_[v];
-        const uint32_t min_d = MinDrivesFor(spec);
-        const uint32_t max_d = MaxDrivesFor(spec);
+  const DispatchSite site{
+      .drive =
+          [&](int d) {
+            return free_at[d] <= t ? DriveState::kIdle : DriveState::kBusy;
+          },
+      .admit =
+          [&](size_t v) {
+            const VolumeSpec& spec = volumes_[v];
+            const bool over_budget =
+                IsRemote(spec.mode) && config_.budget != nullptr &&
+                !config_.budget->unlimited() &&
+                planned_link_bytes + spec.estimated_bytes >
+                    config_.budget->nightly_bytes();
+            return over_budget ? Admission::kDrop : Admission::kAdmit;
+          },
+      .cancel = [](size_t) {},
+      .start =
+          [&](size_t v, const std::vector<int>& take, bool backfill,
+              SimDuration est) {
+            for (int d : take) {
+              free_at[d] = t + est;
+              plan.assignments.push_back(
+                  PlannedAssignment{v, d, t, est, backfill});
+            }
+            if (IsRemote(volumes_[v].mode)) {
+              planned_link_bytes += volumes_[v].estimated_bytes;
+            }
+          },
+  };
 
-        std::vector<int> take;
-        int aff = spec.affinity_drive;
-        if (aff >= 0 && static_cast<size_t>(aff) >= ndrv) {
-          aff = -1;
-        }
-        if (aff >= 0) {
-          if (free_at[aff] <= t) {
-            take.push_back(aff);
-            for (int d : idle) {
-              if (d != aff && take.size() < max_d) {
-                take.push_back(d);
-              }
-            }
-          } else if (t >= LatestFeasibleStart(spec)) {
-            for (int d : idle) {
-              if (take.size() < max_d) {
-                take.push_back(d);
-              }
-            }
-          } else {
-            parked.push_back(v);
-            continue;
-          }
-        } else {
-          for (int d : idle) {
-            if (take.size() < max_d) {
-              take.push_back(d);
-            }
-          }
-        }
-        if (take.size() < min_d) {
-          parked.push_back(v);
-          continue;
-        }
-        if (IsRemote(spec.mode) && config_.budget != nullptr &&
-            !config_.budget->unlimited() &&
-            planned_link_bytes + spec.estimated_bytes >
-                config_.budget->nightly_bytes()) {
-          pending.erase(it);  // cannot ever fit tonight: not in the plan
-          progress = true;
-          break;
-        }
-        const SimDuration est =
-            EstimatedDuration(spec, static_cast<uint32_t>(take.size()));
-        const bool backfill = !parked.empty();
-        if (backfill) {
-          bool safe = true;
-          for (size_t u : parked) {
-            if (t + est > LatestFeasibleStart(volumes_[u])) {
-              safe = false;
-              break;
-            }
-          }
-          if (!safe) {
-            parked.push_back(v);
-            continue;
-          }
-        }
-        for (int d : take) {
-          free_at[d] = t + est;
-          plan.assignments.push_back(PlannedAssignment{v, d, t, est, backfill});
-        }
-        if (IsRemote(spec.mode)) {
-          planned_link_bytes += spec.estimated_bytes;
-        }
-        pending.erase(it);
-        progress = true;
-        break;
-      }
-    }
-    if (pending.empty()) {
-      break;
-    }
+  DispatchPass(t, &pending, site);
+  while (!pending.empty()) {
     // Advance to the next decision point: a drive freeing, or a parked
     // affinity-waiter crossing its latest feasible fallback start.
     SimTime next = kNoDeadline;
@@ -252,6 +283,7 @@ NightPlan NightlyScheduler::BuildPlan() const {
     }
     assert(next != kNoDeadline && "plan stuck with idle drives");
     t = next;
+    DispatchPass(t, &pending, site);
   }
   for (SimTime f : free_at) {
     plan.projected_makespan = std::max(plan.projected_makespan, f);
@@ -357,8 +389,7 @@ Task NightlyScheduler::RunOne(size_t vol, int attempt,
       ParallelLogicalBackupResult result;
       env->Spawn(ParallelLogicalBackupJob(filer_, spec.fs, drives, subtrees,
                                           options, &result, &job_done,
-                                          config_.supervision, spares,
-                                          config_.qos));
+                                          config_.supervision, spares));
       co_await job_done.Wait();
       c.merged = result.merged;
       for (const auto& p : result.parts) {
@@ -374,8 +405,7 @@ Task NightlyScheduler::RunOne(size_t vol, int attempt,
       env->Spawn(ParallelImageBackupJob(filer_, spec.fs, drives, options,
                                         /*delete_snapshot_after=*/true,
                                         &result, &job_done,
-                                        config_.supervision, spares,
-                                        config_.qos));
+                                        config_.supervision, spares));
       co_await job_done.Wait();
       c.merged = result.merged;
       for (const auto& p : result.parts) {
@@ -391,7 +421,7 @@ Task NightlyScheduler::RunOne(size_t vol, int attempt,
       env->Spawn(ParallelRemoteImageBackupJob(
           filer_, spec.fs, config_.link, config_.server, drives, options,
           /*delete_snapshot_after=*/true, config_.supervision, &result,
-          &job_done, config_.qos));
+          &job_done));
       co_await job_done.Wait();
       c.merged = result.merged;
       for (const auto& p : result.parts) {
@@ -452,26 +482,17 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
   // grant's live progress is the drive's position delta since its start.
   std::vector<uint64_t> grant_start_pos;
 
-  // The night's SLO monitor: one objective per volume, sampled on a timer
-  // (FleetConfig::health_sample_period). It listens for span completions
-  // when a tracer is attached, so per-phase latency objectives feed off the
-  // same instrumentation as the trace export.
+  // The night's SLO monitor: one objective per volume, sampled every
+  // kHealthSamplePeriod.
   SloMonitor monitor(env);
-  monitor.set_default_rate_mb_s(config_.planning_mb_per_s);
+  monitor.set_default_rate_mb_s(kPlanningMBps);
   for (size_t v = 0; v < nvol; ++v) {
     monitor.Register(volumes_[v].name, volumes_[v].deadline,
                      volumes_[v].estimated_bytes);
   }
-  Tracer* tracer = env->tracer();
-  if (tracer != nullptr) {
-    tracer->set_span_listener(&monitor);
-  }
   std::vector<bool> breach_dumped(nvol, false);
 
-  std::vector<size_t> pending(nvol);
-  std::iota(pending.begin(), pending.end(), size_t{0});
-  std::sort(pending.begin(), pending.end(),
-            [this](size_t a, size_t b) { return QueueBefore(a, b); });
+  std::vector<size_t> pending = Queue();
 
   Channel<Completion> completions(env, nvol + 8);
   size_t running = 0;
@@ -505,11 +526,8 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
 
   // First health sample fires one period in; re-armed after every tick
   // while work remains.
-  if (config_.health_sample_period > 0) {
-    env->Spawn(Waker(config_.health_sample_period, &completions,
-                     /*health=*/true));
-    ++wakers;
-  }
+  env->Spawn(Waker(kHealthSamplePeriod, &completions, /*health=*/true));
+  ++wakers;
 
   // Deadline-fallback boundaries are the one dispatch trigger that is not a
   // completion: an affinity-waiter becomes willing to take any drive when
@@ -578,70 +596,31 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
     }
   };
 
-  // One pass over the queue, dispatching everything that may start now.
-  auto try_dispatch = [&]() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      std::vector<int> idle;
-      for (size_t d = 0; d < ndrv; ++d) {
-        if (!busy[d] && healthy[d]) {
-          idle.push_back(static_cast<int>(d));
-        }
-      }
-      if (idle.empty()) {
-        break;
-      }
-      std::vector<size_t> parked;
-      for (auto it = pending.begin(); it != pending.end(); ++it) {
-        if (!parked.empty() && !config_.backfill) {
-          break;
-        }
-        const size_t v = *it;
-        const VolumeSpec& spec = volumes_[v];
-        const uint32_t min_d = MinDrivesFor(spec);
-        const uint32_t max_d = MaxDrivesFor(spec);
+  // A volume wider than the fleet can never start: Queue() left it out, so
+  // it fails here instead of blocking the volumes behind it all night.
+  for (size_t v = 0; v < nvol; ++v) {
+    if (MinDrivesFor(volumes_[v]) > ndrv) {
+      fail_volume(v, InvalidArgument("volume '" + volumes_[v].name +
+                                     "' needs more drives than the fleet has"));
+    }
+  }
 
-        std::vector<int> take;
-        int aff = spec.affinity_drive;
-        if (aff >= 0 &&
-            (static_cast<size_t>(aff) >= ndrv || !healthy[aff])) {
-          aff = -1;  // a dead affinity drive releases the volume to the pool
-        }
-        if (aff >= 0) {
-          if (!busy[aff]) {
-            take.push_back(aff);
-            for (int d : idle) {
-              if (d != aff && take.size() < max_d) {
-                take.push_back(d);
-              }
+  // The night's side of the dispatch pass: live drives, and reservations
+  // against the shared LinkBudget that settle when remote jobs finish.
+  const DispatchSite site{
+      .drive =
+          [&](int d) {
+            return !healthy[d] ? DriveState::kGone
+                   : busy[d]   ? DriveState::kBusy
+                               : DriveState::kIdle;
+          },
+      .admit =
+          [&](size_t v) {
+            const VolumeSpec& spec = volumes_[v];
+            if (!IsRemote(spec.mode) || config_.budget == nullptr ||
+                config_.budget->TryReserve(spec.estimated_bytes)) {
+              return Admission::kAdmit;
             }
-          } else if (env->now() >= LatestFeasibleStart(spec)) {
-            for (int d : idle) {
-              if (take.size() < max_d) {
-                take.push_back(d);
-              }
-            }
-          } else {
-            parked.push_back(v);
-            continue;
-          }
-        } else {
-          for (int d : idle) {
-            if (take.size() < max_d) {
-              take.push_back(d);
-            }
-          }
-        }
-        if (take.size() < min_d) {
-          parked.push_back(v);
-          continue;
-        }
-
-        const bool remote = IsRemote(spec.mode);
-        bool reserved = false;
-        if (remote && config_.budget != nullptr) {
-          if (!config_.budget->TryReserve(spec.estimated_bytes)) {
             if (!vs[v].budget_wait_counted) {
               vs[v].budget_wait_counted = true;
               ++report->link_budget_waits;
@@ -652,89 +631,71 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
               // volume can never fit tonight's allowance.
               fail_volume(v, Exhausted("link budget exhausted for volume '" +
                                        spec.name + "'"));
-              pending.erase(it);
-              progress = true;
-              break;
+              return Admission::kDrop;
             }
-            parked.push_back(v);
-            continue;
-          }
-          reserved = true;
-        }
+            return Admission::kPark;
+          },
+      .cancel =
+          [&](size_t v) {
+            if (IsRemote(volumes_[v].mode) && config_.budget != nullptr) {
+              config_.budget->Cancel(volumes_[v].estimated_bytes);
+            }
+          },
+      .start =
+          [&](size_t v, const std::vector<int>& take, bool backfill,
+              SimDuration /*estimated*/) {
+            const VolumeSpec& spec = volumes_[v];
+            const bool remote = IsRemote(spec.mode);
+            const bool reserved = remote && config_.budget != nullptr;
+            ++vs[v].attempts;
+            VolumeOutcome& out = report->volumes[v];
+            out.attempts = vs[v].attempts;
+            out.started = env->now();
+            if (!vs[v].dispatched_once) {
+              vs[v].dispatched_once = true;
+              out.wait = env->now() - out.enqueued;
+            }
+            out.backfilled = backfill;
+            m_dispatches->Increment();
+            if (backfill) {
+              ++report->backfills;
+              m_backfills->Increment();
+            }
 
-        const bool backfill = !parked.empty();
-        if (backfill) {
-          const SimTime est_finish =
-              env->now() +
-              EstimatedDuration(spec, static_cast<uint32_t>(take.size()));
-          bool safe = true;
-          for (size_t u : parked) {
-            if (est_finish > LatestFeasibleStart(volumes_[u])) {
-              safe = false;
-              break;
+            std::vector<Tape*> primaries;
+            std::vector<std::vector<Tape*>> spares;
+            for (size_t k = 0; k < take.size(); ++k) {
+              const std::string base = spec.name + ".a" +
+                                       std::to_string(vs[v].attempts) + ".p" +
+                                       std::to_string(k);
+              primaries.push_back(config_.library->TapeInSlot(
+                  config_.library->AddBlankTape(base)));
+              std::vector<Tape*> sp;
+              if (!remote) {
+                for (uint32_t j = 0; j < kSpareMediaPerJob; ++j) {
+                  sp.push_back(config_.library->TapeInSlot(
+                      config_.library->AddBlankTape(base + ".s" +
+                                                    std::to_string(j))));
+                }
+              }
+              spares.push_back(std::move(sp));
             }
-          }
-          if (!safe) {
-            if (reserved) {
-              config_.budget->Cancel(spec.estimated_bytes);
+            for (int d : take) {
+              busy[d] = true;
+              ++report->drives[d].jobs;
+              open_grants[v].push_back(report->grants.size());
+              report->grants.push_back(DriveGrant{v, vs[v].attempts, d,
+                                                  env->now(), 0, backfill});
+              grant_start_pos.push_back(config_.drives[d]->position());
             }
-            parked.push_back(v);
-            continue;
-          }
-        }
-
-        // Dispatch.
-        pending.erase(it);
-        ++vs[v].attempts;
-        VolumeOutcome& out = report->volumes[v];
-        out.attempts = vs[v].attempts;
-        out.started = env->now();
-        if (!vs[v].dispatched_once) {
-          vs[v].dispatched_once = true;
-          out.wait = env->now() - out.enqueued;
-        }
-        out.backfilled = backfill;
-        m_dispatches->Increment();
-        if (backfill) {
-          ++report->backfills;
-          m_backfills->Increment();
-        }
-
-        std::vector<Tape*> primaries;
-        std::vector<std::vector<Tape*>> spares;
-        for (size_t k = 0; k < take.size(); ++k) {
-          const std::string base = spec.name + ".a" +
-                                   std::to_string(vs[v].attempts) + ".p" +
-                                   std::to_string(k);
-          primaries.push_back(
-              config_.library->TapeInSlot(config_.library->AddBlankTape(base)));
-          std::vector<Tape*> sp;
-          if (!remote) {
-            for (uint32_t j = 0; j < config_.spare_media_per_job; ++j) {
-              sp.push_back(config_.library->TapeInSlot(
-                  config_.library->AddBlankTape(base + ".s" +
-                                                std::to_string(j))));
-            }
-          }
-          spares.push_back(std::move(sp));
-        }
-        for (int d : take) {
-          busy[d] = true;
-          ++report->drives[d].jobs;
-          open_grants[v].push_back(report->grants.size());
-          report->grants.push_back(DriveGrant{v, vs[v].attempts, d,
-                                              env->now(), 0, backfill});
-          grant_start_pos.push_back(config_.drives[d]->position());
-        }
-        env->Spawn(RunOne(v, vs[v].attempts, take, std::move(primaries),
-                          std::move(spares),
-                          reserved ? spec.estimated_bytes : 0, &completions));
-        ++running;
-        progress = true;
-        break;
-      }
-    }
+            env->Spawn(RunOne(v, vs[v].attempts, take, std::move(primaries),
+                              std::move(spares),
+                              reserved ? spec.estimated_bytes : 0,
+                              &completions));
+            ++running;
+          },
   };
+  auto try_dispatch = [&]() { DispatchPass(env->now(), &pending, site); };
 
   try_dispatch();
   while (running > 0) {
@@ -745,10 +706,10 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
       --wakers;
       if (c.health) {
         // Health ticks are read-only: sample, re-arm, and never rescan the
-        // queue — a night with the monitor disabled dispatches identically.
+        // queue.
         sample_health();
         if (running > 0 || !pending.empty()) {
-          env->Spawn(Waker(config_.health_sample_period, &completions,
+          env->Spawn(Waker(kHealthSamplePeriod, &completions,
                            /*health=*/true));
           ++wakers;
         }
@@ -812,7 +773,7 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
           break;
         }
       }
-      const bool can_retry = vs[v].attempts < config_.max_attempts_per_volume &&
+      const bool can_retry = vs[v].attempts < kMaxAttemptsPerVolume &&
                              healthy_count() >= MinDrivesFor(spec);
       if (can_retry) {
         ++report->reassignments;
@@ -856,9 +817,7 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
 
   // Final SLO accounting: one closing sample so the series ends at the
   // night's end, then publish the history and per-volume verdicts.
-  if (config_.health_sample_period > 0) {
-    sample_health();
-  }
+  sample_health();
   report->night_health = monitor.history();
   report->slo_breaches = monitor.breaches();
   for (size_t v = 0; v < nvol; ++v) {
@@ -867,9 +826,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
   }
   if (recorder != nullptr) {
     recorder->RemoveStateProvider("scheduler_queue");
-  }
-  if (tracer != nullptr) {
-    tracer->set_span_listener(nullptr);
   }
 
   // Drain outstanding deadline ticks so their channel pointer stays valid.

@@ -26,20 +26,25 @@
 //     SupervisionPolicy and a remount pool drawn from the shared library. A
 //     job that fails anyway marks its drive failed, releases it from the
 //     pool, and the volume is re-dispatched (fresh media, surviving drives)
-//     up to `max_attempts_per_volume`.
+//     once.
 //   * **Link budget**: remote volumes reserve their estimate against a
 //     shared `LinkBudget` before dispatch and settle to actual bytes after;
 //     a volume that cannot fit tonight's remaining allowance waits for
 //     running remote jobs to settle before trying again.
 //
-// `BuildPlan()` computes the static simulated-time plan (same policy, size
-// estimates only); `Run()` executes it against reality — faults, contention
-// and all — and fills a `NightReport` with per-volume wait/elapsed/deadline
-// outcomes, per-drive utilization and fleet counters. Both are byte-for-byte
-// deterministic for a fixed fleet description. See DESIGN.md §12.
+// `BuildPlan()` computes the static simulated-time plan from size estimates
+// only; `Run()` executes the night against reality — faults, contention and
+// all. Both call the one dispatch pass (`DispatchPass`) and differ only in
+// the drive state and budget rule they hand it. `Run()` fills a
+// `NightReport` with per-volume wait/elapsed/deadline outcomes, per-drive
+// utilization and fleet counters. Both are byte-for-byte deterministic for a
+// fixed fleet description. A volume that needs more drives than the fleet
+// has is left out of the plan and fails at night-open with
+// kInvalidArgument. See DESIGN.md §12.
 #ifndef BKUP_BACKUP_SCHEDULER_H_
 #define BKUP_BACKUP_SCHEDULER_H_
 
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -90,31 +95,15 @@ struct VolumeSpec {
 // The shared hardware one night runs against.
 struct FleetConfig {
   std::vector<TapeDrive*> drives;
-  // Media pool: every dispatch draws fresh blanks (primary per drive plus
-  // `spare_media_per_job` remount spares) from this library.
+  // Media pool: every dispatch draws fresh blanks (a primary per drive plus
+  // one remount spare per local drive) from this library.
   TapeLibrary* library = nullptr;
-  uint32_t spare_media_per_job = 1;
   const SupervisionPolicy* supervision = nullptr;
-  int max_attempts_per_volume = 2;
-  // Planning model: assumed per-drive stream rate and fixed per-job cost
-  // (media load + snapshot bookkeeping) used for estimates.
-  double planning_mb_per_s = 9.0;
-  SimDuration planning_fixed_cost = 80 * kSecond;
-  bool backfill = true;
   // Remote volumes stream over this link to drives owned by `server` (the
   // drives still live in `drives`, the one pool). `budget` is optional.
   NetLink* link = nullptr;
   TapeServer* server = nullptr;
   LinkBudget* budget = nullptr;
-  // Live SLO sampling cadence: every period the night's SloMonitor reads
-  // drive progress, projects each volume's ETA and appends a
-  // `night_health` sample to the report. 0 disables the monitor. Sampling
-  // is read-only — it never changes a dispatch decision.
-  SimDuration health_sample_period = 30 * kSecond;
-  // Backup QoS applied to every dispatched job: all of the night's dumps
-  // share the one throttle bucket and run at the one scheduling class, so a
-  // fleet backing up behind live traffic caps its aggregate draw.
-  BackupQos qos;
 };
 
 // One drive grant in the static plan (BuildPlan) — volume k starts on
@@ -183,9 +172,9 @@ struct NightReport {
   uint64_t reassignments = 0;   // volume re-dispatches after a failed attempt
   uint64_t drives_failed = 0;
   uint64_t link_budget_waits = 0;  // dispatches deferred by the link budget
-  // Periodic SLO health readings taken while the night ran (see
-  // FleetConfig::health_sample_period) plus the monitor's final breach
-  // count; the bench gate cross-checks these against deadline outcomes.
+  // SLO health readings taken every 30 s of the night plus the monitor's
+  // final breach count; the bench gate cross-checks these against deadline
+  // outcomes.
   std::vector<SloHealthSample> night_health;
   uint64_t slo_breaches = 0;
   SimTime night_start = 0;
@@ -223,11 +212,37 @@ class NightlyScheduler {
 
  private:
   struct Completion;
+  // A drive as a dispatch pass sees it: free now, held by a job, or
+  // condemned (a condemned affinity drive releases its volume to the pool).
+  enum class DriveState { kIdle, kBusy, kGone };
+  // The budget rule's verdict on a volume that has its drives: start it,
+  // park it until a later pass, or take it out of the queue for good.
+  enum class Admission { kAdmit, kPark, kDrop };
+  // What a dispatch pass needs from its caller. The plan reads `free_at` and
+  // a static link sum; the night reads busy/healthy drives and reserves
+  // against the live LinkBudget.
+  struct DispatchSite {
+    std::function<DriveState(int drive)> drive;
+    std::function<Admission(size_t vol)> admit;
+    // Undoes an admission when backfill turns out unsafe.
+    std::function<void(size_t vol)> cancel;
+    std::function<void(size_t vol, const std::vector<int>& drives,
+                       bool backfill, SimDuration estimated)>
+        start;
+  };
 
   // Queue order: priority desc, deadline asc, name, index. Total.
   bool QueueBefore(size_t a, size_t b) const;
+  // The volumes the fleet has enough drives for, in queue order.
+  std::vector<size_t> Queue() const;
   // Latest start for `spec` to make its deadline under the planning model.
   SimTime LatestFeasibleStart(const VolumeSpec& spec) const;
+  // The night's one dispatch policy, shared by BuildPlan() and Run(): walks
+  // `pending` at `now` and starts (or drops) volumes until nothing more may
+  // start. Affinity, gang width, the budget gate and backfill safety live
+  // here; `site` supplies only the drive state and the budget rule.
+  void DispatchPass(SimTime now, std::vector<size_t>* pending,
+                    const DispatchSite& site) const;
 
   Task RunOne(size_t vol, int attempt, std::vector<int> drive_idx,
               std::vector<Tape*> primaries,

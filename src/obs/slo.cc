@@ -56,25 +56,6 @@ void SloMonitor::Complete(const std::string& name, bool ok) {
   }
 }
 
-void SloMonitor::AddLatencyObjective(const std::string& span,
-                                     SimDuration target, double quantile) {
-  LatencyObjective lo;
-  lo.span = span;
-  lo.target = target;
-  lo.quantile = quantile;
-  latency_.push_back(std::move(lo));
-}
-
-void SloMonitor::OnSpanEnd(const std::string& /*track*/,
-                           const std::string& name, SimTime begin,
-                           SimTime end) {
-  for (LatencyObjective& lo : latency_) {
-    if (lo.span == name) {
-      lo.durations.Add(static_cast<uint64_t>(std::max<SimTime>(0, end - begin)));
-    }
-  }
-}
-
 SloHealthSample::Entry SloMonitor::Evaluate(const Objective& o,
                                             SimTime now) const {
   SloHealthSample::Entry e;
@@ -157,22 +138,6 @@ uint64_t SloMonitor::breaches() const {
   return n;
 }
 
-std::vector<SloLatencyStatus> SloMonitor::LatencyStatus() const {
-  std::vector<SloLatencyStatus> out;
-  out.reserve(latency_.size());
-  for (const LatencyObjective& lo : latency_) {
-    SloLatencyStatus st;
-    st.span = lo.span;
-    st.quantile = lo.quantile;
-    st.target = lo.target;
-    st.count = lo.durations.count();
-    st.observed = static_cast<SimDuration>(lo.durations.Percentile(lo.quantile));
-    st.breached = st.count > 0 && st.observed > st.target;
-    out.push_back(std::move(st));
-  }
-  return out;
-}
-
 void WriteHealthSample(JsonWriter* w, const SloHealthSample& sample) {
   w->BeginObject();
   w->Field("t_s", SimToSeconds(sample.t));
@@ -215,18 +180,6 @@ void SloMonitor::WriteJson(JsonWriter* w) const {
         .Field("ok", o.ok)
         .Field("breached", e.breached)
         .Field("flagged_live", o.flagged_live)
-        .EndObject();
-  }
-  w->EndArray();
-  w->Key("latency").BeginArray();
-  for (const SloLatencyStatus& st : LatencyStatus()) {
-    w->BeginObject()
-        .Field("span", st.span)
-        .Field("quantile", st.quantile)
-        .Field("target_us", static_cast<int64_t>(st.target))
-        .Field("observed_us", static_cast<int64_t>(st.observed))
-        .Field("count", st.count)
-        .Field("breached", st.breached)
         .EndObject();
   }
   w->EndArray();

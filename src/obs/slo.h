@@ -2,20 +2,14 @@
 //
 // A finished NightReport can tell you a volume missed its deadline; it
 // cannot tell you whether anyone could have *known* before it happened. The
-// `SloMonitor` closes that gap: objectives (one per volume, plus optional
-// per-phase latency targets) are registered up front with their deadline
-// and catalog-estimated byte total, progress is reported as bytes land on
+// `SloMonitor` closes that gap: objectives (one per volume) are registered
+// up front with their deadline and catalog-estimated byte total, progress is reported as bytes land on
 // tape, and `Sample()` computes — at any simulated instant — per-objective
 // progress, throughput, projected finish (ETA), deadline-risk and budget
 // burn. The scheduler samples on a timer and publishes the series as
 // `night_health` in the night's JSON report, so the bench gate can assert
 // "every missed deadline was flagged while the night was still live"
 // (DESIGN.md §14).
-//
-// Latency objectives ride the tracer: the monitor implements
-// `Tracer::SpanListener`, so every closed span whose name matches an
-// objective feeds its duration histogram — no JSON re-parsing, no second
-// event stream.
 //
 // Determinism: the monitor is pure bookkeeping on simulated time. Sampling
 // never changes scheduling decisions, so a night with and without a monitor
@@ -29,9 +23,7 @@
 #include <vector>
 
 #include "src/obs/json.h"
-#include "src/obs/trace.h"
 #include "src/sim/environment.h"
-#include "src/util/stats.h"
 #include "src/util/units.h"
 
 namespace bkup {
@@ -52,17 +44,7 @@ struct SloHealthSample {
   std::vector<Entry> entries;
 };
 
-// Final latency-objective verdict: bucket-granular p-quantile vs. target.
-struct SloLatencyStatus {
-  std::string span;
-  double quantile = 0.99;
-  SimDuration target = 0;
-  SimDuration observed = 0;  // quantile of recorded durations (µs)
-  uint64_t count = 0;
-  bool breached = false;
-};
-
-class SloMonitor : public Tracer::SpanListener {
+class SloMonitor {
  public:
   static constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
@@ -85,15 +67,6 @@ class SloMonitor : public Tracer::SpanListener {
   // as a breach whether or not a sample ever saw it.
   void Complete(const std::string& name, bool ok);
 
-  // Latency objective: spans named `span` (any track) must keep their
-  // `quantile` duration at or under `target`.
-  void AddLatencyObjective(const std::string& span, SimDuration target,
-                           double quantile = 0.99);
-
-  // Tracer::SpanListener:
-  void OnSpanEnd(const std::string& track, const std::string& name,
-                 SimTime begin, SimTime end) override;
-
   // Computes a health reading now and appends it to `history()`.
   const SloHealthSample& Sample();
 
@@ -107,10 +80,8 @@ class SloMonitor : public Tracer::SpanListener {
   // updated by Sample() and Complete()).
   uint64_t breaches() const;
 
-  std::vector<SloLatencyStatus> LatencyStatus() const;
-
-  // {"samples": [...], "objectives": [...], "latency": [...]} — the
-  // night_health payload embedded in NightReport JSON.
+  // {"samples": [...], "objectives": [...]} — the night_health payload
+  // embedded in NightReport JSON.
   void WriteJson(JsonWriter* w) const;
 
  private:
@@ -125,12 +96,6 @@ class SloMonitor : public Tracer::SpanListener {
     SimTime finished_at = 0;
     bool flagged_live = false;
   };
-  struct LatencyObjective {
-    std::string span;
-    SimDuration target = 0;
-    double quantile = 0.99;
-    Log2Histogram durations;
-  };
 
   Objective* Find(const std::string& name);
   SloHealthSample::Entry Evaluate(const Objective& o, SimTime now) const;
@@ -138,7 +103,6 @@ class SloMonitor : public Tracer::SpanListener {
   SimEnvironment* env_;
   double default_rate_mb_s_ = 0.0;
   std::vector<Objective> objectives_;  // registration order
-  std::vector<LatencyObjective> latency_;
   std::vector<SloHealthSample> history_;
 };
 

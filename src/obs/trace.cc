@@ -41,7 +41,6 @@ uint32_t Tracer::Track(const std::string& name, uint32_t pid) {
       track_by_name_.try_emplace(name, static_cast<uint32_t>(tracks_.size()));
   if (inserted) {
     tracks_.push_back(TrackInfo{name, /*counter=*/false, pid});
-    open_.emplace_back();
   }
   return it->second;
 }
@@ -51,7 +50,6 @@ uint32_t Tracer::CounterTrack(const std::string& name) {
       track_by_name_.try_emplace(name, static_cast<uint32_t>(tracks_.size()));
   if (inserted) {
     tracks_.push_back(TrackInfo{name, /*counter=*/true, 1});
-    open_.emplace_back();
   }
   return it->second;
 }
@@ -65,31 +63,17 @@ void Tracer::Append(TraceEvent event) {
 }
 
 void Tracer::Begin(uint32_t track, std::string name) {
-  open_[track].push_back(OpenSpan{name, env_->now()});
   Append(TraceEvent{TraceEvent::Kind::kBegin, track, env_->now(),
                     std::move(name)});
 }
 
 void Tracer::Begin(uint32_t track, std::string name, const TraceContext& ctx) {
-  open_[track].push_back(OpenSpan{name, env_->now()});
   Append(TraceEvent{TraceEvent::Kind::kBegin, track, env_->now(),
                     std::move(name), 0.0, 0, ctx.trace_id, ctx.incarnation});
 }
 
 void Tracer::End(uint32_t track) {
-  NotifyEnd(track, env_->now());
   Append(TraceEvent{TraceEvent::Kind::kEnd, track, env_->now(), {}});
-}
-
-void Tracer::NotifyEnd(uint32_t track, SimTime end) {
-  if (open_[track].empty()) {
-    return;  // unmatched End; nothing to report
-  }
-  OpenSpan span = std::move(open_[track].back());
-  open_[track].pop_back();
-  if (listener_ != nullptr) {
-    listener_->OnSpanEnd(tracks_[track].name, span.name, span.begin, end);
-  }
 }
 
 void Tracer::Instant(uint32_t track, std::string name) {

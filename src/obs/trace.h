@@ -95,16 +95,6 @@ class Tracer : public ResourceObserver {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 20;
 
-  // Called when a span closes (End matching a Begin on the same track).
-  // The SLO engine uses this to feed latency objectives without re-parsing
-  // the exported JSON.
-  class SpanListener {
-   public:
-    virtual ~SpanListener() = default;
-    virtual void OnSpanEnd(const std::string& track, const std::string& name,
-                           SimTime begin, SimTime end) = 0;
-  };
-
   // Attaches to `env` (becomes `env->tracer()`); detaches on destruction.
   explicit Tracer(SimEnvironment* env, size_t capacity = kDefaultCapacity);
   ~Tracer() override;
@@ -163,11 +153,6 @@ class Tracer : public ResourceObserver {
   void OnResourceChange(const Resource& res, SimTime now,
                         int64_t in_use) override;
 
-  // At most one listener; pass nullptr to detach. The listener must outlive
-  // the spans it observes (detach before destroying it).
-  void set_span_listener(SpanListener* listener) { listener_ = listener; }
-  SpanListener* span_listener() const { return listener_; }
-
   size_t event_count() const { return ring_.size(); }
   size_t capacity() const { return capacity_; }
   uint64_t dropped() const { return dropped_; }
@@ -193,13 +178,7 @@ class Tracer : public ResourceObserver {
     bool counter = false;
     uint32_t pid = 1;
   };
-  struct OpenSpan {
-    std::string name;
-    SimTime begin;
-  };
-
   void Append(TraceEvent event);
-  void NotifyEnd(uint32_t track, SimTime end);
 
   SimEnvironment* env_;
   size_t capacity_;
@@ -210,8 +189,6 @@ class Tracer : public ResourceObserver {
   std::vector<std::string> processes_;  // index i -> pid i + 1
   std::unordered_map<std::string, uint32_t> process_by_name_;
   std::unordered_map<const Resource*, uint32_t> watched_;
-  std::vector<std::vector<OpenSpan>> open_;  // per-track Begin stack
-  SpanListener* listener_ = nullptr;
   uint64_t next_trace_id_ = 0;
   uint64_t next_flow_block_ = 0;
 };

@@ -8,7 +8,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/obs/json.h"
@@ -423,34 +422,6 @@ TEST(TracerTest, DroppedEventsSurfaceInExportMetadata) {
   auto parsed = ParseJson(tracer.ToChromeJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ((*parsed)["otherData"]["dropped_events"].int_value(), 6);
-}
-
-// The SLO engine's feed: every closed span reaches the listener with its
-// track, name and both timestamps.
-TEST(TracerTest, SpanListenerObservesCompletions) {
-  struct Collector : Tracer::SpanListener {
-    std::vector<std::tuple<std::string, std::string, SimTime, SimTime>> ends;
-    void OnSpanEnd(const std::string& track, const std::string& name,
-                   SimTime begin, SimTime end) override {
-      ends.emplace_back(track, name, begin, end);
-    }
-  };
-  SimEnvironment env;
-  Tracer tracer(&env);
-  Collector collector;
-  tracer.set_span_listener(&collector);
-  env.Spawn(TracedWork(&env));
-  env.Run();
-  tracer.set_span_listener(nullptr);
-
-  // Inner closes first, then outer; durations match the simulated delays.
-  ASSERT_EQ(collector.ends.size(), 2u);
-  EXPECT_EQ(std::get<1>(collector.ends[0]), "inner");
-  EXPECT_EQ(std::get<3>(collector.ends[0]) - std::get<2>(collector.ends[0]),
-            5 * kMillisecond);
-  EXPECT_EQ(std::get<1>(collector.ends[1]), "outer");
-  EXPECT_EQ(std::get<3>(collector.ends[1]) - std::get<2>(collector.ends[1]),
-            25 * kMillisecond);
 }
 
 // ------------------------------------------------------- JSON edge cases ---

@@ -6,15 +6,18 @@
 //   (b) no drive is double-booked at any simulated instant;
 //   (c) every volume is backed up exactly once per night;
 //   (d) with at least as many drives as volumes and feasible deadlines, the
-//       scheduler never reports a deadline miss.
+//       scheduler never reports a deadline miss;
+//   (e) the plan's night-open assignments are the night's first grants.
 //
 // `BKUP_SCHED_SEED_OFFSET` shifts the seed block so tools/seed_sweep.py can
 // rerun the suite over fresh configurations without a recompile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <random>
+#include <tuple>
 
 #include "src/backup/scheduler.h"
 #include "src/workload/population.h"
@@ -99,6 +102,7 @@ FleetDraw DrawFleet(uint64_t seed) {
 }
 
 struct FleetResult {
+  NightPlan night_plan;
   std::string plan;
   std::string exec;
   NightReport report;
@@ -148,7 +152,8 @@ void ExecuteFleet(const FleetDraw& draw, FleetResult* out) {
   config.supervision = &policy;
 
   NightlyScheduler scheduler(&filer, config, std::move(specs));
-  out->plan = scheduler.BuildPlan().Serialize(scheduler.volumes());
+  out->night_plan = scheduler.BuildPlan();
+  out->plan = out->night_plan.Serialize(scheduler.volumes());
   CountdownLatch done(&env, 1);
   env.Spawn(scheduler.Run(&out->report, &done));
   env.Run();
@@ -170,6 +175,29 @@ void CheckNoDoubleBooking(const NightReport& report) {
           << "drive " << drive << " double-booked at " << spans[i].first;
     }
   }
+}
+
+// BuildPlan() and Run() share one dispatch pass, so at night-open, before
+// any estimate meets reality, the plan's t = 0 assignments and the night's
+// first grants are the same (volume, drive, backfill) triples.
+void CheckPlanMatchesNightOpen(const FleetResult& result) {
+  using Triple = std::tuple<size_t, int, bool>;
+  std::vector<Triple> planned;
+  for (const PlannedAssignment& a : result.night_plan.assignments) {
+    if (a.start == 0) {
+      planned.emplace_back(a.volume, a.drive, a.backfill);
+    }
+  }
+  std::vector<Triple> granted;
+  for (const DriveGrant& g : result.report.grants) {
+    if (g.start == result.report.night_start) {
+      granted.emplace_back(g.volume, g.drive, g.backfill);
+    }
+  }
+  std::sort(planned.begin(), planned.end());
+  std::sort(granted.begin(), granted.end());
+  EXPECT_FALSE(planned.empty());
+  EXPECT_EQ(planned, granted);
 }
 
 // (c) Every volume completed successfully, exactly once, on one attempt.
@@ -200,6 +228,7 @@ TEST(SchedulerPropertyTest, RandomFleetsAreDeterministicAndWellFormed) {
     ExecuteFleet(draw, &first);
     CheckNoDoubleBooking(first.report);
     CheckEachVolumeOnce(first.report);
+    CheckPlanMatchesNightOpen(first);
     EXPECT_EQ(first.report.deadline_hits + first.report.deadline_misses,
               draw.vols.size());
     EXPECT_EQ(first.report.reassignments, 0u);
@@ -377,36 +406,39 @@ TEST(SchedulerTest, DeadlineForcesAffinityFallback) {
   }
 }
 
-// With backfill disabled the queue is strictly ordered: nothing behind a
-// parked volume starts, even with idle drives.
-TEST(SchedulerTest, BackfillOffKeepsStrictOrder) {
+// A volume that needs more drives than the fleet has can never start: the
+// night fails it at night-open with kInvalidArgument, the plan leaves it
+// out, and neither hangs nor holds back the volume queued behind it (whose
+// backfill past a parked 100 s deadline would otherwise be unsafe).
+TEST(SchedulerTest, OverWideVolumeFailsFastAndPlanTerminates) {
   DirectedFixture f;
-  Filesystem* a = f.AddVolume("alpha", 4 * kMiB, 31);
-  Filesystem* b = f.AddVolume("beta", 2 * kMiB, 32);
-  Filesystem* c = f.AddVolume("gamma", 2 * kMiB, 33);
-  f.AddDrives(2);
-  f.config.backfill = false;
+  Filesystem* a = f.AddVolume("wide", 2 * kMiB, 71);
+  Filesystem* b = f.AddVolume("narrow", 2 * kMiB, 72);
+  f.AddDrives(1);
 
-  VolumeSpec sa = Spec("alpha", a, BackupMode::kImage, 4 * kMiB);
-  sa.priority = 2;
-  sa.affinity_drive = 0;
-  VolumeSpec sb = Spec("beta", b, BackupMode::kImage, 2 * kMiB);
-  sb.priority = 2;
-  sb.affinity_drive = 0;
-  VolumeSpec sc = Spec("gamma", c, BackupMode::kImage, 2 * kMiB);
-  sc.priority = 0;
+  VolumeSpec wide = Spec("wide", a, BackupMode::kLogicalFull, 2 * kMiB);
+  wide.subtrees = {"/a", "/b"};
+  wide.priority = 2;
+  wide.deadline = 100 * kSecond;
+  VolumeSpec narrow = Spec("narrow", b, BackupMode::kImage, 2 * kMiB);
 
-  NightReport report = f.RunNight({sa, sb, sc});
-  ASSERT_TRUE(report.status.ok());
-  EXPECT_EQ(report.backfills, 0u);
-  SimTime beta_start = -1;
-  SimTime gamma_start = -1;
-  for (const VolumeOutcome& v : report.volumes) {
-    if (v.name == "beta") beta_start = v.started;
-    if (v.name == "gamma") gamma_start = v.started;
+  NightReport report = f.RunNight({wide, narrow});
+  ASSERT_EQ(report.volumes[0].status.code(), ErrorCode::kInvalidArgument)
+      << report.volumes[0].status.ToString();
+  EXPECT_EQ(report.volumes[0].attempts, 0);
+  EXPECT_EQ(report.status.code(), ErrorCode::kInvalidArgument);
+  ASSERT_TRUE(report.volumes[1].status.ok())
+      << report.volumes[1].status.ToString();
+  for (const DriveGrant& g : report.grants) {
+    EXPECT_EQ(g.volume, 1u);
   }
-  EXPECT_GE(gamma_start, beta_start)
-      << "gamma must not start before the parked beta";
+
+  NightlyScheduler scheduler(&f.filer, f.config, {wide, narrow});
+  const NightPlan plan = scheduler.BuildPlan();
+  ASSERT_EQ(plan.assignments.size(), 1u);
+  EXPECT_EQ(scheduler.volumes()[plan.assignments[0].volume].name, "narrow");
+  EXPECT_EQ(plan.assignments[0].start, 0);
+  EXPECT_FALSE(plan.assignments[0].backfill);
 }
 
 // BuildPlan is pure: repeated calls serialize identically, and the plan

@@ -1,9 +1,8 @@
 // SloMonitor unit tests: progress/ETA/deadline-risk math on the simulated
-// clock, registration and completion semantics, breach accounting, the
-// tracer span-listener latency path, and the JSON shape the scheduler
-// embeds as night_health. A final integration case runs a real (tiny)
-// night with deliberately tight deadlines and asserts every miss was
-// flagged while the night was still live.
+// clock, registration and completion semantics, breach accounting, and the
+// JSON shape the scheduler embeds as night_health. A final integration case
+// runs a real (tiny) night with deliberately tight deadlines and asserts
+// every miss was flagged while the night was still live.
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "src/fs/filesystem.h"
 #include "src/obs/json.h"
 #include "src/obs/slo.h"
-#include "src/obs/trace.h"
 #include "src/sim/environment.h"
 #include "src/util/units.h"
 #include "src/workload/population.h"
@@ -162,41 +160,11 @@ TEST(SloMonitorTest, ReRegisteringResetsTheObjective) {
   EXPECT_FALSE(s.entries[0].breached);
 }
 
-TEST(SloMonitorTest, LatencyObjectivesRideTheSpanListener) {
-  SimEnvironment env;
-  SloMonitor monitor(&env);
-  Tracer tracer(&env);
-  tracer.set_span_listener(&monitor);
-  monitor.AddLatencyObjective("tape.write", /*target=*/1 * kSecond);
-  monitor.AddLatencyObjective("tape.write", /*target=*/1 * kMillisecond);
-
-  const uint32_t track = tracer.Track("drive");
-  for (int i = 0; i < 4; ++i) {
-    tracer.Begin(track, "tape.write");
-    env.RunUntil(env.now() + 4 * kMillisecond);
-    tracer.End(track);
-    tracer.Begin(track, "unrelated");  // must not feed the objective
-    env.RunUntil(env.now() + 10 * kSecond);
-    tracer.End(track);
-  }
-  tracer.set_span_listener(nullptr);
-
-  std::vector<SloLatencyStatus> st = monitor.LatencyStatus();
-  ASSERT_EQ(st.size(), 2u);
-  EXPECT_EQ(st[0].count, 4u);
-  EXPECT_EQ(st[1].count, 4u);
-  // 4 ms writes: bucket-granular p99 sits far under 1 s, over 1 ms.
-  EXPECT_FALSE(st[0].breached);
-  EXPECT_TRUE(st[1].breached);
-  EXPECT_GT(st[1].observed, 1 * kMillisecond);
-}
-
 TEST(SloMonitorTest, WriteJsonCarriesSamplesObjectivesAndLatency) {
   SimEnvironment env;
   SloMonitor monitor(&env);
   monitor.Register("home", /*deadline=*/100 * kSecond,
                    /*total_bytes=*/100 * kMB);
-  monitor.AddLatencyObjective("tape.write", /*target=*/1 * kSecond);
   env.RunUntil(20 * kSecond);
   monitor.ReportProgress("home", 10 * kMB);
   monitor.Sample();
@@ -227,10 +195,6 @@ TEST(SloMonitorTest, WriteJsonCarriesSamplesObjectivesAndLatency) {
   EXPECT_TRUE(obj["done"].bool_value());
   EXPECT_TRUE(obj["ok"].bool_value());
   EXPECT_TRUE(obj["flagged_live"].bool_value());
-
-  ASSERT_EQ(doc["latency"].array().size(), 1u);
-  EXPECT_EQ(doc["latency"].array()[0]["span"].string_value(), "tape.write");
-  EXPECT_EQ(doc["latency"].array()[0]["count"].int_value(), 0);
 }
 
 // ----------------------------------------------------- night integration ---
