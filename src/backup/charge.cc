@@ -24,6 +24,11 @@ SimDuration RetryPolicy::BackoffBefore(int retry) const {
 
 namespace {
 
+// Supervised disk recovery: the retry schedule for transient errors and the
+// replacement drives on the shelf.
+constexpr RetryPolicy kDiskRetry;
+constexpr uint64_t kHotSpareDisks = 1;
+
 struct Run {
   Dbn start;
   uint64_t count;
@@ -77,9 +82,7 @@ Task DegradedRun(SimEnvironment* env, RaidGroup* group, size_t dead_column,
     env->Spawn(MemberRun(d, r, &latch));
   }
   co_await latch.Wait();
-  if (counters != nullptr) {
-    counters->reconstruction_reads += r.count;
-  }
+  counters->reconstruction_reads += r.count;
 }
 
 // Charges a full rebuild of one column: every member of the group — the
@@ -102,43 +105,34 @@ Task ChargeRebuildSweep(SimEnvironment* env, RaidGroup* group,
     env->Spawn(MemberRun(d, sweep, &latch));
   }
   co_await latch.Wait();
-  if (counters != nullptr) {
-    counters->reconstruction_reads +=
-        sweep.count * (members.size() > 0 ? members.size() - 1 : 0);
-  }
+  counters->reconstruction_reads += sweep.count * (members.size() - 1);
 }
 
-// Serves a list of runs on one disk — retrying, rebuilding or degrading per
-// `policy` — then signals the latch. `error` collects the first
-// unrecoverable failure.
+// Serves a list of runs on one disk — retrying, rebuilding or degrading when
+// `counters` is non-null — then signals the latch. `error` collects the
+// first unrecoverable failure.
 Task DiskRuns(SimEnvironment* env, Volume* volume, Disk* disk,
-              std::vector<Run> runs, const DiskFaultPolicy* policy,
-              Status* error, int priority, CountdownLatch* latch) {
+              std::vector<Run> runs, FaultCounters* counters, Status* error,
+              int priority, CountdownLatch* latch) {
   for (const Run& r : runs) {
     Status st;
     int attempt = 0;
     while (true) {
       ++attempt;
       co_await disk->TimedAccess(r.start, r.count, &st, priority);
-      if (st.ok() || policy == nullptr) {
+      if (st.ok() || counters == nullptr) {
         break;
       }
-      FaultCounters* counters = policy->counters;
-      if (counters != nullptr) {
-        ++counters->disk_io_errors;
-      }
+      ++counters->disk_io_errors;
       TRACE_INSTANT(env, "faults", "disk.error");
       if (disk->failed()) {
         // Permanent: swap in a hot spare and rebuild the column, or — with
         // no spare left — serve this run degraded off the survivors.
         const GroupLocation loc = FindGroupLocation(volume, disk);
-        if (!policy->reconstruct_on_failure || loc.group == nullptr ||
-            loc.group->failed_count() > 1) {
+        if (loc.group == nullptr || loc.group->failed_count() > 1) {
           break;  // double failure (or foreign disk): *error gets st
         }
-        if (counters != nullptr &&
-            counters->spare_disks_used <
-                static_cast<uint64_t>(std::max(0, policy->hot_spares))) {
+        if (counters->spare_disks_used < kHotSpareDisks) {
           ++counters->spare_disks_used;
           TRACE_INSTANT(env, "faults", "disk.spare_swap");
           disk->ReplaceWithBlank();
@@ -160,14 +154,12 @@ Task DiskRuns(SimEnvironment* env, Volume* volume, Disk* disk,
         break;
       }
       // Transient (the drive still answers): exponential backoff.
-      if (attempt >= policy->retry.max_attempts) {
+      if (attempt >= kDiskRetry.max_attempts) {
         break;
       }
-      if (counters != nullptr) {
-        ++counters->disk_retries;
-      }
+      ++counters->disk_retries;
       TRACE_INSTANT(env, "faults", "disk.retry");
-      co_await env->Delay(policy->retry.BackoffBefore(attempt));
+      co_await env->Delay(kDiskRetry.BackoffBefore(attempt));
     }
     if (!st.ok() && error != nullptr && error->ok()) {
       *error = st;
@@ -208,8 +200,7 @@ void AppendAccess(std::map<DiskKey, DiskSchedule>* per_disk, DiskKey key,
 
 Task ChargeDiskAccess(SimEnvironment* env, Volume* volume,
                       std::span<const Vbn> vbns, bool parity_writes,
-                      const DiskFaultPolicy* policy, Status* error,
-                      int priority) {
+                      FaultCounters* faults, Status* error, int priority) {
   std::map<DiskKey, DiskSchedule> per_disk;
   // Parity: per RAID group, mirror of the data run pattern (one parity
   // touch per distinct stripe, coalesced the same way).
@@ -234,13 +225,13 @@ Task ChargeDiskAccess(SimEnvironment* env, Volume* volume,
   CountdownLatch latch(env, static_cast<int>(per_disk.size()));
   for (auto& [key, schedule] : per_disk) {
     env->Spawn(DiskRuns(env, volume, schedule.disk, std::move(schedule.runs),
-                        policy, error, priority, &latch));
+                        faults, error, priority, &latch));
   }
   co_await latch.Wait();
 }
 
 Task ChargeSequentialWrites(SimEnvironment* env, Volume* volume,
-                            uint64_t blocks, const DiskFaultPolicy* policy,
+                            uint64_t blocks, FaultCounters* faults,
                             Status* error, int priority) {
   if (blocks == 0) {
     co_return;
@@ -263,7 +254,7 @@ Task ChargeSequentialWrites(SimEnvironment* env, Volume* volume,
   CountdownLatch latch(env, static_cast<int>(shares.size()));
   for (auto& [disk, count] : shares) {
     std::vector<Run> runs{Run{disk->head_position(), count}};
-    env->Spawn(DiskRuns(env, volume, disk, std::move(runs), policy, error,
+    env->Spawn(DiskRuns(env, volume, disk, std::move(runs), faults, error,
                         priority, &latch));
   }
   co_await latch.Wait();

@@ -33,32 +33,25 @@ struct RetryPolicy {
   SimDuration BackoffBefore(int retry) const;
 };
 
-// How the charging layer reacts when a disk access fails. Transient errors
-// are retried on the RetryPolicy schedule; a drive that is *failed* is
-// handled through RAID: swap in a hot spare and rebuild the column (charging
-// a full group sweep), or — with no spare left — serve each run degraded by
-// reading the surviving members of the group and reconstructing from parity.
-struct DiskFaultPolicy {
-  RetryPolicy retry;
-  bool reconstruct_on_failure = true;
-  int hot_spares = 0;                // replacement drives on the shelf
-  // Recovery bookkeeping; also gates the spare budget (spare swaps are
-  // skipped when null).
-  FaultCounters* counters = nullptr;
-};
-
 // Charges the arms of `volume` for accessing `vbns` in the given order.
 // Consecutive vbns that land contiguously on a disk coalesce into one
 // transfer. With `parity_writes`, each touched RAID group's parity disk is
 // charged a mirror of the heaviest data-disk run set in that group
-// (RAID-4 full-stripe write behaviour). A non-null `policy` enables fault
-// recovery per the policy; the first unrecoverable error lands in `*error`
-// (which must then be non-null and start Ok). `priority` is the disk-arm
-// scheduling class (kPriorityBackground for a QoS-demoted dump); fault
-// recovery traffic always runs foreground — a degraded group is urgent.
+// (RAID-4 full-stripe write behaviour).
+//
+// A non-null `faults` enables recovery, each action counted there:
+// transient errors retry on the default RetryPolicy schedule; a *failed*
+// drive is handled through RAID — swap in the one hot spare and rebuild the
+// column (charging a full group sweep), or, with the spare used, serve each
+// run degraded by reading the surviving members of the group and
+// reconstructing from parity. The first unrecoverable error lands in
+// `*error` (which must then be non-null and start Ok). `priority` is the
+// disk-arm scheduling class (kPriorityBackground for a QoS-demoted dump);
+// fault recovery traffic always runs foreground — a degraded group is
+// urgent.
 Task ChargeDiskAccess(SimEnvironment* env, Volume* volume,
                       std::span<const Vbn> vbns, bool parity_writes,
-                      const DiskFaultPolicy* policy = nullptr,
+                      FaultCounters* faults = nullptr,
                       Status* error = nullptr,
                       int priority = kPriorityForeground);
 
@@ -68,8 +61,7 @@ Task ChargeDiskAccess(SimEnvironment* env, Volume* volume,
 // allocator lays restored data out sequentially regardless of how the
 // stream was ordered.
 Task ChargeSequentialWrites(SimEnvironment* env, Volume* volume,
-                            uint64_t blocks,
-                            const DiskFaultPolicy* policy = nullptr,
+                            uint64_t blocks, FaultCounters* faults = nullptr,
                             Status* error = nullptr,
                             int priority = kPriorityForeground);
 

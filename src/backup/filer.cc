@@ -2,6 +2,13 @@
 
 namespace bkup {
 
+namespace {
+
+// NVRAM log copy bandwidth.
+constexpr double kNvramMbPerS = 16.0;
+
+}  // namespace
+
 FilerModel FilerModel::F630() {
   FilerModel m;
   auto set = [&m](CpuCost kind, SimDuration us) {
@@ -24,6 +31,14 @@ FilerModel FilerModel::F630() {
   set(CpuCost::kNvramByte, 0);  // modeled by the NVRAM port bandwidth
   set(CpuCost::kPathLookup, 120);
   return m;
+}
+
+Task Filer::ChargeNvram(uint64_t bytes, int priority) {
+  const SimDuration cost =
+      SecondsToSim(static_cast<double>(bytes) / (kNvramMbPerS * 1e6));
+  if (cost > 0) {
+    co_await nvram_port_.Use(1, cost, priority);
+  }
 }
 
 }  // namespace bkup

@@ -26,14 +26,10 @@ struct FilerModel {
   // Per-unit CPU time for each work class, microseconds.
   std::array<SimDuration, kNumCpuCosts> cpu_cost_us{};
 
-  // NVRAM log copy bandwidth; logical restore funnels every byte through
-  // it, physical restore bypasses it entirely.
-  double nvram_mb_per_s = 16.0;
-
-  // Snapshot bookkeeping (Table 3: ~30 s create / ~35 s delete, ~50% CPU).
+  // Snapshot bookkeeping (Table 3: ~30 s create / ~35 s delete, at the
+  // 50% CPU duty cycle SnapshotPhase holds).
   SimDuration snapshot_create_time = 30 * kSecond;
   SimDuration snapshot_delete_time = 35 * kSecond;
-  double snapshot_cpu_fraction = 0.5;
 
   // The F630 as configured in §5.
   static FilerModel F630();
@@ -60,7 +56,6 @@ class Filer {
   SimEnvironment* env() { return env_; }
   const FilerModel& model() const { return model_; }
   Resource& cpu() { return cpu_; }
-  Resource& nvram_port() { return nvram_port_; }
 
   // Holds the CPU for the model cost of `charges`. `priority` is the CPU
   // scheduling class (kPriorityBackground demotes a QoS-throttled dump
@@ -73,14 +68,9 @@ class Filer {
     }
   }
 
-  // Streams `bytes` through the NVRAM log port.
-  Task ChargeNvram(uint64_t bytes, int priority = kPriorityForeground) {
-    const SimDuration cost = SecondsToSim(
-        static_cast<double>(bytes) / (model_.nvram_mb_per_s * 1e6));
-    if (cost > 0) {
-      co_await nvram_port_.Use(1, cost, priority);
-    }
-  }
+  // Streams `bytes` through the NVRAM log port (16 MB/s; logical restore
+  // funnels every byte through it, physical restore bypasses it entirely).
+  Task ChargeNvram(uint64_t bytes, int priority = kPriorityForeground);
 
  private:
   SimEnvironment* env_;

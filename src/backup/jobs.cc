@@ -9,14 +9,19 @@
 #include "src/backup/parallel.h"
 #include "src/backup/remote.h"
 #include "src/backup/replay.h"
-#include "src/backup/supervisor.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace bkup {
 
 namespace {
+
+// Crash-resumable restores: a killed restore process is restarted (after
+// reboot-scale backoff) and resumed from the catalog diff, up to
+// max_attempts incarnations.
+constexpr RetryPolicy kRestartRetry{.max_attempts = 8,
+                                    .initial_backoff = kSecond,
+                                    .max_backoff = 30 * kSecond};
 
 void OpenReport(JobReport* report, Filer* filer, std::string name) {
   report->name = std::move(name);
@@ -137,11 +142,6 @@ Task LogicalBackupBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
   }
 
   options.dump_time = env->now();
-  if (ep.supervision != nullptr && ep.supervision->skip_unreadable_files) {
-    // Graceful degradation: a logical dump can drop what it cannot read
-    // and still produce a consistent stream; an image dump cannot.
-    options.skip_unreadable = true;
-  }
   Result<FsReader> reader = fs->SnapshotReader(options.snapshot_name);
   if (!reader.ok()) {
     report.status = reader.status();
@@ -465,10 +465,6 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
   options.kill = resume.kill;
   options.checkpoint_every = resume.checkpoint_every;
 
-  static const SupervisionPolicy kDefaultPolicy;
-  const RetryPolicy& restart = (supervision != nullptr ? *supervision
-                                                       : kDefaultPolicy)
-                                   .restart_retry;
   // One trace spans every incarnation: each supervised restart continues
   // the same trace id with a bumped incarnation label.
   TraceContext ctx;
@@ -520,51 +516,24 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
     if (Tracer* tracer = env->tracer()) {
       tracer->Instant(tracer->Track("faults"), "restore.kill", ctx);
     }
-    if (FlightRecorder* recorder = env->flight_recorder()) {
-      recorder->RecordFault(
-          "crash", report.name,
-          "kill at offset " + std::to_string(result->restore.stopped_at) +
-              ", incarnation " + std::to_string(attempt));
-    }
     ctx = ctx.NextIncarnation();
     ++attempt;
-    if (attempt >= restart.max_attempts) {
+    if (attempt >= kRestartRetry.max_attempts) {
       report.status = Exhausted("restore restart budget exhausted");
       break;
     }
-    co_await env->Delay(restart.BackoffBefore(attempt));
-    if (resume.remount_between_attempts) {
-      fs->reset();
-      Result<std::unique_ptr<Filesystem>> mounted =
-          Filesystem::Mount(volume, env);
-      if (!mounted.ok()) {
-        report.status = mounted.status();
-        break;
-      }
-      *fs = std::move(*mounted);
+    co_await env->Delay(kRestartRetry.BackoffBefore(attempt));
+    fs->reset();
+    Result<std::unique_ptr<Filesystem>> mounted =
+        Filesystem::Mount(volume, env);
+    if (!mounted.ok()) {
+      report.status = mounted.status();
+      break;
     }
+    *fs = std::move(*mounted);
   }
 
   CloseReport(&report, filer);
-  // Chaos-kill black box: a run that had to resume leaves a flight record
-  // whose kill points and replayed-range stats mirror JobReport.resume.
-  if (FlightRecorder* recorder = env->flight_recorder();
-      recorder != nullptr && report.resume.resumes > 0) {
-    recorder->AddStateProvider("resumable_restore", [&](JsonWriter* w) {
-      w->BeginObject()
-          .Field("job", report.name)
-          .Field("attempts", static_cast<uint64_t>(result->attempts))
-          .Field("resumes", report.resume.resumes)
-          .Field("bytes_replayed", report.resume.bytes_replayed)
-          .Field("bytes_skipped", report.resume.bytes_skipped)
-          .Field("entries_skipped", report.resume.entries_skipped)
-          .Field("checkpoints", report.resume.checkpoints)
-          .Field("status_ok", report.status.ok())
-          .EndObject();
-    });
-    KeepFirstError(&report, recorder->Dump("restore_resume"));
-    recorder->RemoveStateProvider("resumable_restore");
-  }
   done->CountDown();
 }
 

@@ -129,9 +129,6 @@ struct ResumableRestoreConfig {
   RestoreKillHook* kill = nullptr;
   // Mid-run consistency-point cadence passed to the engine.
   uint32_t checkpoint_every = 32;
-  // Model the full reboot: drop the in-memory file system between attempts
-  // and remount the volume's last consistency point.
-  bool remount_between_attempts = true;
   // Content stages the backup ran: the tape holds a wire image, which each
   // incarnation decodes before resuming; catalog offsets stay raw, replay
   // ranges are translated to post-stage wire coordinates through the
@@ -148,8 +145,10 @@ struct ResumableRestoreJobResult {
 // Runs a logical restore that survives process kills: each attempt resumes
 // from the catalog diff of the partially-restored tree, replaying only the
 // missing suffix through a ranged tape replay. Between attempts the file
-// system is remounted (crash-reboot) and the supervisor's restart_retry
-// schedule paces the restarts. `fs` is taken by pointer-to-owner because a
+// system is remounted (crash-reboot: the in-memory file system is dropped
+// and the volume's last consistency point mounted) and a fixed restart
+// schedule (8 incarnations, 1 s backoff doubling to 30 s) paces the
+// restarts, supervised or not. `fs` is taken by pointer-to-owner because a
 // remount replaces the Filesystem object.
 Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
                                 Volume* volume, TapeDrive* tape,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "src/backup/supervisor.h"
 #include "src/net/link.h"
 #include "src/net/stream_conn.h"
 #include "src/net/tape_server.h"
@@ -18,6 +17,23 @@ void KeepFirstError(JobReport* report, const Status& st) {
 }
 
 namespace {
+
+// Supervised tape recovery. Tape errors get fewer, quicker retries than disk
+// errors: a media defect never heals, so long backoff only delays the
+// remount decision.
+constexpr RetryPolicy kTapeRetry{.max_attempts = 4,
+                                 .initial_backoff = 250 * kMillisecond,
+                                 .max_backoff = 2 * kSecond};
+// Supervised remote streams: a connection that fails (a frame lost beyond
+// its retransmit budget) is reconnected and resumed from the receiver's
+// acked watermark, up to max_attempts fresh connections per stream.
+constexpr RetryPolicy kLinkRetry{.max_attempts = 5,
+                                 .initial_backoff = 500 * kMillisecond,
+                                 .max_backoff = 5 * kSecond};
+
+// Snapshot create/delete hold the filer CPU at this duty cycle (Table 3:
+// ~50%).
+constexpr double kSnapshotCpuFraction = 0.5;
 
 // One pipeline chunk: stream bytes [begin, end) produced under `phase`.
 struct StreamChunk {
@@ -99,7 +115,6 @@ Task RecoverTapeWrite(SimEnvironment* env, const StreamEndpoint& ep,
                       std::span<const uint8_t> stream, uint64_t begin,
                       uint64_t end, MediaCursor* media, JobReport* report,
                       Status* st) {
-  const SupervisionPolicy& sup = *ep.supervision;
   FaultCounters& faults = report->faults;
   uint64_t cursor = begin;     // start of the piece whose write failed
   uint64_t failed_at = begin;  // where the retry budget is being spent
@@ -110,15 +125,14 @@ Task RecoverTapeWrite(SimEnvironment* env, const StreamEndpoint& ep,
     if (st->code() == ErrorCode::kNoSpace) {
       co_return;  // capacity is the spanning path's job, not a fault
     }
-    if (attempt < sup.tape_retry.max_attempts) {
+    if (attempt < kTapeRetry.max_attempts) {
       ++faults.tape_retries;
       TRACE_INSTANT(env, "faults", "tape.retry");
-      co_await env->Delay(sup.tape_retry.BackoffBefore(attempt));
+      co_await env->Delay(kTapeRetry.BackoffBefore(attempt));
       ++attempt;
     } else {
       // Persistent: remount a spare and rewind to the checkpoint.
-      if (!sup.remount_on_media_error ||
-          media->next_spare >= ep.spare_tapes.size()) {
+      if (media->next_spare >= ep.spare_tapes.size()) {
         co_return;  // unrecoverable; *st keeps the final error
       }
       Tape* spare = ep.spare_tapes[media->next_spare++];
@@ -186,13 +200,12 @@ Task ReadTape(SimEnvironment* env, const StreamEndpoint& ep,
   Status st;
   co_await ep.drive->TimedRead(buf, &st);
   if (!st.ok() && ep.supervision != nullptr) {
-    const RetryPolicy& retry = ep.supervision->tape_retry;
     int attempt = 1;
-    while (!st.ok() && attempt < retry.max_attempts) {
+    while (!st.ok() && attempt < kTapeRetry.max_attempts) {
       ++report->faults.tape_errors;
       ++report->faults.tape_retries;
       TRACE_INSTANT(env, "faults", "tape.retry");
-      co_await env->Delay(retry.BackoffBefore(attempt));
+      co_await env->Delay(kTapeRetry.BackoffBefore(attempt));
       ++attempt;
       co_await ep.drive->TimedRead(buf, &st);
     }
@@ -209,7 +222,7 @@ Task ReadTape(SimEnvironment* env, const StreamEndpoint& ep,
 // byte span. The first connection carries the whole stream in the happy
 // case; when a connection fails (a frame lost beyond its retransmit budget)
 // the session drains it, reads its acked watermark, backs off per the
-// supervisor's link_retry, and resends [acked, high-watermark) on a fresh
+// kLinkRetry schedule, and resends [acked, high-watermark) on a fresh
 // connection — the network analogue of RecoverTapeWrite's remount ladder.
 // The receiver consumes connections in order from `conns()` and drains each
 // one's frames to end-of-stream, so its own write cursor always equals the
@@ -225,7 +238,7 @@ class StreamSession {
         name_(std::move(name)),
         server_node_(ServerNode(ep)),
         stream_(stream),
-        sup_(ep.supervision),
+        supervised_(ep.supervision != nullptr),
         report_(report),
         throttle_(ep.qos.throttle),
         conn_feed_(env, 16) {
@@ -280,7 +293,7 @@ class StreamSession {
 
  private:
   bool CanRecover() const {
-    return sup_ != nullptr && attempts_ < sup_->link_retry.max_attempts;
+    return supervised_ && attempts_ < kLinkRetry.max_attempts;
   }
 
   Task Connect() {
@@ -303,7 +316,7 @@ class StreamSession {
     old->CloseSend();
     acked_floor_ = std::max(acked_floor_, old->acked());
     ++attempts_;
-    co_await env_->Delay(sup_->link_retry.BackoffBefore(attempts_));
+    co_await env_->Delay(kLinkRetry.BackoffBefore(attempts_));
     ++report_->faults.link_reconnects;
     // The fresh connection is a new incarnation of the same trace: its
     // spans and frames stay under one trace id, labeled with the count.
@@ -326,7 +339,7 @@ class StreamSession {
   std::string server_node_;
   TraceContext ctx_;
   std::span<const uint8_t> stream_;
-  const SupervisionPolicy* sup_;
+  bool supervised_;
   JobReport* report_;
   BackupThrottle* throttle_;
   Channel<StreamConn*> conn_feed_;
@@ -443,27 +456,18 @@ Task RemoteTapeWriterProc(ReplayConfig cfg, std::span<const uint8_t> stream,
   writer_done->Notify();
 }
 
-// The disk recovery a supervised endpoint arms, counted in `report`; none
-// without supervision.
-std::optional<DiskFaultPolicy> DiskPolicy(const StreamEndpoint& ep,
-                                          JobReport* report) {
-  if (ep.supervision == nullptr) {
-    return std::nullopt;
-  }
-  return ep.supervision->MakeDiskPolicy(&report->faults);
-}
-
 // Charges one event's disk reads, then signals its ready-event and frees a
 // slot in the read-ahead window.
 Task DiskFetch(ReplayConfig cfg, const IoEvent* event, JobReport* report,
                SimEvent* ready, Resource* window) {
   const StreamEndpoint& ep = *cfg.endpoint;
-  const std::optional<DiskFaultPolicy> policy = DiskPolicy(ep, report);
+  // A supervised endpoint arms disk recovery, counted in the report.
   Status error;
-  co_await ChargeDiskAccess(cfg.filer->env(), cfg.volume, event->disk_reads,
-                            /*parity_writes=*/false,
-                            policy ? &*policy : nullptr, &error,
-                            ep.qos.io_priority);
+  co_await ChargeDiskAccess(
+      cfg.filer->env(), cfg.volume, event->disk_reads,
+      /*parity_writes=*/false,
+      ep.supervision != nullptr ? &report->faults : nullptr, &error,
+      ep.qos.io_priority);
   KeepFirstError(report, error);
   ready->Notify();
   window->Release();
@@ -726,7 +730,7 @@ Task RangedRemoteTapeReaderProc(ReplayConfig cfg,
       }
       ++report->faults.tape_errors;
       if (ep.supervision == nullptr ||
-          attempt + 1 >= ep.supervision->tape_retry.max_attempts) {
+          attempt + 1 >= kTapeRetry.max_attempts) {
         KeepFirstError(report, read_st);
         failed = true;
         break;
@@ -734,7 +738,7 @@ Task RangedRemoteTapeReaderProc(ReplayConfig cfg,
       ++report->faults.tape_retries;
       TRACE_INSTANT(env, "faults", "tape.retry");
       ++attempt;
-      co_await env->Delay(ep.supervision->tape_retry.BackoffBefore(attempt));
+      co_await env->Delay(kTapeRetry.BackoffBefore(attempt));
     }
     if (failed) {
       break;
@@ -825,16 +829,16 @@ Task DiskFlush(ReplayConfig cfg, std::vector<Vbn> writes,
                uint64_t seq_blocks, JobReport* report, Resource* window) {
   SimEnvironment* env = cfg.filer->env();
   const StreamEndpoint& ep = *cfg.endpoint;
-  const std::optional<DiskFaultPolicy> policy = DiskPolicy(ep, report);
-  const DiskFaultPolicy* pp = policy ? &*policy : nullptr;
+  FaultCounters* faults =
+      ep.supervision != nullptr ? &report->faults : nullptr;
   Status error;
   if (!writes.empty()) {
     co_await ChargeDiskAccess(env, cfg.volume, writes,
-                              /*parity_writes=*/true, pp, &error,
+                              /*parity_writes=*/true, faults, &error,
                               ep.qos.io_priority);
   } else if (seq_blocks > 0) {
-    co_await ChargeSequentialWrites(env, cfg.volume, seq_blocks, pp, &error,
-                                    ep.qos.io_priority);
+    co_await ChargeSequentialWrites(env, cfg.volume, seq_blocks, faults,
+                                    &error, ep.qos.io_priority);
   }
   KeepFirstError(report, error);
   window->Release();
@@ -1064,7 +1068,7 @@ Task SnapshotPhase(Filer* filer, JobReport* report, JobPhase phase,
   const SimTime deadline = env->now() + duration;
   const SimDuration slice = 20 * kMillisecond;
   const auto busy_slice = static_cast<SimDuration>(
-      static_cast<double>(slice) * filer->model().snapshot_cpu_fraction);
+      static_cast<double>(slice) * kSnapshotCpuFraction);
   while (env->now() < deadline) {
     co_await filer->cpu().Use(1, busy_slice, priority);
     const SimDuration idle =

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <optional>
 
-#include "src/obs/flight_recorder.h"
 #include "src/obs/json.h"
 
 namespace bkup {
@@ -490,39 +489,12 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
     monitor.Register(volumes_[v].name, volumes_[v].deadline,
                      volumes_[v].estimated_bytes);
   }
-  std::vector<bool> breach_dumped(nvol, false);
 
   std::vector<size_t> pending = Queue();
 
   Channel<Completion> completions(env, nvol + 8);
   size_t running = 0;
   size_t wakers = 0;
-
-  // Publish live queue state to the flight recorder (if one is attached)
-  // for the duration of the night; a dump mid-night shows who was running,
-  // who was parked and which drives were condemned.
-  FlightRecorder* recorder = env->flight_recorder();
-  if (recorder != nullptr) {
-    recorder->AddStateProvider("scheduler_queue", [&](JsonWriter* w) {
-      w->BeginObject();
-      w->Field("running", static_cast<uint64_t>(running));
-      w->Key("pending").BeginArray();
-      for (size_t v : pending) {
-        w->String(volumes_[v].name);
-      }
-      w->EndArray();
-      w->Key("drives").BeginArray();
-      for (size_t d = 0; d < ndrv; ++d) {
-        w->BeginObject()
-            .Field("name", config_.drives[d]->name())
-            .Field("busy", static_cast<bool>(busy[d]))
-            .Field("healthy", static_cast<bool>(healthy[d]))
-            .EndObject();
-      }
-      w->EndArray();
-      w->EndObject();
-    });
-  }
 
   // First health sample fires one period in; re-armed after every tick
   // while work remains.
@@ -549,8 +521,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
   };
 
   // Finishes `v` without a successful job: terminal failure bookkeeping.
-  // The failure is a black-box moment — dump the flight recorder so the
-  // queue state and fault ring at the point of no return are preserved.
   auto fail_volume = [&](size_t v, Status st) {
     VolumeOutcome& out = report->volumes[v];
     out.status = std::move(st);
@@ -562,14 +532,9 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
       report->status = out.status;
     }
     monitor.Complete(volumes_[v].name, /*ok=*/false);
-    if (recorder != nullptr) {
-      (void)recorder->Dump("job_failure");
-    }
   };
 
-  // Reads live progress off the tape heads and appends one health sample;
-  // a fresh breach (deadline passed with the volume still unfinished)
-  // triggers a flight-recorder dump exactly once per volume.
+  // Reads live progress off the tape heads and appends one health sample.
   auto sample_health = [&]() {
     for (size_t v = 0; v < nvol; ++v) {
       if (open_grants[v].empty()) {
@@ -585,15 +550,7 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
       }
       monitor.ReportProgress(volumes_[v].name, done_bytes);
     }
-    const SloHealthSample& sample = monitor.Sample();
-    for (size_t v = 0; v < nvol && v < sample.entries.size(); ++v) {
-      if (sample.entries[v].breached && !breach_dumped[v]) {
-        breach_dumped[v] = true;
-        if (recorder != nullptr) {
-          (void)recorder->Dump("slo_breach");
-        }
-      }
-    }
+    monitor.Sample();
   };
 
   // A volume wider than the fleet can never start: Queue() left it out, so
@@ -823,9 +780,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
   for (size_t v = 0; v < nvol; ++v) {
     report->volumes[v].slo_flagged_live =
         monitor.WasFlaggedLive(volumes_[v].name);
-  }
-  if (recorder != nullptr) {
-    recorder->RemoveStateProvider("scheduler_queue");
   }
 
   // Drain outstanding deadline ticks so their channel pointer stays valid.

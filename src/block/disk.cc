@@ -13,7 +13,7 @@ Disk::Disk(SimEnvironment* env, std::string name, uint64_t num_blocks,
       timing_(timing),
       arm_(env, 1, name_ + ".arm"),
       metric_access_us_(MetricsRegistry::Default().GetHistogram(
-          "disk.access_us", HistogramOptions::Log2(), {{"device", name_}})),
+          "disk.access_us", {{"device", name_}})),
       metric_bytes_(MetricsRegistry::Default().GetCounter("disk.bytes",
                                                           {{"device", name_}})),
       metric_errors_(MetricsRegistry::Default().GetCounter(

@@ -76,24 +76,6 @@ struct IoEvent {
 
 struct IoTrace {
   std::vector<IoEvent> events;
-
-  uint64_t TotalStreamBytes() const {
-    return events.empty() ? 0 : events.back().stream_end;
-  }
-  uint64_t TotalDiskReads() const {
-    uint64_t n = 0;
-    for (const IoEvent& e : events) {
-      n += e.disk_reads.size();
-    }
-    return n;
-  }
-  uint64_t TotalBlocksWritten() const {
-    uint64_t n = 0;
-    for (const IoEvent& e : events) {
-      n += e.blocks_written;
-    }
-    return n;
-  }
 };
 
 }  // namespace bkup

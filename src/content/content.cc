@@ -12,12 +12,6 @@ namespace bkup {
 
 namespace {
 
-// ChunkIndex journal framing (the TapeCatalog idiom: entry frames sealed by
-// running-CRC checkpoints, so a torn tail drops cleanly).
-constexpr uint32_t kChunkIndexMagic = 0x424B4349;  // "BKCI"
-constexpr uint8_t kJournalEntry = 1;
-constexpr uint8_t kJournalCheckpoint = 2;
-
 // Wire frame types and flags.
 constexpr uint8_t kFrameLiteral = 1;
 constexpr uint8_t kFrameRef = 2;
@@ -214,116 +208,21 @@ bool ChunkIndex::CorruptEntryForTest(uint64_t hash) {
   return true;
 }
 
-std::vector<uint8_t> ChunkIndex::Serialize(uint32_t checkpoint_every) const {
-  if (checkpoint_every == 0) {
-    checkpoint_every = 1;
-  }
-  // Hash order: deterministic regardless of insertion history.
-  std::vector<const std::pair<const uint64_t, Entry>*> sorted;
-  sorted.reserve(map_.size());
-  for (const auto& kv : map_) {
-    sorted.push_back(&kv);
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-
-  std::vector<uint8_t> image;
-  ByteWriter w(&image);
-  w.PutU32(kChunkIndexMagic);
-  uint32_t unsealed = 0;
-  auto Seal = [&image, &w]() {
-    const uint32_t crc = Crc32c(image);
-    w.PutU8(kJournalCheckpoint);
-    w.PutU32(crc);
-  };
-  for (const auto* kv : sorted) {
-    w.PutU8(kJournalEntry);
-    w.PutU64(kv->first);
-    w.PutU32(kv->second.crc);
-    w.PutU32(static_cast<uint32_t>(kv->second.bytes.size()));
-    w.PutBytes(kv->second.bytes);
-    if (++unsealed >= checkpoint_every) {
-      Seal();
-      unsealed = 0;
-    }
-  }
-  Seal();  // always end sealed (also seals the empty index)
-  return image;
-}
-
-Result<ChunkIndex> ChunkIndex::Load(std::span<const uint8_t> image) {
-  ByteReader r(image);
-  Result<uint32_t> magic = r.ReadU32();
-  if (!magic.ok() || *magic != kChunkIndexMagic) {
-    return Corruption("bad chunk index magic");
-  }
-  ChunkIndex index;
-  // Entries read since the last intact checkpoint; committed only when the
-  // next checkpoint's running CRC matches.
-  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> tentative;
-  bool sealed_once = false;
-  while (!r.exhausted()) {
-    Result<uint8_t> type = r.ReadU8();
-    if (!type.ok()) {
-      break;  // torn tail
-    }
-    if (*type == kJournalCheckpoint) {
-      const size_t frame_start = r.position() - 1;
-      Result<uint32_t> crc = r.ReadU32();
-      if (!crc.ok()) {
-        break;  // torn tail
-      }
-      if (*crc != Crc32c(image.first(frame_start))) {
-        // A flip in the sealed prefix fails this and every later
-        // checkpoint; nothing after the last good seal can be trusted.
-        break;
-      }
-      for (auto& [hash, bytes] : tentative) {
-        index.Insert(hash, bytes);
-      }
-      tentative.clear();
-      sealed_once = true;
-      continue;
-    }
-    if (*type != kJournalEntry) {
-      break;  // garbage; keep what the last checkpoint sealed
-    }
-    Result<uint64_t> hash = r.ReadU64();
-    Result<uint32_t> crc = r.ReadU32();
-    Result<uint32_t> len = r.ReadU32();
-    if (!hash.ok() || !crc.ok() || !len.ok()) {
-      break;
-    }
-    Result<std::vector<uint8_t>> bytes = r.ReadBytes(*len);
-    if (!bytes.ok()) {
-      break;
-    }
-    if (Crc32c(*bytes) != *crc) {
-      break;  // entry body damaged; the next checkpoint would fail anyway
-    }
-    tentative.emplace_back(*hash, std::move(*bytes));
-  }
-  if (!sealed_once) {
-    return Corruption("chunk index has no intact checkpointed prefix");
-  }
-  return index;
-}
-
 // ---------------------------------------------------------- ContentConfig ---
 
 SimDuration ContentConfig::EncodeCpuPerMb() const {
   SimDuration us = 0;
-  if (chunk) us += chunk_cpu_us_per_mb;
-  if (dedup) us += dedup_cpu_us_per_mb;
-  if (compress) us += compress_cpu_us_per_mb;
-  if (crc) us += crc_cpu_us_per_mb;
+  if (chunk) us += kChunkCpuUsPerMb;
+  if (dedup) us += kDedupCpuUsPerMb;
+  if (compress) us += kCompressCpuUsPerMb;
+  if (crc) us += kCrcCpuUsPerMb;
   return us;
 }
 
 SimDuration ContentConfig::DecodeCpuPerMb() const {
   SimDuration us = 0;
-  if (crc) us += crc_cpu_us_per_mb;
-  if (compress || dedup) us += decode_cpu_us_per_mb;
+  if (crc) us += kCrcCpuUsPerMb;
+  if (compress || dedup) us += kDecodeCpuUsPerMb;
   return us;
 }
 

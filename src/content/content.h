@@ -48,10 +48,9 @@
 
 namespace bkup {
 
-// Persistent chunk store: content hash -> raw chunk bytes, journaled next
-// to the TapeCatalog with the same torn-tail-tolerant entry/checkpoint
-// format. Backups insert the chunks they store; later backups dedup
-// against it; restores of compressed or dedup'd media reconstruct from it.
+// In-memory chunk store: content hash -> raw chunk bytes. Backups insert
+// the chunks they store; later backups dedup against it; restores of
+// compressed or dedup'd media reconstruct from it.
 class ChunkIndex {
  public:
   struct Entry {
@@ -66,13 +65,6 @@ class ChunkIndex {
 
   size_t size() const { return map_.size(); }
   uint64_t stored_bytes() const { return stored_bytes_; }
-
-  // Durable journal image (entry frames sealed by periodic checkpoint
-  // frames, like TapeCatalog::Serialize) and its torn-tail-tolerant loader:
-  // entries past the last intact checkpoint are dropped, a corrupt sealed
-  // prefix fails with kCorruption.
-  std::vector<uint8_t> Serialize(uint32_t checkpoint_every = 64) const;
-  static Result<ChunkIndex> Load(std::span<const uint8_t> image);
 
   // Test hook: flips a byte of the stored entry for `hash` (keeping its
   // sealed CRC), so decode-side verification can be exercised. Returns
@@ -112,11 +104,11 @@ struct ContentConfig {
 
   // Per-MB CPU prices (simulated us per 10^6 raw bytes), charged at the
   // replay's QoS priority class while the stream moves.
-  SimDuration chunk_cpu_us_per_mb = 150;
-  SimDuration dedup_cpu_us_per_mb = 250;
-  SimDuration compress_cpu_us_per_mb = 1000;
-  SimDuration crc_cpu_us_per_mb = 150;
-  SimDuration decode_cpu_us_per_mb = 500;  // store lookup + decompress
+  static constexpr SimDuration kChunkCpuUsPerMb = 150;
+  static constexpr SimDuration kDedupCpuUsPerMb = 250;
+  static constexpr SimDuration kCompressCpuUsPerMb = 1000;
+  static constexpr SimDuration kCrcCpuUsPerMb = 150;
+  static constexpr SimDuration kDecodeCpuUsPerMb = 500;  // lookup + inflate
 
   bool enabled() const { return chunk || dedup || compress || crc; }
 

@@ -37,7 +37,6 @@ class RestoreCatalog {
   // root (the directory that is nobody's child) and builds parent links.
   Status Finalize();
 
-  bool finalized() const { return finalized_; }
   Inum root() const { return root_; }
   size_t num_directories() const { return dirs_.size(); }
 

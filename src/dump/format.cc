@@ -1,11 +1,30 @@
 #include "src/dump/format.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/util/checksum.h"
 #include "src/util/serdes.h"
 
 namespace bkup {
+
+namespace {
+
+// Presence bits set among the record's first map_count.
+uint64_t CountPresent(const DumpRecord& rec) {
+  uint64_t n = 0;
+  for (size_t i = 0; i < rec.block_map.size(); ++i) {
+    unsigned bits = rec.block_map[i];
+    const uint32_t tail = rec.map_count - static_cast<uint32_t>(i * 8);
+    if (tail < 8) {
+      bits &= (1u << tail) - 1;
+    }
+    n += std::popcount(bits);
+  }
+  return n;
+}
+
+}  // namespace
 
 Result<std::vector<uint8_t>> DumpRecord::Serialize() const {
   std::vector<uint8_t> out;
@@ -114,6 +133,9 @@ Result<DumpRecord> DumpRecord::Parse(std::span<const uint8_t> bytes) {
     case DumpRecordType::kDumpedMap: {
       BKUP_ASSIGN_OR_RETURN(rec.map_bytes, r.ReadU32());
       BKUP_ASSIGN_OR_RETURN(rec.map_inode_count, r.ReadU32());
+      if (static_cast<uint64_t>(rec.map_bytes) * 8 < rec.map_inode_count) {
+        return Corruption("dump record inode map shorter than its count");
+      }
       break;
     }
     case DumpRecordType::kDirectory:
@@ -144,6 +166,14 @@ Result<DumpRecord> DumpRecord::Parse(std::span<const uint8_t> bytes) {
         return Corruption("dump record map too large");
       }
       BKUP_ASSIGN_OR_RETURN(rec.block_map, r.ReadBytes((rec.map_count + 7) / 8));
+      if (rec.type == DumpRecordType::kDirectory) {
+        if (rec.payload_bytes >
+            static_cast<uint64_t>(rec.present_count) * kDumpRecordSize) {
+          return Corruption("dump record directory payload overflows blocks");
+        }
+      } else if (CountPresent(rec) > rec.present_count) {
+        return Corruption("dump record presence bits exceed its data blocks");
+      }
       break;
     }
     case DumpRecordType::kEnd:

@@ -12,6 +12,10 @@ namespace bkup {
 
 namespace {
 
+// Durable catalog journal cadence: a checkpoint frame seals the entry
+// journal every this many records, bounding what a torn tail can lose.
+constexpr uint32_t kCatalogCheckpointEvery = 64;
+
 // Working state for one dump run.
 struct DumpContext {
   const FsReader* reader;
@@ -377,7 +381,7 @@ Result<LogicalDumpOutput> RunLogicalDump(const FsReader& reader,
   DumpContext ctx;
   ctx.reader = &reader;
   ctx.options = &options;
-  ctx.catalog_writer = TapeCatalogWriter(options.catalog_checkpoint_every);
+  ctx.catalog_writer = TapeCatalogWriter(kCatalogCheckpointEvery);
 
   BKUP_RETURN_IF_ERROR(MapPhase(&ctx));
   if (options.skip_unreadable) {

@@ -46,9 +46,6 @@ struct LogicalDumpOptions {
   // This is a logical-dump-only luxury — image dump has no file boundaries
   // to skip at and must hard-fail on an unreadable block.
   bool skip_unreadable = false;
-  // Durable catalog journal cadence: a checkpoint frame seals the entry
-  // journal every this many records, bounding what a torn tail can lose.
-  uint32_t catalog_checkpoint_every = 64;
 };
 
 struct LogicalDumpStats {

@@ -73,20 +73,6 @@ Result<RestoreSymtable> RestoreSymtable::Deserialize(const std::string& text) {
   return table;
 }
 
-const char* RestorePhaseName(RestorePhase phase) {
-  switch (phase) {
-    case RestorePhase::kMaps:
-      return "maps";
-    case RestorePhase::kDirectories:
-      return "directories";
-    case RestorePhase::kFiles:
-      return "files";
-    case RestorePhase::kFinal:
-      return "final";
-  }
-  return "?";
-}
-
 // ------------------------------------------------------------- internals ---
 
 namespace {

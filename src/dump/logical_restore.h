@@ -66,8 +66,6 @@ enum class RestorePhase : uint8_t {
   kFinal,        // final pass (directory fixups, closing CP)
 };
 
-const char* RestorePhaseName(RestorePhase phase);
-
 // Consulted by the restore engine after every applied record. Returning
 // true kills the restore process on the spot: the run returns with
 // `interrupted` set, no final pass, no closing consistency point — exactly

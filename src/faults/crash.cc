@@ -6,18 +6,6 @@
 
 namespace bkup {
 
-const char* CrashKindName(CrashKind kind) {
-  switch (kind) {
-    case CrashKind::kKillAtEntry:
-      return "kill-at-entry";
-    case CrashKind::kKillAtOffset:
-      return "kill-at-offset";
-    case CrashKind::kKillRandom:
-      return "kill-random";
-  }
-  return "unknown";
-}
-
 CrashInjector::CrashInjector(CrashPlan plan) : plan_(std::move(plan)) {
   // One independent stream per spec, split from the plan seed, so adding a
   // spec never perturbs the draws of the others.

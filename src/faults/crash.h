@@ -28,8 +28,6 @@ enum class CrashKind {
   kKillRandom,    // each applied record dies with probability p
 };
 
-const char* CrashKindName(CrashKind kind);
-
 struct KillSpec {
   CrashKind kind = CrashKind::kKillAtEntry;
   // Restrict the kill to one restore phase; kAny matches every phase.
@@ -52,13 +50,6 @@ struct CrashPlan {
   // Fluent builders, mirroring FaultPlan's.
   CrashPlan& KillAtEntry(uint64_t after_entries) {
     kills.push_back({.kind = CrashKind::kKillAtEntry,
-                     .after_entries = after_entries});
-    return *this;
-  }
-  CrashPlan& KillAtEntryIn(RestorePhase phase, uint64_t after_entries) {
-    kills.push_back({.kind = CrashKind::kKillAtEntry,
-                     .any_phase = false,
-                     .phase = phase,
                      .after_entries = after_entries});
     return *this;
   }

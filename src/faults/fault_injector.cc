@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "src/obs/flight_recorder.h"
-
 namespace bkup {
 
 namespace {
@@ -13,42 +11,7 @@ bool Overlaps(uint64_t a, uint64_t an, uint64_t b, uint64_t bn) {
   return an > 0 && bn > 0 && a < b + bn && b < a + an;
 }
 
-// Every injection also lands in the flight recorder's fault ring (when one
-// is attached), so a post-mortem dump shows what the injector did and when.
-void Record(SimEnvironment* env, FaultKind kind, const std::string& target,
-            std::string detail) {
-  if (FlightRecorder* recorder = env->flight_recorder()) {
-    recorder->RecordFault(FaultKindName(kind), target, std::move(detail));
-  }
-}
-
 }  // namespace
-
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDiskTransient:
-      return "disk-transient";
-    case FaultKind::kDiskFlaky:
-      return "disk-flaky";
-    case FaultKind::kDiskFailure:
-      return "disk-failure";
-    case FaultKind::kTapeMediaDefect:
-      return "tape-media-defect";
-    case FaultKind::kTapeFlaky:
-      return "tape-flaky";
-    case FaultKind::kTapeDriveFailure:
-      return "tape-drive-failure";
-    case FaultKind::kLinkDown:
-      return "link-down";
-    case FaultKind::kLinkFlaky:
-      return "link-flaky";
-    case FaultKind::kLinkCorrupt:
-      return "link-corrupt";
-    case FaultKind::kLinkStall:
-      return "link-stall";
-  }
-  return "unknown";
-}
 
 FaultInjector::FaultInjector(SimEnvironment* env, FaultPlan plan)
     : env_(env), plan_(std::move(plan)) {
@@ -90,7 +53,6 @@ Status FaultInjector::OnDiskAccess(Disk* disk, uint64_t nblocks) {
       case FaultKind::kDiskTransient:
         if (InWindow(spec)) {
           ++stats_.disk_faults_injected;
-          Record(env_, spec.kind, disk->name(), "transient error");
           if (result.ok()) {
             result = IoError(disk->name() + ": injected transient error");
           }
@@ -101,7 +63,6 @@ Status FaultInjector::OnDiskAccess(Disk* disk, uint64_t nblocks) {
         // on the access sequence, not on when the window opens.
         if (st.rng.Chance(spec.probability) && InWindow(spec)) {
           ++stats_.disk_faults_injected;
-          Record(env_, spec.kind, disk->name(), "flaky error");
           if (result.ok()) {
             result = IoError(disk->name() + ": injected flaky error");
           }
@@ -119,9 +80,6 @@ Status FaultInjector::OnDiskAccess(Disk* disk, uint64_t nblocks) {
           st.fired = true;
           disk->Fail();
           ++stats_.disks_killed;
-          Record(env_, spec.kind, disk->name(),
-                 "permanent failure after " + std::to_string(st.bytes_seen) +
-                     " bytes");
           if (result.ok()) {
             result = IoError(disk->name() + ": injected permanent failure");
           }
@@ -161,9 +119,6 @@ Status FaultInjector::OnTapeTransfer(TapeDrive* drive, uint64_t position,
             (void)tape->CorruptRange(spec.offset, spec.length);
           }
           ++stats_.media_defects_applied;
-          Record(env_, spec.kind, tape->label(),
-                 "defect at byte " + std::to_string(spec.offset) + " len " +
-                     std::to_string(spec.length));
         }
         if (is_write) {
           // The drive's read-after-write verify rejects the transfer; this
@@ -182,7 +137,6 @@ Status FaultInjector::OnTapeTransfer(TapeDrive* drive, uint64_t position,
         }
         if (st.rng.Chance(spec.probability) && InWindow(spec)) {
           ++stats_.tape_faults_injected;
-          Record(env_, spec.kind, drive->name(), "flaky error");
           if (result.ok()) {
             result = IoError(drive->name() + ": injected flaky error");
           }
@@ -197,9 +151,6 @@ Status FaultInjector::OnTapeTransfer(TapeDrive* drive, uint64_t position,
           if (spec.after_bytes > 0 && st.bytes_seen >= spec.after_bytes) {
             st.fired = true;
             ++stats_.drives_killed;
-            Record(env_, spec.kind, drive->name(),
-                   "drive failed after " + std::to_string(st.bytes_seen) +
-                       " bytes");
           }
         }
         if (st.fired) {
@@ -232,7 +183,6 @@ LinkFault FaultInjector::OnFrame(NetLink* link, uint64_t offset,
       case FaultKind::kLinkDown:
         if (InWindow(spec)) {
           ++stats_.link_faults_injected;
-          Record(env_, spec.kind, link->name(), "frame dropped (link down)");
           result.action = LinkFault::Action::kDrop;
         }
         break;
@@ -241,7 +191,6 @@ LinkFault FaultInjector::OnFrame(NetLink* link, uint64_t offset,
         // on the frame sequence, not on when the window opens.
         if (st.rng.Chance(spec.probability) && InWindow(spec)) {
           ++stats_.link_faults_injected;
-          Record(env_, spec.kind, link->name(), "frame dropped (flaky)");
           result.action = LinkFault::Action::kDrop;
         }
         break;
@@ -249,15 +198,12 @@ LinkFault FaultInjector::OnFrame(NetLink* link, uint64_t offset,
         if (st.rng.Chance(spec.probability) && InWindow(spec) &&
             result.action == LinkFault::Action::kDeliver) {
           ++stats_.link_faults_injected;
-          Record(env_, spec.kind, link->name(), "frame corrupted");
           result.action = LinkFault::Action::kCorrupt;
         }
         break;
       case FaultKind::kLinkStall:
         if (InWindow(spec)) {
           ++stats_.link_stalls_injected;
-          Record(env_, spec.kind, link->name(),
-                 "stall " + std::to_string(spec.stall) + "us");
           result.stall += spec.stall;
         }
         break;

@@ -45,8 +45,6 @@ enum class FaultKind {
                      // longer before serializing (congestion, pause frames)
 };
 
-const char* FaultKindName(FaultKind kind);
-
 struct FaultSpec {
   FaultKind kind;
   // Device name (disks, drives) or media label (defects); empty matches any.
@@ -84,12 +82,6 @@ struct FaultPlan {
                       .start = start,
                       .end = end,
                       .probability = probability});
-    return *this;
-  }
-  FaultPlan& DiskFailsAt(std::string target, SimTime at) {
-    faults.push_back({.kind = FaultKind::kDiskFailure,
-                      .target = std::move(target),
-                      .start = at});
     return *this;
   }
   FaultPlan& DiskFailsAfter(std::string target, uint64_t after_bytes) {

@@ -65,11 +65,6 @@ class BlockMap {
   // Loads state from a rendered file block (mount path).
   void LoadFileBlock(uint64_t fbn, const Block& block);
 
-  // Which block-map file blocks cover entries [first, last]? (inclusive)
-  static uint64_t FileBlockOfEntry(Vbn vbn) {
-    return vbn / (kBlockSize / 4);
-  }
-
  private:
   std::vector<uint32_t> words_;
 };

@@ -1072,7 +1072,6 @@ Result<CpReport> Filesystem::ConsistencyPoint() {
   }
   cp_data_writes_since_mark_ += report.data_writes.size();
   cp_meta_writes_since_mark_ += report.meta_writes.size();
-  last_cp_report_ = report;
   in_cp_ = false;
   return report;
 }

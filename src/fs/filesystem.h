@@ -38,8 +38,6 @@ struct CpReport {
   std::vector<Vbn> data_writes;  // user data blocks, in allocation order
   std::vector<Vbn> meta_writes;  // indirect, inode-file, block-map, fsinfo
   uint64_t blocks_freed = 0;
-
-  size_t TotalWrites() const { return data_writes.size() + meta_writes.size(); }
 };
 
 struct SetAttrRequest {
@@ -112,9 +110,6 @@ class Filesystem {
   // Flushes all dirty state copy-on-write and advances the root atomically.
   Result<CpReport> ConsistencyPoint();
 
-  // Auto-CP interval (paper: "at least once every 10 seconds").
-  void set_cp_interval(SimDuration d) { cp_interval_ = d; }
-
   bool HasDirtyState() const;
 
   // --------------------------------------------------------- snapshots ---
@@ -140,9 +135,6 @@ class Filesystem {
   uint64_t generation() const { return generation_; }
   SimEnvironment* env() { return env_; }
 
-  // The report of the most recent consistency point (for timing charges by
-  // jobs that trigger CPs indirectly through NVRAM pressure).
-  const CpReport& last_cp_report() const { return last_cp_report_; }
   // CP reports accumulated since the counter was reset; restore jobs use
   // this to charge disk time for flushes that auto-CPs performed.
   uint64_t cp_data_writes_since_mark() const { return cp_data_writes_since_mark_; }
@@ -232,7 +224,6 @@ class Filesystem {
 
   SimDuration cp_interval_ = 10 * kSecond;
   SimTime last_cp_time_ = 0;
-  CpReport last_cp_report_;
   uint64_t cp_data_writes_since_mark_ = 0;
   uint64_t cp_meta_writes_since_mark_ = 0;
   bool in_cp_ = false;

@@ -7,11 +7,15 @@
 
 namespace bkup {
 
+namespace {
+
+// Blocks per trace event / extent flush; sized like a track-buffer.
+constexpr uint64_t kChunkBlocks = 64;
+
+}  // namespace
+
 Result<ImageDumpOutput> RunImageDump(Volume* volume,
                                      const ImageDumpOptions& options) {
-  if (options.chunk_blocks == 0) {
-    return InvalidArgument("chunk_blocks must be positive");
-  }
   if (options.part_count == 0 || options.part_index >= options.part_count) {
     return InvalidArgument("bad part numbering");
   }
@@ -62,7 +66,7 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
   }
 
   // Stream the block set in ascending vbn order, extent by extent. Extents
-  // break at discontinuities and at chunk_blocks (which also bounds the size
+  // break at discontinuities and at kChunkBlocks (which also bounds the size
   // of one trace event, so the replay pipelines at track-buffer grain).
   // Chunk indices are assigned over the full set so the parts of a striped
   // multi-tape dump partition it deterministically.
@@ -73,7 +77,7 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
     // Find the end of this run.
     Vbn end = v;
     while (end + 1 < map.num_blocks() && full_set.Test(end + 1) &&
-           end + 1 - v < options.chunk_blocks) {
+           end + 1 - v < kChunkBlocks) {
       ++end;
     }
     const bool ours =

@@ -28,8 +28,6 @@ struct ImageDumpOptions {
   // Recorded in the header for operator bookkeeping.
   std::string snapshot_name;
   int64_t dump_time = 0;
-  // Blocks per trace event / extent flush; sized like a track-buffer.
-  uint32_t chunk_blocks = 64;
   // Multi-tape striping: emit only chunks with index % part_count ==
   // part_index. Chunk boundaries are deterministic, so the N parts of a
   // parallel dump partition the block set exactly.

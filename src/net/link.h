@@ -29,20 +29,12 @@ struct LinkParams {
   // Effective payload rate. 125 MB/s is a clean 1 GbE-class link; the
   // paper-era alternative (100 Mb/s Ethernet) is 12.5.
   double bandwidth_mb_per_s = 125.0;
-  // One-way propagation + forwarding latency (LAN-ish default).
-  SimDuration propagation_delay = 200 * kMicrosecond;
   // Largest frame payload; a jumbo-ish 64 KiB keeps per-frame overhead low
   // while still forcing real framing on multi-megabyte streams.
   uint64_t mtu_bytes = 64 * kKiB;
   // Sliding window: frames a StreamConn may have un-acknowledged. Bounds
   // sender run-ahead exactly like a Channel capacity.
   size_t window_frames = 32;
-  // Sender-side loss detection: a frame neither delivered nor rejected
-  // within this is retransmitted.
-  SimDuration retransmit_timeout = 20 * kMillisecond;
-  // Per-frame retransmit budget; beyond it the stream errors out and
-  // recovery moves up to the supervisor (reconnect + resume from ack).
-  int max_retransmits = 6;
 };
 
 // Nightly byte budget for a shared link: the accounting hook the fleet

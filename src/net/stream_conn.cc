@@ -7,6 +7,19 @@
 
 namespace bkup {
 
+namespace {
+
+// One-way propagation + forwarding latency (LAN-ish).
+constexpr SimDuration kPropagationDelay = 200 * kMicrosecond;
+// Sender-side loss detection: a frame neither delivered nor rejected within
+// this is retransmitted.
+constexpr SimDuration kRetransmitTimeout = 20 * kMillisecond;
+// Per-frame retransmit budget; beyond it the stream errors out and recovery
+// moves up to the supervisor (reconnect + resume from ack).
+constexpr int kMaxRetransmits = 6;
+
+}  // namespace
+
 StreamConn::StreamConn(NetLink* link, std::string name)
     : link_(link),
       env_(link->env()),
@@ -77,7 +90,6 @@ Task StreamConn::SendRange(std::span<const uint8_t> stream, uint64_t begin,
 
 Task StreamConn::TransferFrame(StreamFrame frame,
                                std::span<const uint8_t> payload) {
-  const LinkParams& p = link_->params();
   if (tracer_ != nullptr) {
     // Arrow tail at first transmission; retransmits keep the same id, so a
     // lossy frame's arrow spans first-send -> eventual delivery.
@@ -103,7 +115,7 @@ Task StreamConn::TransferFrame(StreamFrame frame,
         link_->SerializeTime(frame.end - frame.begin + kFrameHeaderBytes));
     link_->AccountFrame(frame.end - frame.begin + kFrameHeaderBytes);
     link_->wire().Release();
-    co_await env_->Delay(p.propagation_delay);
+    co_await env_->Delay(kPropagationDelay);
     if (fate.action == LinkFault::Action::kDrop) {
       ++stats_.frames_dropped;
       link_->CountDrop();
@@ -120,7 +132,7 @@ Task StreamConn::TransferFrame(StreamFrame frame,
       ++stats_.checksum_rejections;
       link_->CountChecksumReject();
     }
-    if (attempt > p.max_retransmits) {
+    if (attempt > kMaxRetransmits) {
       if (error_.ok()) {
         error_ = IoError(name_ + ": frame " + std::to_string(frame.seq) +
                          " lost after " + std::to_string(attempt) +
@@ -132,7 +144,7 @@ Task StreamConn::TransferFrame(StreamFrame frame,
     // retransmits the same frame.
     ++stats_.retransmits;
     link_->CountRetransmit();
-    co_await env_->Delay(p.retransmit_timeout);
+    co_await env_->Delay(kRetransmitTimeout);
   }
   window_.Release();
 }

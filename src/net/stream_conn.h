@@ -83,7 +83,6 @@ class StreamConn {
   // `receiver_node`'s. No-op when the environment has no tracer attached.
   void EnableTracing(const TraceContext& ctx, const std::string& sender_node,
                      const std::string& receiver_node);
-  const TraceContext& trace_context() const { return ctx_; }
 
   // Backup QoS: pace SendRange from this token bucket — each frame acquires
   // its wire bytes (payload + header) before entering the window, so a

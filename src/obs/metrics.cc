@@ -3,36 +3,38 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/util/stats.h"
-
 namespace bkup {
 
-Histogram::Histogram(HistogramOptions options) : options_(options) {
-  const size_t n = options_.kind == HistogramOptions::Kind::kLog2
-                       ? 64
-                       // Linear: underflow + body + overflow.
-                       : static_cast<size_t>(std::max(1, options_.buckets)) + 2;
-  buckets_.assign(n, 0);
+namespace {
+
+// Index of the bucket holding the `fraction` quantile: the first bucket at
+// which the cumulative count reaches ceil(fraction * total). Returns n - 1
+// when the buckets cannot cover the target (total of zero is the caller's
+// guard).
+size_t PercentileBucketIndex(const uint64_t* buckets, size_t n,
+                             uint64_t total, double fraction) {
+  fraction = std::clamp(fraction, 0.0, 1.0);
+  const auto target =
+      static_cast<uint64_t>(std::ceil(fraction * static_cast<double>(total)));
+  uint64_t seen = 0;
+  for (size_t i = 0; i < n; ++i) {
+    seen += buckets[i];
+    if (seen >= target) {
+      return i;
+    }
+  }
+  return n - 1;
 }
 
-size_t Histogram::BucketIndex(double value) const {
-  if (options_.kind == HistogramOptions::Kind::kLog2) {
-    if (value < 2.0) {
-      return 0;
-    }
-    const double clamped = std::min(value, std::ldexp(1.0, 63));
-    const auto idx = static_cast<size_t>(std::log2(clamped));
-    return std::min<size_t>(idx, buckets_.size() - 1);
+}  // namespace
+
+size_t Histogram::BucketIndex(double value) {
+  if (value < 2.0) {
+    return 0;
   }
-  if (value < options_.lo) {
-    return 0;  // underflow
-  }
-  const auto body = static_cast<size_t>(std::max(1, options_.buckets));
-  const double offset = (value - options_.lo) / options_.width;
-  if (offset >= static_cast<double>(body)) {
-    return buckets_.size() - 1;  // overflow
-  }
-  return 1 + static_cast<size_t>(offset);
+  const double clamped = std::min(value, std::ldexp(1.0, 63));
+  const auto idx = static_cast<size_t>(std::log2(clamped));
+  return std::min<size_t>(idx, kBuckets - 1);
 }
 
 void Histogram::Observe(double value) {
@@ -50,25 +52,13 @@ void Histogram::Observe(double value) {
 double Histogram::min() const { return count_ > 0 ? min_ : 0.0; }
 double Histogram::max() const { return count_ > 0 ? max_ : 0.0; }
 
-double Histogram::BucketUpperBound(size_t i) const {
-  if (options_.kind == HistogramOptions::Kind::kLog2) {
-    return std::ldexp(1.0, static_cast<int>(i) + 1);
-  }
-  if (i == 0) {
-    return options_.lo;  // underflow bucket
-  }
-  if (i == buckets_.size() - 1) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return options_.lo + static_cast<double>(i) * options_.width;
-}
-
 double Histogram::Percentile(double fraction) const {
   if (count_ == 0) {
     return 0.0;
   }
-  return BucketUpperBound(PercentileBucketIndex(
-      buckets_.data(), buckets_.size(), count_, fraction));
+  const size_t i =
+      PercentileBucketIndex(buckets_.data(), kBuckets, count_, fraction);
+  return std::ldexp(1.0, static_cast<int>(i) + 1);
 }
 
 // -------------------------------------------------------------- registry ---
@@ -115,12 +105,11 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name,
 }
 
 Histogram* MetricsRegistry::GetHistogram(std::string_view name,
-                                         const HistogramOptions& options,
                                          const MetricLabels& labels) {
   auto [it, inserted] = histograms_.try_emplace(SeriesKey(name, labels));
   if (inserted) {
     it->second = {std::string(name), labels,
-                  std::make_unique<Histogram>(options)};
+                  std::make_unique<Histogram>()};
   }
   return it->second.metric.get();
 }
@@ -147,17 +136,6 @@ void MetricsRegistry::Clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-}
-
-std::vector<std::pair<std::string, uint64_t>>
-MetricsRegistry::CounterSnapshot() const {
-  std::vector<std::pair<std::string, uint64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [key, series] : counters_) {
-    out.emplace_back(key, series.metric->value());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 namespace {

@@ -13,6 +13,7 @@
 #ifndef BKUP_OBS_METRICS_H_
 #define BKUP_OBS_METRICS_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,26 +47,10 @@ class Gauge {
   double value_ = 0.0;
 };
 
-// Histogram bucketing scheme. Log2 buckets cover [2^i, 2^(i+1)) for i in
-// [0, 63] (value 0 lands in the first bucket); linear buckets cover
-// [lo + i*width, lo + (i+1)*width) plus an underflow and an overflow bucket.
-struct HistogramOptions {
-  enum class Kind { kLog2, kLinear };
-  Kind kind = Kind::kLog2;
-  double lo = 0.0;
-  double width = 1.0;
-  int buckets = 16;
-
-  static HistogramOptions Log2() { return HistogramOptions{}; }
-  static HistogramOptions Linear(double lo, double width, int buckets) {
-    return HistogramOptions{Kind::kLinear, lo, width, buckets};
-  }
-};
-
+// Log2-bucketed histogram: bucket i covers [2^i, 2^(i+1)) for i in [0, 63]
+// (values below 2 land in the first bucket).
 class Histogram {
  public:
-  explicit Histogram(HistogramOptions options);
-
   void Observe(double value);
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -74,19 +59,14 @@ class Histogram {
   double mean() const { return count_ > 0 ? sum_ / count_ : 0.0; }
 
   // Smallest bucket upper bound below which at least `fraction` of the
-  // samples fall (bucket-granular, like Log2Histogram::Percentile).
+  // samples fall (bucket-granular).
   double Percentile(double fraction) const;
 
-  const HistogramOptions& options() const { return options_; }
-  const std::vector<uint64_t>& buckets() const { return buckets_; }
-  // Upper bound of bucket `i` (inclusive scan edge used by Percentile).
-  double BucketUpperBound(size_t i) const;
-
  private:
-  size_t BucketIndex(double value) const;
+  static constexpr size_t kBuckets = 64;
+  static size_t BucketIndex(double value);
 
-  HistogramOptions options_;
-  std::vector<uint64_t> buckets_;
+  std::array<uint64_t, kBuckets> buckets_{};
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;
@@ -108,7 +88,6 @@ class MetricsRegistry {
   Counter* GetCounter(std::string_view name, const MetricLabels& labels = {});
   Gauge* GetGauge(std::string_view name, const MetricLabels& labels = {});
   Histogram* GetHistogram(std::string_view name,
-                          const HistogramOptions& options,
                           const MetricLabels& labels = {});
 
   // Lookup without creation; nullptr when the series does not exist.
@@ -126,10 +105,6 @@ class MetricsRegistry {
   // Drops every series (invalidates previously returned handles); tests
   // use this to isolate themselves from earlier activity.
   void Clear();
-
-  // Sorted (series key, value) snapshot of every counter. The flight
-  // recorder diffs two snapshots to report what moved since its baseline.
-  std::vector<std::pair<std::string, uint64_t>> CounterSnapshot() const;
 
   // Serializes every series as one JSON object:
   //   {"counters": [{"name":..., "labels": {...}, "value": N}, ...],

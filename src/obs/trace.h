@@ -64,9 +64,6 @@ struct TraceContext {
   uint32_t incarnation = 0;  // supervised restart count within the trace
 
   bool valid() const { return trace_id != 0; }
-  TraceContext Child(uint64_t span_id) const {
-    return TraceContext{trace_id, span_id, incarnation};
-  }
   TraceContext NextIncarnation() const {
     return TraceContext{trace_id, parent_span, incarnation + 1};
   }

@@ -36,7 +36,6 @@ class UtilizationSampler : public ResourceObserver {
   UtilizationSampler(const UtilizationSampler&) = delete;
   UtilizationSampler& operator=(const UtilizationSampler&) = delete;
 
-  const std::string& resource_name() const { return name_; }
   SimDuration window() const { return window_; }
 
   // Closes every window that ends at or before `now`, plus — when `now`

@@ -15,8 +15,7 @@
 
 namespace bkup {
 
-class Tracer;          // src/obs/trace.h
-class FlightRecorder;  // src/obs/flight_recorder.h
+class Tracer;  // src/obs/trace.h
 
 class SimEnvironment {
  public:
@@ -30,12 +29,6 @@ class SimEnvironment {
   // no-op when it is null.
   Tracer* tracer() const { return tracer_; }
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-
-  // Optional flight recorder (src/obs/flight_recorder.h) attached to this
-  // environment: the black box that fault/crash sites record into and that
-  // failure paths dump. Owned by the caller; sites no-op when it is null.
-  FlightRecorder* flight_recorder() const { return flight_recorder_; }
-  void set_flight_recorder(FlightRecorder* fr) { flight_recorder_ = fr; }
 
   SimTime now() const { return now_; }
 
@@ -81,7 +74,6 @@ class SimEnvironment {
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   Tracer* tracer_ = nullptr;
-  FlightRecorder* flight_recorder_ = nullptr;
   EventQueue queue_;
 };
 

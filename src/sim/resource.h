@@ -60,9 +60,6 @@ class Resource {
   SimEnvironment* env() const { return env_; }
   int64_t capacity() const { return capacity_; }
   int64_t in_use() const { return capacity_ - available_; }
-  size_t queue_length() const {
-    return waiters_[0].size() + waiters_[1].size();
-  }
 
   // Observation: the vector is empty in the common case, so the per-change
   // cost of the hook is one branch.

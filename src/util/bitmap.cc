@@ -10,15 +10,6 @@ void Bitmap::Resize(size_t num_bits) {
   words_.assign((num_bits + 63) / 64, 0);
 }
 
-void Bitmap::SetRange(size_t first, size_t count) {
-  assert(first + count <= num_bits_);
-  for (size_t i = first; i < first + count; ++i) {
-    Set(i);
-  }
-}
-
-void Bitmap::ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
-
 void Bitmap::SetAll() {
   std::fill(words_.begin(), words_.end(), ~0ull);
   TrimTail();

@@ -27,16 +27,6 @@ class Bitmap {
   }
   void Set(size_t bit) { words_[bit >> 6] |= (1ull << (bit & 63)); }
   void Clear(size_t bit) { words_[bit >> 6] &= ~(1ull << (bit & 63)); }
-  void Assign(size_t bit, bool value) {
-    if (value) {
-      Set(bit);
-    } else {
-      Clear(bit);
-    }
-  }
-
-  void SetRange(size_t first, size_t count);
-  void ClearAll();
   void SetAll();
 
   // Number of set bits.

@@ -6,7 +6,7 @@
 namespace bkup {
 
 namespace {
-LogLevel g_level = LogLevel::kWarning;
+constexpr LogLevel kLevel = LogLevel::kWarning;
 SimLogClockFn g_sim_clock = nullptr;
 
 // "T+12.345678s" when a simulation is active, "14:03:22" otherwise.
@@ -45,8 +45,7 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
+LogLevel GetLogLevel() { return kLevel; }
 
 void SetSimLogClock(SimLogClockFn clock) { g_sim_clock = clock; }
 

@@ -9,8 +9,7 @@ namespace bkup {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Global threshold; messages below it are discarded.
-void SetLogLevel(LogLevel level);
+// Global threshold (kWarning); messages below it are discarded.
 LogLevel GetLogLevel();
 
 // Time source for log prefixes. When a simulation is running, messages are

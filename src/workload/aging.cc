@@ -6,6 +6,13 @@
 
 namespace bkup {
 
+namespace {
+
+// Fraction of surviving files partially overwritten per round.
+constexpr double kOverwriteFraction = 0.1;
+
+}  // namespace
+
 Result<AgingStats> AgeFilesystem(Filesystem* fs, const AgingParams& params) {
   Rng rng(params.seed);
   AgingStats stats;
@@ -39,7 +46,7 @@ Result<AgingStats> AgeFilesystem(Filesystem* fs, const AgingParams& params) {
     }
     // Partial overwrites of survivors scatter their blocks.
     for (const auto& [path, size] : files) {
-      if (size < 2 * kBlockSize || !rng.Chance(params.overwrite_fraction)) {
+      if (size < 2 * kBlockSize || !rng.Chance(kOverwriteFraction)) {
         continue;
       }
       Result<Inum> inum = fs->LookupPath(path);

@@ -24,8 +24,6 @@ struct AgingParams {
   uint32_t rounds = 4;
   // Fraction of files deleted (and re-created at similar volume) per round.
   double churn_fraction = 0.25;
-  // Fraction of surviving files partially overwritten per round.
-  double overwrite_fraction = 0.1;
 };
 
 struct AgingStats {

@@ -11,6 +11,43 @@
 
 namespace bkup {
 
+namespace {
+
+// Relative op-class weights, in FgOp order: lookup, read, write, create,
+// delete.
+constexpr double kOpWeights[] = {2.0, 6.0, 3.0, 0.5, 0.5};
+// I/O size draw: exponential with this mean, capped.
+constexpr uint64_t kMeanIoBytes = 16 * kKiB;
+constexpr uint64_t kMaxIoBytes = 128 * kKiB;
+// At most this many population files are indexed as read/write targets
+// (breadth-first over the tree, "/fg" excluded).
+constexpr size_t kMaxPopulationFiles = 512;
+
+FgOp PickOp(Rng* rng) {
+  double total = 0.0;
+  for (double x : kOpWeights) {
+    total += x;
+  }
+  double u = rng->NextDouble() * total;
+  for (size_t i = 0; i < std::size(kOpWeights); ++i) {
+    u -= kOpWeights[i];
+    if (u < 0.0) {
+      return static_cast<FgOp>(i);
+    }
+  }
+  return FgOp::kRead;
+}
+
+uint64_t DrawIoBytes(Rng* rng) {
+  const double u = rng->NextDouble();
+  const double mean = static_cast<double>(kMeanIoBytes);
+  const uint64_t n =
+      1 + static_cast<uint64_t>(-mean * std::log(1.0 - u * 0.999999));
+  return std::min<uint64_t>(n, kMaxIoBytes);
+}
+
+}  // namespace
+
 const char* FgOpName(FgOp op) {
   switch (op) {
     case FgOp::kLookup:
@@ -95,32 +132,6 @@ ForegroundLoad::ForegroundLoad(Filer* filer, Filesystem* fs,
     // SplitMix-spread per-client seeds: client streams must not overlap.
     clients_[i].rng = Rng(params_.seed * 0x9E3779B97F4A7C15ull + i + 1);
   }
-}
-
-FgOp ForegroundLoad::PickOp(Client* client) const {
-  const double w[] = {params_.lookup_weight, params_.read_weight,
-                      params_.write_weight, params_.create_weight,
-                      params_.delete_weight};
-  double total = 0.0;
-  for (double x : w) {
-    total += x;
-  }
-  double u = client->rng.NextDouble() * total;
-  for (size_t i = 0; i < std::size(w); ++i) {
-    u -= w[i];
-    if (u < 0.0) {
-      return static_cast<FgOp>(i);
-    }
-  }
-  return FgOp::kRead;
-}
-
-uint64_t ForegroundLoad::DrawIoBytes(Rng* rng) const {
-  const double u = rng->NextDouble();
-  const double mean = static_cast<double>(params_.mean_io_bytes);
-  const uint64_t n =
-      1 + static_cast<uint64_t>(-mean * std::log(1.0 - u * 0.999999));
-  return std::min<uint64_t>(n, params_.max_io_bytes);
 }
 
 SimDuration ForegroundLoad::DrawThink(Rng* rng) const {
@@ -327,7 +338,7 @@ Task ForegroundLoad::ClientLoop(Client* client, CountdownLatch* latch) {
     // the run instead of clipping it (the OpMixCrc invariance mode).
     for (uint64_t k = 0; k < params_.ops_per_client; ++k) {
       co_await env->Delay(DrawThink(&client->rng));
-      co_await RunOp(client, PickOp(client));
+      co_await RunOp(client, PickOp(&client->rng));
     }
   } else {
     while (env->now() < end_time_) {
@@ -335,7 +346,7 @@ Task ForegroundLoad::ClientLoop(Client* client, CountdownLatch* latch) {
       if (env->now() >= end_time_) {
         break;
       }
-      co_await RunOp(client, PickOp(client));
+      co_await RunOp(client, PickOp(&client->rng));
     }
   }
   --clients_running_;
@@ -379,8 +390,7 @@ Task ForegroundLoad::Run(CountdownLatch* done) {
   // registry Clear() between construction and Run cannot dangle them).
   for (size_t i = 0; i < OpIndex(FgOp::kCount); ++i) {
     obs_hist_[i] = MetricsRegistry::Default().GetHistogram(
-        "fg.latency_us", HistogramOptions::Log2(),
-        {{"op", FgOpName(static_cast<FgOp>(i))}});
+        "fg.latency_us", {{"op", FgOpName(static_cast<FgOp>(i))}});
   }
 
   // Index the population: breadth-first, regular files only, /fg excluded.
@@ -392,7 +402,7 @@ Task ForegroundLoad::Run(CountdownLatch* done) {
   if (root.ok()) {
     dirs.emplace_back("", *root);
   }
-  while (!dirs.empty() && population_.size() < params_.max_population_files) {
+  while (!dirs.empty() && population_.size() < kMaxPopulationFiles) {
     auto [prefix, dir] = dirs.front();
     dirs.pop_front();
     Result<std::vector<DirEntry>> entries = fs_->ReadDir(dir);
@@ -407,7 +417,7 @@ Task ForegroundLoad::Run(CountdownLatch* done) {
       if (e.type == InodeType::kDirectory) {
         dirs.emplace_back(path, e.inum);
       } else if (e.type == InodeType::kFile &&
-                 population_.size() < params_.max_population_files) {
+                 population_.size() < kMaxPopulationFiles) {
         population_.push_back({path, e.inum});
       }
     }

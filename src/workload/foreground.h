@@ -66,18 +66,6 @@ struct ForegroundParams {
   uint64_t ops_per_client = 0;
   // Exponential think time between a client's operations.
   SimDuration mean_think_time = 20 * kMillisecond;
-  // Relative op-class weights (any non-negative scale).
-  double lookup_weight = 2.0;
-  double read_weight = 6.0;
-  double write_weight = 3.0;
-  double create_weight = 0.5;
-  double delete_weight = 0.5;
-  // I/O size draw: exponential with this mean, capped.
-  uint64_t mean_io_bytes = 16 * kKiB;
-  uint64_t max_io_bytes = 128 * kKiB;
-  // At most this many population files are indexed as read/write targets
-  // (breadth-first over the tree, "/fg" excluded).
-  size_t max_population_files = 512;
   // Cadence of the consistency-point flusher, which converts the file
   // system's CP write counters into foreground disk charges (the
   // write-behind half of the WAFL write path). 0 disables the flusher.
@@ -162,8 +150,6 @@ class ForegroundLoad {
   Task OpCreate(Client* client);
   Task OpDelete(Client* client);
 
-  FgOp PickOp(Client* client) const;
-  uint64_t DrawIoBytes(Rng* rng) const;
   SimDuration DrawThink(Rng* rng) const;
   // Appends (client, op, target, offset, bytes) to the client's mix CRC and
   // returns the op start time for the trace CRC.

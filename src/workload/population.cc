@@ -15,6 +15,17 @@ std::string QuotaTreePath(uint32_t index) {
 
 namespace {
 
+// Lognormal file size distribution (median and shape), capped.
+constexpr double kMedianFileBytes = 24 * 1024;
+constexpr double kSigma = 1.4;
+constexpr uint64_t kMaxFileBytes = 8 * kMiB;
+// Tree shape: the chance each step opens a new directory instead of a file.
+constexpr double kSubdirProbability = 0.12;
+// Namespace variety.
+constexpr double kSymlinkFraction = 0.02;
+constexpr double kHardlinkFraction = 0.01;
+constexpr double kSparseFraction = 0.02;
+
 // Writes `nbytes` of seeded data in bounded slices (keeps any attached
 // NVRAM log from ballooning on huge files).
 Status WriteSeededData(Filesystem* fs, Inum inum, uint64_t offset,
@@ -31,11 +42,10 @@ Status WriteSeededData(Filesystem* fs, Inum inum, uint64_t offset,
   return Status::Ok();
 }
 
-uint64_t SampleFileSize(Rng* rng, const WorkloadParams& p) {
-  const double mu = std::log(p.median_file_bytes);
-  const double size = rng->LogNormal(mu, p.sigma);
-  return std::clamp<uint64_t>(static_cast<uint64_t>(size), 1,
-                              p.max_file_bytes);
+uint64_t SampleFileSize(Rng* rng) {
+  const double mu = std::log(kMedianFileBytes);
+  const double size = rng->LogNormal(mu, kSigma);
+  return std::clamp<uint64_t>(static_cast<uint64_t>(size), 1, kMaxFileBytes);
 }
 
 }  // namespace
@@ -65,7 +75,7 @@ Result<WorkloadStats> PopulateFilesystem(Filesystem* fs,
 
     while (tree_bytes < per_tree) {
       // Occasionally open a new directory.
-      if (rng.Chance(params.subdir_probability)) {
+      if (rng.Chance(kSubdirProbability)) {
         const std::string parent = dirs[dirs.size() <= 4
                                             ? rng.Below(dirs.size())
                                             : dirs.size() - 1 -
@@ -81,13 +91,13 @@ Result<WorkloadStats> PopulateFilesystem(Filesystem* fs,
       const std::string name = rng.Name(6) + std::to_string(file_seq++);
       const std::string path = dir + "/" + name;
 
-      if (!last_file_path.empty() && rng.Chance(params.symlink_fraction)) {
+      if (!last_file_path.empty() && rng.Chance(kSymlinkFraction)) {
         BKUP_RETURN_IF_ERROR(
             fs->SymlinkAt(last_file_path, path + ".lnk").status());
         stats.symlinks++;
         continue;
       }
-      if (!last_file_path.empty() && rng.Chance(params.hardlink_fraction)) {
+      if (!last_file_path.empty() && rng.Chance(kHardlinkFraction)) {
         Status st = fs->Link(last_file_path, path + ".hl");
         if (st.ok()) {
           stats.hardlinks++;
@@ -96,12 +106,12 @@ Result<WorkloadStats> PopulateFilesystem(Filesystem* fs,
       }
 
       BKUP_ASSIGN_OR_RETURN(Inum inum, fs->Create(path, 0644));
-      uint64_t size = SampleFileSize(&rng, params);
+      uint64_t size = SampleFileSize(&rng);
       size = std::min(size, per_tree - tree_bytes);
       if (size == 0) {
         size = 1;
       }
-      if (rng.Chance(params.sparse_fraction) && size > 2 * kBlockSize) {
+      if (rng.Chance(kSparseFraction) && size > 2 * kBlockSize) {
         // Sparse file: real data only in the final stretch.
         const uint64_t hole = size / 2 / kBlockSize * kBlockSize;
         BKUP_RETURN_IF_ERROR(

@@ -26,17 +26,6 @@ struct WorkloadParams {
   uint64_t seed = 1999;
   // Total user data to create, split evenly across quota trees.
   uint64_t target_bytes = 64 * kMiB;
-  // Lognormal size distribution (median and shape).
-  double median_file_bytes = 24 * 1024;
-  double sigma = 1.4;
-  uint64_t max_file_bytes = 8 * kMiB;
-  // Tree shape.
-  uint32_t files_per_directory = 12;
-  double subdir_probability = 0.12;
-  // Namespace variety.
-  double symlink_fraction = 0.02;
-  double hardlink_fraction = 0.01;
-  double sparse_fraction = 0.02;
   // Number of top-level quota trees ("/qt0", "/qt1", ...).
   uint32_t quota_trees = 1;
 };

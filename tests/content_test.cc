@@ -450,84 +450,6 @@ TEST(ContentDedupSafetyTest, HashCollisionFallsBackToVerbatim) {
       << "collision fallback must still round-trip";
 }
 
-// ------------------------------------------------------- ChunkIndex journal
-
-TEST(ChunkIndexJournalTest, SerializeLoadRoundTrip) {
-  ChunkIndex index;
-  uint64_t state = 42;
-  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> chunks;
-  for (int i = 0; i < 50; ++i) {
-    std::vector<uint8_t> bytes(100 + i * 7);
-    for (uint8_t& v : bytes) {
-      v = static_cast<uint8_t>(SplitMix64(state));
-    }
-    const uint64_t h = ContentHash(bytes);
-    ASSERT_TRUE(index.Insert(h, bytes));
-    chunks.emplace_back(h, std::move(bytes));
-  }
-  const std::vector<uint8_t> image = index.Serialize(/*checkpoint_every=*/8);
-  auto loaded = ChunkIndex::Load(image);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), index.size());
-  EXPECT_EQ(loaded->stored_bytes(), index.stored_bytes());
-  for (const auto& [h, bytes] : chunks) {
-    const ChunkIndex::Entry* e = loaded->Find(h);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->bytes, bytes);
-    EXPECT_EQ(e->crc, Crc32c(bytes));
-  }
-  // Serialization is deterministic regardless of map iteration order.
-  EXPECT_EQ(image, loaded->Serialize(/*checkpoint_every=*/8));
-}
-
-TEST(ChunkIndexJournalTest, TornTailDropsUnsealedEntries) {
-  ChunkIndex index;
-  for (int i = 0; i < 20; ++i) {
-    std::vector<uint8_t> bytes(64, static_cast<uint8_t>(i));
-    index.Insert(ContentHash(bytes), bytes);
-  }
-  std::vector<uint8_t> image = index.Serialize(/*checkpoint_every=*/4);
-  image.resize(image.size() - 30);  // tear mid-frame
-  auto loaded = ChunkIndex::Load(image);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_LT(loaded->size(), index.size());
-  EXPECT_GE(loaded->size(), 12u) << "earlier checkpoints must survive";
-}
-
-TEST(ChunkIndexJournalTest, FlipBeforeFirstCheckpointIsCorruption) {
-  ChunkIndex index;
-  for (int i = 0; i < 8; ++i) {
-    std::vector<uint8_t> bytes(64, static_cast<uint8_t>(i));
-    index.Insert(ContentHash(bytes), bytes);
-  }
-  std::vector<uint8_t> image = index.Serialize(/*checkpoint_every=*/8);
-  image[10] ^= 0x20;  // inside the first entry, before any checkpoint
-  auto loaded = ChunkIndex::Load(image);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), ErrorCode::kCorruption);
-}
-
-TEST(ChunkIndexJournalTest, FlipPastACheckpointKeepsSealedPrefix) {
-  ChunkIndex index;
-  for (int i = 0; i < 16; ++i) {
-    std::vector<uint8_t> bytes(64, static_cast<uint8_t>(i));
-    index.Insert(ContentHash(bytes), bytes);
-  }
-  std::vector<uint8_t> image = index.Serialize(/*checkpoint_every=*/2);
-  image[image.size() - 40] ^= 0x20;  // damage near the tail
-  auto loaded = ChunkIndex::Load(image);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_LT(loaded->size(), index.size());
-  EXPECT_GE(loaded->size(), 8u);
-}
-
-TEST(ChunkIndexJournalTest, EmptyIndexRoundTrips) {
-  ChunkIndex index;
-  auto loaded = ChunkIndex::Load(index.Serialize());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), 0u);
-}
-
 // -------------------------------------------------------------- config/CPU
 
 TEST(ContentConfigTest, ValidateRejectsBadGeometry) {
@@ -564,10 +486,11 @@ TEST(ContentConfigTest, CpuPricesSumEnabledStages) {
   cfg.chunk = cfg.dedup = cfg.compress = cfg.crc = true;
   cfg.index = &index;
   EXPECT_EQ(cfg.EncodeCpuPerMb(),
-            cfg.chunk_cpu_us_per_mb + cfg.dedup_cpu_us_per_mb +
-                cfg.compress_cpu_us_per_mb + cfg.crc_cpu_us_per_mb);
+            ContentConfig::kChunkCpuUsPerMb + ContentConfig::kDedupCpuUsPerMb +
+                ContentConfig::kCompressCpuUsPerMb +
+                ContentConfig::kCrcCpuUsPerMb);
   EXPECT_EQ(cfg.DecodeCpuPerMb(),
-            cfg.crc_cpu_us_per_mb + cfg.decode_cpu_us_per_mb);
+            ContentConfig::kCrcCpuUsPerMb + ContentConfig::kDecodeCpuUsPerMb);
   ContentConfig off;
   EXPECT_EQ(off.EncodeCpuPerMb(), 0);
   EXPECT_EQ(off.DecodeCpuPerMb(), 0);

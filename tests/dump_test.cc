@@ -157,6 +157,28 @@ TEST(DumpFormatTest, CorruptionDetected) {
   ASSERT_TRUE(bytes.ok());
   (*bytes)[100] ^= 1;
   EXPECT_EQ(DumpRecord::Parse(*bytes).status().code(), ErrorCode::kCorruption);
+
+  // Headers whose length fields contradict each other carry valid CRCs, so
+  // Parse itself must reject them before a walker sizes anything by them.
+  DumpRecord huge_map;  // 8 bytes of bitmap cannot hold 2^32 - 1 inodes
+  huge_map.type = DumpRecordType::kDumpedMap;
+  huge_map.map_bytes = 8;
+  huge_map.map_inode_count = 0xffffffffu;
+  DumpRecord long_dir;  // a 2 KB payload in one 1 KB tape block
+  long_dir.type = DumpRecordType::kDirectory;
+  long_dir.present_count = 1;
+  long_dir.payload_bytes = 2 * kDumpRecordSize;
+  DumpRecord extra_bits;  // 8 presence bits, 1 data block
+  extra_bits.type = DumpRecordType::kInode;
+  extra_bits.map_count = 8;
+  extra_bits.block_map = {0xff};
+  extra_bits.present_count = 1;
+  for (const DumpRecord& hostile : {huge_map, long_dir, extra_bits}) {
+    auto crafted = hostile.Serialize();
+    ASSERT_TRUE(crafted.ok()) << crafted.status().ToString();
+    EXPECT_EQ(DumpRecord::Parse(*crafted).status().code(),
+              ErrorCode::kCorruption);
+  }
 }
 
 TEST(DumpFormatTest, DirectoryEncodingRoundTrip) {
@@ -630,6 +652,47 @@ TEST(DumpRestoreTest, CorruptionLosesOnlyTheAffectedFile) {
     ++survivors;
   }
   EXPECT_GE(survivors, 9) << "minor corruption must only lose nearby files";
+
+  // A spliced header for one file: its presence bits still name 4 blocks,
+  // but present_count (and the stream) carry none. Parse must reject it, so
+  // exactly that file is lost and every other file restores intact.
+  const std::string victim = "/file5";
+  const Inum victim_inum = *f.src->LookupPath(victim);
+  std::vector<uint8_t> spliced;
+  for (const TapeCatalog::Entry& e : dump.catalog.entries()) {
+    if (e.type != DumpRecordType::kInode || e.inum != victim_inum) {
+      continue;
+    }
+    const auto header = std::span<const uint8_t>(dump.stream)
+                            .subspan(e.offset, kDumpRecordSize);
+    auto rec = DumpRecord::Parse(header);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_EQ(rec->present_count, 4u);
+    rec->present_count = 0;
+    rec->data_crc = Crc32c(std::span<const uint8_t>());
+    auto crafted = rec->Serialize();
+    ASSERT_TRUE(crafted.ok()) << crafted.status().ToString();
+    spliced.assign(dump.stream.begin(),
+                   dump.stream.begin() + static_cast<long>(e.offset));
+    spliced.insert(spliced.end(), crafted->begin(), crafted->end());
+    spliced.insert(spliced.end(),
+                   dump.stream.begin() + static_cast<long>(e.offset + e.bytes),
+                   dump.stream.end());
+  }
+  ASSERT_FALSE(spliced.empty()) << "victim's kInode record not cataloged";
+
+  auto volume = Volume::Create(&f.env, "dst2", TestGeometry());
+  auto fresh = std::move(Filesystem::Format(volume.get(), &f.env)).value();
+  auto again = RunLogicalRestore(fresh.get(), spliced, opt);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_GT(again->stats.corrupt_records_skipped, 0u);
+  EXPECT_FALSE(fresh->LookupPath(victim).ok())
+      << "a header contradicting its own block map must not restore";
+  for (const auto& [path, want] : contents) {
+    if (path != victim) {
+      f.ExpectFile(fresh.get(), path, want);
+    }
+  }
 }
 
 TEST(DumpRestoreTest, TruncatedStreamStillRestoresPrefix) {

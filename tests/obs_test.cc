@@ -115,14 +115,14 @@ TEST(MetricsTest, NamespacesAreSeparate) {
   MetricsRegistry reg;
   reg.GetCounter("x");
   reg.GetGauge("x")->Set(1.5);
-  reg.GetHistogram("x", HistogramOptions::Log2())->Observe(8);
+  reg.GetHistogram("x")->Observe(8);
   EXPECT_EQ(reg.size(), 3u);
   EXPECT_DOUBLE_EQ(reg.FindGauge("x")->value(), 1.5);
   EXPECT_EQ(reg.FindHistogram("x")->count(), 1u);
 }
 
 TEST(MetricsTest, Log2HistogramPercentiles) {
-  Histogram h(HistogramOptions::Log2());
+  Histogram h;
   // 90 small samples in [2,4), 10 large in [1024,2048).
   for (int i = 0; i < 90; ++i) {
     h.Observe(3.0);
@@ -140,27 +140,8 @@ TEST(MetricsTest, Log2HistogramPercentiles) {
   EXPECT_DOUBLE_EQ(h.Percentile(0.99), 2048.0);
 }
 
-TEST(MetricsTest, LinearHistogramBuckets) {
-  // 10 buckets of width 10 over [0, 100), plus underflow and overflow.
-  Histogram h(HistogramOptions::Linear(0.0, 10.0, 10));
-  h.Observe(-5.0);   // underflow
-  h.Observe(0.0);    // first body bucket
-  h.Observe(55.0);   // bucket [50, 60)
-  h.Observe(250.0);  // overflow
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.min(), -5.0);
-  EXPECT_DOUBLE_EQ(h.max(), 250.0);
-  const auto& buckets = h.buckets();
-  ASSERT_EQ(buckets.size(), 12u);
-  EXPECT_EQ(buckets.front(), 1u);
-  EXPECT_EQ(buckets[1], 1u);
-  EXPECT_EQ(buckets[6], 1u);
-  EXPECT_EQ(buckets.back(), 1u);
-  EXPECT_TRUE(std::isinf(h.BucketUpperBound(buckets.size() - 1)));
-}
-
 TEST(MetricsTest, EmptyHistogramIsDefined) {
-  Histogram h(HistogramOptions::Log2());
+  Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
@@ -172,7 +153,7 @@ TEST(MetricsTest, JsonExportRoundTrips) {
   MetricsRegistry reg;
   reg.GetCounter("writes", {{"device", "d0"}})->Increment(7);
   reg.GetGauge("depth")->Set(2.25);
-  Histogram* h = reg.GetHistogram("lat", HistogramOptions::Log2());
+  Histogram* h = reg.GetHistogram("lat");
   h->Observe(10);
   h->Observe(100);
 

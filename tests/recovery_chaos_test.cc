@@ -18,10 +18,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,9 +35,7 @@
 #include "src/fs/filesystem.h"
 #include "src/net/link.h"
 #include "src/net/tape_server.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/json.h"
-#include "src/obs/trace.h"
 #include "src/util/checksum.h"
 #include "src/workload/population.h"
 
@@ -311,118 +307,6 @@ TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ((*parsed)["resume"]["resumes"].int_value(), 2);
   EXPECT_GT((*parsed)["resume"]["bytes_skipped"].int_value(), 0);
-}
-
-// Black-box forensics: the same two-kill supervised restore, run with a
-// flight recorder attached, must leave a `flightrec_restore_resume_*.json`
-// whose crash events sit at the planned kill points and whose
-// `state.resumable_restore` block mirrors JobReport.resume exactly.
-TEST(RecoveryChaosTest, ChaosKillLeavesMatchingFlightRecord) {
-  DumpedWorkload w(4242 + SeedOffset());
-  Filer filer(&w.env, FilerModel::F630());
-  Tape media("night.0", 32 * kMiB);
-  TapeDrive drive(&w.env, "dlt0");
-  drive.LoadMedia(&media);
-  SupervisionPolicy policy;
-
-  LogicalBackupJobResult backup;
-  CountdownLatch done(&w.env, 1);
-  w.env.Spawn(LogicalBackupJob(&filer, w.src.get(), &drive,
-                               LogicalDumpOptions{}, &backup, &done, {},
-                               &policy));
-  w.env.Run();
-  ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
-  auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
-  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
-
-  const uint64_t dir_end = catalog->directory_end();
-  const uint64_t stream_end = catalog->stream_end();
-  const uint64_t kill1 = dir_end + (stream_end - dir_end) / 3;
-  const uint64_t kill2 = dir_end + 2 * (stream_end - dir_end) / 3;
-  CrashPlan plan;
-  plan.seed = 77;
-  plan.KillAtOffset(kill1).KillAtOffset(kill2);
-  CrashInjector injector(plan);
-
-  // Attached only for the restore: the fault ring should hold nothing but
-  // the two chaos kills. The tracer gives the black box a trace tail that
-  // includes the "restore.kill" instants.
-  const std::string dir = ::testing::TempDir() + "chaos_flightrec";
-  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
-  FlightRecorder recorder(&w.env, dir);
-  Tracer tracer(&w.env);
-
-  auto volume = Volume::Create(&w.env, "r", Geometry());
-  auto fs = std::move(Filesystem::Format(volume.get(), &w.env)).value();
-  ResumableRestoreConfig cfg;
-  cfg.catalog = &*catalog;
-  cfg.kill = &injector;
-  cfg.checkpoint_every = 8;
-  ResumableRestoreJobResult result;
-  CountdownLatch rdone(&w.env, 1);
-  w.env.Spawn(ResumableLogicalRestoreJob(&filer, &fs, volume.get(), &drive,
-                                         LogicalRestoreOptions{}, false,
-                                         &policy, cfg, &result, &rdone));
-  w.env.Run();
-  ASSERT_TRUE(result.report.status.ok()) << result.report.status.ToString();
-  ASSERT_EQ(result.attempts, 3u);
-  ASSERT_EQ(result.report.resume.resumes, 2u);
-
-  ASSERT_EQ(recorder.dumps_written(), 1u);
-  EXPECT_EQ(recorder.last_path(), dir + "/flightrec_restore_resume_0.json");
-  std::ifstream in(recorder.last_path());
-  std::ostringstream text;
-  text << in.rdbuf();
-  auto parsed = ParseJson(text.str());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue& doc = *parsed;
-  EXPECT_EQ(doc["reason"].string_value(), "restore_resume");
-
-  // Two crash events, labeled with consecutive incarnations, each at or
-  // just past its planned kill offset (kills land on record granularity).
-  const auto& events = doc["faults"]["events"].array();
-  std::vector<uint64_t> kill_offsets;
-  for (const JsonValue& e : events) {
-    ASSERT_EQ(e["kind"].string_value(), "crash");
-    unsigned long long offset = 0;
-    unsigned incarnation = 0;
-    ASSERT_EQ(std::sscanf(e["detail"].string_value().c_str(),
-                          "kill at offset %llu, incarnation %u", &offset,
-                          &incarnation),
-              2)
-        << e["detail"].string_value();
-    EXPECT_EQ(incarnation, kill_offsets.size());
-    kill_offsets.push_back(offset);
-  }
-  ASSERT_EQ(kill_offsets.size(), 2u);
-  EXPECT_GE(kill_offsets[0], kill1);
-  EXPECT_LT(kill_offsets[0], kill2);
-  EXPECT_GE(kill_offsets[1], kill2);
-  EXPECT_LE(kill_offsets[1], stream_end);
-
-  // The live-state block is the JobReport.resume accounting, verbatim.
-  const JsonValue& state = doc["state"]["resumable_restore"];
-  EXPECT_EQ(state["attempts"].int_value(), 3);
-  EXPECT_EQ(state["resumes"].int_value(), 2);
-  EXPECT_EQ(static_cast<uint64_t>(state["bytes_replayed"].int_value()),
-            result.report.resume.bytes_replayed);
-  EXPECT_EQ(static_cast<uint64_t>(state["bytes_skipped"].int_value()),
-            result.report.resume.bytes_skipped);
-  EXPECT_EQ(static_cast<uint64_t>(state["entries_skipped"].int_value()),
-            result.report.resume.entries_skipped);
-  EXPECT_EQ(static_cast<uint64_t>(state["checkpoints"].int_value()),
-            result.report.resume.checkpoints);
-  EXPECT_TRUE(state["status_ok"].bool_value());
-
-  // The black box carries the trace ring's tail: the last moments of the
-  // final (successful) incarnation, every event on the restore job's track.
-  ASSERT_TRUE(doc["trace"]["attached"].bool_value());
-  const auto& tail = doc["trace"]["tail"].array();
-  ASSERT_FALSE(tail.empty());
-  for (const JsonValue& e : tail) {
-    EXPECT_EQ(e["track"].string_value().rfind("job:", 0), 0u)
-        << e["track"].string_value();
-  }
 }
 
 // Catalog-driven remote single-file restore: one file off the vault costs

@@ -8,7 +8,6 @@
 #include "src/util/checksum.h"
 #include "src/util/random.h"
 #include "src/util/serdes.h"
-#include "src/util/stats.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
 
@@ -333,38 +332,6 @@ TEST(SerdesTest, SkipAndAlign) {
   EXPECT_TRUE(r.AlignTo(16).ok());
   EXPECT_EQ(r.position(), 16u);
   EXPECT_EQ(r.Skip(1000).code(), ErrorCode::kCorruption);
-}
-
-// ----------------------------------------------------------------- Stats ---
-
-TEST(StatsTest, RunningStatsBasics) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(StatsTest, EmptyStatsAreZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(StatsTest, HistogramPercentile) {
-  Log2Histogram h;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    h.Add(i < 900 ? 100 : 100000);
-  }
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_LE(h.Percentile(0.5), 128u);
-  EXPECT_GE(h.Percentile(0.95), 65536u);
 }
 
 // ----------------------------------------------------------------- Units ---

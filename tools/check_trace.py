@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Validate observability artifacts emitted by the simulator.
 
-Three modes:
+Two modes:
 
   check_trace.py trace  backup.trace.json [flags]  # Chrome trace-event file
   check_trace.py report BENCH_foo.json             # structured bench report
-  check_trace.py flightrec flightrec_x_0.json      # flight-recorder snapshot
 
 Trace mode checks what Perfetto / chrome://tracing require to load the
 file and what the exporter promises: a traceEvents array, thread_name /
@@ -25,10 +24,6 @@ job summaries, per-phase stats, utilization series with samples in
 [0, 1], and the metrics dump. When the report embeds a scheduler section
 it also validates the night_health series (increasing sample times,
 progress in [0, 1]) and that every missed deadline was flagged live.
-
-Flightrec mode checks the flight-recorder snapshot schema: reason/seq,
-the fault ring (ordered timestamps), counter deltas, the trace tail with
-its drop counter, and the state object.
 
 Exit code 0 when the file validates; 1 with a message on stderr when not.
 """
@@ -257,71 +252,17 @@ def check_report(path):
           f"{health_samples} night_health samples")
 
 
-def check_flightrec(path):
-    doc = load(path)
-    for key in ("reason", "seq", "sim_time_s", "faults", "metrics", "trace",
-                "state"):
-        if key not in doc:
-            fail(f"missing top-level key {key!r}")
-    if not doc["reason"]:
-        fail("empty dump reason")
-
-    faults = doc["faults"]
-    if "dropped" not in faults or not isinstance(faults.get("events"), list):
-        fail("faults.dropped / faults.events malformed")
-    prev_t = None
-    for n, ev in enumerate(faults["events"]):
-        for key in ("t_s", "kind", "target", "detail"):
-            if key not in ev:
-                fail(f"fault event {n}: missing {key!r}")
-        if prev_t is not None and ev["t_s"] < prev_t:
-            fail(f"fault event {n}: timestamps regressed")
-        prev_t = ev["t_s"]
-
-    deltas = doc["metrics"].get("counter_deltas")
-    if not isinstance(deltas, list):
-        fail("metrics.counter_deltas missing")
-    for n, d in enumerate(deltas):
-        if "name" not in d or "value" not in d or "delta" not in d:
-            fail(f"counter delta {n}: missing name/value/delta")
-        if d["delta"] == 0:
-            fail(f"counter delta {n} ({d['name']!r}): zero delta reported")
-
-    trace = doc["trace"]
-    if "attached" not in trace or "dropped_events" not in trace or \
-            not isinstance(trace.get("tail"), list):
-        fail("trace.attached / dropped_events / tail malformed")
-    for n, ev in enumerate(trace["tail"]):
-        for key in ("ph", "track", "t_s", "name"):
-            if key not in ev:
-                fail(f"trace tail event {n}: missing {key!r}")
-
-    if not isinstance(doc["state"], dict):
-        fail("state is not an object")
-
-    print(f"{path}: OK — reason {doc['reason']!r}, "
-          f"{len(faults['events'])} fault events "
-          f"({faults['dropped']} dropped), {len(deltas)} counter deltas, "
-          f"{len(trace['tail'])} trace tail events, "
-          f"{len(doc['state'])} state providers")
-
-
 def main():
-    if len(sys.argv) < 3 or sys.argv[1] not in ("trace", "report",
-                                                "flightrec"):
+    if len(sys.argv) < 3 or sys.argv[1] not in ("trace", "report"):
         sys.stderr.write(__doc__)
         sys.exit(2)
     mode, path, flags = sys.argv[1], sys.argv[2], sys.argv[3:]
     if mode == "trace":
         check_trace(path, flags)
-    elif mode == "report":
+    else:
         if flags:
             fail("report mode takes no flags")
         check_report(path)
-    else:
-        if flags:
-            fail("flightrec mode takes no flags")
-        check_flightrec(path)
 
 
 if __name__ == "__main__":
