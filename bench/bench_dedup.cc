@@ -63,7 +63,6 @@ int Run(const std::string& json_path) {
   opts.quota_trees = 1;
   opts.aged = false;
   bench::Bench b(opts);
-  bench::BenchSampler sampler(&b);
   std::printf("workload: %u files, %u dirs, %s of data\n", b.workload.files,
               b.workload.directories, FormatSize(b.workload.bytes).c_str());
 
@@ -173,9 +172,9 @@ int Run(const std::string& json_path) {
   if (!json_path.empty()) {
     std::vector<const JobReport*> reports = {&night1.report, &incr.report,
                                              &night2.report};
-    bench::Check(bench::WriteBenchJson(json_path, "dedup", b, reports,
-                                       {&sampler}),
-                 "writing JSON report");
+    bench::CheckStatus(bench::WriteBenchJson(json_path, "dedup", opts,
+                                             b.env.now(), reports),
+                       "writing JSON report");
   }
   return ok ? 0 : 1;
 }

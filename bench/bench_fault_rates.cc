@@ -30,69 +30,47 @@ bench::SetupOptions Setup() {
   return opts;
 }
 
-// State kept alive past a measurement when the run feeds the JSON report:
-// the bench owns the resources the sampler observed, so both must outlive
-// WriteBenchJson.
-struct KeptRun {
-  std::unique_ptr<bench::Bench> bench;
-  std::unique_ptr<bench::BenchSampler> sampler;
-};
-
 // Each measurement gets a fresh bench (and so a fresh deterministic access
-// sequence) with every disk of the home volume armed at `rate`. With `keep`,
-// the bench is retained (with a utilization sampler attached) for reporting.
-JobReport RunLogical(double rate, KeptRun* keep = nullptr) {
-  auto b = std::make_unique<bench::Bench>(Setup());
+// sequence) with every disk of the home volume armed at `rate`. `end`, when
+// set, receives the simulated time the run finished at.
+JobReport RunLogical(double rate, SimTime* end = nullptr) {
+  bench::Bench b(Setup());
   FaultPlan plan;
   plan.DiskFlaky("", rate);
-  FaultInjector injector(&b->env, plan);
-  injector.Arm(b->home.get());
-  std::unique_ptr<bench::BenchSampler> sampler;
-  if (keep != nullptr) {
-    sampler = std::make_unique<bench::BenchSampler>(b.get());
-  }
+  FaultInjector injector(&b.env, plan);
+  injector.Arm(b.home.get());
   SupervisionPolicy policy;
   LogicalBackupJobResult r;
-  CountdownLatch done(&b->env, 1);
+  CountdownLatch done(&b.env, 1);
   LogicalDumpOptions opt;
   opt.volume_name = "home";
-  b->env.Spawn(LogicalBackupJob(b->filer.get(), b->fs.get(),
-                                b->drives[0].get(), opt, &r, &done, {},
-                                &policy));
-  b->env.Run();
+  b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(), b.drives[0].get(),
+                               opt, &r, &done, {}, &policy));
+  b.env.Run();
   bench::CheckStatus(r.report.status, "supervised logical backup");
   r.report.name = "Logical Backup";
-  if (keep != nullptr) {
-    keep->sampler = std::move(sampler);
-    keep->bench = std::move(b);
+  if (end != nullptr) {
+    *end = b.env.now();
   }
   return r.report;
 }
 
-JobReport RunImage(double rate, KeptRun* keep = nullptr) {
-  auto b = std::make_unique<bench::Bench>(Setup());
+JobReport RunImage(double rate) {
+  bench::Bench b(Setup());
   FaultPlan plan;
   plan.DiskFlaky("", rate);
-  FaultInjector injector(&b->env, plan);
-  injector.Arm(b->home.get());
-  std::unique_ptr<bench::BenchSampler> sampler;
-  if (keep != nullptr) {
-    sampler = std::make_unique<bench::BenchSampler>(b.get());
-  }
+  FaultInjector injector(&b.env, plan);
+  injector.Arm(b.home.get());
   SupervisionPolicy policy;
   ImageBackupJobResult r;
-  CountdownLatch done(&b->env, 1);
-  b->env.Spawn(ImageBackupJob(b->filer.get(), b->fs.get(), b->drives[1].get(),
-                              ImageDumpOptions{},
-                              /*delete_snapshot_after=*/true, &r, &done, {},
-                              &policy));
-  b->env.Run();
+  CountdownLatch done(&b.env, 1);
+  b.env.Spawn(ImageBackupJob(b.filer.get(), b.fs.get(), b.drives[1].get(),
+                             ImageDumpOptions{},
+                             /*delete_snapshot_after=*/true, &r, &done, {},
+                             &policy));
+  b.env.Run();
   bench::CheckStatus(r.report.status, "supervised physical backup");
   r.report.name = "Physical Backup";
-  if (keep != nullptr) {
-    keep->sampler = std::move(sampler);
-    keep->bench = std::move(b);
-  }
   return r.report;
 }
 
@@ -106,17 +84,14 @@ int Run(const std::string& json_path) {
   const double kRates[] = {0.0, 0.001, 0.01};
   Row rows[3];
   std::vector<JobReport> reports;
-  // The highest-rate runs are the interesting timelines; keep them (bench +
-  // utilization samplers) for the JSON report.
-  KeptRun kept_logical;
-  KeptRun kept_image;
+  // The report's sim_elapsed_s is the highest-rate logical run's.
+  SimTime elapsed = 0;
   for (int i = 0; i < 3; ++i) {
-    const bool keep = !json_path.empty() && i == 2;
     rows[i].rate = kRates[i];
-    JobReport logical = RunLogical(kRates[i], keep ? &kept_logical : nullptr);
+    JobReport logical = RunLogical(kRates[i], i == 2 ? &elapsed : nullptr);
     rows[i].logical_mbps = logical.MBps();
     rows[i].logical_retries = logical.faults.disk_retries;
-    JobReport image = RunImage(kRates[i], keep ? &kept_image : nullptr);
+    JobReport image = RunImage(kRates[i]);
     rows[i].image_mbps = image.MBps();
     rows[i].image_retries = image.faults.disk_retries;
     logical.name += RateTag(kRates[i]);
@@ -156,11 +131,9 @@ int Run(const std::string& json_path) {
     for (const JobReport& r : reports) {
       report_ptrs.push_back(&r);
     }
-    bench::Check(
-        bench::WriteBenchJson(
-            json_path, "fault_rates", *kept_logical.bench, report_ptrs,
-            {kept_logical.sampler.get(), kept_image.sampler.get()}),
-        "writing JSON report");
+    bench::CheckStatus(bench::WriteBenchJson(json_path, "fault_rates", Setup(),
+                                             elapsed, report_ptrs),
+                       "writing JSON report");
   }
   return ok ? 0 : 1;
 }

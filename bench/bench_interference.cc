@@ -89,10 +89,7 @@ struct CellOut {
   ForegroundStats fg_stats;
   bool has_dump = false;
   JobReport dump;
-  // Kept alive so the JSON writer can sample config/utilization off the
-  // representative cell after all cells ran.
-  std::unique_ptr<bench::Bench> bench;
-  std::unique_ptr<bench::BenchSampler> sampler;
+  SimTime sim_end = 0;  // simulated time the cell's run drained at
 };
 
 Task DelayedDump(bench::Bench* b, DumpMode mode, BackupQos qos,
@@ -127,37 +124,35 @@ CellOut RunCell(const CellSpec& spec) {
 
   CellOut out;
   out.name = spec.name;
-  out.bench = std::make_unique<bench::Bench>(InterferenceSetup());
-  bench::Bench* b = out.bench.get();
+  bench::Bench b(InterferenceSetup());
   // Swap in the interactive filer model before anything resolves handles.
-  b->filer = std::make_unique<Filer>(&b->env, InteractiveModel());
+  b.filer = std::make_unique<Filer>(&b.env, InteractiveModel());
   // Fast tape: the unthrottled dump must be disk-bound, not tape-bound.
   TapeTiming fast;
   fast.stream_mb_per_s = 80.0;
-  b->drives[0] = std::make_unique<TapeDrive>(&b->env, "dlt0", fast);
-  b->drives[0]->LoadMedia(b->tapes[0].get());
-  out.sampler = std::make_unique<bench::BenchSampler>(b);
+  b.drives[0] = std::make_unique<TapeDrive>(&b.env, "dlt0", fast);
+  b.drives[0]->LoadMedia(b.tapes[0].get());
 
   std::unique_ptr<BackupThrottle> throttle;
   BackupQos qos;
   if (spec.throttled) {
-    throttle = std::make_unique<BackupThrottle>(&b->env, kThrottleMBps * 1e6);
+    throttle = std::make_unique<BackupThrottle>(&b.env, kThrottleMBps * 1e6);
     qos.throttle = throttle.get();
     qos.io_priority = kPriorityBackground;
   }
 
-  auto load = std::make_unique<ForegroundLoad>(b->filer.get(), b->fs.get(),
+  auto load = std::make_unique<ForegroundLoad>(b.filer.get(), b.fs.get(),
                                                FgParams());
   const int jobs = (spec.foreground ? 1 : 0) + (spec.mode != DumpMode::kNone);
-  CountdownLatch done(&b->env, jobs);
+  CountdownLatch done(&b.env, jobs);
   if (spec.foreground) {
-    b->env.Spawn(load->Run(&done));
+    b.env.Spawn(load->Run(&done));
   }
   if (spec.mode != DumpMode::kNone) {
     out.has_dump = true;
-    b->env.Spawn(DelayedDump(b, spec.mode, qos, &out.dump, &done));
+    b.env.Spawn(DelayedDump(&b, spec.mode, qos, &out.dump, &done));
   }
-  b->env.Run();
+  out.sim_end = b.env.Run();
 
   if (out.has_dump) {
     bench::CheckStatus(out.dump.status, spec.name);
@@ -324,8 +319,8 @@ int Run(int argc, char** argv) {
   const std::string json_path =
       bench::JsonPathFromArgs(argc, argv, "BENCH_interference.json");
   if (!json_path.empty()) {
-    // Representative cell for config/utilization: the throttled logical
-    // dump, the cell the QoS story is about.
+    // Representative cell for sim_elapsed_s: the throttled logical dump,
+    // the cell the QoS story is about.
     const CellOut& rep = cells[4];
     std::vector<const JobReport*> reports;
     for (const CellOut& c : cells) {
@@ -334,7 +329,7 @@ int Run(int argc, char** argv) {
       }
     }
     const Status st = bench::WriteBenchJson(
-        json_path, "interference", *rep.bench, reports, {rep.sampler.get()},
+        json_path, "interference", InterferenceSetup(), rep.sim_end, reports,
         [&](JsonWriter* w) {
           w->Key("interference").BeginArray();
           for (const CellOut& c : cells) {

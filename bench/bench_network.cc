@@ -98,7 +98,6 @@ int Run(const std::string& json_path) {
               b.workload.files, b.workload.directories,
               FormatSize(b.workload.bytes).c_str());
 
-  bench::BenchSampler sampler(&b);
   TapeServer server(&b.env, "vault");
   std::vector<std::unique_ptr<NetLink>> links;
   std::vector<std::unique_ptr<Tape>> media;
@@ -134,7 +133,7 @@ int Run(const std::string& json_path) {
                                      /*delete_snapshot_after=*/true, &r,
                                      &done));
     b.env.Run();
-    bench::Check(r.report.status, "remote physical backup");
+    bench::CheckStatus(r.report.status, "remote physical backup");
     r.report.name = "Remote Physical @ " + Mbps(bw);
     rows.push_back({bw, r.report, r.report.faults.link_retransmits});
   }
@@ -159,7 +158,7 @@ int Run(const std::string& json_path) {
                                      /*delete_snapshot_after=*/true, &r,
                                      &done));
     b.env.Run();
-    bench::Check(r.report.status, "remote physical backup (ratio 2.0)");
+    bench::CheckStatus(r.report.status, "remote physical backup (ratio 2.0)");
     r.report.name = "Remote Physical r2 @ " + Mbps(bw);
     ratio_rows.push_back({bw, r.report, r.report.faults.link_retransmits});
   }
@@ -175,7 +174,7 @@ int Run(const std::string& json_path) {
     b.env.Spawn(RemoteLogicalBackupJob(b.filer.get(), b.fs.get(), target, opt,
                                        &r, &done));
     b.env.Run();
-    bench::Check(r.report.status, "remote logical backup");
+    bench::CheckStatus(r.report.status, "remote logical backup");
     r.report.name = "Remote Logical @ " + Mbps(125.0);
     logical_report = r.report;
   }
@@ -204,7 +203,7 @@ int Run(const std::string& json_path) {
         b.filer.get(), b.fs.get(), shared, &server, drives, ImageDumpOptions{},
         /*delete_snapshot_after=*/true, /*supervision=*/nullptr, &r, &done));
     b.env.Run();
-    bench::Check(r.merged.status, "parallel remote physical backup");
+    bench::CheckStatus(r.merged.status, "parallel remote physical backup");
     r.merged.name = "Remote Physical 2-way @ " + Mbps(125.0);
     parallel_report = r.merged;
   }
@@ -300,9 +299,9 @@ int Run(const std::string& json_path) {
     }
     reports.push_back(&logical_report);
     reports.push_back(&parallel_report);
-    bench::Check(bench::WriteBenchJson(json_path, "network", b, reports,
-                                       {&sampler}),
-                 "writing JSON report");
+    bench::CheckStatus(bench::WriteBenchJson(json_path, "network", opts,
+                                             b.env.now(), reports),
+                       "writing JSON report");
   }
   return ok ? 0 : 1;
 }

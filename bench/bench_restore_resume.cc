@@ -60,9 +60,6 @@ int Run(int argc, char** argv) {
   Tape vault_media("vault.0", 8ull * kGiB);
   vault_drive->LoadMedia(&vault_media);
 
-  bench::BenchSampler sampler(&b);
-  sampler.Attach(&vault_drive->unit());
-
   // Local logical backup; its catalog is the recovery authority for the
   // resume measurements.
   LogicalBackupJobResult backup;
@@ -212,8 +209,8 @@ int Run(int argc, char** argv) {
     std::vector<const JobReport*> reports = {
         &backup.report, &baseline.report, &resumed.report,
         &remote_backup.report, &single.report};
-    bench::CheckStatus(bench::WriteBenchJson(json_path, "restore_resume", b,
-                                             reports, {&sampler}),
+    bench::CheckStatus(bench::WriteBenchJson(json_path, "restore_resume", opts,
+                                             b.env.now(), reports),
                        "bench json");
   }
 

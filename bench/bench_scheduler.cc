@@ -15,7 +15,6 @@
 
 #include "bench/common.h"
 #include "src/backup/scheduler.h"
-#include "src/obs/utilization.h"
 
 namespace bkup {
 namespace {
@@ -79,14 +78,11 @@ CellResult RunCell(int num_drives, int num_volumes,
   }
 
   std::vector<std::unique_ptr<TapeDrive>> drives;
-  std::vector<std::unique_ptr<UtilizationSampler>> samplers;
   FleetConfig config;
   for (int d = 0; d < num_drives; ++d) {
     drives.push_back(
         std::make_unique<TapeDrive>(&env, "d" + std::to_string(d)));
     config.drives.push_back(drives.back().get());
-    samplers.push_back(std::make_unique<UtilizationSampler>(
-        &drives.back()->unit(), 10 * kSecond));
   }
   config.library = &library;
   config.supervision = &policy;
@@ -136,12 +132,6 @@ CellResult RunCell(int num_drives, int num_volumes,
       r.WriteJson(&w);
     }
     w.EndArray();
-    w.Key("utilization").BeginArray();
-    for (auto& s : samplers) {
-      s->Finish(env.now());
-      s->WriteJson(&w);
-    }
-    w.EndArray();
     w.Key("scheduler");
     report.WriteJson(&w);
     w.Key("metrics");
@@ -149,14 +139,15 @@ CellResult RunCell(int num_drives, int num_volumes,
     w.EndObject();
 
     std::FILE* f = std::fopen(json_path.c_str(), "w");
-    bench::Check(f != nullptr ? Status::Ok() : IoError("open " + json_path),
-                 "json open");
+    bench::CheckStatus(
+        f != nullptr ? Status::Ok() : IoError("open " + json_path),
+        "json open");
     const std::string json = w.Take();
     const bool ok =
         std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
         std::fclose(f) == 0;
-    bench::Check(ok ? Status::Ok() : IoError("write " + json_path),
-                 "json write");
+    bench::CheckStatus(ok ? Status::Ok() : IoError("write " + json_path),
+                       "json write");
     std::printf("wrote %s (%zu bytes)\n", json_path.c_str(), json.size());
   }
   return cell;

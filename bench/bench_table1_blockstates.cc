@@ -32,16 +32,16 @@ int Run() {
     auto inum = fs->Create(path, 0644).value();
     std::vector<uint8_t> data(blocks * kBlockSize,
                               static_cast<uint8_t>(fill));
-    bench::Check(fs->Write(inum, 0, data), "write");
+    bench::CheckStatus(fs->Write(inum, 0, data), "write");
     return inum;
   };
   mk("/unchanged", 8, 1);   // will be in A and B (state 1,1)
   mk("/doomed", 8, 2);      // in A, deleted before B (state 1,0)
-  bench::Check(fs->CreateSnapshot("A"), "snapshot A");
+  bench::CheckStatus(fs->CreateSnapshot("A"), "snapshot A");
 
-  bench::Check(fs->Unlink("/doomed"), "unlink");
+  bench::CheckStatus(fs->Unlink("/doomed"), "unlink");
   mk("/fresh", 8, 3);       // written after A (state 0,1)
-  bench::Check(fs->CreateSnapshot("B"), "snapshot B");
+  bench::CheckStatus(fs->CreateSnapshot("B"), "snapshot B");
 
   auto fsinfo = ReadFsInfoFromVolume(volume.get()).value();
   auto map = LoadBlockMapFromVolume(volume.get(), fsinfo).value();

@@ -19,7 +19,6 @@ int Run(const std::string& json_path) {
               b.workload.files, b.workload.directories,
               FormatSize(b.workload.bytes).c_str());
 
-  bench::BenchSampler sampler(&b);
   bench::BasicSuite suite = bench::RunBasicSuite(&b);
 
   bench::PrintBanner("Table 2: Basic Backup and Restore Performance",
@@ -52,12 +51,12 @@ int Run(const std::string& json_path) {
                                  : "SHAPE MISMATCH");
 
   if (!json_path.empty()) {
-    bench::Check(bench::WriteBenchJson(
-                     json_path, "table2_basic", b,
-                     {&suite.logical_backup, &suite.logical_restore,
-                      &suite.physical_backup, &suite.physical_restore},
-                     {&sampler}),
-                 "writing JSON report");
+    bench::CheckStatus(
+        bench::WriteBenchJson(
+            json_path, "table2_basic", opts, b.env.now(),
+            {&suite.logical_backup, &suite.logical_restore,
+             &suite.physical_backup, &suite.physical_restore}),
+        "writing JSON report");
   }
   return ok ? 0 : 1;
 }

@@ -3,15 +3,16 @@
 // Logical: the home volume split into 2 quota trees, dumped/restored
 // concurrently. Physical: the image dump striped over 2 drives. Shape
 // target: both roughly double their single-drive rate at 2 drives; logical
-// CPU climbs faster.
+// CPU climbs faster. `--json[=path]` writes BENCH_table4_parallel2.json.
 #include <cstdio>
+#include <string>
 
 #include "bench/parallel_suite.h"
 
 namespace bkup {
 namespace {
 
-int Run() {
+int Run(const std::string& json_path) {
   bench::ParallelSuite suite = bench::RunParallelSuite(2, 96 * kMiB);
   bench::PrintBanner(
       "Table 4: Parallel Backup and Restore Performance on 2 tape drives",
@@ -28,10 +29,22 @@ int Run() {
       suite.physical_backup.TapeMBps() > suite.logical_backup.TapeMBps();
   std::printf("RESULT: %s\n",
               ok ? "shape matches the paper" : "SHAPE MISMATCH");
+
+  if (!json_path.empty()) {
+    bench::CheckStatus(
+        bench::WriteBenchJson(
+            json_path, "table4_parallel2", suite.opts, suite.sim_end,
+            {&suite.logical_backup, &suite.logical_restore,
+             &suite.physical_backup, &suite.physical_restore}),
+        "writing JSON report");
+  }
   return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace bkup
 
-int main() { return bkup::Run(); }
+int main(int argc, char** argv) {
+  return bkup::Run(bkup::bench::JsonPathFromArgs(
+      argc, argv, "BENCH_table4_parallel2.json"));
+}

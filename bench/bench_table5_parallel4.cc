@@ -3,15 +3,17 @@
 // The paper's headline scaling result: with 4 drives, logical dump reaches
 // ~17.4 GB/h/tape with the CPU near 90% and tape utilization under 70%,
 // while physical dump reaches ~27.6 GB/h/tape at ~30% CPU — physical scales,
-// logical saturates on disks + CPU.
+// logical saturates on disks + CPU. `--json[=path]` writes
+// BENCH_table5_parallel4.json.
 #include <cstdio>
+#include <string>
 
 #include "bench/parallel_suite.h"
 
 namespace bkup {
 namespace {
 
-int Run() {
+int Run(const std::string& json_path) {
   bench::ParallelSuite suite = bench::RunParallelSuite(4, 128 * kMiB);
   bench::PrintBanner(
       "Table 5: Parallel Backup and Restore Performance on 4 tape drives",
@@ -55,10 +57,22 @@ int Run() {
               .CpuUtilization();
   std::printf("RESULT: %s\n",
               ok ? "shape matches the paper" : "SHAPE MISMATCH");
+
+  if (!json_path.empty()) {
+    bench::CheckStatus(
+        bench::WriteBenchJson(
+            json_path, "table5_parallel4", suite.opts, suite.sim_end,
+            {&suite.logical_backup, &suite.logical_restore,
+             &suite.physical_backup, &suite.physical_restore}),
+        "writing JSON report");
+  }
   return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace bkup
 
-int main() { return bkup::Run(); }
+int main(int argc, char** argv) {
+  return bkup::Run(bkup::bench::JsonPathFromArgs(
+      argc, argv, "BENCH_table5_parallel4.json"));
+}

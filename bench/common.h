@@ -20,7 +20,6 @@
 #include "src/backup/parallel.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
-#include "src/obs/utilization.h"
 #include "src/workload/aging.h"
 #include "src/workload/population.h"
 
@@ -42,7 +41,7 @@ struct SetupOptions {
 };
 
 struct Bench {
-  explicit Bench(const SetupOptions& options) : opts(options) {
+  explicit Bench(const SetupOptions& options) {
     VolumeGeometry geom;
     geom.num_raid_groups = options.num_raid_groups;
     geom.disks_per_group = options.disks_per_group;
@@ -97,7 +96,6 @@ struct Bench {
     return out;
   }
 
-  SetupOptions opts;
   SimEnvironment env;
   std::unique_ptr<Filer> filer;
   std::unique_ptr<Volume> home;
@@ -232,92 +230,37 @@ inline BasicSuite RunBasicSuite(Bench* b) {
   return suite;
 }
 
-inline void Check(const Status& status, const char* what) {
-  CheckStatus(status, what);
-}
-
 // --------------------------------------------------------- observability ---
 
-// Windowed utilization sampling over every simulated resource of a bench:
-// the filer CPU, every disk arm (data and parity, all groups) and every tape
-// drive unit. Construct after the Bench and before running jobs; destroy (or
-// at least keep alive) until after WriteBenchJson.
-class BenchSampler {
- public:
-  explicit BenchSampler(Bench* b, SimDuration window = 1 * kSecond)
-      : bench_(b), window_(window) {
-    Attach(&b->filer->cpu());
-    for (const auto& d : b->home->disks()) {
-      Attach(&d->arm());
-    }
-    for (const auto& drive : b->drives) {
-      Attach(&drive->unit());
-    }
-  }
-
-  void Attach(Resource* res) {
-    samplers_.push_back(std::make_unique<UtilizationSampler>(res, window_));
-  }
-
-  // Flushes the trailing partial window on every sampler; idempotent.
-  void Finish() {
-    if (finished_) {
-      return;
-    }
-    for (auto& s : samplers_) {
-      s->Finish(bench_->env.now());
-    }
-    finished_ = true;
-  }
-
-  const std::vector<std::unique_ptr<UtilizationSampler>>& samplers() const {
-    return samplers_;
-  }
-
- private:
-  Bench* bench_;
-  SimDuration window_;
-  bool finished_ = false;
-  std::vector<std::unique_ptr<UtilizationSampler>> samplers_;
-};
-
-// Writes a structured BENCH_*.json report: bench configuration, every job
-// report (summary, faults, per-phase stats), windowed utilization series for
-// every resource, and a snapshot of the process-wide metrics registry.
+// Writes a structured BENCH_*.json report: the bench configuration, the
+// simulated time the run ended at, every job report (summary, faults,
+// per-phase stats) and a snapshot of the process-wide metrics registry.
 // `extra`, when set, is called with the writer just before the object closes
 // so a bench can append its own top-level sections (the report contract's
 // required keys are unaffected).
 inline Status WriteBenchJson(
-    const std::string& path, const std::string& bench_name, const Bench& b,
+    const std::string& path, const std::string& bench_name,
+    const SetupOptions& opts, SimTime elapsed,
     const std::vector<const JobReport*>& reports,
-    const std::vector<BenchSampler*>& samplers,
     const std::function<void(JsonWriter*)>& extra = {}) {
   JsonWriter w;
   w.BeginObject();
   w.Field("bench", bench_name);
-  w.Field("sim_elapsed_s", SimToSeconds(b.env.now()));
+  w.Field("sim_elapsed_s", SimToSeconds(elapsed));
   w.Key("config")
       .BeginObject()
-      .Field("data_bytes", b.opts.data_bytes)
-      .Field("quota_trees", static_cast<uint64_t>(b.opts.quota_trees))
-      .Field("aged", b.opts.aged)
-      .Field("num_tapes", static_cast<uint64_t>(b.opts.num_tapes))
-      .Field("raid_groups", static_cast<uint64_t>(b.opts.num_raid_groups))
-      .Field("disks_per_group", static_cast<uint64_t>(b.opts.disks_per_group))
-      .Field("blocks_per_disk", b.opts.blocks_per_disk)
-      .Field("seed", b.opts.seed)
+      .Field("data_bytes", opts.data_bytes)
+      .Field("quota_trees", static_cast<uint64_t>(opts.quota_trees))
+      .Field("aged", opts.aged)
+      .Field("num_tapes", static_cast<uint64_t>(opts.num_tapes))
+      .Field("raid_groups", static_cast<uint64_t>(opts.num_raid_groups))
+      .Field("disks_per_group", static_cast<uint64_t>(opts.disks_per_group))
+      .Field("blocks_per_disk", opts.blocks_per_disk)
+      .Field("seed", opts.seed)
       .EndObject();
   w.Key("jobs").BeginArray();
   for (const JobReport* r : reports) {
     r->WriteJson(&w);
-  }
-  w.EndArray();
-  w.Key("utilization").BeginArray();
-  for (BenchSampler* sampler : samplers) {
-    sampler->Finish();
-    for (const auto& s : sampler->samplers()) {
-      s->WriteJson(&w);
-    }
   }
   w.EndArray();
   w.Key("metrics");

@@ -20,7 +20,8 @@ struct ParallelSuite {
   JobReport logical_restore;
   JobReport physical_backup;
   JobReport physical_restore;
-  uint32_t ntapes = 0;
+  SetupOptions opts;    // the testbed the suite ran on
+  SimTime sim_end = 0;  // simulated time the last job drained at
 };
 
 inline ParallelSuite RunParallelSuite(uint32_t ntapes, uint64_t data_bytes) {
@@ -30,7 +31,7 @@ inline ParallelSuite RunParallelSuite(uint32_t ntapes, uint64_t data_bytes) {
   opts.num_tapes = ntapes;
   Bench b(opts);
   ParallelSuite suite;
-  suite.ntapes = ntapes;
+  suite.opts = opts;
 
   std::vector<std::string> subtrees;
   for (uint32_t k = 0; k < ntapes; ++k) {
@@ -101,6 +102,7 @@ inline ParallelSuite RunParallelSuite(uint32_t ntapes, uint64_t data_bytes) {
     result.merged.name = "Physical Restore";
     suite.physical_restore = result.merged;
   }
+  suite.sim_end = b.env.now();
   return suite;
 }
 
@@ -113,7 +115,7 @@ inline void PrintParallelSuite(const ParallelSuite& suite) {
     std::printf("%-20s %12s %7.1f%% %10.2f %10.2f %8.1f %10.2f\n",
                 r->name.c_str(), FormatDuration(r->StreamElapsed()).c_str(),
                 r->StreamCpuUtilization() * 100.0, r->DiskMBps(),
-                r->TapeMBps(), r->GBph(), r->GBph() / suite.ntapes);
+                r->TapeMBps(), r->GBph(), r->GBph() / suite.opts.num_tapes);
   }
 }
 

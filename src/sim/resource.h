@@ -30,9 +30,9 @@ class Resource;
 
 // Observation hook for resource state changes. Observers are notified after
 // every occupancy change (acquire, release, waiter grant) with the new
-// in-use count; the observability layer builds counter tracks and windowed
-// utilization samples on top of this. Observers must detach before either
-// the resource or the observer is destroyed.
+// in-use count; the tracer builds its counter tracks on top of this.
+// Observers must detach before either the resource or the observer is
+// destroyed.
 class ResourceObserver {
  public:
   virtual ~ResourceObserver() = default;

@@ -1,9 +1,10 @@
 // Tests for the observability layer: JSON writer/parser round-trips, metric
 // registry identity semantics, histogram percentiles, span tracing (nesting,
-// ring overflow, Chrome export invariants) and windowed utilization sampling.
+// ring overflow, Chrome export invariants, counter tracks).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <map>
 #include <set>
@@ -13,7 +14,6 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/obs/utilization.h"
 #include "src/sim/environment.h"
 #include "src/sim/resource.h"
 #include "src/sim/task.h"
@@ -266,6 +266,17 @@ TEST(TracerTest, WatchedResourceEmitsCounterTrack) {
     values.push_back(e.value);
   }
   EXPECT_EQ(values, (std::vector<double>{0, 1, 2, 1, 0}));
+
+  // The track is an exact occupancy record: each sample holds until the
+  // next, so integrating it reproduces the resource's busy integral.
+  const std::deque<TraceEvent>& events = tracer.events();
+  int64_t busy = 0;
+  for (size_t i = 0; i + 1 < events.size(); ++i) {
+    busy += static_cast<int64_t>(events[i].value) *
+            (events[i + 1].ts - events[i].ts);
+  }
+  EXPECT_EQ(busy, res.BusyIntegral());
+  EXPECT_EQ(busy, 30 * kMillisecond);
 }
 
 // Chrome-export invariants: parses, one thread_name record per track,
@@ -477,83 +488,6 @@ TEST(JsonEdgeTest, NonFiniteDoublesInNestedStructures) {
   EXPECT_TRUE(series[1].is_null());
   EXPECT_TRUE(series[2].is_null());
   EXPECT_TRUE(series[3].is_null());
-}
-
-// ----------------------------------------------------------- utilization ---
-
-Task UtilScenario(SimEnvironment* env, Resource* res) {
-  co_await env->Delay(500 * kMillisecond);
-  co_await res->Acquire();
-  co_await env->Delay(1 * kSecond);
-  res->Release();
-  co_await env->Delay(500 * kMillisecond);
-}
-
-TEST(UtilizationSamplerTest, WindowsAreExact) {
-  SimEnvironment env;
-  Resource res(&env, 1, "cpu");
-  UtilizationSampler sampler(&res, 1 * kSecond);
-  env.Spawn(UtilScenario(&env, &res));
-  const SimTime end = env.Run();
-  ASSERT_EQ(end, 2 * kSecond);
-  sampler.Finish(end);
-
-  // Busy [0.5s, 1.5s) against 1s windows: both windows half busy.
-  const auto& samples = sampler.samples();
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].start, 0);
-  EXPECT_DOUBLE_EQ(samples[0].utilization, 0.5);
-  EXPECT_EQ(samples[1].start, 1 * kSecond);
-  EXPECT_DOUBLE_EQ(samples[1].utilization, 0.5);
-}
-
-TEST(UtilizationSamplerTest, TrailingPartialWindow) {
-  SimEnvironment env;
-  Resource res(&env, 1, "cpu");
-  UtilizationSampler sampler(&res, 1 * kSecond);
-  // Busy for the full first quarter-second, then idle; finish mid-window.
-  env.Spawn(HoldResource(&env, &res, 0, 250 * kMillisecond));
-  env.Run();
-  sampler.Finish(500 * kMillisecond);
-
-  const auto& samples = sampler.samples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].start, 0);
-  // 250ms busy over a 500ms partial window.
-  EXPECT_DOUBLE_EQ(samples[0].utilization, 0.5);
-}
-
-TEST(UtilizationSamplerTest, CapacityScalesUtilization) {
-  SimEnvironment env;
-  Resource res(&env, 4, "arms");
-  UtilizationSampler sampler(&res, 1 * kSecond);
-  // Two of four units held for the full window.
-  env.Spawn(HoldResource(&env, &res, 0, 1 * kSecond));
-  env.Spawn(HoldResource(&env, &res, 0, 1 * kSecond));
-  const SimTime end = env.Run();
-  sampler.Finish(end);
-
-  ASSERT_EQ(sampler.samples().size(), 1u);
-  EXPECT_DOUBLE_EQ(sampler.samples()[0].utilization, 0.5);
-}
-
-TEST(UtilizationSamplerTest, JsonShape) {
-  SimEnvironment env;
-  Resource res(&env, 1, "filer.cpu");
-  UtilizationSampler sampler(&res, 1 * kSecond);
-  env.Spawn(HoldResource(&env, &res, 0, 2 * kSecond));
-  sampler.Finish(env.Run());
-
-  JsonWriter w;
-  sampler.WriteJson(&w);
-  auto parsed = ParseJson(w.Take());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue& v = *parsed;
-  EXPECT_EQ(v["resource"].string_value(), "filer.cpu");
-  EXPECT_DOUBLE_EQ(v["window_s"].number(), 1.0);
-  ASSERT_EQ(v["samples"].array().size(), 2u);
-  EXPECT_DOUBLE_EQ(v["samples"].array()[1]["t_s"].number(), 1.0);
-  EXPECT_DOUBLE_EQ(v["samples"].array()[1]["utilization"].number(), 1.0);
 }
 
 }  // namespace

@@ -20,10 +20,10 @@ counter. Optional flags tighten the contract for cross-node traces:
   --require-incarnation    some event carries args.incarnation >= 1
 
 Report mode checks the BENCH_*.json contract used by downstream tooling:
-job summaries, per-phase stats, utilization series with samples in
-[0, 1], and the metrics dump. When the report embeds a scheduler section
-it also validates the night_health series (increasing sample times,
-progress in [0, 1]) and that every missed deadline was flagged live.
+job summaries, per-phase stats and the metrics dump. When the report
+embeds a scheduler section it also validates the night_health series
+(increasing sample times, progress in [0, 1]) and that every missed
+deadline was flagged live.
 
 Exit code 0 when the file validates; 1 with a message on stderr when not.
 """
@@ -194,8 +194,7 @@ def check_night_health(sched):
 
 def check_report(path):
     doc = load(path)
-    for key in ("bench", "sim_elapsed_s", "config", "jobs", "utilization",
-                "metrics"):
+    for key in ("bench", "sim_elapsed_s", "config", "jobs", "metrics"):
         if key not in doc:
             fail(f"missing top-level key {key!r}")
 
@@ -215,27 +214,6 @@ def check_report(path):
                 fail(f"job {name!r} phase {phase.get('name')!r}: "
                      f"cpu_utilization {u!r} outside [0, 1]")
 
-    series_list = doc["utilization"]
-    if not isinstance(series_list, list) or not series_list:
-        fail("utilization series missing or empty")
-    total_samples = 0
-    for series in series_list:
-        res = series.get("resource", "<unnamed>")
-        samples = series.get("samples")
-        if not isinstance(samples, list):
-            fail(f"utilization {res!r}: samples missing")
-        prev_t = None
-        for s in samples:
-            u, t = s.get("utilization"), s.get("t_s")
-            if u is None or not 0.0 <= u <= 1.0:
-                fail(f"utilization {res!r}: sample {u!r} outside [0, 1]")
-            if prev_t is not None and t <= prev_t:
-                fail(f"utilization {res!r}: sample times not increasing")
-            prev_t = t
-        total_samples += len(samples)
-    if total_samples == 0:
-        fail("no utilization samples in any series")
-
     metrics = doc["metrics"]
     for key in ("counters", "gauges", "histograms"):
         if key not in metrics:
@@ -245,8 +223,7 @@ def check_report(path):
     if "scheduler" in doc:
         health_samples = check_night_health(doc["scheduler"])
 
-    print(f"{path}: OK — {len(jobs)} jobs, {len(series_list)} utilization "
-          f"series ({total_samples} samples), "
+    print(f"{path}: OK — {len(jobs)} jobs, "
           f"{len(metrics['counters'])} counters, "
           f"{len(metrics['histograms'])} histograms, "
           f"{health_samples} night_health samples")
