@@ -47,10 +47,6 @@ constexpr SimDuration kPlanningFixedCost = 80 * kSecond;
 constexpr uint32_t kSpareMediaPerJob = 1;
 // A volume whose first attempt fails is re-dispatched once.
 constexpr int kMaxAttemptsPerVolume = 2;
-// Live SLO sampling cadence: every period the night's SloMonitor reads
-// drive progress, projects each volume's ETA and appends a `night_health`
-// sample. Sampling is read-only; it never changes a dispatch decision.
-constexpr SimDuration kHealthSamplePeriod = 30 * kSecond;
 
 void AppendLine(std::string* out, const char* fmt, ...) {
   char buf[512];
@@ -308,7 +304,6 @@ std::string NightPlan::Serialize(
 
 struct NightlyScheduler::Completion {
   bool timer = false;
-  bool health = false;  // timer tick that samples SLO health, no rescan
   size_t vol = 0;
   int attempt = 0;
   std::vector<int> drive_idx;
@@ -321,11 +316,10 @@ struct NightlyScheduler::Completion {
 };
 
 Task NightlyScheduler::Waker(SimDuration delay,
-                             Channel<Completion>* completions, bool health) {
+                             Channel<Completion>* completions) {
   co_await filer_->env()->Delay(delay);
   Completion tick;
   tick.timer = true;
-  tick.health = health;
   co_await completions->Send(std::move(tick));
 }
 
@@ -477,29 +471,12 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
   std::vector<bool> busy(ndrv, false);
   std::vector<bool> healthy(ndrv, true);
   std::vector<std::vector<size_t>> open_grants(nvol);
-  // Tape head position at grant time, parallel to report->grants: an open
-  // grant's live progress is the drive's position delta since its start.
-  std::vector<uint64_t> grant_start_pos;
-
-  // The night's SLO monitor: one objective per volume, sampled every
-  // kHealthSamplePeriod.
-  SloMonitor monitor(env);
-  monitor.set_default_rate_mb_s(kPlanningMBps);
-  for (size_t v = 0; v < nvol; ++v) {
-    monitor.Register(volumes_[v].name, volumes_[v].deadline,
-                     volumes_[v].estimated_bytes);
-  }
 
   std::vector<size_t> pending = Queue();
 
   Channel<Completion> completions(env, nvol + 8);
   size_t running = 0;
   size_t wakers = 0;
-
-  // First health sample fires one period in; re-armed after every tick
-  // while work remains.
-  env->Spawn(Waker(kHealthSamplePeriod, &completions, /*health=*/true));
-  ++wakers;
 
   // Deadline-fallback boundaries are the one dispatch trigger that is not a
   // completion: an affinity-waiter becomes willing to take any drive when
@@ -531,26 +508,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
     if (report->status.ok()) {
       report->status = out.status;
     }
-    monitor.Complete(volumes_[v].name, /*ok=*/false);
-  };
-
-  // Reads live progress off the tape heads and appends one health sample.
-  auto sample_health = [&]() {
-    for (size_t v = 0; v < nvol; ++v) {
-      if (open_grants[v].empty()) {
-        continue;
-      }
-      uint64_t done_bytes = 0;
-      for (size_t g : open_grants[v]) {
-        const DriveGrant& grant = report->grants[g];
-        const uint64_t pos = config_.drives[grant.drive]->position();
-        if (pos > grant_start_pos[g]) {
-          done_bytes += pos - grant_start_pos[g];
-        }
-      }
-      monitor.ReportProgress(volumes_[v].name, done_bytes);
-    }
-    monitor.Sample();
   };
 
   // A volume wider than the fleet can never start: Queue() left it out, so
@@ -643,7 +600,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
               open_grants[v].push_back(report->grants.size());
               report->grants.push_back(DriveGrant{v, vs[v].attempts, d,
                                                   env->now(), 0, backfill});
-              grant_start_pos.push_back(config_.drives[d]->position());
             }
             env->Spawn(RunOne(v, vs[v].attempts, take, std::move(primaries),
                               std::move(spares),
@@ -661,17 +617,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
     Completion c = std::move(*recvd);
     if (c.timer) {
       --wakers;
-      if (c.health) {
-        // Health ticks are read-only: sample, re-arm, and never rescan the
-        // queue.
-        sample_health();
-        if (running > 0 || !pending.empty()) {
-          env->Spawn(Waker(kHealthSamplePeriod, &completions,
-                           /*health=*/true));
-          ++wakers;
-        }
-        continue;
-      }
       try_dispatch();
       continue;
     }
@@ -714,7 +659,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
       out.part_media = c.part_media;
       out.report = c.merged;
       out.deadline_met = env->now() <= spec.deadline;
-      monitor.Complete(spec.name, /*ok=*/true);
       if (out.deadline_met) {
         ++report->deadline_hits;
         m_hits->Increment();
@@ -770,16 +714,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
                        static_cast<double>(
                            config_.drives[d]->unit().capacity() * span)
                  : 0.0;
-  }
-
-  // Final SLO accounting: one closing sample so the series ends at the
-  // night's end, then publish the history and per-volume verdicts.
-  sample_health();
-  report->night_health = monitor.history();
-  report->slo_breaches = monitor.breaches();
-  for (size_t v = 0; v < nvol; ++v) {
-    report->volumes[v].slo_flagged_live =
-        monitor.WasFlaggedLive(volumes_[v].name);
   }
 
   // Drain outstanding deadline ticks so their channel pointer stays valid.
@@ -842,14 +776,7 @@ void NightReport::WriteJson(JsonWriter* w) const {
   w->Field("reassignments", reassignments);
   w->Field("drives_failed", drives_failed);
   w->Field("link_budget_waits", link_budget_waits);
-  w->Field("slo_breaches", slo_breaches);
   w->EndObject();
-
-  w->Key("night_health").BeginArray();
-  for (const SloHealthSample& sample : night_health) {
-    WriteHealthSample(w, sample);
-  }
-  w->EndArray();
 
   w->Key("volumes").BeginArray();
   for (const VolumeOutcome& v : volumes) {
@@ -860,7 +787,6 @@ void NightReport::WriteJson(JsonWriter* w) const {
     w->Field("attempts", static_cast<int64_t>(v.attempts));
     w->Field("backfilled", v.backfilled);
     w->Field("deadline_met", v.deadline_met);
-    w->Field("slo_flagged_live", v.slo_flagged_live);
     w->Field("wait_s", SimToSeconds(v.wait));
     w->Field("started_s", SimToSeconds(v.started));
     w->Field("finished_s", SimToSeconds(v.finished));

@@ -55,7 +55,6 @@
 #include "src/backup/supervisor.h"
 #include "src/block/tape_library.h"
 #include "src/net/link.h"
-#include "src/obs/slo.h"
 #include "src/sim/channel.h"
 
 namespace bkup {
@@ -146,9 +145,6 @@ struct VolumeOutcome {
   SimTime started = -1;      // dispatch of the final attempt
   SimTime finished = -1;
   SimDuration wait = 0;      // first dispatch - enqueue (queueing delay)
-  // The live monitor called this volume at-risk or breached while the night
-  // was still running — a missed deadline with this false was silent.
-  bool slo_flagged_live = false;
   std::vector<int> drives_used;                 // final attempt, pool indices
   std::vector<std::vector<std::string>> part_media;  // final media per part
   JobReport report;  // merged report of the final attempt
@@ -172,13 +168,8 @@ struct NightReport {
   uint64_t reassignments = 0;   // volume re-dispatches after a failed attempt
   uint64_t drives_failed = 0;
   uint64_t link_budget_waits = 0;  // dispatches deferred by the link budget
-  // SLO health readings taken every 30 s of the night plus the monitor's
-  // final breach count; the bench gate cross-checks these against deadline
-  // outcomes.
-  std::vector<SloHealthSample> night_health;
-  uint64_t slo_breaches = 0;
   SimTime night_start = 0;
-  SimTime night_end = 0;
+  SimTime night_end = 0;  // the instant the night's last volume finished
   Status status;  // first hard failure (a volume out of attempts), else OK
   SimDuration makespan() const { return night_end - night_start; }
   // Canonical text form of the executed schedule (grants + outcomes);
@@ -250,9 +241,7 @@ class NightlyScheduler {
               uint64_t link_reservation, Channel<Completion>* completions);
   // Fires a rescan of the dispatch queue at now + delay (deadline-fallback
   // boundaries are the only dispatch triggers that are not completions).
-  // With `health` set the tick instead takes an SLO health sample.
-  Task Waker(SimDuration delay, Channel<Completion>* completions,
-             bool health = false);
+  Task Waker(SimDuration delay, Channel<Completion>* completions);
 
   Filer* filer_;
   FleetConfig config_;

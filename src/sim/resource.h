@@ -143,35 +143,6 @@ class Resource {
   mutable int64_t busy_integral_ = 0;
 };
 
-// Snapshot of a resource at a stage boundary; pairs of these yield the
-// per-stage utilization numbers in the paper's tables.
-class UtilizationWindow {
- public:
-  explicit UtilizationWindow(const Resource* res)
-      : res_(res) {}
-
-  void Start(SimTime now) {
-    start_time_ = now;
-    start_integral_ = res_->BusyIntegral();
-  }
-
-  // Mean utilization in [start, now] as a fraction of capacity.
-  double Utilization(SimTime now) const {
-    const SimDuration span = now - start_time_;
-    if (span <= 0) {
-      return 0.0;
-    }
-    const int64_t busy = res_->BusyIntegral() - start_integral_;
-    return static_cast<double>(busy) /
-           (static_cast<double>(res_->capacity()) * static_cast<double>(span));
-  }
-
- private:
-  const Resource* res_;
-  SimTime start_time_ = 0;
-  int64_t start_integral_ = 0;
-};
-
 }  // namespace bkup
 
 #endif  // BKUP_SIM_RESOURCE_H_

@@ -406,6 +406,35 @@ TEST(SchedulerTest, DeadlineForcesAffinityFallback) {
   }
 }
 
+// One drive, two volumes and a deadline far tighter than the work: the night
+// reports its misses per volume, every volume lands in exactly one of the
+// hit/miss counters, and the night ends when its last volume does (no timer
+// outlives it).
+TEST(SchedulerTest, TightDeadlinesAreReportedAsMisses) {
+  DirectedFixture f;
+  std::vector<VolumeSpec> specs;
+  for (int i = 0; i < 2; ++i) {
+    const std::string name = "vol" + std::to_string(i);
+    VolumeSpec spec = Spec(name, f.AddVolume(name, 4 * kMiB, 42),
+                           BackupMode::kImage, 4 * kMiB);
+    spec.deadline = 2 * kMinute;
+    specs.push_back(std::move(spec));
+  }
+  f.AddDrives(1);
+
+  NightReport report = f.RunNight(std::move(specs));
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  EXPECT_GT(report.deadline_misses, 0u);
+  EXPECT_EQ(report.deadline_hits + report.deadline_misses,
+            report.volumes.size());
+  for (const VolumeOutcome& v : report.volumes) {
+    if (!v.deadline_met) {
+      EXPECT_GT(v.finished, 2 * kMinute) << v.name;
+    }
+  }
+  EXPECT_EQ(f.env.now(), report.night_end);
+}
+
 // A volume that needs more drives than the fleet has can never start: the
 // night fails it at night-open with kInvalidArgument, the plan leaves it
 // out, and neither hangs nor holds back the volume queued behind it (whose

@@ -312,19 +312,6 @@ TEST(ResourceTest, BusyIntegralTracksUtilization) {
   EXPECT_EQ(cpu.BusyIntegral(), 30);  // no extra busy time accrued
 }
 
-TEST(ResourceTest, UtilizationWindow) {
-  SimEnvironment env;
-  Resource cpu(&env, 1, "cpu");
-  UtilizationWindow w(&cpu);
-  w.Start(env.now());
-  std::vector<int> done;
-  env.Spawn(Worker(&env, &cpu, 25, 0, &done));
-  SimTime woke;
-  env.Spawn(Sleeper(&env, 100, &woke));
-  env.Run();
-  EXPECT_DOUBLE_EQ(w.Utilization(env.now()), 0.25);
-}
-
 TEST(ResourceTest, UseHelper) {
   SimEnvironment env;
   auto proc = [](Resource* r) -> Task { co_await r->Use(1, 42); };

@@ -21,9 +21,9 @@ counter. Optional flags tighten the contract for cross-node traces:
 
 Report mode checks the BENCH_*.json contract used by downstream tooling:
 job summaries, per-phase stats and the metrics dump. When the report
-embeds a scheduler section it also validates the night_health series
-(increasing sample times, progress in [0, 1]) and that every missed
-deadline was flagged live.
+embeds a scheduler section it also checks the night's results: every
+volume is counted once as a deadline hit or miss, no volume finishes after
+the night ends, and the makespan is the night's end minus its start.
 
 Exit code 0 when the file validates; 1 with a message on stderr when not.
 """
@@ -169,27 +169,29 @@ def check_trace(path, flags):
           f"max incarnation {max_incarnation})")
 
 
-def check_night_health(sched):
-    health = sched.get("night_health")
-    if not isinstance(health, list):
-        fail("scheduler: night_health missing or not a list")
-    prev_t = None
-    for n, sample in enumerate(health):
-        t = sample.get("t_s")
-        if t is None or (prev_t is not None and t < prev_t):
-            fail(f"night_health sample {n}: times not non-decreasing")
-        prev_t = t
-        for vol in sample.get("volumes", []):
-            p = vol.get("progress")
-            if p is None or not 0.0 <= p <= 1.0:
-                fail(f"night_health sample {n} volume "
-                     f"{vol.get('name')!r}: progress {p!r} outside [0, 1]")
-    for vol in sched.get("volumes", []):
-        if not vol.get("deadline_met", True) and \
-                not vol.get("slo_flagged_live", False):
-            fail(f"volume {vol.get('name')!r} missed its deadline but was "
-                 f"never flagged live by the SLO monitor")
-    return len(health)
+def check_night(sched):
+    night = sched.get("night")
+    counters = sched.get("counters")
+    volumes = sched.get("volumes")
+    if not isinstance(night, dict) or not isinstance(counters, dict) or \
+            not isinstance(volumes, list):
+        fail("scheduler: night, counters or volumes missing")
+    counted = counters.get("deadline_hits", 0) + \
+        counters.get("deadline_misses", 0)
+    if counted != len(volumes):
+        fail(f"scheduler: {counted} deadline hits + misses for "
+             f"{len(volumes)} volumes")
+    end = night.get("end_s")
+    for vol in volumes:
+        if vol.get("finished_s", 0) > end:
+            fail(f"volume {vol.get('name')!r} finished at "
+                 f"{vol.get('finished_s')} s, after the night ended at "
+                 f"{end} s")
+    span = end - night.get("start_s")
+    if abs(night.get("makespan_s") - span) > 1e-6:
+        fail(f"scheduler: makespan_s {night.get('makespan_s')} != "
+             f"end_s - start_s = {span}")
+    return len(volumes)
 
 
 def check_report(path):
@@ -219,14 +221,13 @@ def check_report(path):
         if key not in metrics:
             fail(f"metrics: missing {key!r}")
 
-    health_samples = 0
+    night = ""
     if "scheduler" in doc:
-        health_samples = check_night_health(doc["scheduler"])
+        night = f", {check_night(doc['scheduler'])} scheduled volumes"
 
     print(f"{path}: OK — {len(jobs)} jobs, "
           f"{len(metrics['counters'])} counters, "
-          f"{len(metrics['histograms'])} histograms, "
-          f"{health_samples} night_health samples")
+          f"{len(metrics['histograms'])} histograms{night}")
 
 
 def main():
