@@ -183,13 +183,14 @@ uint64_t ContentHash(std::span<const uint8_t> bytes) {
 
 // ------------------------------------------------------------ ChunkIndex ---
 
-bool ChunkIndex::Insert(uint64_t hash, std::span<const uint8_t> bytes) {
+bool ChunkIndex::Insert(uint64_t hash, std::span<const uint8_t> bytes,
+                        uint32_t crc) {
   auto [it, inserted] = map_.try_emplace(hash);
   if (!inserted) {
     return false;
   }
   it->second.bytes.assign(bytes.begin(), bytes.end());
-  it->second.crc = Crc32c(bytes);
+  it->second.crc = crc;
   stored_bytes_ += bytes.size();
   return true;
 }
@@ -367,7 +368,7 @@ std::vector<uint64_t> StagePipeline::ChunkBoundaries(
     return ends;
   }
   const uint64_t min_len = cfg_.min_chunk_bytes;
-  const uint64_t max_len = cfg_.max_chunk_bytes;
+  const uint64_t max_len = std::max<uint64_t>(cfg_.max_chunk_bytes, 1);
   if (!cfg_.chunk) {
     // Fixed-size chunking fallback: avg-sized pieces.
     for (uint64_t pos = 0; pos < raw.size();) {
@@ -378,29 +379,30 @@ std::vector<uint64_t> StagePipeline::ChunkBoundaries(
   }
   const RollTable table = MakeRollTable(cfg_.seed);
   const uint64_t mask = cfg_.avg_chunk_bytes - 1;
+  // A cut depends only on the trailing kRollWindow bytes, and none is legal
+  // before min_len (Validate() keeps min_len > kRollWindow), so each chunk's
+  // hash starts kRollWindow bytes before its first legal cut.
+  const uint64_t skip = min_len > kRollWindow ? min_len - kRollWindow : 0;
   uint64_t start = 0;
-  uint64_t h = 0;
-  uint64_t pos = 0;
-  while (pos < raw.size()) {
-    const uint8_t in = raw[pos];
-    h = RotL(h, 1) ^ table.t[in];
-    if (pos - start >= kRollWindow) {
-      // The byte entering kRollWindow iterations ago has been rotated once
-      // per iteration since; cancel exactly that contribution so the hash
-      // depends only on the trailing window (what makes an edit local).
+  while (start < raw.size()) {
+    const uint64_t limit = std::min<uint64_t>(start + max_len, raw.size());
+    uint64_t pos = std::min<uint64_t>(start + skip, limit);
+    const uint64_t filled = std::min<uint64_t>(pos + kRollWindow, limit);
+    uint64_t h = 0;
+    for (; pos < filled; ++pos) {
+      h = RotL(h, 1) ^ table.t[raw[pos]];
+    }
+    while (pos < limit && (h & mask) != mask) {
+      // The oldest byte has been rotated kRollWindow - 1 times; cancel it
+      // so the hash depends only on the trailing window (what makes an
+      // edit local), then roll the next byte in.
       h ^= RotL(table.t[raw[pos - kRollWindow]],
-                static_cast<int>(kRollWindow & 63));
+                static_cast<int>(kRollWindow - 1));
+      h = RotL(h, 1) ^ table.t[raw[pos]];
+      ++pos;
     }
-    ++pos;
-    const uint64_t len = pos - start;
-    if ((len >= min_len && (h & mask) == mask) || len >= max_len) {
-      ends.push_back(pos);
-      start = pos;
-      h = 0;
-    }
-  }
-  if (ends.empty() || ends.back() != raw.size()) {
-    ends.push_back(raw.size());
+    ends.push_back(pos);
+    start = pos;
   }
   return ends;
 }
@@ -442,7 +444,7 @@ Result<EncodeResult> StagePipeline::Encode(
       f.type = kFrameLiteral;
       bool stored = false;
       if (store_backed) {
-        if (cfg_.index->Insert(f.hash, chunk)) {
+        if (cfg_.index->Insert(f.hash, chunk, f.crc)) {
           out.stats.unique_bytes += chunk.size();
           stored = true;
         } else {

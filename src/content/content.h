@@ -58,8 +58,9 @@ class ChunkIndex {
     uint32_t crc = 0;  // Crc32c of `bytes`, sealed at insert time
   };
 
-  // Inserts if absent. Returns true when the chunk was new (unique).
-  bool Insert(uint64_t hash, std::span<const uint8_t> bytes);
+  // Inserts if absent, sealing `crc` (the caller's Crc32c of `bytes`).
+  // Returns true when the chunk was new (unique).
+  bool Insert(uint64_t hash, std::span<const uint8_t> bytes, uint32_t crc);
   // Null when the hash is unknown.
   const Entry* Find(uint64_t hash) const;
 

@@ -1,6 +1,11 @@
 #include "src/util/checksum.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace bkup {
 namespace {
@@ -24,15 +29,51 @@ const std::array<uint32_t, 256>& Crc32cTable() {
   return table;
 }
 
-}  // namespace
-
-uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed) {
+uint32_t Crc32cTableLoop(std::span<const uint8_t> data, uint32_t seed) {
   const auto& table = Crc32cTable();
   uint32_t crc = ~seed;
   for (uint8_t byte : data) {
     crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same reflected CRC-32C, eight
+// bytes per step. memcpy keeps the loads free of alignment assumptions.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(
+    std::span<const uint8_t> data, uint32_t seed) {
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  uint64_t crc = static_cast<uint32_t>(~seed);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; ++p, --n) {
+    crc32 = _mm_crc32_u8(crc32, *p);
+  }
+  return ~crc32;
+}
+#endif
+
+}  // namespace
+
+uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed) {
+#if defined(__x86_64__)
+  // Decided once. __builtin_cpu_init keeps the answer right even when the
+  // first call comes from a static initializer that runs before libgcc's.
+  static const bool has_sse42 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  if (has_sse42) {
+    return Crc32cSse42(data, seed);
+  }
+#endif
+  return Crc32cTableLoop(data, seed);
 }
 
 uint32_t Adler32(std::span<const uint8_t> data, uint32_t seed) {

@@ -12,7 +12,9 @@
 
 namespace bkup {
 
-// CRC-32C, software table implementation. `seed` allows incremental use:
+// CRC-32C. On x86-64 hosts with SSE4.2 it runs on the crc32 instruction,
+// eight bytes per step; elsewhere it falls back to a 256-entry table loop.
+// Both give the same value. `seed` allows incremental use:
 // Crc32c(b, Crc32c(a)) == Crc32c(a || b).
 uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed = 0);
 

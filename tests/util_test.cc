@@ -272,6 +272,67 @@ TEST(ChecksumTest, DifferentDataDifferentCrc) {
   EXPECT_NE(Crc32c(a), Crc32c(b));
 }
 
+// Bitwise CRC-32C reference (reflected polynomial 0x82F63B78), one bit per
+// step, with the same seed convention as Crc32c.
+uint32_t BitwiseCrc32c(std::span<const uint8_t> data, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+// Every length 0-300 at every start offset 0-7, so each alignment of the
+// 8-byte body and every tail length is checked against the reference.
+TEST(ChecksumPropertyTest, EveryLengthAndOffsetMatchesReference) {
+  std::vector<uint8_t> buf(8 + 300);
+  Rng rng(11);
+  rng.Fill(buf);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const auto data = std::span<const uint8_t>(buf).subspan(offset, len);
+      ASSERT_EQ(Crc32c(data), BitwiseCrc32c(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(ChecksumPropertyTest, RandomSeedsMatchReference) {
+  std::vector<uint8_t> buf(300);
+  Rng rng(12);
+  rng.Fill(buf);
+  for (int i = 0; i < 200; ++i) {
+    const uint32_t seed = static_cast<uint32_t>(rng.Range(1, 0xFFFFFFFF));
+    const size_t offset = rng.Below(8);
+    const size_t len = rng.Below(buf.size() - offset + 1);
+    const auto data = std::span<const uint8_t>(buf).subspan(offset, len);
+    ASSERT_EQ(Crc32c(data, seed), BitwiseCrc32c(data, seed))
+        << "seed " << seed << " offset " << offset << " length " << len;
+  }
+}
+
+TEST(ChecksumPropertyTest, OneMebibyteMatchesReference) {
+  std::vector<uint8_t> buf(1 << 20);
+  Rng rng(13);
+  rng.Fill(buf);
+  EXPECT_EQ(Crc32c(buf), BitwiseCrc32c(buf));
+}
+
+TEST(ChecksumPropertyTest, SeedChainsAtEverySplit) {
+  std::vector<uint8_t> buf(64);
+  Rng rng(14);
+  rng.Fill(buf);
+  const uint32_t whole = Crc32c(buf);
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const auto data = std::span<const uint8_t>(buf);
+    EXPECT_EQ(Crc32c(data.subspan(split), Crc32c(data.first(split))), whole)
+        << "split " << split;
+  }
+}
+
 // ---------------------------------------------------------------- Serdes ---
 
 TEST(SerdesTest, RoundTripAllTypes) {
