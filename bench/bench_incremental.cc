@@ -5,8 +5,10 @@
 // level-1 incremental on top of a level-0 full dump. The paper's point:
 // WAFL's copy-on-write bookkeeping makes incremental *image* dumps possible
 // and cheap — they move only changed blocks, while logical incrementals
-// re-dump every byte of every changed file.
+// re-dump every byte of every changed file. `--json[=path]` writes
+// BENCH_incremental.json with each row's level-1 logical and physical job.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
@@ -16,13 +18,21 @@
 namespace bkup {
 namespace {
 
+// One change rate: its level-1 logical and physical jobs.
 struct Row {
   double churn;
-  uint64_t logical_bytes;
-  SimDuration logical_elapsed;
-  uint64_t physical_bytes;
-  SimDuration physical_elapsed;
+  JobReport logical;
+  JobReport physical;
+  SimTime sim_end;
 };
+
+bench::SetupOptions Setup() {
+  bench::SetupOptions opts;
+  opts.data_bytes = 64 * kMiB;
+  opts.quota_trees = 1;
+  opts.aged = false;
+  return opts;
+}
 
 // Overwrites a fraction of files in place (partial rewrites).
 void Churn(Filesystem* fs, double fraction, uint64_t seed) {
@@ -56,11 +66,7 @@ void Churn(Filesystem* fs, double fraction, uint64_t seed) {
 }
 
 Row RunOne(double churn_fraction) {
-  bench::SetupOptions opts;
-  opts.data_bytes = 64 * kMiB;
-  opts.quota_trees = 1;
-  opts.aged = false;
-  bench::Bench b(opts);
+  bench::Bench b(Setup());
   DumpDates dumpdates;
 
   // Level 0 of both strategies.
@@ -108,8 +114,7 @@ Row RunOne(double churn_fraction) {
                                  b.drives[2].get(), opt, &l1, &done));
     b.env.Run();
     bench::CheckStatus(l1.report.status, "logical level 1");
-    row.logical_bytes = l1.dump.stats.stream_bytes;
-    row.logical_elapsed = l1.report.StreamElapsed();
+    row.logical = l1.report;
   }
   {
     CountdownLatch done(&b.env, 1);
@@ -123,13 +128,13 @@ Row RunOne(double churn_fraction) {
                                opt, false, &p1, &done));
     b.env.Run();
     bench::CheckStatus(p1.report.status, "physical level 1");
-    row.physical_bytes = p1.dump.stats.stream_bytes;
-    row.physical_elapsed = p1.report.StreamElapsed();
+    row.physical = p1.report;
   }
+  row.sim_end = b.env.now();
   return row;
 }
 
-int Run() {
+int Run(const std::string& json_path) {
   bench::PrintBanner(
       "Incremental dumps: logical (changed files) vs physical (B - A "
       "blocks)",
@@ -138,28 +143,50 @@ int Run() {
               "logical time", "physical bytes", "physical time",
               "ratio");
   bool ok = true;
+  std::vector<Row> rows;
   for (const double churn : {0.01, 0.05, 0.20}) {
-    const Row r = RunOne(churn);
-    const double ratio = static_cast<double>(r.logical_bytes) /
-                         static_cast<double>(r.physical_bytes);
+    const Row& r = rows.emplace_back(RunOne(churn));
+    const double ratio = static_cast<double>(r.logical.stream_bytes) /
+                         static_cast<double>(r.physical.stream_bytes);
     std::printf("%9.0f%% %16llu %14s %16llu %14s %7.2fx\n", churn * 100,
-                (unsigned long long)r.logical_bytes,
-                FormatDuration(r.logical_elapsed).c_str(),
-                (unsigned long long)r.physical_bytes,
-                FormatDuration(r.physical_elapsed).c_str(), ratio);
+                (unsigned long long)r.logical.stream_bytes,
+                FormatDuration(r.logical.StreamElapsed()).c_str(),
+                (unsigned long long)r.physical.stream_bytes,
+                FormatDuration(r.physical.StreamElapsed()).c_str(), ratio);
     // Logical incrementals re-dump whole changed files; physical moves only
     // changed blocks (plus meta-data churn), so logical moves more data at
     // every churn level here (one-block changes to multi-block files).
-    ok &= r.logical_bytes > r.physical_bytes;
+    ok &= r.logical.stream_bytes > r.physical.stream_bytes;
   }
   std::printf("\nRESULT: %s\n",
               ok ? "block-level incrementals move less data than file-level "
                    "(Section 4.1)"
                  : "SHAPE MISMATCH");
+
+  if (!json_path.empty()) {
+    // sim_elapsed_s is the highest-churn row's; each row has its own testbed.
+    std::vector<const JobReport*> reports;
+    for (Row& r : rows) {
+      const std::string churn =
+          " @ " + std::to_string(static_cast<int>(r.churn * 100 + 0.5)) +
+          "% churn";
+      r.logical.name = "Logical Level 1" + churn;
+      r.physical.name = "Physical Level 1" + churn;
+      reports.push_back(&r.logical);
+      reports.push_back(&r.physical);
+    }
+    bench::CheckStatus(
+        bench::WriteBenchJson(json_path, "incremental", Setup(),
+                              rows.back().sim_end, reports),
+        "writing JSON report");
+  }
   return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace bkup
 
-int main() { return bkup::Run(); }
+int main(int argc, char** argv) {
+  return bkup::Run(
+      bkup::bench::JsonPathFromArgs(argc, argv, "BENCH_incremental.json"));
+}

@@ -118,14 +118,10 @@ Task DelayedDump(bench::Bench* b, DumpMode mode, BackupQos qos,
 }
 
 CellOut RunCell(const CellSpec& spec) {
-  // Fresh registry per cell so the final report's metrics snapshot is not a
-  // sum over unrelated cells. Handles are re-resolved by the new Bench.
-  MetricsRegistry::Default().Clear();
-
   CellOut out;
   out.name = spec.name;
   bench::Bench b(InterferenceSetup());
-  // Swap in the interactive filer model before anything resolves handles.
+  // Swap in the interactive filer model before anything holds a pointer to it.
   b.filer = std::make_unique<Filer>(&b.env, InteractiveModel());
   // Fast tape: the unthrottled dump must be disk-bound, not tape-bound.
   TapeTiming fast;

@@ -39,7 +39,7 @@ struct CellResult {
 
 // Builds and runs one night of `num_volumes` identical image volumes over
 // `num_drives` drives. When `json_path` is non-empty the cell also writes
-// the structured bench report (jobs, scheduler outcomes, metrics).
+// the structured bench report (jobs and scheduler outcomes).
 CellResult RunCell(int num_drives, int num_volumes,
                    const std::string& json_path) {
   SimEnvironment env;
@@ -119,8 +119,6 @@ CellResult RunCell(int num_drives, int num_volumes,
     w.EndArray();
     w.Key("scheduler");
     report.WriteJson(&w);
-    w.Key("metrics");
-    MetricsRegistry::Default().WriteJson(&w);
     w.EndObject();
 
     std::FILE* f = std::fopen(json_path.c_str(), "w");

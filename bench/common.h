@@ -19,7 +19,6 @@
 #include "src/backup/jobs.h"
 #include "src/backup/parallel.h"
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
 #include "src/workload/aging.h"
 #include "src/workload/population.h"
 
@@ -233,8 +232,8 @@ inline BasicSuite RunBasicSuite(Bench* b) {
 // --------------------------------------------------------- observability ---
 
 // Writes a structured BENCH_*.json report: the bench configuration, the
-// simulated time the run ended at, every job report (summary, faults,
-// per-phase stats) and a snapshot of the process-wide metrics registry.
+// simulated time the run ended at and every job report (summary, faults,
+// per-phase stats).
 // `extra`, when set, is called with the writer just before the object closes
 // so a bench can append its own top-level sections (the report contract's
 // required keys are unaffected).
@@ -263,8 +262,6 @@ inline Status WriteBenchJson(
     r->WriteJson(&w);
   }
   w.EndArray();
-  w.Key("metrics");
-  MetricsRegistry::Default().WriteJson(&w);
   if (extra) {
     extra(&w);
   }

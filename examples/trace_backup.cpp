@@ -15,7 +15,6 @@
 #include <string>
 
 #include "src/backup/jobs.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/workload/population.h"
 
@@ -102,9 +101,5 @@ int main(int argc, char** argv) {
   std::printf("\n%zu events on %zu tracks -> %s\n", tracer.event_count(),
               tracer.track_count(), out_path.c_str());
   std::printf("open it at https://ui.perfetto.dev or chrome://tracing\n");
-
-  // The always-on metrics accumulated along the way, for comparison.
-  std::printf("\nmetrics: %zu series registered\n",
-              MetricsRegistry::Default().size());
   return 0;
 }

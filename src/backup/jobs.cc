@@ -9,7 +9,6 @@
 #include "src/backup/parallel.h"
 #include "src/backup/remote.h"
 #include "src/backup/replay.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace bkup {
@@ -801,9 +800,6 @@ Task RemoteSingleFileRestoreJob(Filer* filer, Filesystem* fs,
   if (budget != nullptr) {
     budget->Commit(estimate, result->link_bytes);
   }
-  MetricsRegistry::Default()
-      .GetCounter("restore.single_file.link_bytes")
-      ->Increment(result->link_bytes);
 
   CloseReport(&report, filer);
   report.data_bytes = result->restore.stats.bytes_restored;

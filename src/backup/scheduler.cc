@@ -437,16 +437,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
   const size_t nvol = volumes_.size();
   const size_t ndrv = config_.drives.size();
 
-  MetricsRegistry& reg = MetricsRegistry::Default();
-  const MetricLabels labels = {{"fleet", config_.library->name()}};
-  Counter* m_dispatches = reg.GetCounter("sched.dispatches", labels);
-  Counter* m_backfills = reg.GetCounter("sched.backfills", labels);
-  Counter* m_reassigns = reg.GetCounter("sched.reassignments", labels);
-  Counter* m_hits = reg.GetCounter("sched.deadline_hits", labels);
-  Counter* m_misses = reg.GetCounter("sched.deadline_misses", labels);
-  Counter* m_drive_failures = reg.GetCounter("sched.drive_failures", labels);
-  Counter* m_budget_waits = reg.GetCounter("sched.link_budget_waits", labels);
-
   report->night_start = env->now();
   report->volumes.resize(nvol);
   report->drives.resize(ndrv);
@@ -504,7 +494,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
     out.finished = env->now();
     out.deadline_met = false;
     ++report->deadline_misses;
-    m_misses->Increment();
     if (report->status.ok()) {
       report->status = out.status;
     }
@@ -538,7 +527,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
             if (!vs[v].budget_wait_counted) {
               vs[v].budget_wait_counted = true;
               ++report->link_budget_waits;
-              m_budget_waits->Increment();
             }
             if (config_.budget->reserved() == 0) {
               // Nothing in flight to settle and consumed only grows: this
@@ -570,10 +558,8 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
               out.wait = env->now() - out.enqueued;
             }
             out.backfilled = backfill;
-            m_dispatches->Increment();
             if (backfill) {
               ++report->backfills;
-              m_backfills->Increment();
             }
 
             std::vector<Tape*> primaries;
@@ -647,7 +633,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
           healthy[d] = false;
           report->drives[d].failed = true;
           ++report->drives_failed;
-          m_drive_failures->Increment();
         }
       }
     }
@@ -661,10 +646,8 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
       out.deadline_met = env->now() <= spec.deadline;
       if (out.deadline_met) {
         ++report->deadline_hits;
-        m_hits->Increment();
       } else {
         ++report->deadline_misses;
-        m_misses->Increment();
       }
     } else {
       Status failure = c.merged.status;
@@ -678,7 +661,6 @@ Task NightlyScheduler::Run(NightReport* report, CountdownLatch* done) {
                              healthy_count() >= MinDrivesFor(spec);
       if (can_retry) {
         ++report->reassignments;
-        m_reassigns->Increment();
         pending.insert(
             std::lower_bound(pending.begin(), pending.end(), v,
                              [this](size_t a, size_t b) {

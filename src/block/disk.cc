@@ -11,13 +11,7 @@ Disk::Disk(SimEnvironment* env, std::string name, uint64_t num_blocks,
       name_(std::move(name)),
       num_blocks_(num_blocks),
       timing_(timing),
-      arm_(env, 1, name_ + ".arm"),
-      metric_access_us_(MetricsRegistry::Default().GetHistogram(
-          "disk.access_us", {{"device", name_}})),
-      metric_bytes_(MetricsRegistry::Default().GetCounter("disk.bytes",
-                                                          {{"device", name_}})),
-      metric_errors_(MetricsRegistry::Default().GetCounter(
-          "disk.errors", {{"device", name_}})) {}
+      arm_(env, 1, name_ + ".arm") {}
 
 Status Disk::ReadData(Dbn dbn, Block* out) const {
   if (failed_) {
@@ -97,13 +91,9 @@ Task Disk::TimedAccess(Dbn dbn, uint64_t count, Status* status,
   if (st.ok() && failed_) {
     st = IoError(name_ + ": drive failed");
   }
-  metric_access_us_->Observe(static_cast<double>(t));
   if (st.ok()) {
     head_ = dbn + count;
     bytes_transferred_ += count * kBlockSize;
-    metric_bytes_->Increment(count * kBlockSize);
-  } else {
-    metric_errors_->Increment();
   }
   if (status != nullptr) {
     *status = st;

@@ -17,7 +17,6 @@
 
 #include "src/block/block.h"
 #include "src/block/fault_hook.h"
-#include "src/obs/metrics.h"
 #include "src/sim/environment.h"
 #include "src/sim/resource.h"
 #include "src/sim/task.h"
@@ -104,11 +103,6 @@ class Disk {
   bool failed_ = false;
   DeviceFaultHook* fault_hook_ = nullptr;
   uint64_t bytes_transferred_ = 0;
-  // Metric handles resolved once at construction; TimedAccess bumps them
-  // directly so the always-on cost is an add, not a map probe.
-  Histogram* metric_access_us_;
-  Counter* metric_bytes_;
-  Counter* metric_errors_;
   std::unordered_map<Dbn, std::unique_ptr<Block>> store_;
 };
 

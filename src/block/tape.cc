@@ -27,11 +27,7 @@ TapeDrive::TapeDrive(SimEnvironment* env, std::string name, TapeTiming timing)
     : env_(env),
       name_(std::move(name)),
       timing_(timing),
-      unit_(env, 1, name_ + ".unit"),
-      metric_bytes_(MetricsRegistry::Default().GetCounter("tape.bytes",
-                                                          {{"drive", name_}})),
-      metric_repositions_(MetricsRegistry::Default().GetCounter(
-          "tape.repositions", {{"drive", name_}})) {}
+      unit_(env, 1, name_ + ".unit") {}
 
 void TapeDrive::LoadMedia(Tape* tape) {
   tape_ = tape;
@@ -109,7 +105,6 @@ SimDuration TapeDrive::RepositionPenalty() {
     return 0;
   }
   ++repositions_;
-  metric_repositions_->Increment();
   // Shoe-shining is the tape-side symptom of a starved dump; mark each one
   // on the drive's track so stalls line up with the job spans above them.
   TRACE_INSTANT(env_, name_, "reposition");
@@ -129,7 +124,6 @@ Task TapeDrive::TimedWrite(std::span<const uint8_t> data, Status* status) {
   *status = st.ok() ? WriteData(data) : st;
   if (status->ok()) {
     bytes_transferred_ += data.size();
-    metric_bytes_->Increment(data.size());
   }
   streaming_until_ = env_->now();
   unit_.Release();
@@ -146,7 +140,6 @@ Task TapeDrive::TimedRead(std::span<uint8_t> out, Status* status) {
   *status = st.ok() ? ReadData(out) : st;
   if (status->ok()) {
     bytes_transferred_ += out.size();
-    metric_bytes_->Increment(out.size());
   }
   streaming_until_ = env_->now();
   unit_.Release();
@@ -157,7 +150,6 @@ Task TapeDrive::TimedSeekTo(uint64_t offset, Status* status) {
   if (offset != position_) {
     // Any jump breaks streaming: one reposition, always.
     ++repositions_;
-    metric_repositions_->Increment();
     TRACE_INSTANT(env_, name_, "reposition");
     co_await env_->Delay(timing_.reposition_penalty);
   }

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/block/fault_hook.h"
-#include "src/obs/metrics.h"
 #include "src/sim/environment.h"
 #include "src/sim/resource.h"
 #include "src/sim/task.h"
@@ -124,7 +123,7 @@ class TapeDrive {
  private:
   SimDuration TransferTime(uint64_t nbytes) const;
   // Charges a reposition if the drive fell out of streaming; returns the
-  // penalty (0 when still streaming) and records the metric + trace instant.
+  // penalty (0 when still streaming) and records the count + trace instant.
   SimDuration RepositionPenalty();
 
   SimEnvironment* env_;
@@ -137,9 +136,6 @@ class TapeDrive {
   uint64_t bytes_transferred_ = 0;
   uint64_t repositions_ = 0;
   DeviceFaultHook* fault_hook_ = nullptr;
-  // Metric handles resolved once at construction (see Disk).
-  Counter* metric_bytes_;
-  Counter* metric_repositions_;
 };
 
 }  // namespace bkup

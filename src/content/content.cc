@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/obs/metrics.h"
 #include "src/util/checksum.h"
 #include "src/util/random.h"
 #include "src/util/serdes.h"
@@ -480,14 +479,6 @@ Result<EncodeResult> StagePipeline::Encode(
   }
   out.map.wire_total_ = out.wire.size();
   out.stats.wire_bytes = out.wire.size();
-
-  MetricsRegistry& metrics = MetricsRegistry::Default();
-  metrics.GetCounter("content.chunks")->Increment(out.stats.chunks);
-  metrics.GetCounter("content.dedup_hits")->Increment(out.stats.dedup_hits);
-  metrics.GetCounter("content.raw_bytes")->Increment(out.stats.raw_bytes);
-  metrics.GetCounter("content.wire_bytes")->Increment(out.stats.wire_bytes);
-  metrics.GetCounter("content.unique_bytes")
-      ->Increment(out.stats.unique_bytes);
   return out;
 }
 
@@ -542,9 +533,6 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
     ++local.crc_checks;
     if (entry->bytes.size() != f.raw_len || Crc32c(entry->bytes) != f.crc ||
         ContentHash(entry->bytes) != f.hash) {
-      MetricsRegistry::Default()
-          .GetCounter("content.corruptions_detected")
-          ->Increment();
       return Corruption("chunk index entry failed verification");
     }
     raw.insert(raw.end(), entry->bytes.begin(), entry->bytes.end());
@@ -553,9 +541,6 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
     return Corruption("content stream truncated");
   }
   local.raw_bytes = raw.size();
-  MetricsRegistry::Default()
-      .GetCounter("content.crc_checks")
-      ->Increment(local.crc_checks);
   if (stats != nullptr) {
     stats->Add(local);
   }

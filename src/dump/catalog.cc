@@ -5,7 +5,6 @@
 
 #include "src/fs/layout.h"
 #include "src/fs/reader.h"
-#include "src/obs/metrics.h"
 #include "src/util/checksum.h"
 #include "src/util/serdes.h"
 
@@ -277,18 +276,14 @@ std::vector<uint8_t> TapeCatalog::Serialize(uint32_t checkpoint_every) const {
 
 Result<TapeCatalog> TapeCatalog::Load(std::span<const uint8_t> image,
                                       LoadStats* stats) {
-  MetricsRegistry& metrics = MetricsRegistry::Default();
-  metrics.GetCounter("catalog.loads")->Increment();
   LoadStats local;
   ByteReader r(image);
   Result<uint32_t> magic = r.ReadU32();
   if (!magic.ok() || *magic != kCatalogMagic) {
-    metrics.GetCounter("catalog.load_failures")->Increment();
     return Corruption("catalog image has no valid header");
   }
   Result<uint32_t> version = r.ReadU32();
   if (!version.ok() || *version != kCatalogVersion) {
-    metrics.GetCounter("catalog.load_failures")->Increment();
     return Corruption("unsupported catalog version");
   }
 
@@ -345,7 +340,6 @@ Result<TapeCatalog> TapeCatalog::Load(std::span<const uint8_t> image,
   }
 
   if (local.checkpoints_seen == 0) {
-    metrics.GetCounter("catalog.load_failures")->Increment();
     return Corruption("catalog has no intact checkpointed prefix");
   }
   local.truncated = torn || sealed < staged.size();
@@ -353,13 +347,6 @@ Result<TapeCatalog> TapeCatalog::Load(std::span<const uint8_t> image,
   local.entries_loaded = sealed;
   staged.resize(sealed);
 
-  metrics.GetCounter("catalog.entries_loaded")
-      ->Increment(local.entries_loaded);
-  metrics.GetCounter("catalog.entries_dropped")
-      ->Increment(local.entries_dropped);
-  if (local.truncated) {
-    metrics.GetCounter("catalog.load_truncated")->Increment();
-  }
   if (stats != nullptr) {
     *stats = local;
   }
@@ -432,7 +419,6 @@ void TapeCatalogWriter::Checkpoint() {
   w.PutU32(Crc32c(image_));
   entries_sealed_ = entries_;
   ++checkpoints_written_;
-  MetricsRegistry::Default().GetCounter("catalog.checkpoints")->Increment();
 }
 
 // --------------------------------------------------- BuildRestoreCatalog ---

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "src/dump/dumpdates.h"
-#include "src/obs/metrics.h"
 #include "src/util/checksum.h"
 
 namespace bkup {
@@ -401,17 +400,6 @@ Result<LogicalDumpOutput> RunLogicalDump(const FsReader& reader,
   ctx.out.stats.stream_bytes = ctx.out.stream.size();
   ctx.catalog_writer.Finish();
   ctx.out.catalog_image = ctx.catalog_writer.TakeImage();
-  MetricsRegistry& metrics = MetricsRegistry::Default();
-  metrics.GetCounter("catalog.entries_written")
-      ->Increment(ctx.out.catalog.entries().size());
-  metrics.GetCounter("dump.logical.runs")->Increment();
-  metrics.GetCounter("dump.logical.files")
-      ->Increment(ctx.out.stats.files_dumped);
-  metrics.GetCounter("dump.logical.dirs")->Increment(ctx.out.stats.dirs_dumped);
-  metrics.GetCounter("dump.logical.files_skipped")
-      ->Increment(ctx.out.stats.files_skipped);
-  metrics.GetCounter("dump.logical.stream_bytes")
-      ->Increment(ctx.out.stats.stream_bytes);
   return std::move(ctx.out);
 }
 

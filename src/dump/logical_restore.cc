@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "src/obs/metrics.h"
 #include "src/util/checksum.h"
 
 namespace bkup {
@@ -857,32 +856,7 @@ Result<LogicalRestoreOutput> RunLogicalRestore(
     Filesystem* fs, std::span<const uint8_t> stream,
     const LogicalRestoreOptions& options) {
   RestoreRun run(fs, stream, options);
-  Result<LogicalRestoreOutput> out = run.Run();
-  if (out.ok()) {
-    MetricsRegistry& metrics = MetricsRegistry::Default();
-    metrics.GetCounter("restore.logical.runs")->Increment();
-    metrics.GetCounter("restore.logical.files")
-        ->Increment(out->stats.files_restored);
-    metrics.GetCounter("restore.logical.bytes")
-        ->Increment(out->stats.bytes_restored);
-    metrics.GetCounter("restore.logical.corrupt_records_skipped")
-        ->Increment(out->stats.corrupt_records_skipped);
-    metrics.GetCounter("restore.checkpoints")
-        ->Increment(out->stats.checkpoints);
-    if (options.resume) {
-      metrics.GetCounter("restore.resume.runs")->Increment();
-      metrics.GetCounter("restore.resume.bytes_replayed")
-          ->Increment(out->stats.bytes_replayed);
-      metrics.GetCounter("restore.resume.bytes_skipped")
-          ->Increment(out->stats.bytes_skipped);
-      metrics.GetCounter("restore.resume.entries_skipped")
-          ->Increment(out->stats.entries_skipped);
-    }
-    if (out->interrupted) {
-      metrics.GetCounter("restore.interrupted")->Increment();
-    }
-  }
-  return out;
+  return run.Run();
 }
 
 }  // namespace bkup

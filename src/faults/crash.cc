@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/obs/metrics.h"
 
 namespace bkup {
 
@@ -41,7 +40,6 @@ bool CrashInjector::ShouldKill(RestorePhase phase, uint64_t entries_applied,
   if (fire) {
     stats_.kills_fired++;
     ++active_;  // the resumed attempt runs under the next spec
-    MetricsRegistry::Default().GetCounter("faults.crash.kills")->Increment();
   }
   return fire;
 }

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "src/obs/metrics.h"
 #include "src/util/checksum.h"
 
 namespace bkup {
@@ -131,12 +130,6 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
     event.stream_end = out.stream.size();
   }
   out.stats.stream_bytes = out.stream.size();
-  MetricsRegistry& metrics = MetricsRegistry::Default();
-  metrics.GetCounter("dump.image.runs")->Increment();
-  metrics.GetCounter("dump.image.blocks")->Increment(out.stats.blocks_dumped);
-  metrics.GetCounter("dump.image.extents")->Increment(out.stats.extents);
-  metrics.GetCounter("dump.image.stream_bytes")
-      ->Increment(out.stats.stream_bytes);
   return out;
 }
 
@@ -202,10 +195,6 @@ Result<ImageRestoreOutput> RunImageRestore(Volume* volume,
       event.blocks_written = 2;
       event.cpu.push_back({CpuCost::kRestorePhysicalBlock, 2});
       event.stream_end = pos + ImageTrailer::kEncodedSize;
-      MetricsRegistry& metrics = MetricsRegistry::Default();
-      metrics.GetCounter("restore.image.runs")->Increment();
-      metrics.GetCounter("restore.image.blocks")
-          ->Increment(out.stats.blocks_restored);
       return out;
     }
     BKUP_ASSIGN_OR_RETURN(

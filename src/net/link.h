@@ -16,7 +16,6 @@
 #include <string>
 
 #include "src/net/link_fault.h"
-#include "src/obs/metrics.h"
 #include "src/sim/environment.h"
 #include "src/sim/resource.h"
 #include "src/util/units.h"
@@ -71,9 +70,6 @@ class LinkBudget {
   uint64_t nightly_bytes_;
   uint64_t reserved_ = 0;
   uint64_t consumed_ = 0;
-  Counter* metric_reservations_;
-  Counter* metric_rejections_;
-  Counter* metric_consumed_;
 };
 
 class NetLink {
@@ -98,7 +94,8 @@ class NetLink {
   uint64_t bytes_transferred() const { return bytes_transferred_; }
   uint64_t frames_transferred() const { return frames_transferred_; }
 
-  // Accounting entry points used by StreamConn (metrics + trace instants).
+  // Accounting entry points used by StreamConn (byte/frame totals and
+  // trace instants).
   void AccountFrame(uint64_t wire_bytes);
   void CountRetransmit();
   void CountDrop();
@@ -115,13 +112,6 @@ class NetLink {
   LinkFaultHook* fault_hook_ = nullptr;
   uint64_t bytes_transferred_ = 0;
   uint64_t frames_transferred_ = 0;
-  // Metric handles resolved once at construction (see Disk, TapeDrive).
-  Counter* metric_bytes_;
-  Counter* metric_frames_;
-  Counter* metric_retransmits_;
-  Counter* metric_drops_;
-  Counter* metric_rejects_;
-  Counter* metric_stalls_;
 };
 
 }  // namespace bkup

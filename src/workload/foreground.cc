@@ -158,9 +158,6 @@ void ForegroundLoad::RecordLatency(Client* client, FgOp op, SimTime start) {
   samples_us_[OpIndex(op)].push_back(us);
   timeline_.emplace_back(start, us);
   ++stats_.ops[OpIndex(op)];
-  if (obs_hist_[OpIndex(op)] != nullptr) {
-    obs_hist_[OpIndex(op)]->Observe(us);
-  }
 }
 
 void ForegroundLoad::CountError(const Status& st) {
@@ -385,13 +382,6 @@ Task ForegroundLoad::Flusher(CountdownLatch* latch) {
 Task ForegroundLoad::Run(CountdownLatch* done) {
   SimEnvironment* env = filer_->env();
   end_time_ = env->now() + params_.duration;
-
-  // Resolve the obs histogram handles now (not in the constructor, so a
-  // registry Clear() between construction and Run cannot dangle them).
-  for (size_t i = 0; i < OpIndex(FgOp::kCount); ++i) {
-    obs_hist_[i] = MetricsRegistry::Default().GetHistogram(
-        "fg.latency_us", {{"op", FgOpName(static_cast<FgOp>(i))}});
-  }
 
   // Index the population: breadth-first, regular files only, /fg excluded.
   // The order is deterministic (directory entries are stored in creation

@@ -33,7 +33,6 @@
 
 #include "src/backup/filer.h"
 #include "src/fs/filesystem.h"
-#include "src/obs/metrics.h"
 #include "src/sim/sync.h"
 #include "src/util/checksum.h"
 #include "src/util/random.h"
@@ -99,8 +98,7 @@ struct ForegroundStats {
 
 // The load generator. Construct, then Spawn(Run(&latch)) on the
 // environment; the latch counts down when every client has drained and the
-// flusher has stopped. Latencies additionally land in the obs registry as
-// `fg.latency_us{op=...}` log2 histograms.
+// flusher has stopped.
 class ForegroundLoad {
  public:
   ForegroundLoad(Filer* filer, Filesystem* fs, ForegroundParams params);
@@ -171,7 +169,6 @@ class ForegroundLoad {
       samples_us_;
   // Every op as (start time, latency), for windowed summaries.
   std::vector<std::pair<SimTime, double>> timeline_;
-  std::array<Histogram*, static_cast<size_t>(FgOp::kCount)> obs_hist_{};
   uint64_t flusher_last_data_ = 0;
   uint64_t flusher_last_meta_ = 0;
   uint32_t clients_running_ = 0;  // lets the flusher outlive a count-based run

@@ -366,5 +366,43 @@ TEST(TapeCatalogTest, RestoreRangesCoverOneFileCheaply) {
   }
 }
 
+// A logical dump seals its catalog every 64 entries, so a catalog whose
+// final seal is torn still loads every entry up to the last multiple of 64.
+TEST(TapeCatalogTest, DumpCatalogSealsEvery64Entries) {
+  SimEnvironment env;
+  std::unique_ptr<Volume> volume =
+      Volume::Create(&env, "src", CatalogTestGeometry());
+  std::unique_ptr<Filesystem> fs =
+      std::move(Filesystem::Format(volume.get(), &env)).value();
+  const std::vector<uint8_t> data(100, 0x5A);
+  for (int i = 0; i < 100; ++i) {
+    auto inum = fs->Create("/f" + std::to_string(i), 0644);
+    ASSERT_TRUE(inum.ok());
+    ASSERT_TRUE(fs->Write(*inum, 0, data).ok());
+  }
+  ASSERT_TRUE(fs->CreateSnapshot("snap").ok());
+  auto reader = fs->SnapshotReader("snap");
+  ASSERT_TRUE(reader.ok());
+  LogicalDumpOptions opt;
+  opt.volume_name = "src";
+  opt.snapshot_name = "snap";
+  auto dump = RunLogicalDump(*reader, opt);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  const uint64_t entries = dump->catalog.entries().size();
+  ASSERT_GT(entries, 64u);
+  ASSERT_NE(entries % 64, 0u) << "the final seal must cover a partial batch";
+
+  TapeCatalog::LoadStats stats;
+  ASSERT_TRUE(TapeCatalog::Load(dump->catalog_image, &stats).ok());
+  EXPECT_EQ(stats.entries_loaded, entries);
+  EXPECT_EQ(stats.checkpoints_seen, (entries + 63) / 64);
+
+  std::vector<uint8_t> torn = dump->catalog_image;
+  torn.pop_back();  // breaks the final checkpoint's CRC
+  ASSERT_TRUE(TapeCatalog::Load(torn, &stats).ok());
+  EXPECT_TRUE(stats.truncated);
+  EXPECT_EQ(stats.entries_loaded, entries - entries % 64);
+}
+
 }  // namespace
 }  // namespace bkup

@@ -1,6 +1,5 @@
-// Tests for the observability layer: JSON writer/parser round-trips, metric
-// registry identity semantics, histogram percentiles, span tracing (nesting,
-// ring overflow, Chrome export invariants, counter tracks).
+// Tests for the observability layer: JSON writer/parser round-trips and span
+// tracing (nesting, ring overflow, Chrome export invariants, counter tracks).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/environment.h"
 #include "src/sim/resource.h"
@@ -83,95 +81,6 @@ TEST(JsonParseTest, NestedLookupNeverCrashes) {
   // Missing paths resolve to null values, not crashes.
   EXPECT_TRUE(v["a"]["missing"]["deeper"].is_null());
   EXPECT_EQ(v.Find("absent"), nullptr);
-}
-
-// --------------------------------------------------------------- metrics ---
-
-TEST(MetricsTest, GetOrCreateReturnsStableHandles) {
-  MetricsRegistry reg;
-  Counter* c1 = reg.GetCounter("ops");
-  Counter* c2 = reg.GetCounter("ops");
-  EXPECT_EQ(c1, c2);
-  c1->Increment(3);
-  c2->Increment();
-  EXPECT_EQ(reg.FindCounter("ops")->value(), 4u);
-}
-
-TEST(MetricsTest, LabelsDistinguishSeries) {
-  MetricsRegistry reg;
-  Counter* d0 = reg.GetCounter("disk.bytes", {{"device", "d0"}});
-  Counter* d1 = reg.GetCounter("disk.bytes", {{"device", "d1"}});
-  EXPECT_NE(d0, d1);
-  d0->Increment(100);
-  d1->Increment(200);
-  EXPECT_EQ(reg.FindCounter("disk.bytes", {{"device", "d0"}})->value(), 100u);
-  EXPECT_EQ(reg.FindCounter("disk.bytes", {{"device", "d1"}})->value(), 200u);
-  EXPECT_EQ(reg.FindCounter("disk.bytes"), nullptr);
-  EXPECT_EQ(reg.FindCounter("disk.bytes", {{"device", "d2"}}), nullptr);
-  EXPECT_EQ(reg.size(), 2u);
-}
-
-TEST(MetricsTest, NamespacesAreSeparate) {
-  MetricsRegistry reg;
-  reg.GetCounter("x");
-  reg.GetGauge("x")->Set(1.5);
-  reg.GetHistogram("x")->Observe(8);
-  EXPECT_EQ(reg.size(), 3u);
-  EXPECT_DOUBLE_EQ(reg.FindGauge("x")->value(), 1.5);
-  EXPECT_EQ(reg.FindHistogram("x")->count(), 1u);
-}
-
-TEST(MetricsTest, Log2HistogramPercentiles) {
-  Histogram h;
-  // 90 small samples in [2,4), 10 large in [1024,2048).
-  for (int i = 0; i < 90; ++i) {
-    h.Observe(3.0);
-  }
-  for (int i = 0; i < 10; ++i) {
-    h.Observe(1500.0);
-  }
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.min(), 3.0);
-  EXPECT_DOUBLE_EQ(h.max(), 1500.0);
-  EXPECT_NEAR(h.mean(), (90 * 3.0 + 10 * 1500.0) / 100.0, 1e-9);
-  // Bucket-granular: p50/p90 land in the [2,4) bucket, p99 in [1024,2048).
-  EXPECT_DOUBLE_EQ(h.Percentile(0.50), 4.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.90), 4.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.99), 2048.0);
-}
-
-TEST(MetricsTest, EmptyHistogramIsDefined) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 0.0);
-}
-
-TEST(MetricsTest, JsonExportRoundTrips) {
-  MetricsRegistry reg;
-  reg.GetCounter("writes", {{"device", "d0"}})->Increment(7);
-  reg.GetGauge("depth")->Set(2.25);
-  Histogram* h = reg.GetHistogram("lat");
-  h->Observe(10);
-  h->Observe(100);
-
-  auto parsed = ParseJson(reg.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue& v = *parsed;
-  ASSERT_EQ(v["counters"].array().size(), 1u);
-  const JsonValue& c = v["counters"].array()[0];
-  EXPECT_EQ(c["name"].string_value(), "writes");
-  EXPECT_EQ(c["labels"]["device"].string_value(), "d0");
-  EXPECT_EQ(c["value"].int_value(), 7);
-  ASSERT_EQ(v["gauges"].array().size(), 1u);
-  EXPECT_DOUBLE_EQ(v["gauges"].array()[0]["value"].number(), 2.25);
-  ASSERT_EQ(v["histograms"].array().size(), 1u);
-  const JsonValue& hist = v["histograms"].array()[0];
-  EXPECT_EQ(hist["count"].int_value(), 2);
-  EXPECT_DOUBLE_EQ(hist["sum"].number(), 110.0);
-  EXPECT_DOUBLE_EQ(hist["mean"].number(), 55.0);
 }
 
 // --------------------------------------------------------------- tracing ---

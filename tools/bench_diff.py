@@ -10,10 +10,9 @@ foreground p99 and resume bytes. Everything else follows in document
 order. A subtree that exists on one side only is printed once, at its
 root.
 
-List elements are matched by their "name" (or "cell"/"volume", plus a
-metric's labels) when those identify every element on both sides, and by
-position otherwise, so a path reads like
-jobs[Logical Backup].phases[Dumping files].elapsed_s.
+List elements are matched by their "name" (or "cell"/"volume") when
+those identify every element on both sides, and by position otherwise,
+so a path reads like jobs[Logical Backup].phases[Dumping files].elapsed_s.
 
 Exit code 0 when the parsed reports are equal, 1 when they differ, 2 on a
 usage or parse error. The perf gate itself stays a byte compare; this is
@@ -45,12 +44,7 @@ def identity(item):
         return None
     for key in ("name", "cell", "volume"):
         if isinstance(item.get(key), str):
-            ident = item[key]
-            labels = item.get("labels")
-            if isinstance(labels, dict) and labels:
-                ident += "{" + ",".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-            return ident
+            return item[key]
     return None
 
 
