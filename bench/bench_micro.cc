@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops of the
 // backup paths: checksums, bitmap algebra (the Table 1 computation), block
-// map plane operations, dump record serialization, the write allocator and
-// RAID parity math.
+// map plane operations, dump record serialization, the write allocator,
+// RAID parity math and the content stages (chunking, encode, decode).
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/block/block.h"
+#include "src/content/content.h"
 #include "src/dump/format.h"
 #include "src/fs/blockmap.h"
 #include "src/util/bitmap.h"
@@ -144,6 +148,70 @@ void BM_RaidParityXor(benchmark::State& state) {
                           kBlockSize);
 }
 BENCHMARK(BM_RaidParityXor);
+
+// The content benchmarks run every stage, as remote backups do, over one
+// seeded 8 MiB stream.
+constexpr size_t kContentStreamBytes = 8 * kMiB;
+
+std::vector<uint8_t> ContentStream() {
+  std::vector<uint8_t> raw(kContentStreamBytes);
+  Rng(7).Fill(raw);
+  return raw;
+}
+
+ContentConfig AllStages(ChunkIndex* index) {
+  ContentConfig cfg;
+  cfg.chunk = cfg.dedup = cfg.compress = cfg.crc = true;
+  cfg.index = index;
+  return cfg;
+}
+
+void BM_ChunkBoundaries(benchmark::State& state) {
+  const std::vector<uint8_t> raw = ContentStream();
+  const StagePipeline pipe(AllStages(nullptr));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipe.ChunkBoundaries(raw));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_ChunkBoundaries);
+
+// Arg 0: a cold index (every chunk is stored); 1: a warm one (every chunk
+// is a ref).
+void BM_ContentEncode(benchmark::State& state) {
+  const std::vector<uint8_t> raw = ContentStream();
+  const bool warm = state.range(0) != 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto index = std::make_unique<ChunkIndex>();
+    const StagePipeline pipe(AllStages(index.get()));
+    if (warm) {
+      (void)pipe.Encode(raw);
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(pipe.Encode(raw));
+    state.PauseTiming();
+    index.reset();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_ContentEncode)->Arg(0)->Arg(1);
+
+void BM_ContentDecode(benchmark::State& state) {
+  const std::vector<uint8_t> raw = ContentStream();
+  ChunkIndex index;
+  const StagePipeline pipe(AllStages(&index));
+  const std::vector<uint8_t> wire = pipe.Encode(raw).value().wire;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipe.Decode(wire));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_ContentDecode);
 
 }  // namespace
 }  // namespace bkup

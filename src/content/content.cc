@@ -1,6 +1,7 @@
 #include "src/content/content.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "src/util/checksum.h"
@@ -66,17 +67,23 @@ uint32_t RatioMilli(double ratio) {
 
 // Deterministic modeled-compressed payload for a stored chunk: content is
 // irrelevant to decode (the store holds the raw bytes) but must be stable
-// across runs and resumes so the tape image is byte-identical.
+// across runs, resumes and hosts so the tape image is byte-identical. Each
+// SplitMix64 draw fills eight bytes, little-endian whatever the host order.
 void FillCompressed(std::vector<uint8_t>* out, uint64_t hash, uint64_t seed,
                     size_t n) {
   uint64_t state = hash ^ Mix64(seed);
-  size_t done = out->size();
+  const size_t done = out->size();
   out->resize(done + n);
-  while (done < out->size()) {
-    uint64_t v = SplitMix64(state);
-    for (int i = 0; i < 8 && done < out->size(); ++i, v >>= 8) {
-      (*out)[done++] = static_cast<uint8_t>(v);
+  uint8_t* p = out->data() + done;
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint64_t v = SplitMix64(state);
+    for (int i = 0; i < 8; ++i) {
+      p[i] = static_cast<uint8_t>(v >> (8 * i));
     }
+  }
+  uint64_t v = n > 0 ? SplitMix64(state) : 0;
+  for (size_t i = 0; i < n; ++i, v >>= 8) {
+    p[i] = static_cast<uint8_t>(v);
   }
 }
 
@@ -169,42 +176,129 @@ Result<FrameHeader> ReadFrameHeader(ByteReader* r) {
   return f;
 }
 
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;  // FNV-1a 64
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+uint64_t Fnv1a(uint64_t h, const uint8_t* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ p[i]) * kFnvPrime;
+  }
+  return h;
+}
+
 }  // namespace
 
 uint64_t ContentHash(std::span<const uint8_t> bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
-  for (uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
+  return Mix64(Fnv1a(kFnvBasis, bytes.data(), bytes.size()));
+}
+
+void ContentHashes(std::span<const std::span<const uint8_t>> pieces,
+                   std::span<uint64_t> out) {
+  // A lane hashes one contiguous run of pieces, about a quarter of the bytes.
+  struct Lane {
+    size_t piece = 0;             // current piece
+    size_t end = 0;               // one past the lane's last piece
+    const uint8_t* at = nullptr;  // next unhashed byte of the current piece
+    size_t left = 0;              // its unhashed bytes
+    uint64_t h = kFnvBasis;
+  };
+  constexpr size_t kLanes = 4;
+  uint64_t total = 0;
+  for (std::span<const uint8_t> p : pieces) {
+    total += p.size();
   }
-  return Mix64(h);
+  std::array<Lane, kLanes> lanes;
+  size_t next = 0;
+  uint64_t taken = 0;
+  for (size_t k = 0; k < kLanes; ++k) {
+    lanes[k].piece = next;
+    const uint64_t quota = total * (k + 1) / kLanes;
+    while (next < pieces.size() && (k + 1 == kLanes || taken < quota)) {
+      taken += pieces[next++].size();
+    }
+    lanes[k].end = next;
+  }
+  // Points a lane at its next nonempty piece, finishing empty ones on the way.
+  auto load = [&](Lane& l) {
+    for (; l.piece < l.end && pieces[l.piece].empty(); ++l.piece) {
+      out[l.piece] = Mix64(kFnvBasis);
+    }
+    if (l.piece < l.end) {
+      l.at = pieces[l.piece].data();
+      l.left = pieces[l.piece].size();
+      l.h = kFnvBasis;
+    }
+  };
+  auto busy = [](const Lane& l) { return l.piece < l.end; };
+  for (Lane& l : lanes) {
+    load(l);
+  }
+  // Advance all four lanes by the shortest unhashed remainder on four
+  // independent multiply chains, then finish the pieces that ended.
+  while (std::all_of(lanes.begin(), lanes.end(), busy)) {
+    size_t n = lanes[0].left;
+    for (const Lane& l : lanes) {
+      n = std::min(n, l.left);
+    }
+    const uint8_t* p0 = lanes[0].at;
+    const uint8_t* p1 = lanes[1].at;
+    const uint8_t* p2 = lanes[2].at;
+    const uint8_t* p3 = lanes[3].at;
+    uint64_t h0 = lanes[0].h, h1 = lanes[1].h, h2 = lanes[2].h,
+             h3 = lanes[3].h;
+    for (size_t i = 0; i < n; ++i) {
+      h0 = (h0 ^ p0[i]) * kFnvPrime;
+      h1 = (h1 ^ p1[i]) * kFnvPrime;
+      h2 = (h2 ^ p2[i]) * kFnvPrime;
+      h3 = (h3 ^ p3[i]) * kFnvPrime;
+    }
+    lanes[0].h = h0;
+    lanes[1].h = h1;
+    lanes[2].h = h2;
+    lanes[3].h = h3;
+    for (Lane& l : lanes) {
+      l.at += n;
+      l.left -= n;
+      if (l.left == 0) {
+        out[l.piece++] = Mix64(l.h);
+        load(l);
+      }
+    }
+  }
+  // Once one lane runs dry, the others finish on their own chains.
+  for (const Lane& l : lanes) {
+    if (!busy(l)) {
+      continue;
+    }
+    out[l.piece] = Mix64(Fnv1a(l.h, l.at, l.left));
+    for (size_t i = l.piece + 1; i < l.end; ++i) {
+      out[i] = ContentHash(pieces[i]);
+    }
+  }
 }
 
 // ------------------------------------------------------------ ChunkIndex ---
 
-bool ChunkIndex::Insert(uint64_t hash, std::span<const uint8_t> bytes,
-                        uint32_t crc) {
-  auto [it, inserted] = map_.try_emplace(hash);
-  if (!inserted) {
-    return false;
+bool ChunkIndex::Insert(uint64_t hash, std::span<const uint8_t> bytes) {
+  const bool inserted =
+      map_.try_emplace(hash, bytes.begin(), bytes.end()).second;
+  if (inserted) {
+    stored_bytes_ += bytes.size();
   }
-  it->second.bytes.assign(bytes.begin(), bytes.end());
-  it->second.crc = crc;
-  stored_bytes_ += bytes.size();
-  return true;
+  return inserted;
 }
 
-const ChunkIndex::Entry* ChunkIndex::Find(uint64_t hash) const {
+const std::vector<uint8_t>* ChunkIndex::Find(uint64_t hash) const {
   auto it = map_.find(hash);
   return it == map_.end() ? nullptr : &it->second;
 }
 
 bool ChunkIndex::CorruptEntryForTest(uint64_t hash) {
   auto it = map_.find(hash);
-  if (it == map_.end() || it->second.bytes.empty()) {
+  if (it == map_.end() || it->second.empty()) {
     return false;
   }
-  it->second.bytes[it->second.bytes.size() / 2] ^= 0x5a;
+  it->second[it->second.size() / 2] ^= 0x5a;
   return true;
 }
 
@@ -370,13 +464,22 @@ std::vector<uint64_t> StagePipeline::ChunkBoundaries(
   const uint64_t max_len = std::max<uint64_t>(cfg_.max_chunk_bytes, 1);
   if (!cfg_.chunk) {
     // Fixed-size chunking fallback: avg-sized pieces.
+    const uint64_t avg_len = std::max<uint64_t>(cfg_.avg_chunk_bytes, 1);
     for (uint64_t pos = 0; pos < raw.size();) {
-      pos = std::min<uint64_t>(pos + cfg_.avg_chunk_bytes, raw.size());
+      pos = std::min<uint64_t>(pos + avg_len, raw.size());
       ends.push_back(pos);
     }
     return ends;
   }
   const RollTable table = MakeRollTable(cfg_.seed);
+  // Rolling a byte in and the oldest one out is
+  //   RotL(h ^ RotL(t[old], 47), 1) ^ t[new]
+  //     == RotL(h, 1) ^ (RotL(t[old], 48) ^ t[new]),
+  // so with the outgoing term tabled the chain is one rotate and one xor.
+  RollTable outgoing;
+  for (size_t b = 0; b < 256; ++b) {
+    outgoing.t[b] = RotL(table.t[b], static_cast<int>(kRollWindow));
+  }
   const uint64_t mask = cfg_.avg_chunk_bytes - 1;
   // A cut depends only on the trailing kRollWindow bytes, and none is legal
   // before min_len (Validate() keeps min_len > kRollWindow), so each chunk's
@@ -392,12 +495,9 @@ std::vector<uint64_t> StagePipeline::ChunkBoundaries(
       h = RotL(h, 1) ^ table.t[raw[pos]];
     }
     while (pos < limit && (h & mask) != mask) {
-      // The oldest byte has been rotated kRollWindow - 1 times; cancel it
-      // so the hash depends only on the trailing window (what makes an
-      // edit local), then roll the next byte in.
-      h ^= RotL(table.t[raw[pos - kRollWindow]],
-                static_cast<int>(kRollWindow - 1));
-      h = RotL(h, 1) ^ table.t[raw[pos]];
+      // Cancelling the oldest byte keeps the hash a function of the
+      // trailing window only, which is what makes an edit local.
+      h = RotL(h, 1) ^ (outgoing.t[raw[pos - kRollWindow]] ^ table.t[raw[pos]]);
       ++pos;
     }
     ends.push_back(pos);
@@ -409,74 +509,93 @@ std::vector<uint64_t> StagePipeline::ChunkBoundaries(
 Result<EncodeResult> StagePipeline::Encode(
     std::span<const uint8_t> raw) const {
   BKUP_RETURN_IF_ERROR(cfg_.Validate());
+  const std::vector<uint64_t> ends = ChunkBoundaries(raw);
+  std::vector<std::span<const uint8_t>> chunks;
+  chunks.reserve(ends.size());
+  uint64_t begin = 0;
+  for (uint64_t end : ends) {
+    chunks.push_back(raw.subspan(begin, end - begin));
+    begin = end;
+  }
+  std::vector<uint64_t> hashes(chunks.size());
+  ContentHashes(chunks, hashes);
+
   EncodeResult out;
   out.stats.raw_bytes = raw.size();
   out.map.raw_total_ = raw.size();
-  PutStreamHeader(&out.wire, cfg_, raw.size());
-
+  // Frame every chunk (and fill the index) first, so the wire image is
+  // sized once before any byte of it is written.
   const bool store_backed = cfg_.compress || cfg_.dedup;
   const uint32_t ratio_milli = RatioMilli(cfg_.compress_ratio);
-  uint64_t begin = 0;
-  for (uint64_t end : ChunkBoundaries(raw)) {
-    const std::span<const uint8_t> chunk = raw.subspan(begin, end - begin);
-    FrameHeader f;
+  std::vector<FrameHeader> headers(chunks.size());
+  out.map.frames_.resize(chunks.size());
+  uint64_t raw_begin = 0;
+  uint64_t wire_begin = kContentStreamHeaderBytes;
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const std::span<const uint8_t> chunk = chunks[i];
+    FrameHeader& f = headers[i];
     f.raw_len = static_cast<uint32_t>(chunk.size());
-    f.hash = ContentHash(chunk);
+    f.hash = hashes[i];
     f.crc = Crc32c(chunk);
 
-    const ChunkIndex::Entry* hit =
+    const std::vector<uint8_t>* hit =
         cfg_.dedup ? cfg_.index->Find(f.hash) : nullptr;
     // Never dedup on hash alone: the bytes must really match. A collision
     // (or a same-hash chunk stored with different bytes) costs a missed
     // dedup, never a wrong one.
-    const bool dedup_hit =
-        hit != nullptr && hit->bytes.size() == chunk.size() &&
-        std::memcmp(hit->bytes.data(), chunk.data(), chunk.size()) == 0;
-
-    const uint64_t wire_begin = out.wire.size();
+    const bool dedup_hit = hit != nullptr && hit->size() == chunk.size() &&
+                           std::memcmp(hit->data(), chunk.data(),
+                                       chunk.size()) == 0;
     if (dedup_hit) {
       f.type = kFrameRef;
       f.payload_len = 0;
-      PutFrameHeader(&out.wire, f);
       ++out.stats.dedup_hits;
     } else {
       f.type = kFrameLiteral;
       bool stored = false;
       if (store_backed) {
-        if (cfg_.index->Insert(f.hash, chunk, f.crc)) {
+        if (cfg_.index->Insert(f.hash, chunk)) {
           out.stats.unique_bytes += chunk.size();
           stored = true;
         } else {
           // Same hash, different bytes (dedup off or the memcmp above
           // failed): the store slot is taken, so this chunk cannot be
           // reconstructed from it — fall back to a verbatim literal.
-          const ChunkIndex::Entry* prev = cfg_.index->Find(f.hash);
-          stored = prev != nullptr && prev->bytes.size() == chunk.size() &&
-                   std::memcmp(prev->bytes.data(), chunk.data(),
-                               chunk.size()) == 0;
+          const std::vector<uint8_t>* prev = cfg_.index->Find(f.hash);
+          stored = prev != nullptr && prev->size() == chunk.size() &&
+                   std::memcmp(prev->data(), chunk.data(), chunk.size()) == 0;
         }
       }
       if (cfg_.compress && stored) {
         f.payload_len = static_cast<uint32_t>(std::max<uint64_t>(
             1, (chunk.size() * 1000 + ratio_milli - 1) / ratio_milli));
-        PutFrameHeader(&out.wire, f);
-        FillCompressed(&out.wire, f.hash, cfg_.seed, f.payload_len);
       } else {
         f.flags = kFlagVerbatim;
         f.payload_len = f.raw_len;
-        PutFrameHeader(&out.wire, f);
-        ByteWriter(&out.wire).PutBytes(chunk);
       }
     }
-    FrameMap::Frame frame;
-    frame.raw_begin = begin;
+    FrameMap::Frame& frame = out.map.frames_[i];
+    frame.raw_begin = raw_begin;
     frame.wire_begin = wire_begin;
     frame.raw_len = f.raw_len;
-    frame.wire_len = static_cast<uint32_t>(out.wire.size() - wire_begin);
-    out.map.frames_.push_back(frame);
-    ++out.stats.chunks;
-    begin = end;
+    frame.wire_len =
+        static_cast<uint32_t>(kContentFrameHeaderBytes) + f.payload_len;
+    raw_begin += f.raw_len;
+    wire_begin += frame.wire_len;
   }
+
+  out.wire.reserve(wire_begin);
+  PutStreamHeader(&out.wire, cfg_, raw.size());
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const FrameHeader& f = headers[i];
+    PutFrameHeader(&out.wire, f);
+    if ((f.flags & kFlagVerbatim) != 0) {
+      ByteWriter(&out.wire).PutBytes(chunks[i]);
+    } else if (f.type == kFrameLiteral) {
+      FillCompressed(&out.wire, f.hash, cfg_.seed, f.payload_len);
+    }
+  }
+  out.stats.chunks = chunks.size();
   out.map.wire_total_ = out.wire.size();
   out.stats.wire_bytes = out.wire.size();
   return out;
@@ -497,6 +616,9 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
   std::vector<uint8_t> raw;
   raw.reserve(std::min<uint64_t>(header.raw_total,
                                  max_frames * cfg_.max_chunk_bytes));
+  // Store-backed frames' entries and the hashes their frames claim.
+  std::vector<std::span<const uint8_t>> stored;
+  std::vector<uint64_t> want;
   ByteReader r(wire.subspan(kContentStreamHeaderBytes));
   while (!r.exhausted()) {
     BKUP_ASSIGN_OR_RETURN(FrameHeader f, ReadFrameHeader(&r));
@@ -517,7 +639,8 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
       continue;
     }
     // Ref frame or store-backed literal: reconstruct from the ChunkIndex,
-    // verifying length and content hash/CRC — the dedup safety contract.
+    // verifying length and CRC here and the content hash after the loop —
+    // the dedup safety contract.
     if (cfg_.index == nullptr) {
       return FailedPrecondition(
           "decoding a store-backed content stream needs the backup's "
@@ -526,16 +649,23 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
     if (f.type == kFrameRef) {
       ++local.dedup_hits;
     }
-    const ChunkIndex::Entry* entry = cfg_.index->Find(f.hash);
+    const std::vector<uint8_t>* entry = cfg_.index->Find(f.hash);
     if (entry == nullptr) {
       return Corruption("chunk index is missing a referenced chunk");
     }
     ++local.crc_checks;
-    if (entry->bytes.size() != f.raw_len || Crc32c(entry->bytes) != f.crc ||
-        ContentHash(entry->bytes) != f.hash) {
+    if (entry->size() != f.raw_len || Crc32c(*entry) != f.crc) {
       return Corruption("chunk index entry failed verification");
     }
-    raw.insert(raw.end(), entry->bytes.begin(), entry->bytes.end());
+    stored.push_back(*entry);
+    want.push_back(f.hash);
+    raw.insert(raw.end(), entry->begin(), entry->end());
+  }
+  // Every store-backed frame's content hash, in one batched pass.
+  std::vector<uint64_t> got(stored.size());
+  ContentHashes(stored, got);
+  if (got != want) {
+    return Corruption("chunk index entry failed its content hash");
   }
   if (raw.size() != header.raw_total) {
     return Corruption("content stream truncated");

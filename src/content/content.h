@@ -53,27 +53,21 @@ namespace bkup {
 // compressed or dedup'd media reconstruct from it.
 class ChunkIndex {
  public:
-  struct Entry {
-    std::vector<uint8_t> bytes;
-    uint32_t crc = 0;  // Crc32c of `bytes`, sealed at insert time
-  };
-
-  // Inserts if absent, sealing `crc` (the caller's Crc32c of `bytes`).
-  // Returns true when the chunk was new (unique).
-  bool Insert(uint64_t hash, std::span<const uint8_t> bytes, uint32_t crc);
-  // Null when the hash is unknown.
-  const Entry* Find(uint64_t hash) const;
+  // Inserts if absent. Returns true when the chunk was new (unique).
+  bool Insert(uint64_t hash, std::span<const uint8_t> bytes);
+  // The stored bytes for `hash`; null when the hash is unknown.
+  const std::vector<uint8_t>* Find(uint64_t hash) const;
 
   size_t size() const { return map_.size(); }
   uint64_t stored_bytes() const { return stored_bytes_; }
 
-  // Test hook: flips a byte of the stored entry for `hash` (keeping its
-  // sealed CRC), so decode-side verification can be exercised. Returns
-  // false when the hash is unknown.
+  // Test hook: XORs the middle byte of the stored entry for `hash` with
+  // 0x5a (a second call undoes it), so decode-side verification can be
+  // exercised. Returns false when the hash is unknown.
   bool CorruptEntryForTest(uint64_t hash);
 
  private:
-  std::unordered_map<uint64_t, Entry> map_;
+  std::unordered_map<uint64_t, std::vector<uint8_t>> map_;
   uint64_t stored_bytes_ = 0;
 };
 
@@ -220,6 +214,13 @@ class StagePipeline {
 // verifies bytes on hash match before emitting a ref, so a collision can
 // cost a missed dedup but never a wrong one.
 uint64_t ContentHash(std::span<const uint8_t> bytes);
+
+// out[i] = ContentHash(pieces[i]) for every piece (out.size() must equal
+// pieces.size()). FNV-1a is one serial multiply chain per byte, so this
+// splits the pieces into four contiguous runs of about equal bytes and
+// advances the runs in lockstep on independent chains.
+void ContentHashes(std::span<const std::span<const uint8_t>> pieces,
+                   std::span<uint64_t> out);
 
 // Wire-format constants, exposed for tests and the map scanner.
 inline constexpr uint32_t kContentMagic = 0x424B4354;  // "BKCT"

@@ -169,6 +169,115 @@ TEST(ContentRoundTripTest, CompressionShrinksWire) {
   EXPECT_LT(observed, 2.1) << "wire " << encoded->wire.size();
 }
 
+// ----------------------------------------------------------- batched hash
+
+void ExpectBatchMatchesSerial(
+    const std::vector<std::span<const uint8_t>>& pieces) {
+  std::vector<uint64_t> got(pieces.size(), 0);
+  ContentHashes(pieces, got);
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    ASSERT_EQ(got[i], ContentHash(pieces[i]))
+        << "piece " << i << " of " << pieces.size() << ", "
+        << pieces[i].size() << " bytes";
+  }
+}
+
+// ContentHashes is ContentHash per piece, however the pieces fall into its
+// lanes: 0-9 pieces of every length 0-300 (empty pieces included), random
+// mixes, one long piece among short ones (lanes that run dry at different
+// times), and one 1 MiB piece at every position among tiny ones.
+TEST(ContentHashTest, BatchedHashesMatchContentHashPerPiece) {
+  Rng rng(0x66e7a1);
+  std::vector<uint8_t> buf(kMiB + 4096);
+  rng.Fill(buf);
+  auto piece = [&buf](size_t offset, size_t len) {
+    return std::span<const uint8_t>(buf).subspan(offset, len);
+  };
+  for (size_t count = 0; count <= 9; ++count) {
+    for (size_t len = 0; len <= 300; ++len) {
+      std::vector<std::span<const uint8_t>> pieces;
+      for (size_t j = 0; j < count; ++j) {
+        pieces.push_back(piece(j * 301, (len + j * 37) % 301));
+      }
+      ExpectBatchMatchesSerial(pieces);
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<std::span<const uint8_t>> pieces;
+      for (size_t j = 0; j < count; ++j) {
+        const size_t len = rng.Chance(0.2) ? 0 : rng.Below(301);
+        pieces.push_back(piece(rng.Below(buf.size() - 300), len));
+      }
+      ExpectBatchMatchesSerial(pieces);
+    }
+    for (size_t at = 0; at < count; ++at) {
+      std::vector<std::span<const uint8_t>> uneven, huge;
+      for (size_t j = 0; j < count; ++j) {
+        uneven.push_back(piece(j, j == at ? 300 : j % 3));
+        huge.push_back(j == at ? piece(0, kMiB) : piece(kMiB + j, j % 8));
+      }
+      ExpectBatchMatchesSerial(uneven);
+      ExpectBatchMatchesSerial(huge);
+    }
+  }
+}
+
+// ---------------------------------------------------------- wire identity
+
+// Encode's wire image is a tape format: the same stream, config and index
+// state must produce the same bytes on every build and host. These CRCs pin
+// a cold encode (empty index) and a warm one (a churned copy of the stream
+// against the index the cold pass filled) for four stage combos, so a speed
+// change to hashing, chunking or payload filling cannot move a byte.
+TEST(ContentWireTest, EncodeWireImagesArePinned) {
+  struct Combo {
+    bool chunk, dedup, compress, crc;
+  };
+  const Combo kCombos[] = {
+      {true, true, false, true},   // verbatim literals and refs
+      {false, false, true, false}, // fixed-size chunks, filler payloads
+      {true, false, true, true},   // filler payloads under content cuts
+      {true, true, true, true},    // every stage
+  };
+  // {cold, warm} per (seed, combo), captured from the serial-hash encoder.
+  const uint32_t kWant[2][4][2] = {
+      {{0x2c280f66, 0xe2d03f57},
+       {0x545cda9c, 0xb8feeab4},
+       {0xfa817745, 0xbb5c67ab},
+       {0x1f55f563, 0xd0b2f91a}},
+      {{0x51cd94a5, 0xc1bdf2a0},
+       {0x5c26b46a, 0x0ab63805},
+       {0xe1b0dddd, 0x129ceb12},
+       {0xf6003234, 0xde6d129e}},
+  };
+  for (uint64_t s = 0; s < 2; ++s) {
+    const std::vector<uint8_t> raw = MakeStream(101 + s, 256 * 1024 + 333);
+    std::vector<uint8_t> churned = raw;
+    for (size_t at = 5000; at < churned.size(); at += 61 * 1024) {
+      churned[at] ^= 0xa5;
+    }
+    for (size_t c = 0; c < 4; ++c) {
+      ChunkIndex index;
+      ContentConfig cfg;
+      cfg.chunk = kCombos[c].chunk;
+      cfg.dedup = kCombos[c].dedup;
+      cfg.compress = kCombos[c].compress;
+      cfg.crc = kCombos[c].crc;
+      cfg.compress_ratio = 2.0 + static_cast<double>(s);
+      cfg.seed = 0x626b6370 + s;
+      cfg.index = &index;
+      const StagePipeline pipe(cfg);
+      auto cold = pipe.Encode(raw);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      auto warm = pipe.Encode(churned);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      EXPECT_EQ(Crc32c(cold->wire), kWant[s][c][0])
+          << "seed " << s << " combo " << c << " cold";
+      EXPECT_EQ(Crc32c(warm->wire), kWant[s][c][1])
+          << "seed " << s << " combo " << c << " warm";
+    }
+  }
+}
+
 // ------------------------------------------------------- chunking locality
 
 // A 1-byte edit must re-chunk O(1) chunks: boundaries outside the edited
@@ -365,6 +474,24 @@ TEST(ContentChunkingTest, SkippingChunkerMatchesReference) {
   EXPECT_GT(cuts, 10000u);
 }
 
+// With every stage off Validate() checks no geometry, so avg may be 0:
+// fixed-size chunking then cuts one-byte pieces instead of never returning.
+TEST(ContentChunkingTest, FixedSizeChunkingWithZeroAvgTerminates) {
+  ContentConfig cfg;
+  cfg.avg_chunk_bytes = 0;
+  const std::vector<uint8_t> raw = MakeStream(37, 100);
+  const StagePipeline pipe(cfg);
+  const std::vector<uint64_t> ends = pipe.ChunkBoundaries(raw);
+  ASSERT_EQ(ends.size(), raw.size());
+  EXPECT_EQ(ends.front(), 1u);
+  EXPECT_EQ(ends.back(), raw.size());
+  auto encoded = pipe.Encode(raw);
+  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+  auto decoded = pipe.Decode(encoded->wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, raw);
+}
+
 // ------------------------------------------------------- adversarial inputs
 
 TEST(ContentAdversarialTest, ZeroLengthStreamRoundTrips) {
@@ -476,6 +603,62 @@ TEST(ContentAdversarialTest, CorruptedIndexEntryFailsDecodeLoudly) {
   EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
 }
 
+// Decode checks the content hash of every store-backed frame, wherever it
+// falls in the batched hash's lanes. Each case turns one frame's store
+// entry into a same-length imposter and re-seals the frame's CRC to match
+// it, so length and CRC pass and only the hash check can catch it. Every
+// frame gets its turn (the first, the first of each lane, the last), as a
+// literal on the cold pass and as a ref on the warm one.
+TEST(ContentAdversarialTest, HashCheckCatchesImposterAtEveryFrame) {
+  ChunkIndex index;
+  ContentConfig cfg;
+  cfg.chunk = cfg.dedup = cfg.compress = cfg.crc = true;
+  cfg.min_chunk_bytes = 64;
+  cfg.avg_chunk_bytes = 256;
+  cfg.max_chunk_bytes = 1024;
+  cfg.index = &index;
+  std::vector<uint8_t> raw(48 * 1024);
+  Rng(31).Fill(raw);
+  const StagePipeline pipe(cfg);
+  auto literals = pipe.Encode(raw);
+  ASSERT_TRUE(literals.ok());
+  auto refs = pipe.Encode(raw);
+  ASSERT_TRUE(refs.ok());
+  ASSERT_EQ(refs->stats.dedup_hits, refs->stats.chunks);
+  // Random bytes repeat no chunk, so each frame owns its store entry.
+  ASSERT_EQ(index.size(), literals->stats.chunks);
+
+  for (const EncodeResult* encoded : {&*literals, &*refs}) {
+    const std::vector<FrameMap::Frame>& frames = encoded->map.frames();
+    ASSERT_GT(frames.size(), 16u);
+    for (size_t i = 0; i < frames.size(); ++i) {
+      const FrameMap::Frame& frame = frames[i];
+      std::vector<uint8_t> wire = encoded->wire;
+      uint64_t hash = 0;
+      for (int b = 0; b < 8; ++b) {
+        hash |= uint64_t{wire[frame.wire_begin + 12 + b]} << (8 * b);
+      }
+      std::vector<uint8_t> imposter(
+          raw.begin() + static_cast<ptrdiff_t>(frame.raw_begin),
+          raw.begin() + static_cast<ptrdiff_t>(frame.raw_begin + frame.raw_len));
+      imposter[imposter.size() / 2] ^= 0x5a;  // what CorruptEntryForTest does
+      const uint32_t crc = Crc32c(imposter);
+      for (int b = 0; b < 4; ++b) {
+        wire[frame.wire_begin + 20 + b] = static_cast<uint8_t>(crc >> (8 * b));
+      }
+      ASSERT_TRUE(index.CorruptEntryForTest(hash));
+      auto decoded = pipe.Decode(wire);
+      ASSERT_TRUE(index.CorruptEntryForTest(hash));  // undo
+      ASSERT_FALSE(decoded.ok()) << "frame " << i << " of " << frames.size()
+                                 << ": decode served an imposter chunk";
+      EXPECT_EQ(decoded.status().code(), ErrorCode::kCorruption);
+    }
+    auto clean = pipe.Decode(encoded->wire);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_TRUE(std::equal(clean->begin(), clean->end(), raw.begin()));
+  }
+}
+
 // Decoding a store-backed stream without the backup's index is a usage
 // error, reported as such (not corruption, not silence).
 TEST(ContentAdversarialTest, StoreBackedDecodeWithoutIndexFails) {
@@ -554,7 +737,7 @@ TEST(ContentDedupSafetyTest, HashCollisionFallsBackToVerbatim) {
   const uint64_t h =
       ContentHash(std::span(raw).first(static_cast<size_t>(ends[0])));
   const std::vector<uint8_t> imposter(100, 0x77);
-  ASSERT_TRUE(index.Insert(h, imposter, Crc32c(imposter)));
+  ASSERT_TRUE(index.Insert(h, imposter));
 
   auto encoded = pipe.Encode(raw);
   ASSERT_TRUE(encoded.ok());
