@@ -64,8 +64,8 @@ Row RunOne(WriteAllocator::Policy policy, const char* name) {
   const double disk_before = DiskBusySeconds(volume.get());
   LogicalBackupJobResult backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(LogicalBackupJob(&filer, fs.get(), &drive, LogicalDumpOptions{},
-                             &backup, &done));
+  env.Spawn(RunJob(&filer, {.fs = fs.get(), .endpoints = {{.drive = &drive}}},
+                   &backup, &done));
   env.Run();
   bench::CheckStatus(backup.report.status, "logical backup");
   const double disk_s = DiskBusySeconds(volume.get()) - disk_before;

@@ -23,14 +23,18 @@ int Run() {
 
   LogicalBackupJobResult lback;
   CountdownLatch l1(&b.env, 1);
-  b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(), b.drives[0].get(),
-                               LogicalDumpOptions{}, &lback, &l1));
+  b.env.Spawn(RunJob(b.filer.get(),
+                     {.fs = b.fs.get(),
+                      .endpoints = {{.drive = b.drives[0].get()}}},
+                     &lback, &l1));
   b.env.Run();
   bench::CheckStatus(lback.report.status, "logical backup");
   ImageBackupJobResult pback;
   CountdownLatch p1(&b.env, 1);
-  b.env.Spawn(ImageBackupJob(b.filer.get(), b.fs.get(), b.drives[1].get(),
-                             ImageDumpOptions{}, true, &pback, &p1));
+  b.env.Spawn(RunJob(b.filer.get(),
+                     {.fs = b.fs.get(),
+                      .endpoints = {{.drive = b.drives[1].get()}}},
+                     &pback, &p1));
   b.env.Run();
   bench::CheckStatus(pback.report.status, "physical backup");
 

@@ -83,9 +83,12 @@ int Run(const std::string& json_path) {
     LogicalDumpOptions opt;
     opt.level = 0;
     opt.volume_name = "home";
-    b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(),
-                                 b.drives[0].get(), opt, &night1, &done, {},
-                                 nullptr, {}, content));
+    b.env.Spawn(RunJob(
+        b.filer.get(),
+        {.fs = b.fs.get(),
+         .endpoints = {{.drive = b.drives[0].get(), .content = content}},
+         .logical_dump = opt},
+        &night1, &done));
     b.env.Run();
     bench::CheckStatus(night1.report.status, "night-1 full");
     night1.report.name = "Night 1 full (dedup, cold store)";
@@ -105,8 +108,11 @@ int Run(const std::string& json_path) {
     auto base = dumpdates.BaseFor("home", "/", 1);
     bench::CheckStatus(base.status(), "dumpdates base");
     opt.base_time = base->dump_time;
-    b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(),
-                                 b.drives[1].get(), opt, &incr, &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(),
+                        .endpoints = {{.drive = b.drives[1].get()}},
+                        .logical_dump = opt},
+                       &incr, &done));
     b.env.Run();
     bench::CheckStatus(incr.report.status, "night-2 incremental");
     incr.report.name = "Night 2 incremental (plain)";
@@ -119,9 +125,12 @@ int Run(const std::string& json_path) {
     LogicalDumpOptions opt;
     opt.level = 0;
     opt.volume_name = "home";
-    b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(),
-                                 b.drives[2].get(), opt, &night2, &done, {},
-                                 nullptr, {}, content));
+    b.env.Spawn(RunJob(
+        b.filer.get(),
+        {.fs = b.fs.get(),
+         .endpoints = {{.drive = b.drives[2].get(), .content = content}},
+         .logical_dump = opt},
+        &night2, &done));
     b.env.Run();
     bench::CheckStatus(night2.report.status, "night-2 full");
     night2.report.name = "Night 2 full (dedup, warm store)";

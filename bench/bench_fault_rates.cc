@@ -44,8 +44,12 @@ JobReport RunLogical(double rate, SimTime* end = nullptr) {
   CountdownLatch done(&b.env, 1);
   LogicalDumpOptions opt;
   opt.volume_name = "home";
-  b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(), b.drives[0].get(),
-                               opt, &r, &done, {}, &policy));
+  b.env.Spawn(RunJob(
+      b.filer.get(),
+      {.fs = b.fs.get(),
+       .endpoints = {{.drive = b.drives[0].get(), .supervision = &policy}},
+       .logical_dump = opt},
+      &r, &done));
   b.env.Run();
   bench::CheckStatus(r.report.status, "supervised logical backup");
   r.report.name = "Logical Backup";
@@ -64,10 +68,11 @@ JobReport RunImage(double rate) {
   SupervisionPolicy policy;
   ImageBackupJobResult r;
   CountdownLatch done(&b.env, 1);
-  b.env.Spawn(ImageBackupJob(b.filer.get(), b.fs.get(), b.drives[1].get(),
-                             ImageDumpOptions{},
-                             /*delete_snapshot_after=*/true, &r, &done, {},
-                             &policy));
+  b.env.Spawn(RunJob(
+      b.filer.get(),
+      {.fs = b.fs.get(),
+       .endpoints = {{.drive = b.drives[1].get(), .supervision = &policy}}},
+      &r, &done));
   b.env.Run();
   bench::CheckStatus(r.report.status, "supervised physical backup");
   r.report.name = "Physical Backup";

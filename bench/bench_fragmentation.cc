@@ -50,8 +50,10 @@ Row RunOne(uint32_t aging_rounds) {
   const double disk_before_logical = DiskBusySeconds(b.home.get());
   LogicalBackupJobResult logical;
   CountdownLatch ldone(&b.env, 1);
-  b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(), b.drives[0].get(),
-                               LogicalDumpOptions{}, &logical, &ldone));
+  b.env.Spawn(RunJob(b.filer.get(),
+                     {.fs = b.fs.get(),
+                      .endpoints = {{.drive = b.drives[0].get()}}},
+                     &logical, &ldone));
   b.env.Run();
   bench::CheckStatus(logical.report.status, "logical backup");
   const double logical_disk_s =
@@ -60,8 +62,10 @@ Row RunOne(uint32_t aging_rounds) {
   const double disk_before_physical = DiskBusySeconds(b.home.get());
   ImageBackupJobResult physical;
   CountdownLatch pdone(&b.env, 1);
-  b.env.Spawn(ImageBackupJob(b.filer.get(), b.fs.get(), b.drives[1].get(),
-                             ImageDumpOptions{}, true, &physical, &pdone));
+  b.env.Spawn(RunJob(b.filer.get(),
+                     {.fs = b.fs.get(),
+                      .endpoints = {{.drive = b.drives[1].get()}}},
+                     &physical, &pdone));
   b.env.Run();
   bench::CheckStatus(physical.report.status, "physical backup");
   const double physical_disk_s =

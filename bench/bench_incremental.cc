@@ -76,8 +76,11 @@ Row RunOne(double churn_fraction) {
     LogicalDumpOptions opt;
     opt.level = 0;
     opt.volume_name = "home";
-    b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(),
-                                 b.drives[0].get(), opt, &l0, &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(),
+                        .endpoints = {{.drive = b.drives[0].get()}},
+                        .logical_dump = opt},
+                       &l0, &done));
     b.env.Run();
     bench::CheckStatus(l0.report.status, "logical level 0");
     dumpdates.Record({"home", "/", 0, b.env.now(), b.fs->generation(), ""});
@@ -87,9 +90,12 @@ Row RunOne(double churn_fraction) {
     CountdownLatch done(&b.env, 1);
     ImageDumpOptions opt;
     opt.snapshot_name = "level0";
-    b.env.Spawn(ImageBackupJob(b.filer.get(), b.fs.get(), b.drives[1].get(),
-                               opt, /*delete_snapshot_after=*/false, &p0,
-                               &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(),
+                        .endpoints = {{.drive = b.drives[1].get()}},
+                        .image_dump = opt,
+                        .delete_snapshot_after = false},
+                       &p0, &done));
     b.env.Run();
     bench::CheckStatus(p0.report.status, "physical level 0");
   }
@@ -110,8 +116,11 @@ Row RunOne(double churn_fraction) {
     b.tapes[2]->Erase();
     b.drives[2]->LoadMedia(b.tapes[2].get());
     LogicalBackupJobResult l1;
-    b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(),
-                                 b.drives[2].get(), opt, &l1, &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(),
+                        .endpoints = {{.drive = b.drives[2].get()}},
+                        .logical_dump = opt},
+                       &l1, &done));
     b.env.Run();
     bench::CheckStatus(l1.report.status, "logical level 1");
     row.logical = l1.report;
@@ -124,8 +133,12 @@ Row RunOne(double churn_fraction) {
     b.tapes[3]->Erase();
     b.drives[3]->LoadMedia(b.tapes[3].get());
     ImageBackupJobResult p1;
-    b.env.Spawn(ImageBackupJob(b.filer.get(), b.fs.get(), b.drives[3].get(),
-                               opt, false, &p1, &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(),
+                        .endpoints = {{.drive = b.drives[3].get()}},
+                        .image_dump = opt,
+                        .delete_snapshot_after = false},
+                       &p1, &done));
     b.env.Run();
     bench::CheckStatus(p1.report.status, "physical level 1");
     row.physical = p1.report;

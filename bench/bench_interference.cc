@@ -100,17 +100,21 @@ Task DelayedDump(bench::Bench* b, DumpMode mode, BackupQos qos,
     auto result = std::make_unique<LogicalBackupJobResult>();
     LogicalDumpOptions opt;
     opt.volume_name = "home";
-    b->env.Spawn(LogicalBackupJob(b->filer.get(), b->fs.get(),
-                                  b->drives[0].get(), opt, result.get(),
-                                  &inner, {}, nullptr, qos));
+    b->env.Spawn(RunJob(b->filer.get(),
+                        {.fs = b->fs.get(),
+                         .endpoints = {{.drive = b->drives[0].get(),
+                                        .qos = qos}},
+                         .logical_dump = opt},
+                        result.get(), &inner));
     co_await inner.Wait();
     *out = result->report;
   } else {
     auto result = std::make_unique<ImageBackupJobResult>();
-    b->env.Spawn(ImageBackupJob(b->filer.get(), b->fs.get(),
-                                b->drives[0].get(), ImageDumpOptions{},
-                                /*delete_snapshot_after=*/true, result.get(),
-                                &inner, {}, nullptr, qos));
+    b->env.Spawn(RunJob(b->filer.get(),
+                        {.fs = b->fs.get(),
+                         .endpoints = {{.drive = b->drives[0].get(),
+                                        .qos = qos}}},
+                        result.get(), &inner));
     co_await inner.Wait();
     *out = result->report;
   }

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/backup/remote.h"
+#include "src/backup/jobs.h"
 #include "src/content/content.h"
 #include "src/net/link.h"
 #include "src/net/tape_server.h"
@@ -113,11 +113,8 @@ int Run(const std::string& json_path) {
         std::make_unique<Tape>("net." + std::to_string(unit), 8ull * kGiB));
     drive->LoadMedia(media.back().get());
     ++unit;
-    RemoteTarget target;
-    target.link = links.back().get();
-    target.server = &server;
-    target.drive = drive;
-    return target;
+    return StreamEndpoint{
+        .link = links.back().get(), .server = &server, .drive = drive};
   };
 
   // ------------------------------------------------- bandwidth sweep ---
@@ -125,13 +122,11 @@ int Run(const std::string& json_path) {
                                            125.0, 250.0, 500.0};
   std::vector<SweepRow> rows;
   for (const double bw : kBandwidths) {
-    RemoteTarget target = MakeTarget(bw);
     ImageBackupJobResult r;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(RemoteImageBackupJob(b.filer.get(), b.fs.get(), target,
-                                     ImageDumpOptions{},
-                                     /*delete_snapshot_after=*/true, &r,
-                                     &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(), .endpoints = {MakeTarget(bw)}}, &r,
+                       &done));
     b.env.Run();
     bench::CheckStatus(r.report.status, "remote physical backup");
     r.report.name = "Remote Physical @ " + Mbps(bw);
@@ -144,7 +139,7 @@ int Run(const std::string& json_path) {
   std::vector<std::unique_ptr<ChunkIndex>> indexes;
   std::vector<SweepRow> ratio_rows;
   for (const double bw : kBandwidths) {
-    RemoteTarget target = MakeTarget(bw);
+    StreamEndpoint target = MakeTarget(bw);
     indexes.push_back(std::make_unique<ChunkIndex>());
     ContentConfig content;
     content.chunk = content.compress = content.crc = true;
@@ -153,10 +148,8 @@ int Run(const std::string& json_path) {
     target.content = content;
     ImageBackupJobResult r;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(RemoteImageBackupJob(b.filer.get(), b.fs.get(), target,
-                                     ImageDumpOptions{},
-                                     /*delete_snapshot_after=*/true, &r,
-                                     &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(), .endpoints = {target}}, &r, &done));
     b.env.Run();
     bench::CheckStatus(r.report.status, "remote physical backup (ratio 2.0)");
     r.report.name = "Remote Physical r2 @ " + Mbps(bw);
@@ -166,13 +159,11 @@ int Run(const std::string& json_path) {
   // Remote logical dump at the 1 GbE point, for the paper's Table-2 pairing.
   JobReport logical_report;
   {
-    RemoteTarget target = MakeTarget(125.0);
     LogicalBackupJobResult r;
     CountdownLatch done(&b.env, 1);
-    LogicalDumpOptions opt;
-    opt.volume_name = "home";
-    b.env.Spawn(RemoteLogicalBackupJob(b.filer.get(), b.fs.get(), target, opt,
-                                       &r, &done));
+    JobSpec spec{.fs = b.fs.get(), .endpoints = {MakeTarget(125.0)}};
+    spec.logical_dump.volume_name = "home";
+    b.env.Spawn(RunJob(b.filer.get(), spec, &r, &done));
     b.env.Run();
     bench::CheckStatus(r.report.status, "remote logical backup");
     r.report.name = "Remote Logical @ " + Mbps(125.0);
@@ -187,7 +178,7 @@ int Run(const std::string& json_path) {
     params.bandwidth_mb_per_s = 125.0;
     links.push_back(std::make_unique<NetLink>(&b.env, "lan.shared", params));
     NetLink* shared = links.back().get();
-    std::vector<TapeDrive*> drives;
+    JobSpec spec{.fs = b.fs.get()};
     for (int k = 0; k < 2; ++k) {
       TapeDrive* d =
           server.AddDrive("vtl" + std::to_string(unit), VtlTiming());
@@ -195,13 +186,12 @@ int Run(const std::string& json_path) {
           std::make_unique<Tape>("net." + std::to_string(unit), 8ull * kGiB));
       d->LoadMedia(media.back().get());
       ++unit;
-      drives.push_back(d);
+      spec.endpoints.push_back(
+          {.link = shared, .server = &server, .drive = d});
     }
-    ParallelRemoteImageBackupResult r;
+    ParallelJobResult<ImageBackupJobResult> r;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(ParallelRemoteImageBackupJob(
-        b.filer.get(), b.fs.get(), shared, &server, drives, ImageDumpOptions{},
-        /*delete_snapshot_after=*/true, /*supervision=*/nullptr, &r, &done));
+    b.env.Spawn(RunJob(b.filer.get(), spec, &r, &done));
     b.env.Run();
     bench::CheckStatus(r.merged.status, "parallel remote physical backup");
     r.merged.name = "Remote Physical 2-way @ " + Mbps(125.0);

@@ -19,14 +19,18 @@ int Run() {
   // One logical tape + one physical tape.
   LogicalBackupJobResult lback;
   CountdownLatch l1(&b.env, 1);
-  b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(), b.drives[0].get(),
-                               LogicalDumpOptions{}, &lback, &l1));
+  b.env.Spawn(RunJob(b.filer.get(),
+                     {.fs = b.fs.get(),
+                      .endpoints = {{.drive = b.drives[0].get()}}},
+                     &lback, &l1));
   b.env.Run();
   bench::CheckStatus(lback.report.status, "logical backup");
   ImageBackupJobResult pback;
   CountdownLatch p1(&b.env, 1);
-  b.env.Spawn(ImageBackupJob(b.filer.get(), b.fs.get(), b.drives[1].get(),
-                             ImageDumpOptions{}, true, &pback, &p1));
+  b.env.Spawn(RunJob(b.filer.get(),
+                     {.fs = b.fs.get(),
+                      .endpoints = {{.drive = b.drives[1].get()}}},
+                     &pback, &p1));
   b.env.Run();
   bench::CheckStatus(pback.report.status, "physical backup");
 
@@ -36,9 +40,11 @@ int Run() {
     b.drives[0]->Rewind();
     LogicalRestoreJobResult r;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(LogicalRestoreJob(b.filer.get(), fs.get(),
-                                  b.drives[0].get(), LogicalRestoreOptions{},
-                                  bypass, &r, &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = fs.get(),
+                        .endpoints = {{.drive = b.drives[0].get()}},
+                        .bypass_nvram = bypass},
+                       &r, &done));
     b.env.Run();
     bench::CheckStatus(r.report.status, "logical restore");
     return r.report;
@@ -52,8 +58,10 @@ int Run() {
   b.drives[1]->Rewind();
   ImageRestoreJobResult prest;
   CountdownLatch p2(&b.env, 1);
-  b.env.Spawn(ImageRestoreJob(b.filer.get(), pvolume.get(),
-                              b.drives[1].get(), &prest, &p2));
+  b.env.Spawn(RunJob(b.filer.get(),
+                     {.volume = pvolume.get(),
+                      .endpoints = {{.drive = b.drives[1].get()}}},
+                     &prest, &p2));
   b.env.Run();
   bench::CheckStatus(prest.report.status, "physical restore");
   prest.report.name = "Physical restore (no NVRAM)";

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/backup/remote.h"
 #include "src/backup/supervisor.h"
 #include "src/dump/catalog.h"
 #include "src/faults/crash.h"
@@ -67,8 +66,11 @@ int Run(int argc, char** argv) {
     CountdownLatch done(&b.env, 1);
     LogicalDumpOptions opt;
     opt.volume_name = "home";
-    b.env.Spawn(LogicalBackupJob(b.filer.get(), b.fs.get(),
-                                 b.drives[0].get(), opt, &backup, &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(),
+                        .endpoints = {{.drive = b.drives[0].get()}},
+                        .logical_dump = opt},
+                       &backup, &done));
     b.env.Run();
     bench::CheckStatus(backup.report.status, "logical backup");
     backup.report.name = "Logical Backup";
@@ -88,9 +90,10 @@ int Run(int argc, char** argv) {
     auto fs = std::move(Filesystem::Format(volume.get(), &b.env)).value();
     b.drives[0]->Rewind();
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(LogicalRestoreJob(b.filer.get(), fs.get(), b.drives[0].get(),
-                                  LogicalRestoreOptions{}, false, &baseline,
-                                  &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = fs.get(),
+                        .endpoints = {{.drive = b.drives[0].get()}}},
+                       &baseline, &done));
     b.env.Run();
     bench::CheckStatus(baseline.report.status, "full restore");
     baseline.report.name = "Full Restore (baseline)";
@@ -116,14 +119,15 @@ int Run(int argc, char** argv) {
   auto rfs = std::move(Filesystem::Format(rvolume.get(), &b.env)).value();
   {
     b.drives[0]->Rewind();
-    ResumableRestoreConfig cfg;
-    cfg.catalog = &*catalog;
-    cfg.kill = &injector;
-    cfg.checkpoint_every = 16;
+    JobSpec spec{
+        .volume = rvolume.get(),
+        .endpoints = {{.drive = b.drives[0].get(), .supervision = &policy}}};
+    spec.logical_restore.catalog = &*catalog;
+    spec.logical_restore.kill = &injector;
+    spec.logical_restore.checkpoint_every = 16;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(ResumableLogicalRestoreJob(
-        b.filer.get(), &rfs, rvolume.get(), b.drives[0].get(),
-        LogicalRestoreOptions{}, false, &policy, cfg, &resumed, &done));
+    b.env.Spawn(ResumableLogicalRestoreJob(b.filer.get(), &rfs, spec,
+                                           &resumed, &done));
     b.env.Run();
     bench::CheckStatus(resumed.report.status, "resumed restore");
     resumed.report.name = "Killed+Resumed Restore";
@@ -137,32 +141,34 @@ int Run(int argc, char** argv) {
 
   // 3. Remote: back the volume up to the vault, then pull one file back
   // through the catalog's ranges.
-  RemoteTarget target;
-  target.link = &link;
-  target.server = &server;
-  target.drive = vault_drive;
+  const StreamEndpoint target{
+      .link = &link, .server = &server, .drive = vault_drive};
   LogicalBackupJobResult remote_backup;
   {
     CountdownLatch done(&b.env, 1);
     LogicalDumpOptions opt;
     opt.volume_name = "home";
-    b.env.Spawn(RemoteLogicalBackupJob(b.filer.get(), b.fs.get(), target, opt,
-                                       &remote_backup, &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(),
+                        .endpoints = {target},
+                        .logical_dump = opt},
+                       &remote_backup, &done));
     b.env.Run();
     bench::CheckStatus(remote_backup.report.status, "remote backup");
     remote_backup.report.name = "Remote Logical Backup";
   }
   auto vault_catalog = TapeCatalog::Load(remote_backup.dump.catalog_image);
   bench::CheckStatus(vault_catalog.status(), "vault catalog load");
-  RemoteSingleFileRestoreResult single;
+  LogicalRestoreJobResult single;
   {
     auto volume = b.FreshVolume("single");
     auto fs = std::move(Filesystem::Format(volume.get(), &b.env)).value();
     LinkBudget budget(&link, 64 * kMiB);
+    JobSpec spec{.fs = fs.get(), .endpoints = {target}, .budget = &budget};
+    spec.logical_restore.select = {"/known/needle.dat"};
+    spec.logical_restore.catalog = &*vault_catalog;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(RemoteSingleFileRestoreJob(
-        b.filer.get(), fs.get(), target, &*vault_catalog, "/known/needle.dat",
-        LogicalRestoreOptions{}, false, &budget, &single, &done));
+    b.env.Spawn(RunJob(b.filer.get(), spec, &single, &done));
     b.env.Run();
     bench::CheckStatus(single.report.status, "single-file restore");
     single.report.name = "Remote Single-File Restore";
@@ -187,12 +193,16 @@ int Run(int argc, char** argv) {
   std::printf("  %-34s %14llu\n", "files already complete",
               (unsigned long long)rs.files_already_complete);
 
+  // The vault tape holds the remote backup's whole stream; the restore's
+  // stream bytes are what its ranged read moved over the link.
+  const uint64_t vault_bytes = vault_media.size();
+  const uint64_t link_bytes = single.report.stream_bytes;
   std::printf("\nSingle-file remote restore (catalog ranges over the link):\n");
   std::printf("  %-34s %14llu\n", "full stream bytes",
-              (unsigned long long)single.full_stream_bytes);
+              (unsigned long long)vault_bytes);
   std::printf("  %-34s %14llu  (%.2f%% of full)\n", "link bytes for one file",
-              (unsigned long long)single.link_bytes,
-              100.0 * single.link_bytes / single.full_stream_bytes);
+              (unsigned long long)link_bytes,
+              100.0 * link_bytes / vault_bytes);
 
   bool ok = true;
   ok &= resumed.attempts == 2;
@@ -200,8 +210,7 @@ int Run(int argc, char** argv) {
   ok &= rs.bytes_replayed < full_bytes;
   ok &= rs.bytes_skipped > 0;
   ok &= single.restore.stats.files_restored == 1;
-  ok &= single.link_bytes > 0 &&
-        single.link_bytes < single.full_stream_bytes / 10;
+  ok &= link_bytes > 0 && link_bytes < vault_bytes / 10;
 
   const std::string json_path = bench::JsonPathFromArgs(
       argc, argv, "BENCH_restore_resume.json");

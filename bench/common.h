@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/backup/jobs.h"
-#include "src/backup/parallel.h"
 #include "src/obs/json.h"
 #include "src/workload/aging.h"
 #include "src/workload/population.h"
@@ -87,10 +86,11 @@ struct Bench {
     }
   }
 
-  std::vector<TapeDrive*> DrivePtrs(uint32_t n) {
-    std::vector<TapeDrive*> out;
+  // One local endpoint per drive, for the first `n` drives.
+  std::vector<StreamEndpoint> Endpoints(uint32_t n) {
+    std::vector<StreamEndpoint> out;
     for (uint32_t i = 0; i < n; ++i) {
-      out.push_back(drives[i].get());
+      out.push_back({.drive = drives[i].get()});
     }
     return out;
   }
@@ -178,8 +178,11 @@ inline BasicSuite RunBasicSuite(Bench* b) {
     CountdownLatch done(&b->env, 1);
     LogicalDumpOptions opt;
     opt.volume_name = "home";
-    b->env.Spawn(LogicalBackupJob(b->filer.get(), b->fs.get(),
-                                  b->drives[0].get(), opt, &r, &done));
+    b->env.Spawn(RunJob(b->filer.get(),
+                        {.fs = b->fs.get(),
+                         .endpoints = {{.drive = b->drives[0].get()}},
+                         .logical_dump = opt},
+                        &r, &done));
     b->env.Run();
     CheckStatus(r.report.status, "logical backup");
     r.report.name = "Logical Backup";
@@ -192,10 +195,10 @@ inline BasicSuite RunBasicSuite(Bench* b) {
     b->drives[0]->Rewind();
     LogicalRestoreJobResult r;
     CountdownLatch done(&b->env, 1);
-    b->env.Spawn(LogicalRestoreJob(b->filer.get(), fs.get(),
-                                   b->drives[0].get(),
-                                   LogicalRestoreOptions{}, false, &r,
-                                   &done));
+    b->env.Spawn(RunJob(b->filer.get(),
+                        {.fs = fs.get(),
+                         .endpoints = {{.drive = b->drives[0].get()}}},
+                        &r, &done));
     b->env.Run();
     CheckStatus(r.report.status, "logical restore");
     r.report.name = "Logical Restore";
@@ -205,9 +208,10 @@ inline BasicSuite RunBasicSuite(Bench* b) {
   {
     ImageBackupJobResult r;
     CountdownLatch done(&b->env, 1);
-    b->env.Spawn(ImageBackupJob(b->filer.get(), b->fs.get(),
-                                b->drives[1].get(), ImageDumpOptions{},
-                                /*delete_snapshot_after=*/true, &r, &done));
+    b->env.Spawn(RunJob(b->filer.get(),
+                        {.fs = b->fs.get(),
+                         .endpoints = {{.drive = b->drives[1].get()}}},
+                        &r, &done));
     b->env.Run();
     CheckStatus(r.report.status, "physical backup");
     r.report.name = "Physical Backup";
@@ -219,8 +223,10 @@ inline BasicSuite RunBasicSuite(Bench* b) {
     b->drives[1]->Rewind();
     ImageRestoreJobResult r;
     CountdownLatch done(&b->env, 1);
-    b->env.Spawn(ImageRestoreJob(b->filer.get(), volume.get(),
-                                 b->drives[1].get(), &r, &done));
+    b->env.Spawn(RunJob(b->filer.get(),
+                        {.volume = volume.get(),
+                         .endpoints = {{.drive = b->drives[1].get()}}},
+                        &r, &done));
     b->env.Run();
     CheckStatus(r.report.status, "physical restore");
     r.report.name = "Physical Restore";

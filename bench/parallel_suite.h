@@ -40,13 +40,13 @@ inline ParallelSuite RunParallelSuite(uint32_t ntapes, uint64_t data_bytes) {
 
   // ---- Parallel logical backup: one dump job per quota tree. ----
   {
-    ParallelLogicalBackupResult result;
+    ParallelJobResult<LogicalBackupJobResult> result;
     CountdownLatch done(&b.env, 1);
-    LogicalDumpOptions base;
-    base.volume_name = "home";
-    b.env.Spawn(ParallelLogicalBackupJob(b.filer.get(), b.fs.get(),
-                                         b.DrivePtrs(ntapes), subtrees, base,
-                                         &result, &done));
+    JobSpec spec{.fs = b.fs.get(),
+                 .endpoints = b.Endpoints(ntapes),
+                 .trees = subtrees};
+    spec.logical_dump.volume_name = "home";
+    b.env.Spawn(RunJob(b.filer.get(), spec, &result, &done));
     b.env.Run();
     CheckStatus(result.merged.status, "parallel logical backup");
     result.merged.name = "Logical Backup";
@@ -57,12 +57,13 @@ inline ParallelSuite RunParallelSuite(uint32_t ntapes, uint64_t data_bytes) {
     auto volume = b.FreshVolume("lrestore");
     auto fs = std::move(Filesystem::Format(volume.get(), &b.env)).value();
     b.RewindAll();
-    ParallelLogicalRestoreResult result;
+    ParallelJobResult<LogicalRestoreJobResult> result;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(ParallelLogicalRestoreJob(b.filer.get(), fs.get(),
-                                          b.DrivePtrs(ntapes), subtrees,
-                                          /*bypass_nvram=*/false, &result,
-                                          &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = fs.get(),
+                        .endpoints = b.Endpoints(ntapes),
+                        .trees = subtrees},
+                       &result, &done));
     b.env.Run();
     CheckStatus(result.merged.status, "parallel logical restore");
     result.merged.name = "Logical Restore";
@@ -76,13 +77,13 @@ inline ParallelSuite RunParallelSuite(uint32_t ntapes, uint64_t data_bytes) {
     b.drives[k]->LoadMedia(b.tapes[k].get());
   }
   {
-    ParallelImageBackupResult result;
+    ParallelJobResult<ImageBackupJobResult> result;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(ParallelImageBackupJob(b.filer.get(), b.fs.get(),
-                                       b.DrivePtrs(ntapes),
-                                       ImageDumpOptions{},
-                                       /*delete_snapshot_after=*/false,
-                                       &result, &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.fs = b.fs.get(),
+                        .endpoints = b.Endpoints(ntapes),
+                        .delete_snapshot_after = false},
+                       &result, &done));
     b.env.Run();
     CheckStatus(result.merged.status, "parallel physical backup");
     result.merged.name = "Physical Backup";
@@ -92,11 +93,12 @@ inline ParallelSuite RunParallelSuite(uint32_t ntapes, uint64_t data_bytes) {
   {
     auto volume = b.FreshVolume("prestore");
     b.RewindAll();
-    ParallelImageRestoreResult result;
+    ParallelJobResult<ImageRestoreJobResult> result;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(ParallelImageRestoreJob(b.filer.get(), volume.get(),
-                                        b.DrivePtrs(ntapes), &result,
-                                        &done));
+    b.env.Spawn(RunJob(b.filer.get(),
+                       {.volume = volume.get(),
+                        .endpoints = b.Endpoints(ntapes)},
+                       &result, &done));
     b.env.Run();
     CheckStatus(result.merged.status, "parallel physical restore");
     result.merged.name = "Physical Restore";

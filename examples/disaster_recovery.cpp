@@ -60,8 +60,8 @@ int main() {
   drive.LoadMedia(&media);
   ImageBackupJobResult backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(ImageBackupJob(&filer, fs.get(), &drive, ImageDumpOptions{},
-                           /*delete_snapshot_after=*/true, &backup, &done));
+  env.Spawn(RunJob(&filer, {.fs = fs.get(), .endpoints = {{.drive = &drive}}},
+                   &backup, &done));
   env.Run();
   Must(backup.report.status, "image backup");
   std::printf("image dump: %llu blocks (%s) in %s simulated at %.2f MB/s, "
@@ -94,7 +94,9 @@ int main() {
   drive.Rewind();
   ImageRestoreJobResult restore;
   CountdownLatch rdone(&env, 1);
-  env.Spawn(ImageRestoreJob(&filer, volume.get(), &drive, &restore, &rdone));
+  env.Spawn(RunJob(&filer,
+                   {.volume = volume.get(), .endpoints = {{.drive = &drive}}},
+                   &restore, &rdone));
   env.Run();
   Must(restore.report.status, "image restore");
   std::printf("image restore: %llu blocks in %s simulated at %.2f MB/s\n",

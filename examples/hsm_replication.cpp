@@ -144,8 +144,11 @@ int main() {
   CountdownLatch done(&env, 1);
   LogicalDumpOptions weekly_opt;
   weekly_opt.volume_name = "archive";
-  env.Spawn(LogicalBackupJob(&filer, archive.get(), &drive, weekly_opt,
-                             &tape_job, &done));
+  env.Spawn(RunJob(&filer,
+                   {.fs = archive.get(),
+                    .endpoints = {{.drive = &drive}},
+                    .logical_dump = weekly_opt},
+                   &tape_job, &done));
   env.Run();
   Must(tape_job.report.status, "weekly tape");
   auto verify = VerifyDumpStream(weekly.contents());

@@ -87,8 +87,11 @@ int main() {
   CountdownLatch backup_done(&env, 1);
   LogicalDumpOptions dump_options;
   dump_options.volume_name = "home";
-  env.Spawn(LogicalBackupJob(&filer, fs.get(), &drive, dump_options, &backup,
-                             &backup_done));
+  env.Spawn(RunJob(&filer,
+                   {.fs = fs.get(),
+                    .endpoints = {{.drive = &drive}},
+                    .logical_dump = dump_options},
+                   &backup, &backup_done));
   env.Run();  // run the discrete-event simulation to completion
   Must(backup.report.status, "backup job");
   std::printf("\nbackup wrote %s to tape in %s simulated (%.2f MB/s)\n",
@@ -104,9 +107,9 @@ int main() {
   drive.Rewind();
   LogicalRestoreJobResult restore;
   CountdownLatch restore_done(&env, 1);
-  env.Spawn(LogicalRestoreJob(&filer, restored_fs.get(), &drive,
-                              LogicalRestoreOptions{}, false, &restore,
-                              &restore_done));
+  env.Spawn(RunJob(&filer,
+                   {.fs = restored_fs.get(), .endpoints = {{.drive = &drive}}},
+                   &restore, &restore_done));
   env.Run();
   Must(restore.report.status, "restore job");
   std::printf("\nrestore recreated %u files in %s simulated (%.2f MB/s)\n",

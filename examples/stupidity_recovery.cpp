@@ -59,8 +59,11 @@ int main() {
   CountdownLatch done(&env, 1);
   LogicalDumpOptions dump_options;
   dump_options.snapshot_name = "nightly-dump";
-  env.Spawn(LogicalBackupJob(&filer, fs.get(), &drive, dump_options, &backup,
-                             &done));
+  env.Spawn(RunJob(&filer,
+                   {.fs = fs.get(),
+                    .endpoints = {{.drive = &drive}},
+                    .logical_dump = dump_options},
+                   &backup, &done));
   env.Run();
   Must(backup.report.status, "nightly dump");
   std::printf("nightly level-0 dump on tape: %s\n",

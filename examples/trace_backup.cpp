@@ -74,8 +74,11 @@ int main(int argc, char** argv) {
     CountdownLatch done(&env, 1);
     LogicalDumpOptions options;
     options.volume_name = "home";
-    env.Spawn(
-        LogicalBackupJob(&filer, fs.get(), &drive0, options, &logical, &done));
+    env.Spawn(RunJob(&filer,
+                     {.fs = fs.get(),
+                      .endpoints = {{.drive = &drive0}},
+                      .logical_dump = options},
+                     &logical, &done));
     env.Run();
     Must(logical.report.status, "logical backup");
   }
@@ -84,8 +87,9 @@ int main(int argc, char** argv) {
   ImageBackupJobResult image;
   {
     CountdownLatch done(&env, 1);
-    env.Spawn(ImageBackupJob(&filer, fs.get(), &drive1, ImageDumpOptions{},
-                             /*delete_snapshot_after=*/true, &image, &done));
+    env.Spawn(RunJob(&filer,
+                     {.fs = fs.get(), .endpoints = {{.drive = &drive1}}},
+                     &image, &done));
     env.Run();
     Must(image.report.status, "physical backup");
   }

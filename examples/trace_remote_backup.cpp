@@ -17,9 +17,12 @@
 #include <cstring>
 #include <string>
 
-#include "src/backup/remote.h"
+#include "src/backup/jobs.h"
+#include "src/backup/supervisor.h"
 #include "src/faults/fault_injector.h"
 #include "src/fs/filesystem.h"
+#include "src/net/link.h"
+#include "src/net/tape_server.h"
 #include "src/obs/trace.h"
 #include "src/workload/population.h"
 
@@ -78,17 +81,15 @@ int main(int argc, char** argv) {
   tracer.WatchResource(&drive->unit());
 
   SupervisionPolicy policy;
-  RemoteTarget target;
-  target.link = &link;
-  target.server = &server;
-  target.drive = drive;
-  target.supervision = &policy;
+  const StreamEndpoint target{.link = &link,
+                              .server = &server,
+                              .drive = drive,
+                              .supervision = &policy};
 
   ImageBackupJobResult backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(RemoteImageBackupJob(&filer, fs.get(), target, ImageDumpOptions{},
-                                 /*delete_snapshot_after=*/true, &backup,
-                                 &done));
+  env.Spawn(RunJob(&filer, {.fs = fs.get(), .endpoints = {target}}, &backup,
+                   &done));
   env.Run();
   Must(backup.report.status, "remote image backup");
 

@@ -1,14 +1,14 @@
-// Every job entry point of jobs.h, parallel.h and remote.h: one body per
-// engine and direction, run over a StreamEndpoint by the local job, the
-// remote job and the parts of a parallel job alike.
+// RunJob and the resumable restore: one body per engine and direction, run
+// over one StreamEndpoint by a single job and by each part of a parallel job
+// alike, local or remote.
 #include "src/backup/jobs.h"
 
-#include <cassert>
 #include <cctype>
+#include <optional>
+#include <type_traits>
 
-#include "src/backup/parallel.h"
-#include "src/backup/remote.h"
 #include "src/backup/replay.h"
+#include "src/net/link.h"
 #include "src/obs/trace.h"
 
 namespace bkup {
@@ -40,11 +40,6 @@ std::string JobName(const StreamEndpoint& ep, std::string local) {
   }
   local[0] = static_cast<char>(std::tolower(static_cast<unsigned char>(local[0])));
   return "Remote " + local;
-}
-
-// The snapshot a job creates when its options name none.
-std::string DefaultSnapshot(const StreamEndpoint& ep, const char* engine) {
-  return std::string(engine) + (ep.link == nullptr ? ".auto" : ".remote");
 }
 
 // Meta-data write amplification measured from the real consistency points
@@ -102,59 +97,130 @@ Status ReadMedia(const StreamEndpoint& ep, MediaImage* out,
   return Status::Ok();
 }
 
-template <typename Part>
-JobReport MergeParts(const std::string& name, const JobReport* control,
-                     const std::vector<std::unique_ptr<Part>>& parts) {
-  std::vector<JobReport> reports;
-  if (control != nullptr) {
-    reports.push_back(*control);
-  }
-  for (const auto& p : parts) {
-    reports.push_back(p->report);
-  }
-  return MergeReports(name, reports);
+// Ends a job that cannot start, with `st` in its report.
+Task EndWith(JobReport* report, Status st, CountdownLatch* done) {
+  report->status = std::move(st);
+  done->CountDown();
+  co_return;
 }
 
-// Snapshot create -> logical dump -> replay over `ep` -> snapshot delete
-// (the stage sequence of Table 3's "Logical Dump" rows). The parts of a
-// parallel dump run with `own_snapshot` false: they dump from the control
-// job's snapshot and leave it alone.
-Task LogicalBackupBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
-                       LogicalDumpOptions options, std::string name,
-                       bool own_snapshot, LogicalBackupJobResult* result,
-                       CountdownLatch* done) {
+// A spec's shape: one endpoint per part, and one tree per part of a
+// parallel logical job. Checked in every build type: NDEBUG compiles
+// `assert` out, and a bad spec would index past its vectors.
+Status CheckShape(const JobSpec& spec, bool parallel, bool per_part_trees) {
+  if (spec.endpoints.empty()) {
+    return InvalidArgument("job has no endpoint");
+  }
+  if (!parallel && spec.endpoints.size() != 1) {
+    return InvalidArgument("a single job takes one endpoint");
+  }
+  if (spec.trees.size() != (per_part_trees ? spec.endpoints.size() : 0)) {
+    return InvalidArgument(per_part_trees
+                               ? "a parallel logical job takes one tree per "
+                                 "endpoint"
+                               : "only a parallel logical job takes trees");
+  }
+  return Status::Ok();
+}
+
+// Creates a backup's snapshot and charges the phase; `*created` says whether
+// this job made it. A logical dump always creates its own, so a name in use
+// fails the job; an image dump reuses one that exists, so several jobs can
+// share one quiesce point.
+Task OpenSnapshot(Filer* filer, Filesystem* fs, const std::string& name,
+                  bool reuse, int priority, JobReport* report, bool* created) {
+  *created = !reuse || !fs->FindSnapshot(name).ok();
+  if (!*created) {
+    co_return;
+  }
+  report->status = fs->CreateSnapshot(name);
+  if (report->status.ok()) {
+    co_await SnapshotPhase(filer, report, JobPhase::kCreateSnapshot,
+                           filer->model().snapshot_create_time, priority);
+  }
+}
+
+// Deletes the snapshot a backup created and charges the phase.
+Task CloseSnapshot(Filer* filer, Filesystem* fs, const std::string& name,
+                   int priority, JobReport* report) {
+  KeepFirstError(report, fs->DeleteSnapshot(name));
+  co_await SnapshotPhase(filer, report, JobPhase::kDeleteSnapshot,
+                         filer->model().snapshot_delete_time, priority);
+}
+
+// The dump engines, picked by the options type. The logical engine reads
+// the snapshot through `*reader`, which the job keeps until it ends: freed
+// right after the dump, it lets malloc trim the heap the dump grew, and the
+// replay then faults those pages back in.
+Result<LogicalDumpOutput> Dump(Filesystem* fs,
+                               const LogicalDumpOptions& options,
+                               std::optional<FsReader>* reader) {
+  BKUP_ASSIGN_OR_RETURN(FsReader opened,
+                        fs->SnapshotReader(options.snapshot_name));
+  return RunLogicalDump(reader->emplace(std::move(opened)), options);
+}
+
+Result<ImageDumpOutput> Dump(Filesystem* fs, const ImageDumpOptions& options,
+                             std::optional<FsReader>* /*reader*/) {
+  return RunImageDump(fs->volume(), options);
+}
+
+LogicalDumpOptions& DumpOptions(JobSpec* spec, LogicalBackupJobResult*) {
+  return spec->logical_dump;
+}
+
+ImageDumpOptions& DumpOptions(JobSpec* spec, ImageBackupJobResult*) {
+  return spec->image_dump;
+}
+
+uint64_t DataBytes(const LogicalDumpOutput& dump) {
+  return dump.stats.data_blocks * kBlockSize;
+}
+
+uint64_t DataBytes(const ImageDumpOutput& dump) {
+  return dump.stats.blocks_dumped * kBlockSize;
+}
+
+// Snapshot create -> dump -> replay over the spec's endpoint [-> snapshot
+// delete]. A part of a parallel backup dumps from its control job's
+// snapshot and leaves it alone.
+template <typename R>
+Task BackupBody(Filer* filer, JobSpec spec, std::string name, bool part,
+                R* result, CountdownLatch* done) {
+  constexpr bool kLogical = std::is_same_v<R, LogicalBackupJobResult>;
   SimEnvironment* env = filer->env();
+  Filesystem* fs = spec.fs;
+  const StreamEndpoint& ep = spec.endpoints.front();
+  auto& options = DumpOptions(&spec, result);
   JobReport& report = result->report;
   OpenReport(&report, filer, JobName(ep, std::move(name)));
-  if (own_snapshot) {
+  bool created = false;
+  if (!part) {
     if (options.snapshot_name.empty()) {
-      options.snapshot_name = DefaultSnapshot(ep, "dump");
+      options.snapshot_name = std::string(kLogical ? "dump" : "image") +
+                              (ep.link == nullptr ? ".auto" : ".remote");
     }
-    report.status = fs->CreateSnapshot(options.snapshot_name);
+    co_await OpenSnapshot(filer, fs, options.snapshot_name,
+                          /*reuse=*/!kLogical, ep.qos.io_priority, &report,
+                          &created);
     if (!report.status.ok()) {
       done->CountDown();
       co_return;
     }
-    co_await SnapshotPhase(filer, &report, JobPhase::kCreateSnapshot,
-                           filer->model().snapshot_create_time,
-                           ep.qos.io_priority);
   }
 
   options.dump_time = env->now();
-  Result<FsReader> reader = fs->SnapshotReader(options.snapshot_name);
-  if (!reader.ok()) {
-    report.status = reader.status();
-    done->CountDown();
-    co_return;
-  }
-  Result<LogicalDumpOutput> dump = RunLogicalDump(*reader, options);
+  std::optional<FsReader> reader;
+  auto dump = Dump(fs, options, &reader);
   if (!dump.ok()) {
     report.status = dump.status();
     done->CountDown();
     co_return;
   }
   result->dump = std::move(*dump);
-  report.faults.files_skipped += result->dump.stats.files_skipped;
+  if constexpr (kLogical) {
+    report.faults.files_skipped += result->dump.stats.files_skipped;
+  }
 
   ReplayConfig cfg{.filer = filer, .volume = fs->volume(), .endpoint = &ep};
   CountdownLatch replay_done(env, 1);
@@ -162,89 +228,83 @@ Task LogicalBackupBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
                           &report, &replay_done));
   co_await replay_done.Wait();
 
-  if (own_snapshot) {
-    KeepFirstError(&report, fs->DeleteSnapshot(options.snapshot_name));
-    co_await SnapshotPhase(filer, &report, JobPhase::kDeleteSnapshot,
-                           filer->model().snapshot_delete_time,
-                           ep.qos.io_priority);
+  if (created && spec.delete_snapshot_after) {
+    co_await CloseSnapshot(filer, fs, options.snapshot_name,
+                           ep.qos.io_priority, &report);
   }
   CloseReport(&report, filer);
-  report.data_bytes = result->dump.stats.data_blocks * kBlockSize;
+  report.data_bytes = DataBytes(result->dump);
   done->CountDown();
 }
 
-// Snapshot create -> block-order image dump -> replay over `ep` [->
-// snapshot delete]. The snapshot may already exist when several parallel
-// parts share one quiesce point; only a job that created it deletes it.
-Task ImageBackupBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
-                     ImageDumpOptions options, bool delete_snapshot_after,
-                     std::string name, ImageBackupJobResult* result,
-                     CountdownLatch* done) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  OpenReport(&report, filer, JobName(ep, std::move(name)));
-  if (options.snapshot_name.empty()) {
-    options.snapshot_name = DefaultSnapshot(ep, "image");
+// The link bytes a selective restore will move, known before any byte
+// moves: the frame-aligned wire cover of the catalog's ranges for every
+// selected path and its descendants.
+Result<uint64_t> SelectionLinkBytes(const MediaImage& media,
+                                    const LogicalRestoreOptions& options) {
+  BKUP_ASSIGN_OR_RETURN(RestoreCatalog names, BuildRestoreCatalog(media.raw));
+  std::vector<Inum> wanted;
+  for (const std::string& path : options.select) {
+    BKUP_ASSIGN_OR_RETURN(Inum selected, names.Namei(path));
+    const std::vector<Inum> below = names.Descendants(selected);
+    wanted.insert(wanted.end(), below.begin(), below.end());
   }
-  const bool created_here = !fs->FindSnapshot(options.snapshot_name).ok();
-  if (created_here) {
-    report.status = fs->CreateSnapshot(options.snapshot_name);
-    if (!report.status.ok()) {
-      done->CountDown();
-      co_return;
-    }
-    co_await SnapshotPhase(filer, &report, JobPhase::kCreateSnapshot,
-                           filer->model().snapshot_create_time,
-                           ep.qos.io_priority);
+  std::vector<StreamRange> ranges = options.catalog->RestoreRanges(wanted);
+  if (media.content_map != nullptr) {
+    ranges = media.content_map->WireRangesOf(ranges);
   }
-
-  options.dump_time = env->now();
-  Result<ImageDumpOutput> dump = RunImageDump(fs->volume(), options);
-  if (!dump.ok()) {
-    report.status = dump.status();
-    done->CountDown();
-    co_return;
+  uint64_t total = 0;
+  for (const StreamRange& r : ranges) {
+    total += r.size();
   }
-  result->dump = std::move(*dump);
-
-  ReplayConfig cfg{.filer = filer, .volume = fs->volume(), .endpoint = &ep};
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayBackup(cfg, &result->dump.trace, result->dump.stream,
-                          &report, &replay_done));
-  co_await replay_done.Wait();
-
-  if (delete_snapshot_after && created_here) {
-    KeepFirstError(&report, fs->DeleteSnapshot(options.snapshot_name));
-    co_await SnapshotPhase(filer, &report, JobPhase::kDeleteSnapshot,
-                           filer->model().snapshot_delete_time,
-                           ep.qos.io_priority);
-  }
-  CloseReport(&report, filer);
-  report.data_bytes = result->dump.stats.blocks_dumped * kBlockSize;
-  done->CountDown();
+  return total;
 }
 
 // The endpoint's media -> functional logical restore -> replay through the
-// file system. With `bypass_nvram`, models the paper's footnote-2 variant.
-Task LogicalRestoreBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
-                        LogicalRestoreOptions options, bool bypass_nvram,
+// file system. A selective restore with a catalog replays only the ranges
+// the engine consumed, read off the mounted tape alone (ranged reads never
+// address a spanned set), and settles the spec's budget to what the replay
+// moved.
+Task LogicalRestoreBody(Filer* filer, JobSpec spec, std::string name,
                         LogicalRestoreJobResult* result,
                         CountdownLatch* done) {
   SimEnvironment* env = filer->env();
+  Filesystem* fs = spec.fs;
+  StreamEndpoint& ep = spec.endpoints.front();
+  const LogicalRestoreOptions& options = spec.logical_restore;
   JobReport& report = result->report;
   OpenReport(&report, filer,
-             JobName(ep, bypass_nvram ? "Logical restore (NVRAM bypass)"
-                                      : "Logical restore"));
+             JobName(ep, spec.bypass_nvram ? name + " (NVRAM bypass)" : name));
+  const bool ranged = options.catalog != nullptr && !options.select.empty();
+  LinkBudget* budget = ranged ? spec.budget : nullptr;
+  if (ranged) {
+    ep.spare_tapes.clear();
+  }
   MediaImage media;
   if (Status st = ReadMedia(ep, &media, &report.content); !st.ok()) {
     report.status = st;
     done->CountDown();
     co_return;
   }
+  uint64_t reserved = 0;
+  if (budget != nullptr) {
+    Result<uint64_t> estimate = SelectionLinkBytes(media, options);
+    if (!estimate.ok() || !budget->TryReserve(*estimate)) {
+      report.status = estimate.ok()
+                          ? Exhausted("link budget rejected the restore")
+                          : estimate.status();
+      done->CountDown();
+      co_return;
+    }
+    reserved = *estimate;
+  }
   fs->MarkCpCounters();
   Result<LogicalRestoreOutput> restored =
       RunLogicalRestore(fs, media.raw, options);
   if (!restored.ok()) {
+    if (budget != nullptr) {
+      budget->Cancel(reserved);
+    }
     report.status = restored.status();
     done->CountDown();
     co_return;
@@ -254,13 +314,18 @@ Task LogicalRestoreBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
   ReplayConfig cfg{.filer = filer,
                    .volume = fs->volume(),
                    .endpoint = &ep,
-                   .charge_nvram = !bypass_nvram,
+                   .charge_nvram = !spec.bypass_nvram,
                    .write_meta_multiplier = MetaMultiplier(fs),
                    .content_map = media.content_map};
   CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayRestore(cfg, &result->restore.trace, media.media, {},
-                           &report, &replay_done));
+  env->Spawn(ReplayRestore(
+      cfg, &result->restore.trace, media.media,
+      ranged ? result->restore.consumed_ranges : std::vector<StreamRange>{},
+      &report, &replay_done));
   co_await replay_done.Wait();
+  if (budget != nullptr) {
+    budget->Commit(reserved, report.stream_bytes);
+  }
 
   CloseReport(&report, filer);
   report.data_bytes = result->restore.stats.bytes_restored;
@@ -268,18 +333,19 @@ Task LogicalRestoreBody(Filer* filer, Filesystem* fs, StreamEndpoint ep,
 }
 
 // The endpoint's media -> image restore straight through the RAID layer.
-Task ImageRestoreBody(Filer* filer, Volume* volume, StreamEndpoint ep,
+Task ImageRestoreBody(Filer* filer, JobSpec spec, std::string name,
                       ImageRestoreJobResult* result, CountdownLatch* done) {
   SimEnvironment* env = filer->env();
+  const StreamEndpoint& ep = spec.endpoints.front();
   JobReport& report = result->report;
-  OpenReport(&report, filer, JobName(ep, "Physical restore"));
+  OpenReport(&report, filer, JobName(ep, std::move(name)));
   MediaImage media;
   if (Status st = ReadMedia(ep, &media, &report.content); !st.ok()) {
     report.status = st;
     done->CountDown();
     co_return;
   }
-  Result<ImageRestoreOutput> restored = RunImageRestore(volume, media.raw);
+  Result<ImageRestoreOutput> restored = RunImageRestore(spec.volume, media.raw);
   if (!restored.ok()) {
     report.status = restored.status();
     done->CountDown();
@@ -289,7 +355,7 @@ Task ImageRestoreBody(Filer* filer, Volume* volume, StreamEndpoint ep,
 
   // "bypass the NVRAM ... further enhancing performance"
   ReplayConfig cfg{.filer = filer,
-                   .volume = volume,
+                   .volume = spec.volume,
                    .endpoint = &ep,
                    .content_map = media.content_map};
   CountdownLatch replay_done(env, 1);
@@ -302,145 +368,178 @@ Task ImageRestoreBody(Filer* filer, Volume* volume, StreamEndpoint ep,
   done->CountDown();
 }
 
-// The control job of a striped image dump: one shared snapshot, part k of
-// N streamed to parts[k]. Remote parts share one link, which is what makes
-// the link the bottleneck where local parallel physical dump scales with
-// drives.
-Task ParallelImageBackupBody(Filer* filer, Filesystem* fs,
-                             std::vector<StreamEndpoint> parts,
-                             ImageDumpOptions base_options,
-                             bool delete_snapshot_after,
-                             ParallelImageBackupResult* result,
-                             CountdownLatch* done) {
-  assert(!parts.empty());
-  SimEnvironment* env = filer->env();
-  const bool remote = parts.front().link != nullptr;
-  const int priority = parts.front().qos.io_priority;
-  const std::string title =
-      remote ? "Parallel remote physical backup" : "Parallel physical backup";
-  JobReport& control = result->control;
-  OpenReport(&control, filer, title + " (control)");
+template <typename Part>
+constexpr bool kLogicalPart = std::is_same_v<Part, LogicalBackupJobResult> ||
+                              std::is_same_v<Part, LogicalRestoreJobResult>;
+template <typename Part>
+constexpr bool kBackupPart = std::is_same_v<Part, LogicalBackupJobResult> ||
+                             std::is_same_v<Part, ImageBackupJobResult>;
 
-  const std::string snap =
-      !base_options.snapshot_name.empty() ? base_options.snapshot_name
-      : remote                            ? "image.remote.parallel"
-                                          : "image.parallel";
-  const bool created_here = !fs->FindSnapshot(snap).ok();
-  if (created_here) {
-    control.status = fs->CreateSnapshot(snap);
+// A parallel job: a backup's control job takes one shared snapshot (a
+// logical restore makes its parts' target directories), part k runs over
+// endpoints[k], and the part reports are merged.
+template <typename Part>
+Task ParallelBody(Filer* filer, JobSpec spec, ParallelJobResult<Part>* result,
+                  CountdownLatch* done) {
+  constexpr bool kLogical = kLogicalPart<Part>;
+  constexpr bool kBackup = kBackupPart<Part>;
+  SimEnvironment* env = filer->env();
+  const size_t n = spec.endpoints.size();
+  const bool remote = spec.endpoints.front().link != nullptr;
+  const int priority = spec.endpoints.front().qos.io_priority;
+  const std::string title = std::string("Parallel ") +
+                            (remote ? "remote " : "") +
+                            (kLogical ? "logical" : "physical") +
+                            (kBackup ? " backup" : " restore");
+  JobReport& control = result->control;
+  std::string snap;
+  bool created = false;
+  if constexpr (kBackup) {
+    OpenReport(&control, filer, title + " (control)");
+    snap = DumpOptions(&spec, static_cast<Part*>(nullptr)).snapshot_name;
+    if (snap.empty()) {
+      snap = std::string(kLogical ? "dump" : "image") +
+             (remote ? ".remote" : "") + ".parallel";
+    }
+    co_await OpenSnapshot(filer, spec.fs, snap, /*reuse=*/!kLogical,
+                          priority, &control, &created);
     if (!control.status.ok()) {
+      result->merged.status = control.status;
       done->CountDown();
       co_return;
     }
-    co_await SnapshotPhase(filer, &control, JobPhase::kCreateSnapshot,
-                           filer->model().snapshot_create_time, priority);
+  } else if constexpr (kLogical) {
+    for (const std::string& dir : spec.trees) {
+      if (dir != "/" && !spec.fs->LookupPath(dir).ok()) {
+        if (Result<Inum> made = spec.fs->Mkdir(dir, 0755); !made.ok()) {
+          result->merged.status = made.status();
+          done->CountDown();
+          co_return;
+        }
+      }
+    }
   }
 
-  const auto n = static_cast<uint32_t>(parts.size());
   CountdownLatch parts_done(env, static_cast<int>(n));
-  for (uint32_t k = 0; k < n; ++k) {
-    ImageDumpOptions options = base_options;
-    options.snapshot_name = snap;
-    options.part_index = k;
-    options.part_count = n;
-    result->parts.push_back(std::make_unique<ImageBackupJobResult>());
-    env->Spawn(ImageBackupBody(
-        filer, fs, std::move(parts[k]), options,
-        /*delete_snapshot_after=*/false,
-        "Physical backup [part " + std::to_string(k) + "/" +
-            std::to_string(n) + "]",
-        result->parts.back().get(), &parts_done));
+  for (size_t k = 0; k < n; ++k) {
+    JobSpec part = spec;
+    part.endpoints = {spec.endpoints[k]};
+    part.trees.clear();
+    const std::string tree = kLogical ? " [" + spec.trees[k] + "]" : "";
+    const std::string stripe =
+        " [part " + std::to_string(k) + "/" + std::to_string(n) + "]";
+    result->parts.push_back(std::make_unique<Part>());
+    Part* out = result->parts.back().get();
+    if constexpr (std::is_same_v<Part, LogicalBackupJobResult>) {
+      part.logical_dump.snapshot_name = snap;
+      part.logical_dump.subtree = spec.trees[k];
+      env->Spawn(BackupBody(filer, std::move(part), "Logical backup" + tree,
+                            /*part=*/true, out, &parts_done));
+    } else if constexpr (std::is_same_v<Part, ImageBackupJobResult>) {
+      part.image_dump.snapshot_name = snap;
+      part.image_dump.part_index = static_cast<uint32_t>(k);
+      part.image_dump.part_count = static_cast<uint32_t>(n);
+      env->Spawn(BackupBody(filer, std::move(part), "Physical backup" + stripe,
+                            /*part=*/true, out, &parts_done));
+    } else if constexpr (std::is_same_v<Part, LogicalRestoreJobResult>) {
+      part.logical_restore.target_dir = spec.trees[k];
+      env->Spawn(LogicalRestoreBody(filer, std::move(part),
+                                    "Logical restore" + tree, out,
+                                    &parts_done));
+    } else {
+      env->Spawn(ImageRestoreBody(filer, std::move(part),
+                                  "Physical restore" + stripe, out,
+                                  &parts_done));
+    }
   }
   co_await parts_done.Wait();
 
-  if (delete_snapshot_after && created_here) {
-    KeepFirstError(&control, fs->DeleteSnapshot(snap));
-    co_await SnapshotPhase(filer, &control, JobPhase::kDeleteSnapshot,
-                           filer->model().snapshot_delete_time, priority);
+  if (created && spec.delete_snapshot_after) {
+    co_await CloseSnapshot(filer, spec.fs, snap, priority, &control);
   }
-  CloseReport(&control, filer);
-  result->merged = MergeParts(title, &control, result->parts);
+  std::vector<JobReport> reports;
+  if constexpr (kBackup) {
+    CloseReport(&control, filer);
+    reports.push_back(control);
+  }
+  for (const auto& p : result->parts) {
+    reports.push_back(p->report);
+  }
+  result->merged = MergeReports(title, reports);
   done->CountDown();
 }
 
 }  // namespace
 
-// ----------------------------------------------------------- local jobs ---
-
-Task LogicalBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                      LogicalDumpOptions options,
-                      LogicalBackupJobResult* result, CountdownLatch* done,
-                      std::vector<Tape*> spare_tapes,
-                      const SupervisionPolicy* supervision, BackupQos qos,
-                      ContentConfig content) {
-  return LogicalBackupBody(filer, fs,
-                           {.drive = tape,
-                            .spare_tapes = std::move(spare_tapes),
-                            .supervision = supervision,
-                            .qos = qos,
-                            .content = std::move(content)},
-                           std::move(options), "Logical backup",
-                           /*own_snapshot=*/true, result, done);
+Task RunJob(Filer* filer, const JobSpec& spec, LogicalBackupJobResult* result,
+            CountdownLatch* done) {
+  if (Status st = CheckShape(spec, false, false); !st.ok()) {
+    return EndWith(&result->report, st, done);
+  }
+  return BackupBody(filer, spec, "Logical backup", /*part=*/false, result,
+                    done);
 }
 
-Task LogicalRestoreJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                       LogicalRestoreOptions options, bool bypass_nvram,
-                       LogicalRestoreJobResult* result, CountdownLatch* done,
-                       std::vector<Tape*> spare_tapes,
-                       const SupervisionPolicy* supervision,
-                       ContentConfig content) {
-  return LogicalRestoreBody(filer, fs,
-                            {.drive = tape,
-                             .spare_tapes = std::move(spare_tapes),
-                             .supervision = supervision,
-                             .qos = {},
-                             .content = std::move(content)},
-                            std::move(options), bypass_nvram, result, done);
+Task RunJob(Filer* filer, const JobSpec& spec, LogicalRestoreJobResult* result,
+            CountdownLatch* done) {
+  if (Status st = CheckShape(spec, false, false); !st.ok()) {
+    return EndWith(&result->report, st, done);
+  }
+  return LogicalRestoreBody(filer, spec, "Logical restore", result, done);
 }
 
-Task ImageBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
-                    ImageDumpOptions options, bool delete_snapshot_after,
-                    ImageBackupJobResult* result, CountdownLatch* done,
-                    std::vector<Tape*> spare_tapes,
-                    const SupervisionPolicy* supervision, BackupQos qos,
-                    ContentConfig content) {
-  return ImageBackupBody(filer, fs,
-                         {.drive = tape,
-                          .spare_tapes = std::move(spare_tapes),
-                          .supervision = supervision,
-                          .qos = qos,
-                          .content = std::move(content)},
-                         std::move(options), delete_snapshot_after,
-                         "Physical backup", result, done);
+Task RunJob(Filer* filer, const JobSpec& spec, ImageBackupJobResult* result,
+            CountdownLatch* done) {
+  if (Status st = CheckShape(spec, false, false); !st.ok()) {
+    return EndWith(&result->report, st, done);
+  }
+  return BackupBody(filer, spec, "Physical backup", /*part=*/false, result,
+                    done);
 }
 
-Task ImageRestoreJob(Filer* filer, Volume* volume, TapeDrive* tape,
-                     ImageRestoreJobResult* result, CountdownLatch* done,
-                     std::vector<Tape*> spare_tapes,
-                     const SupervisionPolicy* supervision,
-                     ContentConfig content) {
-  return ImageRestoreBody(filer, volume,
-                          {.drive = tape,
-                           .spare_tapes = std::move(spare_tapes),
-                           .supervision = supervision,
-                           .qos = {},
-                           .content = std::move(content)},
-                          result, done);
+Task RunJob(Filer* filer, const JobSpec& spec, ImageRestoreJobResult* result,
+            CountdownLatch* done) {
+  if (Status st = CheckShape(spec, false, false); !st.ok()) {
+    return EndWith(&result->report, st, done);
+  }
+  return ImageRestoreBody(filer, spec, "Physical restore", result, done);
 }
+
+template <typename Part>
+Task RunJob(Filer* filer, const JobSpec& spec, ParallelJobResult<Part>* result,
+            CountdownLatch* done) {
+  if (Status st = CheckShape(spec, true, kLogicalPart<Part>); !st.ok()) {
+    return EndWith(&result->merged, st, done);
+  }
+  return ParallelBody(filer, spec, result, done);
+}
+
+template Task RunJob(Filer*, const JobSpec&,
+                     ParallelJobResult<LogicalBackupJobResult>*,
+                     CountdownLatch*);
+template Task RunJob(Filer*, const JobSpec&,
+                     ParallelJobResult<LogicalRestoreJobResult>*,
+                     CountdownLatch*);
+template Task RunJob(Filer*, const JobSpec&,
+                     ParallelJobResult<ImageBackupJobResult>*,
+                     CountdownLatch*);
+template Task RunJob(Filer*, const JobSpec&,
+                     ParallelJobResult<ImageRestoreJobResult>*,
+                     CountdownLatch*);
 
 Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
-                                Volume* volume, TapeDrive* tape,
-                                LogicalRestoreOptions options,
-                                bool bypass_nvram,
-                                const SupervisionPolicy* supervision,
-                                ResumableRestoreConfig resume,
+                                JobSpec spec,
                                 ResumableRestoreJobResult* result,
                                 CountdownLatch* done) {
   SimEnvironment* env = filer->env();
   JobReport& report = result->report;
   OpenReport(&report, filer, "Resumable logical restore");
-  if (resume.catalog == nullptr) {
+  LogicalRestoreOptions& options = spec.logical_restore;
+  report.status = CheckShape(spec, false, false);
+  if (report.status.ok() && options.catalog == nullptr) {
     report.status = InvalidArgument("resumable restore needs a catalog");
+  }
+  if (!report.status.ok()) {
     done->CountDown();
     co_return;
   }
@@ -448,21 +547,14 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
   // wire image is decoded once (it is a pure function of the media); each
   // incarnation's ranged replay still pays tape and decode CPU only for the
   // wire frames its resume actually needs.
-  const StreamEndpoint ep{.drive = tape,
-                          .spare_tapes = {},
-                          .supervision = supervision,
-                          .qos = {},
-                          .content = resume.content};
+  StreamEndpoint& ep = spec.endpoints.front();
+  ep.spare_tapes.clear();
   MediaImage media;
   if (Status st = ReadMedia(ep, &media, &report.content); !st.ok()) {
     report.status = st;
     done->CountDown();
     co_return;
   }
-
-  options.catalog = resume.catalog;
-  options.kill = resume.kill;
-  options.checkpoint_every = resume.checkpoint_every;
 
   // One trace spans every incarnation: each supervised restart continues
   // the same trace id with a bumped incarnation label.
@@ -493,9 +585,9 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
     report.data_bytes += restored->stats.bytes_restored;
 
     ReplayConfig cfg{.filer = filer,
-                     .volume = volume,
+                     .volume = spec.volume,
                      .endpoint = &ep,
-                     .charge_nvram = !bypass_nvram,
+                     .charge_nvram = !spec.bypass_nvram,
                      .write_meta_multiplier = MetaMultiplier(fs->get()),
                      .content_map = media.content_map};
     CountdownLatch replay_done(env, 1);
@@ -524,7 +616,7 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
     co_await env->Delay(kRestartRetry.BackoffBefore(attempt));
     fs->reset();
     Result<std::unique_ptr<Filesystem>> mounted =
-        Filesystem::Mount(volume, env);
+        Filesystem::Mount(spec.volume, env);
     if (!mounted.ok()) {
       report.status = mounted.status();
       break;
@@ -534,300 +626,6 @@ Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
 
   CloseReport(&report, filer);
   done->CountDown();
-}
-
-// -------------------------------------------------------- parallel jobs ---
-
-Task ParallelLogicalBackupJob(Filer* filer, Filesystem* fs,
-                              std::vector<TapeDrive*> drives,
-                              std::vector<std::string> subtrees,
-                              LogicalDumpOptions base_options,
-                              ParallelLogicalBackupResult* result,
-                              CountdownLatch* done,
-                              const SupervisionPolicy* supervision,
-                              std::vector<std::vector<Tape*>> spare_tapes,
-                              BackupQos qos, ContentConfig content) {
-  assert(drives.size() == subtrees.size() && !drives.empty());
-  SimEnvironment* env = filer->env();
-  JobReport& control = result->control;
-  OpenReport(&control, filer, "Parallel logical backup (control)");
-
-  const std::string snap = base_options.snapshot_name.empty()
-                               ? "dump.parallel"
-                               : base_options.snapshot_name;
-  control.status = fs->CreateSnapshot(snap);
-  if (!control.status.ok()) {
-    done->CountDown();
-    co_return;
-  }
-  co_await SnapshotPhase(filer, &control, JobPhase::kCreateSnapshot,
-                         filer->model().snapshot_create_time,
-                         qos.io_priority);
-
-  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
-  for (size_t k = 0; k < drives.size(); ++k) {
-    LogicalDumpOptions options = base_options;
-    options.snapshot_name = snap;
-    options.subtree = subtrees[k];
-    result->parts.push_back(std::make_unique<LogicalBackupJobResult>());
-    // Each part draws remount media from its own slice of the stacker.
-    env->Spawn(LogicalBackupBody(
-        filer, fs,
-        {.drive = drives[k],
-         .spare_tapes = k < spare_tapes.size() ? spare_tapes[k]
-                                               : std::vector<Tape*>{},
-         .supervision = supervision,
-         .qos = qos,
-         .content = content},
-        options, "Logical backup [" + subtrees[k] + "]",
-        /*own_snapshot=*/false, result->parts.back().get(), &parts_done));
-  }
-  co_await parts_done.Wait();
-
-  KeepFirstError(&control, fs->DeleteSnapshot(snap));
-  co_await SnapshotPhase(filer, &control, JobPhase::kDeleteSnapshot,
-                         filer->model().snapshot_delete_time,
-                         qos.io_priority);
-  CloseReport(&control, filer);
-  result->merged =
-      MergeParts("Parallel logical backup", &control, result->parts);
-  done->CountDown();
-}
-
-Task ParallelLogicalRestoreJob(Filer* filer, Filesystem* fs,
-                               std::vector<TapeDrive*> drives,
-                               std::vector<std::string> target_dirs,
-                               bool bypass_nvram,
-                               ParallelLogicalRestoreResult* result,
-                               CountdownLatch* done, ContentConfig content) {
-  assert(drives.size() == target_dirs.size() && !drives.empty());
-  SimEnvironment* env = filer->env();
-  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
-  for (size_t k = 0; k < drives.size(); ++k) {
-    if (target_dirs[k] != "/" && !fs->LookupPath(target_dirs[k]).ok()) {
-      Result<Inum> made = fs->Mkdir(target_dirs[k], 0755);
-      if (!made.ok()) {
-        result->merged.status = made.status();
-        done->CountDown();
-        co_return;
-      }
-    }
-    LogicalRestoreOptions options;
-    options.target_dir = target_dirs[k];
-    result->parts.push_back(std::make_unique<LogicalRestoreJobResult>());
-    env->Spawn(LogicalRestoreJob(filer, fs, drives[k], options, bypass_nvram,
-                                 result->parts.back().get(), &parts_done, {},
-                                 nullptr, content));
-  }
-  co_await parts_done.Wait();
-  result->merged =
-      MergeParts("Parallel logical restore", nullptr, result->parts);
-  done->CountDown();
-}
-
-Task ParallelImageBackupJob(Filer* filer, Filesystem* fs,
-                            std::vector<TapeDrive*> drives,
-                            ImageDumpOptions base_options,
-                            bool delete_snapshot_after,
-                            ParallelImageBackupResult* result,
-                            CountdownLatch* done,
-                            const SupervisionPolicy* supervision,
-                            std::vector<std::vector<Tape*>> spare_tapes,
-                            BackupQos qos, ContentConfig content) {
-  std::vector<StreamEndpoint> parts;
-  for (size_t k = 0; k < drives.size(); ++k) {
-    parts.push_back({.drive = drives[k],
-                     .spare_tapes = k < spare_tapes.size()
-                                        ? spare_tapes[k]
-                                        : std::vector<Tape*>{},
-                     .supervision = supervision,
-                     .qos = qos,
-                     .content = content});
-  }
-  return ParallelImageBackupBody(filer, fs, std::move(parts),
-                                 std::move(base_options),
-                                 delete_snapshot_after, result, done);
-}
-
-Task ParallelImageRestoreJob(Filer* filer, Volume* volume,
-                             std::vector<TapeDrive*> drives,
-                             ParallelImageRestoreResult* result,
-                             CountdownLatch* done, ContentConfig content) {
-  assert(!drives.empty());
-  SimEnvironment* env = filer->env();
-  CountdownLatch parts_done(env, static_cast<int>(drives.size()));
-  for (TapeDrive* drive : drives) {
-    result->parts.push_back(std::make_unique<ImageRestoreJobResult>());
-    env->Spawn(ImageRestoreJob(filer, volume, drive,
-                               result->parts.back().get(), &parts_done, {},
-                               nullptr, content));
-  }
-  co_await parts_done.Wait();
-  result->merged =
-      MergeParts("Parallel physical restore", nullptr, result->parts);
-  done->CountDown();
-}
-
-// ---------------------------------------------------------- remote jobs ---
-
-Task RemoteLogicalBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
-                            LogicalDumpOptions options,
-                            LogicalBackupJobResult* result,
-                            CountdownLatch* done) {
-  return LogicalBackupBody(filer, fs, std::move(target), std::move(options),
-                           "Logical backup", /*own_snapshot=*/true, result,
-                           done);
-}
-
-Task RemoteLogicalRestoreJob(Filer* filer, Filesystem* fs, RemoteTarget target,
-                             LogicalRestoreOptions options, bool bypass_nvram,
-                             LogicalRestoreJobResult* result,
-                             CountdownLatch* done) {
-  return LogicalRestoreBody(filer, fs, std::move(target), std::move(options),
-                            bypass_nvram, result, done);
-}
-
-Task RemoteImageBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
-                          ImageDumpOptions options, bool delete_snapshot_after,
-                          ImageBackupJobResult* result, CountdownLatch* done) {
-  return ImageBackupBody(filer, fs, std::move(target), std::move(options),
-                         delete_snapshot_after, "Physical backup", result,
-                         done);
-}
-
-Task RemoteImageRestoreJob(Filer* filer, Volume* volume, RemoteTarget target,
-                           ImageRestoreJobResult* result,
-                           CountdownLatch* done) {
-  return ImageRestoreBody(filer, volume, std::move(target), result, done);
-}
-
-Task RemoteSingleFileRestoreJob(Filer* filer, Filesystem* fs,
-                                RemoteTarget target,
-                                const TapeCatalog* catalog,
-                                std::string path,  // by value: outlives spawn
-                                LogicalRestoreOptions options,
-                                bool bypass_nvram, LinkBudget* budget,
-                                RemoteSingleFileRestoreResult* result,
-                                CountdownLatch* done) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  OpenReport(&report, filer, "Remote single-file restore");
-  if (catalog == nullptr) {
-    report.status = InvalidArgument("single-file restore needs a catalog");
-    done->CountDown();
-    co_return;
-  }
-  // Single-media only: the ranged reads address the mounted tape directly.
-  // With content stages, the tape holds the wire image: it is decoded for
-  // the name table and the engine, while budget and link accounting below
-  // move to post-stage wire coordinates.
-  target.spare_tapes.clear();
-  MediaImage media;
-  const Status read = ReadMedia(target, &media, &report.content);
-  result->full_stream_bytes = media.media.size();
-  if (!read.ok()) {
-    report.status = read;
-    done->CountDown();
-    co_return;
-  }
-  // Catalog ranges are raw; what the link will move is their frame-aligned
-  // wire cover.
-  auto LinkSizeOf = [&](const std::vector<StreamRange>& raw_ranges) {
-    uint64_t total = 0;
-    for (const StreamRange& r :
-         media.content_map != nullptr
-             ? media.content_map->WireRangesOf(raw_ranges)
-             : raw_ranges) {
-      total += r.size();
-    }
-    return total;
-  };
-
-  // Reserve the link allowance up front from the catalog's estimate — the
-  // ranges the restore will pull, known before any byte moves.
-  uint64_t estimate = 0;
-  {
-    Result<RestoreCatalog> names = BuildRestoreCatalog(media.raw);
-    if (!names.ok()) {
-      report.status = names.status();
-      done->CountDown();
-      co_return;
-    }
-    Result<Inum> selected = names->Namei(path);
-    if (!selected.ok()) {
-      report.status = selected.status();
-      done->CountDown();
-      co_return;
-    }
-    const std::vector<Inum> wanted = names->Descendants(*selected);
-    estimate = LinkSizeOf(catalog->RestoreRanges(wanted));
-  }
-  if (budget != nullptr && !budget->TryReserve(estimate)) {
-    result->budget_rejected = true;
-    report.status = Exhausted("link budget rejected single-file restore");
-    done->CountDown();
-    co_return;
-  }
-
-  options.select = {path};
-  options.catalog = catalog;
-  fs->MarkCpCounters();
-  Result<LogicalRestoreOutput> restored =
-      RunLogicalRestore(fs, media.raw, options);
-  if (!restored.ok()) {
-    if (budget != nullptr) {
-      budget->Cancel(estimate);
-    }
-    report.status = restored.status();
-    done->CountDown();
-    co_return;
-  }
-  result->restore = std::move(*restored);
-
-  ReplayConfig cfg{.filer = filer,
-                   .volume = fs->volume(),
-                   .endpoint = &target,
-                   .charge_nvram = !bypass_nvram,
-                   .write_meta_multiplier = MetaMultiplier(fs),
-                   .content_map = media.content_map};
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayRestore(cfg, &result->restore.trace, media.media,
-                           result->restore.consumed_ranges, &report,
-                           &replay_done));
-  co_await replay_done.Wait();
-
-  result->link_bytes = LinkSizeOf(result->restore.consumed_ranges);
-  if (budget != nullptr) {
-    budget->Commit(estimate, result->link_bytes);
-  }
-
-  CloseReport(&report, filer);
-  report.data_bytes = result->restore.stats.bytes_restored;
-  done->CountDown();
-}
-
-Task ParallelRemoteImageBackupJob(Filer* filer, Filesystem* fs, NetLink* link,
-                                  TapeServer* server,
-                                  std::vector<TapeDrive*> drives,
-                                  ImageDumpOptions base_options,
-                                  bool delete_snapshot_after,
-                                  const SupervisionPolicy* supervision,
-                                  ParallelRemoteImageBackupResult* result,
-                                  CountdownLatch* done, BackupQos qos,
-                                  ContentConfig content) {
-  std::vector<StreamEndpoint> parts;
-  for (TapeDrive* drive : drives) {
-    parts.push_back({.link = link,
-                     .server = server,
-                     .drive = drive,
-                     .spare_tapes = {},
-                     .supervision = supervision,
-                     .qos = qos,
-                     .content = content});
-  }
-  return ParallelImageBackupBody(filer, fs, std::move(parts),
-                                 std::move(base_options),
-                                 delete_snapshot_after, result, done);
 }
 
 }  // namespace bkup

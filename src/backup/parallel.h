@@ -1,94 +1,7 @@
-// Composed multi-tape operations, matching §5.2 of the paper:
-//
-//   * Parallel *logical* dump cannot stripe one dump over several drives
-//     ("we cannot use multiple tape devices in parallel for a single dump
-//     due to the strictly linear format"), so the volume is split into
-//     equal quota trees and each tree is dumped to its own drive.
-//   * Parallel *physical* dump stripes the block set across drives in
-//     deterministic chunks; all parts share one quiesce (snapshot).
-//
-// All parts contend for the one filer's CPU, NVRAM and disks — which is
-// exactly what makes logical dumps stop scaling while physical dumps keep
-// going (Tables 4 and 5).
+// perfbench's second compatibility include; see remote.h.
 #ifndef BKUP_BACKUP_PARALLEL_H_
 #define BKUP_BACKUP_PARALLEL_H_
 
-#include <memory>
-#include <vector>
-
-#include "src/backup/jobs.h"
-
-namespace bkup {
-
-struct ParallelLogicalBackupResult {
-  std::vector<std::unique_ptr<LogicalBackupJobResult>> parts;
-  JobReport control;  // snapshot create/delete phases
-  JobReport merged;
-};
-
-// Dumps `subtrees[k]` to `drives[k]` concurrently from one shared snapshot.
-// With `supervision`, each part's replay runs the retry/remount ladder of
-// src/backup/supervisor, drawing remount media from `spare_tapes[k]` (the
-// per-drive slice of the stacker; may be shorter than `drives`). `qos`
-// applies to every part: the parts share one throttle bucket, so the cap
-// bounds the *aggregate* stream rate of the parallel dump. `content`
-// applies to every part too; with dedup on, the parts share the one
-// ChunkIndex, so a chunk first seen by part j dedups in part k.
-Task ParallelLogicalBackupJob(Filer* filer, Filesystem* fs,
-                              std::vector<TapeDrive*> drives,
-                              std::vector<std::string> subtrees,
-                              LogicalDumpOptions base_options,
-                              ParallelLogicalBackupResult* result,
-                              CountdownLatch* done,
-                              const SupervisionPolicy* supervision = nullptr,
-                              std::vector<std::vector<Tape*>> spare_tapes = {},
-                              BackupQos qos = {}, ContentConfig content = {});
-
-struct ParallelLogicalRestoreResult {
-  std::vector<std::unique_ptr<LogicalRestoreJobResult>> parts;
-  JobReport merged;
-};
-
-// Restores N subtree tapes into one file system concurrently; tape k is
-// restored into target_dirs[k] (created if missing). `content` must match
-// the config the backup ran with (same stages, same ChunkIndex).
-Task ParallelLogicalRestoreJob(Filer* filer, Filesystem* fs,
-                               std::vector<TapeDrive*> drives,
-                               std::vector<std::string> target_dirs,
-                               bool bypass_nvram,
-                               ParallelLogicalRestoreResult* result,
-                               CountdownLatch* done, ContentConfig content = {});
-
-struct ParallelImageBackupResult {
-  std::vector<std::unique_ptr<ImageBackupJobResult>> parts;
-  JobReport control;
-  JobReport merged;
-};
-
-// Stripes one image dump over N drives (part k of N per drive) from one
-// shared snapshot. Supervision and per-drive remount media as for the
-// logical variant above.
-Task ParallelImageBackupJob(Filer* filer, Filesystem* fs,
-                            std::vector<TapeDrive*> drives,
-                            ImageDumpOptions base_options,
-                            bool delete_snapshot_after,
-                            ParallelImageBackupResult* result,
-                            CountdownLatch* done,
-                            const SupervisionPolicy* supervision = nullptr,
-                            std::vector<std::vector<Tape*>> spare_tapes = {},
-                            BackupQos qos = {}, ContentConfig content = {});
-
-struct ParallelImageRestoreResult {
-  std::vector<std::unique_ptr<ImageRestoreJobResult>> parts;
-  JobReport merged;
-};
-
-// Restores the N part-tapes of a striped image dump concurrently.
-Task ParallelImageRestoreJob(Filer* filer, Volume* volume,
-                             std::vector<TapeDrive*> drives,
-                             ParallelImageRestoreResult* result,
-                             CountdownLatch* done, ContentConfig content = {});
-
-}  // namespace bkup
+#include "src/backup/remote.h"
 
 #endif  // BKUP_BACKUP_PARALLEL_H_

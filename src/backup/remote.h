@@ -1,27 +1,17 @@
-// Remote backup and restore: the jobs of jobs.h over an endpoint whose
-// drive sits across a simulated network.
-//
-// The paper's dump-stream portability claim (§2: the stream "can be written
-// to tape, to a file, or sent over a network"; §6's three-way restore
-// matrix) is exercised literally here — the same job bodies, engines and
-// replay run, but the producer lives on the filer and the tape writer on a
-// `TapeServer` across a `NetLink`:
-//
-//     [disk reads + CPU] -> Channel<chunk> -> StreamConn -> [tape writes]
-//         (filer)                              (NetLink)    (tape server)
-//
-// A stream that outlives its connection (a frame lost beyond its retransmit
-// budget) is reconnected by the supervisor and resumed from the receiver's
-// acked watermark — the network analogue of the tape remount ladder. See
-// DESIGN.md §10 for the transport model.
+// The job entry points that perfbench still calls, as forwards to RunJob
+// (jobs.h). Nothing else may include this header: a benchmark change moves
+// perfbench onto RunJob and deletes it, with parallel.h.
 #ifndef BKUP_BACKUP_REMOTE_H_
 #define BKUP_BACKUP_REMOTE_H_
 
-#include <memory>
+#ifndef PERFBENCH_BUILD_TYPE
+#error "src/backup/remote.h is perfbench's alone; use RunJob (src/backup/jobs.h)"
+#endif
+
+#include <string>
 #include <vector>
 
 #include "src/backup/jobs.h"
-#include "src/backup/parallel.h"
 #include "src/backup/supervisor.h"
 #include "src/net/link.h"
 #include "src/net/stream_conn.h"
@@ -29,74 +19,117 @@
 
 namespace bkup {
 
-// A remote job's endpoint: `link` and `server` are set, and `drive` (with
-// `spare_tapes`) sits on the server. Its QoS throttle paces the wire, so
-// every connection the supervisor re-makes stays under the cap.
 using RemoteTarget = StreamEndpoint;
+using ParallelLogicalBackupResult = ParallelJobResult<LogicalBackupJobResult>;
+using ParallelImageBackupResult = ParallelJobResult<ImageBackupJobResult>;
 
-// Snapshot create -> 4-phase dump, streamed over the link to the server's
-// drive -> snapshot delete. The report's net columns show the link payload.
-Task RemoteLogicalBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
-                            LogicalDumpOptions options,
-                            LogicalBackupJobResult* result,
-                            CountdownLatch* done);
+inline std::vector<StreamEndpoint> DriveEndpoints(
+    const std::vector<TapeDrive*>& drives) {
+  std::vector<StreamEndpoint> out;
+  for (TapeDrive* drive : drives) {
+    out.push_back({.drive = drive});
+  }
+  return out;
+}
 
-// Restores a logical stream read off the server's drive, shipped to the
-// filer over the link, and replayed through the file system.
-Task RemoteLogicalRestoreJob(Filer* filer, Filesystem* fs, RemoteTarget target,
-                             LogicalRestoreOptions options, bool bypass_nvram,
-                             LogicalRestoreJobResult* result,
-                             CountdownLatch* done);
+inline Task LogicalBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
+                             LogicalDumpOptions options,
+                             LogicalBackupJobResult* result,
+                             CountdownLatch* done) {
+  return RunJob(filer, {.fs = fs, .endpoints = {{.drive = tape}},
+                        .logical_dump = options},
+                result, done);
+}
 
-struct RemoteSingleFileRestoreResult {
-  LogicalRestoreOutput restore;
-  JobReport report;
-  uint64_t link_bytes = 0;         // stream bytes actually shipped
-  uint64_t full_stream_bytes = 0;  // what a naive full-stream pull would move
-  bool budget_rejected = false;    // the LinkBudget refused the reservation
-};
+inline Task LogicalRestoreJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
+                              LogicalRestoreOptions options, bool bypass_nvram,
+                              LogicalRestoreJobResult* result,
+                              CountdownLatch* done) {
+  return RunJob(filer, {.fs = fs, .endpoints = {{.drive = tape}},
+                        .logical_restore = options,
+                        .bypass_nvram = bypass_nvram},
+                result, done);
+}
 
-// Restores one file (or subtree) from the server's media using the dump's
-// catalog: the catalog turns the path into exact byte ranges, the server
-// reads only those ranges (seek/read ladders via TapeServer::ReadRange), and
-// only O(file) bytes cross the link instead of the whole stream — the
-// paper's "stupidity recovery" at WAN cost. `budget` (optional) gates the
-// transfer on the nightly link allowance, reserving the catalog's estimate
-// up front. Single-media only: ranges address the drive's mounted tape.
-Task RemoteSingleFileRestoreJob(Filer* filer, Filesystem* fs,
-                                RemoteTarget target,
-                                const TapeCatalog* catalog, std::string path,
-                                LogicalRestoreOptions options,
-                                bool bypass_nvram, LinkBudget* budget,
-                                RemoteSingleFileRestoreResult* result,
-                                CountdownLatch* done);
+inline Task ImageBackupJob(Filer* filer, Filesystem* fs, TapeDrive* tape,
+                           ImageDumpOptions options, bool delete_snapshot_after,
+                           ImageBackupJobResult* result, CountdownLatch* done) {
+  return RunJob(filer, {.fs = fs, .endpoints = {{.drive = tape}},
+                        .image_dump = options,
+                        .delete_snapshot_after = delete_snapshot_after},
+                result, done);
+}
 
-// Block-order image dump streamed over the link to the server's drive.
-Task RemoteImageBackupJob(Filer* filer, Filesystem* fs, RemoteTarget target,
-                          ImageDumpOptions options, bool delete_snapshot_after,
-                          ImageBackupJobResult* result, CountdownLatch* done);
+inline Task ImageRestoreJob(Filer* filer, Volume* volume, TapeDrive* tape,
+                            ImageRestoreJobResult* result,
+                            CountdownLatch* done) {
+  return RunJob(filer, {.volume = volume, .endpoints = {{.drive = tape}}},
+                result, done);
+}
 
-// Image restore of the server-side media straight into the RAID layer.
-Task RemoteImageRestoreJob(Filer* filer, Volume* volume, RemoteTarget target,
-                           ImageRestoreJobResult* result, CountdownLatch* done);
+inline Task ParallelLogicalBackupJob(Filer* filer, Filesystem* fs,
+                                     std::vector<TapeDrive*> drives,
+                                     std::vector<std::string> subtrees,
+                                     LogicalDumpOptions options,
+                                     ParallelLogicalBackupResult* result,
+                                     CountdownLatch* done) {
+  return RunJob(filer, {.fs = fs, .endpoints = DriveEndpoints(drives),
+                        .trees = subtrees, .logical_dump = options},
+                result, done);
+}
 
-using ParallelRemoteImageBackupResult = ParallelImageBackupResult;
+inline Task ParallelImageBackupJob(Filer* filer, Filesystem* fs,
+                                   std::vector<TapeDrive*> drives,
+                                   ImageDumpOptions options,
+                                   bool delete_snapshot_after,
+                                   ParallelImageBackupResult* result,
+                                   CountdownLatch* done) {
+  return RunJob(filer, {.fs = fs, .endpoints = DriveEndpoints(drives),
+                        .image_dump = options,
+                        .delete_snapshot_after = delete_snapshot_after},
+                result, done);
+}
 
-// Stripes one image dump over N server drives (part k of N per drive) from
-// one shared snapshot, each part on its own stream session — all of them
-// contending for the same link, which is what makes the link the bottleneck
-// where local parallel physical dump scales with drives.
-// `qos` applies to every part; the parts' sessions share one throttle
-// bucket, so the cap bounds the aggregate link rate of the striped dump.
-Task ParallelRemoteImageBackupJob(Filer* filer, Filesystem* fs, NetLink* link,
-                                  TapeServer* server,
-                                  std::vector<TapeDrive*> drives,
-                                  ImageDumpOptions base_options,
-                                  bool delete_snapshot_after,
-                                  const SupervisionPolicy* supervision,
-                                  ParallelRemoteImageBackupResult* result,
-                                  CountdownLatch* done, BackupQos qos = {},
-                                  ContentConfig content = {});
+inline Task RemoteLogicalBackupJob(Filer* filer, Filesystem* fs,
+                                   RemoteTarget target,
+                                   LogicalDumpOptions options,
+                                   LogicalBackupJobResult* result,
+                                   CountdownLatch* done) {
+  return RunJob(filer, {.fs = fs, .endpoints = {target},
+                        .logical_dump = options},
+                result, done);
+}
+
+inline Task RemoteLogicalRestoreJob(Filer* filer, Filesystem* fs,
+                                    RemoteTarget target,
+                                    LogicalRestoreOptions options,
+                                    bool bypass_nvram,
+                                    LogicalRestoreJobResult* result,
+                                    CountdownLatch* done) {
+  return RunJob(filer, {.fs = fs, .endpoints = {target},
+                        .logical_restore = options,
+                        .bypass_nvram = bypass_nvram},
+                result, done);
+}
+
+inline Task RemoteImageBackupJob(Filer* filer, Filesystem* fs,
+                                 RemoteTarget target, ImageDumpOptions options,
+                                 bool delete_snapshot_after,
+                                 ImageBackupJobResult* result,
+                                 CountdownLatch* done) {
+  return RunJob(filer, {.fs = fs, .endpoints = {target},
+                        .image_dump = options,
+                        .delete_snapshot_after = delete_snapshot_after},
+                result, done);
+}
+
+inline Task RemoteImageRestoreJob(Filer* filer, Volume* volume,
+                                  RemoteTarget target,
+                                  ImageRestoreJobResult* result,
+                                  CountdownLatch* done) {
+  return RunJob(filer, {.volume = volume, .endpoints = {target}}, result,
+                done);
+}
 
 }  // namespace bkup
 

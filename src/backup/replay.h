@@ -1,6 +1,6 @@
 // Timed replay of a job's I/O trace over a stream endpoint (internal to
-// src/backup; the public entry points are in jobs.h, parallel.h and
-// remote.h).
+// src/backup; the public entry points are RunJob and the resumable restore
+// in jobs.h).
 //
 // One backup replay and one restore replay serve every job. The endpoint
 // decides where the stream goes: with no link, the drive hangs off the

@@ -331,6 +331,22 @@ Task LoadOne(TapeDrive* drive, Tape* tape, CountdownLatch* latch) {
   latch->CountDown();
 }
 
+// Runs one attempt's job, spawned as its own process, and keeps the merged
+// report and each part's status and final media in `c`. `Part` picks the
+// engine.
+template <typename Part, typename Completion>
+Task RunVolumeJob(Filer* filer, JobSpec job, Completion* c) {
+  ParallelJobResult<Part> result;
+  CountdownLatch done(filer->env(), 1);
+  filer->env()->Spawn(RunJob(filer, job, &result, &done));
+  co_await done.Wait();
+  c->merged = result.merged;
+  for (const auto& p : result.parts) {
+    c->part_status.push_back(p->report.status);
+    c->part_media.push_back(p->report.final_media);
+  }
+}
+
 }  // namespace
 
 Task NightlyScheduler::RunOne(size_t vol, int attempt,
@@ -364,65 +380,29 @@ Task NightlyScheduler::RunOne(size_t vol, int attempt,
 
   const std::string snap =
       "nightly." + spec.name + ".a" + std::to_string(attempt);
-  CountdownLatch job_done(env, 1);
-  switch (spec.mode) {
-    case BackupMode::kLogicalFull:
-    case BackupMode::kLogicalIncremental: {
-      LogicalDumpOptions options;
-      options.level = spec.level;
-      options.base_time =
-          spec.mode == BackupMode::kLogicalIncremental ? spec.base_time : 0;
-      options.volume_name = spec.name;
-      options.snapshot_name = snap;
-      std::vector<std::string> subtrees = spec.subtrees;
-      if (subtrees.empty()) {
-        subtrees.push_back("/");
-      }
-      assert(subtrees.size() == drives.size());
-      ParallelLogicalBackupResult result;
-      env->Spawn(ParallelLogicalBackupJob(filer_, spec.fs, drives, subtrees,
-                                          options, &result, &job_done,
-                                          config_.supervision, spares));
-      co_await job_done.Wait();
-      c.merged = result.merged;
-      for (const auto& p : result.parts) {
-        c.part_status.push_back(p->report.status);
-        c.part_media.push_back(p->report.final_media);
-      }
-      break;
+  JobSpec job{.fs = spec.fs};
+  const bool remote = IsRemote(spec.mode);
+  for (size_t k = 0; k < drives.size(); ++k) {
+    job.endpoints.push_back({.link = remote ? config_.link : nullptr,
+                             .server = remote ? config_.server : nullptr,
+                             .drive = drives[k],
+                             .spare_tapes = std::move(spares[k]),
+                             .supervision = config_.supervision});
+  }
+  if (IsLogical(spec.mode)) {
+    job.logical_dump.level = spec.level;
+    job.logical_dump.base_time =
+        spec.mode == BackupMode::kLogicalIncremental ? spec.base_time : 0;
+    job.logical_dump.volume_name = spec.name;
+    job.logical_dump.snapshot_name = snap;
+    job.trees = spec.subtrees;
+    if (job.trees.empty()) {
+      job.trees.push_back("/");
     }
-    case BackupMode::kImage: {
-      ImageDumpOptions options;
-      options.snapshot_name = snap;
-      ParallelImageBackupResult result;
-      env->Spawn(ParallelImageBackupJob(filer_, spec.fs, drives, options,
-                                        /*delete_snapshot_after=*/true,
-                                        &result, &job_done,
-                                        config_.supervision, spares));
-      co_await job_done.Wait();
-      c.merged = result.merged;
-      for (const auto& p : result.parts) {
-        c.part_status.push_back(p->report.status);
-        c.part_media.push_back(p->report.final_media);
-      }
-      break;
-    }
-    case BackupMode::kRemoteImage: {
-      ImageDumpOptions options;
-      options.snapshot_name = snap;
-      ParallelRemoteImageBackupResult result;
-      env->Spawn(ParallelRemoteImageBackupJob(
-          filer_, spec.fs, config_.link, config_.server, drives, options,
-          /*delete_snapshot_after=*/true, config_.supervision, &result,
-          &job_done));
-      co_await job_done.Wait();
-      c.merged = result.merged;
-      for (const auto& p : result.parts) {
-        c.part_status.push_back(p->report.status);
-        c.part_media.push_back(p->report.final_media);
-      }
-      break;
-    }
+    co_await RunVolumeJob<LogicalBackupJobResult>(filer_, std::move(job), &c);
+  } else {
+    job.image_dump.snapshot_name = snap;
+    co_await RunVolumeJob<ImageBackupJobResult>(filer_, std::move(job), &c);
   }
 
   c.ok = c.merged.status.ok();

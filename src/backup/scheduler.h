@@ -5,9 +5,8 @@
 // interfere when each has its own drive; a real fleet never has that luxury.
 // The scheduler closes the gap: it takes per-volume policies (full or
 // incremental, size estimate, priority, deadline, drive affinity), orders
-// them deterministically, and executes them through the existing parallel
-// job machinery (src/backup/parallel.h, src/backup/remote.h) under per-job
-// supervision (src/backup/supervisor.h):
+// them deterministically, and executes each as a parallel RunJob
+// (src/backup/jobs.h) under per-job supervision (src/backup/supervisor.h):
 //
 //   * **Ordering** is priority-major, earliest-deadline-minor — the nightly
 //     operator's rule: the volumes that must not miss go first, ties broken
@@ -50,8 +49,7 @@
 #include <string>
 #include <vector>
 
-#include "src/backup/parallel.h"
-#include "src/backup/remote.h"
+#include "src/backup/jobs.h"
 #include "src/backup/supervisor.h"
 #include "src/block/tape_library.h"
 #include "src/net/link.h"

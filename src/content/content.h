@@ -72,7 +72,7 @@ class ChunkIndex {
 };
 
 // Which stages run, their parameters, and their per-MB CPU prices. Lives on
-// StreamEndpoint (local and remote jobs alike) and ResumableRestoreConfig.
+// StreamEndpoint (local and remote jobs alike).
 // Default: every stage off — the pre-content behaviour, raw bytes end to
 // end.
 struct ContentConfig {

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "src/backup/jobs.h"
-#include "src/backup/parallel.h"
 #include "src/workload/population.h"
 
 namespace bkup {
@@ -61,8 +60,11 @@ TEST(BackupJobsTest, LogicalBackupJobWritesRestorableTape) {
   CountdownLatch done(&f.env, 1);
   LogicalDumpOptions opt;
   opt.volume_name = "home";
-  f.env.Spawn(LogicalBackupJob(&f.filer, f.src.get(), f.drives[0].get(), opt,
-                               &backup, &done));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}},
+                      .logical_dump = opt},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok())
       << backup.report.status.ToString();
@@ -76,9 +78,10 @@ TEST(BackupJobsTest, LogicalBackupJobWritesRestorableTape) {
   f.drives[0]->Rewind();
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(LogicalRestoreJob(&f.filer, dst.get(), f.drives[0].get(),
-                                LogicalRestoreOptions{}, false, &restore,
-                                &rdone));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = dst.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}}},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();
@@ -95,17 +98,21 @@ TEST(BackupJobsTest, PhysicalBackupJobWritesRestorableTape) {
 
   ImageBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(ImageBackupJob(&f.filer, f.src.get(), f.drives[0].get(),
-                             ImageDumpOptions{}, /*delete_snapshot_after=*/
-                             false, &backup, &done));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}},
+                      .delete_snapshot_after = false},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
 
   f.drives[0]->Rewind();
   ImageRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(ImageRestoreJob(&f.filer, f.dst_volume.get(),
-                              f.drives[0].get(), &restore, &rdone));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.volume = f.dst_volume.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}}},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();
@@ -125,15 +132,19 @@ TEST(BackupJobsTest, SingleTapeBackupIsTapeLimited) {
 
   LogicalBackupJobResult logical;
   CountdownLatch ldone(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&f.filer, f.src.get(), f.drives[0].get(),
-                               LogicalDumpOptions{}, &logical, &ldone));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}}},
+                     &logical, &ldone));
   f.env.Run();
   ASSERT_TRUE(logical.report.status.ok());
 
   ImageBackupJobResult physical;
   CountdownLatch pdone(&f.env, 1);
-  f.env.Spawn(ImageBackupJob(&f.filer, f.src.get(), f.drives[1].get(),
-                             ImageDumpOptions{}, true, &physical, &pdone));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[1].get()}}},
+                     &physical, &pdone));
   f.env.Run();
   ASSERT_TRUE(physical.report.status.ok());
 
@@ -158,13 +169,17 @@ TEST(BackupJobsTest, CpuAsymmetryMatchesTable3) {
 
   LogicalBackupJobResult logical;
   CountdownLatch ldone(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&f.filer, f.src.get(), f.drives[0].get(),
-                               LogicalDumpOptions{}, &logical, &ldone));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}}},
+                     &logical, &ldone));
   f.env.Run();
   ImageBackupJobResult physical;
   CountdownLatch pdone(&f.env, 1);
-  f.env.Spawn(ImageBackupJob(&f.filer, f.src.get(), f.drives[1].get(),
-                             ImageDumpOptions{}, true, &physical, &pdone));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[1].get()}}},
+                     &physical, &pdone));
   f.env.Run();
 
   const double logical_cpu =
@@ -182,8 +197,10 @@ TEST(BackupJobsTest, NvramBypassSpeedsLogicalRestore) {
   f.Populate(8 * kMiB);
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&f.filer, f.src.get(), f.drives[0].get(),
-                               LogicalDumpOptions{}, &backup, &done));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}}},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok());
 
@@ -193,9 +210,11 @@ TEST(BackupJobsTest, NvramBypassSpeedsLogicalRestore) {
     f.drives[0]->Rewind();
     LogicalRestoreJobResult restore;
     CountdownLatch rdone(&f.env, 1);
-    f.env.Spawn(LogicalRestoreJob(&f.filer, dst.get(), f.drives[0].get(),
-                                  LogicalRestoreOptions{}, bypass, &restore,
-                                  &rdone));
+    f.env.Spawn(RunJob(&f.filer,
+                       {.fs = dst.get(),
+                        .endpoints = {{.drive = f.drives[0].get()}},
+                        .bypass_nvram = bypass},
+                       &restore, &rdone));
     f.env.Run();
     EXPECT_TRUE(restore.report.status.ok());
     return restore.report.elapsed();
@@ -213,30 +232,39 @@ TEST(BackupJobsTest, PhysicalRestoreFasterThanLogical) {
   // Logical chain.
   LogicalBackupJobResult lback;
   CountdownLatch l1(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&f.filer, f.src.get(), f.drives[0].get(),
-                               LogicalDumpOptions{}, &lback, &l1));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}}},
+                     &lback, &l1));
   f.env.Run();
   auto lvol = Volume::Create(&f.env, "lr", JobGeometry());
   auto lfs = std::move(Filesystem::Format(lvol.get(), &f.env)).value();
   f.drives[0]->Rewind();
   LogicalRestoreJobResult lrest;
   CountdownLatch l2(&f.env, 1);
-  f.env.Spawn(LogicalRestoreJob(&f.filer, lfs.get(), f.drives[0].get(),
-                                LogicalRestoreOptions{}, false, &lrest, &l2));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = lfs.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}}},
+                     &lrest, &l2));
   f.env.Run();
   ASSERT_TRUE(lrest.report.status.ok());
 
   // Physical chain.
   ImageBackupJobResult pback;
   CountdownLatch p1(&f.env, 1);
-  f.env.Spawn(ImageBackupJob(&f.filer, f.src.get(), f.drives[1].get(),
-                             ImageDumpOptions{}, false, &pback, &p1));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[1].get()}},
+                      .delete_snapshot_after = false},
+                     &pback, &p1));
   f.env.Run();
   f.drives[1]->Rewind();
   ImageRestoreJobResult prest;
   CountdownLatch p2(&f.env, 1);
-  f.env.Spawn(ImageRestoreJob(&f.filer, f.dst_volume.get(),
-                              f.drives[1].get(), &prest, &p2));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.volume = f.dst_volume.get(),
+                      .endpoints = {{.drive = f.drives[1].get()}}},
+                     &prest, &p2));
   f.env.Run();
   ASSERT_TRUE(prest.report.status.ok());
 
@@ -256,19 +284,16 @@ TEST(BackupJobsTest, ParallelPhysicalDumpScales) {
   f.Populate(32 * kMiB);
 
   auto run_parallel = [&f](uint32_t ntapes) {
-    std::vector<TapeDrive*> drives;
+    JobSpec spec{.fs = f.src.get()};
     for (uint32_t k = 0; k < ntapes; ++k) {
       f.tapes[k]->Erase();
       f.drives[k]->LoadMedia(f.tapes[k].get());
-      drives.push_back(f.drives[k].get());
+      spec.endpoints.push_back({.drive = f.drives[k].get()});
     }
-    ImageDumpOptions opt;
-    opt.snapshot_name = "par" + std::to_string(ntapes);
-    ParallelImageBackupResult result;
+    spec.image_dump.snapshot_name = "par" + std::to_string(ntapes);
+    ParallelJobResult<ImageBackupJobResult> result;
     CountdownLatch done(&f.env, 1);
-    f.env.Spawn(ParallelImageBackupJob(&f.filer, f.src.get(), drives, opt,
-                                       /*delete_snapshot_after=*/true,
-                                       &result, &done));
+    f.env.Spawn(RunJob(&f.filer, spec, &result, &done));
     f.env.Run();
     EXPECT_TRUE(result.merged.status.ok())
         << result.merged.status.ToString();
@@ -297,8 +322,10 @@ TEST(BackupJobsTest, ReportPhasesAreOrderedAndComplete) {
   f.Populate(4 * kMiB);
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&f.filer, f.src.get(), f.drives[0].get(),
-                               LogicalDumpOptions{}, &backup, &done));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.src.get(),
+                      .endpoints = {{.drive = f.drives[0].get()}}},
+                     &backup, &done));
   f.env.Run();
   const JobReport& r = backup.report;
   ASSERT_TRUE(r.status.ok());

@@ -242,8 +242,12 @@ ScenarioRun RunTripleFaultScenario() {
   SupervisionPolicy policy;
   LogicalBackupJobResult backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(LogicalBackupJob(&filer, fs.get(), &drive, LogicalDumpOptions{},
-                             &backup, &done, {&t1, &t2}, &policy));
+  env.Spawn(RunJob(&filer,
+                   {.fs = fs.get(),
+                    .endpoints = {{.drive = &drive,
+                                   .spare_tapes = {&t1, &t2},
+                                   .supervision = &policy}}},
+                   &backup, &done));
   env.Run();
   out.backup_ok = backup.report.status.ok();
   EXPECT_TRUE(out.backup_ok) << backup.report.status.ToString();
@@ -280,9 +284,12 @@ ScenarioRun RunTripleFaultScenario() {
   }
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&env, 1);
-  env.Spawn(LogicalRestoreJob(&filer, rfs.get(), &rdrive,
-                              LogicalRestoreOptions{}, false, &restore, &rdone,
-                              rspares, &policy));
+  env.Spawn(RunJob(&filer,
+                   {.fs = rfs.get(),
+                    .endpoints = {{.drive = &rdrive,
+                                   .spare_tapes = rspares,
+                                   .supervision = &policy}}},
+                   &restore, &rdone));
   env.Run();
   out.restore_ok = restore.report.status.ok();
   EXPECT_TRUE(out.restore_ok) << restore.report.status.ToString();
@@ -352,8 +359,8 @@ TEST(FaultSupervisionTest, FlakyTapeReadsAreRetriedDuringRestore) {
   drive.LoadMedia(&t0);
   LogicalBackupJobResult backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(LogicalBackupJob(&filer, fs.get(), &drive, LogicalDumpOptions{},
-                             &backup, &done));
+  env.Spawn(RunJob(&filer, {.fs = fs.get(), .endpoints = {{.drive = &drive}}},
+                   &backup, &done));
   env.Run();
   ASSERT_TRUE(backup.report.status.ok());
 
@@ -372,9 +379,10 @@ TEST(FaultSupervisionTest, FlakyTapeReadsAreRetriedDuringRestore) {
   SupervisionPolicy policy;
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&env, 1);
-  env.Spawn(LogicalRestoreJob(&filer, rfs.get(), &rdrive,
-                              LogicalRestoreOptions{}, false, &restore, &rdone,
-                              {}, &policy));
+  env.Spawn(RunJob(&filer,
+                   {.fs = rfs.get(),
+                    .endpoints = {{.drive = &rdrive, .supervision = &policy}}},
+                   &restore, &rdone));
   env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();

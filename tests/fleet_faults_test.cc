@@ -6,7 +6,7 @@
 //     drains, and every volume still restores byte-identically;
 //   * the failure night itself is deterministic — same plan, same seed,
 //     byte-identical execution record;
-//   * ParallelRemoteImageBackupJob survives a flaky link and a flaky server
+//   * a two-way remote image backup survives a flaky link and a flaky server
 //     drive at the same time (supervised retransmit + tape-retry ladders),
 //     and the striped media restores byte-identically over the link.
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 #include "src/backup/scheduler.h"
 #include "src/faults/fault_injector.h"
+#include "src/net/tape_server.h"
 #include "src/workload/population.h"
 
 namespace bkup {
@@ -135,8 +136,12 @@ FailureNightRun RunDriveFailureNight() {
     auto rvolume = Volume::Create(&env, "r." + out.name, SmallGeometry());
     ImageRestoreJobResult restore;
     CountdownLatch rdone(&env, 1);
-    env.Spawn(ImageRestoreJob(&filer, rvolume.get(), &restore_drive, &restore,
-                              &rdone, spares, &policy));
+    env.Spawn(RunJob(&filer,
+                     {.volume = rvolume.get(),
+                      .endpoints = {{.drive = &restore_drive,
+                                     .spare_tapes = spares,
+                                     .supervision = &policy}}},
+                     &restore, &rdone));
     env.Run();
     if (!restore.report.status.ok()) {
       run.restore_errors.push_back(out.name + ": " +
@@ -238,12 +243,14 @@ TEST(FleetFaultsTest, RemoteParallelImageSurvivesLinkFlakyPlusTapeFault) {
   injector.Arm(sd0);
 
   SupervisionPolicy policy;
-  ParallelRemoteImageBackupResult backup;
+  const StreamEndpoint t0{
+      .link = &link, .server = &server, .drive = sd0, .supervision = &policy};
+  StreamEndpoint t1 = t0;
+  t1.drive = sd1;
+  ParallelJobResult<ImageBackupJobResult> backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(ParallelRemoteImageBackupJob(&filer, fs.get(), &link, &server,
-                                         {sd0, sd1}, ImageDumpOptions{},
-                                         /*delete_snapshot_after=*/true,
-                                         &policy, &backup, &done));
+  env.Spawn(
+      RunJob(&filer, {.fs = fs.get(), .endpoints = {t0, t1}}, &backup, &done));
   env.Run();
   ASSERT_TRUE(done.done());
   ASSERT_TRUE(backup.merged.status.ok()) << backup.merged.status.ToString();
@@ -261,18 +268,13 @@ TEST(FleetFaultsTest, RemoteParallelImageSurvivesLinkFlakyPlusTapeFault) {
   ASSERT_TRUE(sd0->SeekTo(0).ok());
   ASSERT_TRUE(sd1->SeekTo(0).ok());
   auto rvolume = Volume::Create(&env, "r", WideGeometry());
-  RemoteTarget t0;
-  t0.link = &link;
-  t0.server = &server;
-  t0.drive = sd0;
-  t0.supervision = &policy;
-  RemoteTarget t1 = t0;
-  t1.drive = sd1;
   ImageRestoreJobResult r0;
   ImageRestoreJobResult r1;
   CountdownLatch rdone(&env, 2);
-  env.Spawn(RemoteImageRestoreJob(&filer, rvolume.get(), t0, &r0, &rdone));
-  env.Spawn(RemoteImageRestoreJob(&filer, rvolume.get(), t1, &r1, &rdone));
+  env.Spawn(RunJob(&filer, {.volume = rvolume.get(), .endpoints = {t0}},
+                   &r0, &rdone));
+  env.Spawn(RunJob(&filer, {.volume = rvolume.get(), .endpoints = {t1}},
+                   &r1, &rdone));
   env.Run();
   ASSERT_TRUE(r0.report.status.ok()) << r0.report.status.ToString();
   ASSERT_TRUE(r1.report.status.ok()) << r1.report.status.ToString();

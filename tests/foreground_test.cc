@@ -177,16 +177,19 @@ Task DelayedDump(SimEnvironment* env, Filer* filer, Filesystem* fs,
     auto result = std::make_unique<LogicalBackupJobResult>();
     LogicalDumpOptions opt;
     opt.volume_name = "home";
-    env->Spawn(LogicalBackupJob(filer, fs, drive, opt, result.get(), &inner,
-                                {}, nullptr, qos));
+    env->Spawn(RunJob(filer,
+                      {.fs = fs,
+                       .endpoints = {{.drive = drive, .qos = qos}},
+                       .logical_dump = opt},
+                      result.get(), &inner));
     co_await inner.Wait();
     out->dump_elapsed = result->report.elapsed();
     out->dump_status = result->report.status;
   } else {
     auto result = std::make_unique<ImageBackupJobResult>();
-    env->Spawn(ImageBackupJob(filer, fs, drive, ImageDumpOptions{},
-                              /*delete_snapshot_after=*/true, result.get(),
-                              &inner, {}, nullptr, qos));
+    env->Spawn(RunJob(filer,
+                      {.fs = fs, .endpoints = {{.drive = drive, .qos = qos}}},
+                      result.get(), &inner));
     co_await inner.Wait();
     out->dump_elapsed = result->report.elapsed();
     out->dump_status = result->report.status;

@@ -1,6 +1,6 @@
 // Tests for the simulated network transport (src/net) and the remote
-// backup/restore data path (src/backup/remote.h): MTU framing, sliding-window
-// backpressure, checksum rejection and retransmission, deterministic link
+// backup/restore data path (RunJob over an endpoint with a link): MTU
+// framing, sliding-window backpressure, checksum rejection and retransmission, deterministic link
 // fault injection, and a supervised mid-stream outage recovered by reconnect
 // with a byte-identical restore at the end.
 #include <gtest/gtest.h>
@@ -11,7 +11,8 @@
 #include <optional>
 #include <vector>
 
-#include "src/backup/remote.h"
+#include "src/backup/jobs.h"
+#include "src/backup/supervisor.h"
 #include "src/faults/fault_injector.h"
 #include "src/fs/filesystem.h"
 #include "src/net/link.h"
@@ -255,13 +256,11 @@ struct RemoteFixture {
     drive->LoadMedia(media.get());
   }
 
-  RemoteTarget Target(const SupervisionPolicy* policy = nullptr) {
-    RemoteTarget target;
-    target.link = &link;
-    target.server = &server;
-    target.drive = drive;
-    target.supervision = policy;
-    return target;
+  StreamEndpoint Target(const SupervisionPolicy* policy = nullptr) {
+    return {.link = &link,
+            .server = &server,
+            .drive = drive,
+            .supervision = policy};
   }
 
   SimEnvironment env;
@@ -280,8 +279,9 @@ TEST(RemoteJobTest, LogicalBackupAndRestoreRoundTripOverCleanLink) {
 
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(RemoteLogicalBackupJob(f.filer.get(), f.fs.get(), f.Target(),
-                                     LogicalDumpOptions{}, &backup, &done));
+  f.env.Spawn(RunJob(f.filer.get(),
+                     {.fs = f.fs.get(), .endpoints = {f.Target()}},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   EXPECT_FALSE(backup.report.faults.any());
@@ -297,9 +297,9 @@ TEST(RemoteJobTest, LogicalBackupAndRestoreRoundTripOverCleanLink) {
   auto rfs = std::move(Filesystem::Format(rvolume.get(), &f.env)).value();
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(RemoteLogicalRestoreJob(f.filer.get(), rfs.get(), f.Target(),
-                                      LogicalRestoreOptions{}, false,
-                                      &restore, &rdone));
+  f.env.Spawn(RunJob(f.filer.get(),
+                     {.fs = rfs.get(), .endpoints = {f.Target()}},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok()) << restore.report.status.ToString();
   EXPECT_EQ(restore.report.total_net_bytes(), restore.report.stream_bytes);
@@ -335,8 +335,9 @@ OutageRunResult RunOutageScenario() {
   SupervisionPolicy policy;
   ImageBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(RemoteImageBackupJob(f.filer.get(), f.fs.get(), f.Target(&policy),
-                                   ImageDumpOptions{}, true, &backup, &done));
+  f.env.Spawn(RunJob(f.filer.get(),
+                     {.fs = f.fs.get(), .endpoints = {f.Target(&policy)}},
+                     &backup, &done));
   f.env.Run();
   result.faults = backup.report.faults;
   result.status = backup.report.status;
@@ -353,8 +354,10 @@ OutageRunResult RunOutageScenario() {
   auto rvolume = Volume::Create(&f.env, "r", Geometry());
   ImageRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(RemoteImageRestoreJob(f.filer.get(), rvolume.get(),
-                                    f.Target(&policy), &restore, &rdone));
+  f.env.Spawn(RunJob(f.filer.get(),
+                     {.volume = rvolume.get(),
+                      .endpoints = {f.Target(&policy)}},
+                     &restore, &rdone));
   f.env.Run();
   if (!restore.report.status.ok()) {
     result.status = restore.report.status;

@@ -3,7 +3,11 @@
 // restore, plus the structural properties of the striping.
 #include <gtest/gtest.h>
 
-#include "src/backup/parallel.h"
+#include <set>
+#include <string>
+
+#include "src/backup/jobs.h"
+#include "src/obs/trace.h"
 #include "src/workload/population.h"
 
 namespace bkup {
@@ -34,10 +38,10 @@ struct ParallelFixture {
     }
   }
 
-  std::vector<TapeDrive*> DrivePtrs() {
-    std::vector<TapeDrive*> out;
+  std::vector<StreamEndpoint> Endpoints() {
+    std::vector<StreamEndpoint> out;
     for (auto& d : drives) {
-      out.push_back(d.get());
+      out.push_back({.drive = d.get()});
     }
     return out;
   }
@@ -59,11 +63,13 @@ TEST(ParallelJobsTest, LogicalQuotaTreeRoundTrip) {
   for (uint32_t k = 0; k < 4; ++k) {
     subtrees.push_back(QuotaTreePath(k));
   }
-  ParallelLogicalBackupResult backup;
+  ParallelJobResult<LogicalBackupJobResult> backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(ParallelLogicalBackupJob(&f.filer, f.fs.get(), f.DrivePtrs(),
-                                       subtrees, LogicalDumpOptions{},
-                                       &backup, &done));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.fs.get(),
+                      .endpoints = f.Endpoints(),
+                      .trees = subtrees},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.merged.status.ok()) << backup.merged.status.ToString();
   ASSERT_EQ(backup.parts.size(), 4u);
@@ -81,11 +87,13 @@ TEST(ParallelJobsTest, LogicalQuotaTreeRoundTrip) {
   for (auto& d : f.drives) {
     d->Rewind();
   }
-  ParallelLogicalRestoreResult restore;
+  ParallelJobResult<LogicalRestoreJobResult> restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(ParallelLogicalRestoreJob(&f.filer, restore_fs.get(),
-                                        f.DrivePtrs(), subtrees, false,
-                                        &restore, &rdone));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = restore_fs.get(),
+                      .endpoints = f.Endpoints(),
+                      .trees = subtrees},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.merged.status.ok())
       << restore.merged.status.ToString();
@@ -96,11 +104,13 @@ TEST(ParallelJobsTest, LogicalQuotaTreeRoundTrip) {
 
 TEST(ParallelJobsTest, StripedImagePartsPartitionTheBlockSet) {
   ParallelFixture f;
-  ParallelImageBackupResult backup;
+  ParallelJobResult<ImageBackupJobResult> backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(ParallelImageBackupJob(&f.filer, f.fs.get(), f.DrivePtrs(),
-                                     ImageDumpOptions{}, false, &backup,
-                                     &done));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.fs.get(),
+                      .endpoints = f.Endpoints(),
+                      .delete_snapshot_after = false},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.merged.status.ok());
   ASSERT_EQ(backup.parts.size(), 4u);
@@ -129,11 +139,13 @@ TEST(ParallelJobsTest, StripedImageRoundTripBootsWithSnapshots) {
   ASSERT_TRUE(f.fs->CreateSnapshot("history").ok());
   auto src_sums = ChecksumTree(f.fs->LiveReader()).value();
 
-  ParallelImageBackupResult backup;
+  ParallelJobResult<ImageBackupJobResult> backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(ParallelImageBackupJob(&f.filer, f.fs.get(), f.DrivePtrs(),
-                                     ImageDumpOptions{}, false, &backup,
-                                     &done));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.fs.get(),
+                      .endpoints = f.Endpoints(),
+                      .delete_snapshot_after = false},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.merged.status.ok());
 
@@ -141,10 +153,12 @@ TEST(ParallelJobsTest, StripedImageRoundTripBootsWithSnapshots) {
   for (auto& d : f.drives) {
     d->Rewind();
   }
-  ParallelImageRestoreResult restore;
+  ParallelJobResult<ImageRestoreJobResult> restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(ParallelImageRestoreJob(&f.filer, restore_volume.get(),
-                                      f.DrivePtrs(), &restore, &rdone));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.volume = restore_volume.get(),
+                      .endpoints = f.Endpoints()},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.merged.status.ok())
       << restore.merged.status.ToString();
@@ -159,11 +173,10 @@ TEST(ParallelJobsTest, StripedImageRoundTripBootsWithSnapshots) {
 
 TEST(ParallelJobsTest, PartsRunConcurrently) {
   ParallelFixture f;
-  ParallelImageBackupResult backup;
+  ParallelJobResult<ImageBackupJobResult> backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(ParallelImageBackupJob(&f.filer, f.fs.get(), f.DrivePtrs(),
-                                     ImageDumpOptions{}, true, &backup,
-                                     &done));
+  f.env.Spawn(RunJob(&f.filer, {.fs = f.fs.get(), .endpoints = f.Endpoints()},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.merged.status.ok());
   // All four parts' streaming windows overlap substantially.
@@ -176,6 +189,148 @@ TEST(ParallelJobsTest, PartsRunConcurrently) {
   }
   EXPECT_GT(earliest_end, latest_start)
       << "part windows must overlap (true concurrency)";
+}
+
+// Runs one job to completion and checks that it ended.
+template <typename R>
+void RunToEnd(ParallelFixture* f, const JobSpec& spec, R* result) {
+  CountdownLatch done(&f->env, 1);
+  f->env.Spawn(RunJob(&f->filer, spec, result, &done));
+  f->env.Run();
+  EXPECT_TRUE(done.done());
+}
+
+// Each part of a traced parallel restore gets its own job track. Parts that
+// shared one name would share one track (tracks are keyed by name), and one
+// part's End would close another part's phase span.
+TEST(ParallelJobsTest, TracedParallelRestorePartsGetOneTrackEach) {
+  for (const bool logical : {true, false}) {
+    SCOPED_TRACE(logical ? "logical" : "physical");
+    ParallelFixture f;
+    std::vector<StreamEndpoint> two = f.Endpoints();
+    two.resize(2);
+    const std::vector<std::string> trees = {QuotaTreePath(0),
+                                            QuotaTreePath(1)};
+    auto restore_volume = Volume::Create(&f.env, "r", Geometry());
+    auto restore_fs =
+        std::move(Filesystem::Format(restore_volume.get(), &f.env)).value();
+    std::set<std::string> job_tracks;
+    auto collect_tracks = [&](const Tracer& tracer) {
+      for (uint32_t t = 0; t < tracer.track_count(); ++t) {
+        if (tracer.track_name(t).rfind("job:", 0) == 0) {
+          job_tracks.insert(tracer.track_name(t));
+        }
+      }
+    };
+    if (logical) {
+      ParallelJobResult<LogicalBackupJobResult> backup;
+      RunToEnd(&f, {.fs = f.fs.get(), .endpoints = two, .trees = trees},
+               &backup);
+      ASSERT_TRUE(backup.merged.status.ok());
+      f.drives[0]->Rewind();
+      f.drives[1]->Rewind();
+      Tracer tracer(&f.env);
+      ParallelJobResult<LogicalRestoreJobResult> restore;
+      RunToEnd(&f, {.fs = restore_fs.get(), .endpoints = two, .trees = trees},
+               &restore);
+      ASSERT_TRUE(restore.merged.status.ok())
+          << restore.merged.status.ToString();
+      collect_tracks(tracer);
+      EXPECT_EQ(job_tracks, (std::set<std::string>{
+                                "job:Logical restore [" + trees[0] + "]",
+                                "job:Logical restore [" + trees[1] + "]"}));
+    } else {
+      ParallelJobResult<ImageBackupJobResult> backup;
+      RunToEnd(&f, {.fs = f.fs.get(), .endpoints = two}, &backup);
+      ASSERT_TRUE(backup.merged.status.ok());
+      f.drives[0]->Rewind();
+      f.drives[1]->Rewind();
+      Tracer tracer(&f.env);
+      ParallelJobResult<ImageRestoreJobResult> restore;
+      RunToEnd(&f, {.volume = restore_volume.get(), .endpoints = two},
+               &restore);
+      ASSERT_TRUE(restore.merged.status.ok())
+          << restore.merged.status.ToString();
+      collect_tracks(tracer);
+      EXPECT_EQ(job_tracks,
+                (std::set<std::string>{"job:Physical restore [part 0/2]",
+                                       "job:Physical restore [part 1/2]"}));
+    }
+  }
+}
+
+// A spec of the wrong shape ends the job at once with kInvalidArgument in
+// every build type (an assert would compile out under NDEBUG and leave an
+// out-of-bounds index): nothing is snapshotted, dumped or written.
+TEST(ParallelJobsTest, MalformedSpecsFailWithInvalidArgument) {
+  ParallelFixture f;
+  const std::vector<StreamEndpoint> four = f.Endpoints();
+  const std::vector<std::string> three = {QuotaTreePath(0), QuotaTreePath(1),
+                                          QuotaTreePath(2)};
+  auto expect_invalid = [](const Status& st) {
+    EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.ToString();
+  };
+
+  // Parallel jobs: no endpoint, or a tree count other than one per part of
+  // a logical job (and none for an image job).
+  ParallelJobResult<LogicalBackupJobResult> no_drives;
+  RunToEnd(&f, {.fs = f.fs.get(), .trees = three}, &no_drives);
+  expect_invalid(no_drives.merged.status);
+  EXPECT_TRUE(no_drives.parts.empty());
+  ParallelJobResult<LogicalBackupJobResult> short_trees;
+  RunToEnd(&f, {.fs = f.fs.get(), .endpoints = four, .trees = three},
+           &short_trees);
+  expect_invalid(short_trees.merged.status);
+  EXPECT_TRUE(short_trees.parts.empty());
+  ParallelJobResult<LogicalRestoreJobResult> restore_trees;
+  RunToEnd(&f, {.fs = f.fs.get(), .endpoints = four, .trees = three},
+           &restore_trees);
+  expect_invalid(restore_trees.merged.status);
+  ParallelJobResult<ImageRestoreJobResult> image_none;
+  RunToEnd(&f, {.volume = f.volume.get()}, &image_none);
+  expect_invalid(image_none.merged.status);
+  ParallelJobResult<ImageBackupJobResult> image_trees;
+  RunToEnd(&f, {.fs = f.fs.get(), .endpoints = four, .trees = three},
+           &image_trees);
+  expect_invalid(image_trees.merged.status);
+
+  // Single jobs take exactly one endpoint and no trees.
+  LogicalBackupJobResult single_none;
+  RunToEnd(&f, {.fs = f.fs.get()}, &single_none);
+  expect_invalid(single_none.report.status);
+  ImageBackupJobResult single_four;
+  RunToEnd(&f, {.fs = f.fs.get(), .endpoints = four}, &single_four);
+  expect_invalid(single_four.report.status);
+  LogicalRestoreJobResult single_tree;
+  RunToEnd(&f,
+           {.fs = f.fs.get(),
+            .endpoints = {four[0]},
+            .trees = {QuotaTreePath(0)}},
+           &single_tree);
+  expect_invalid(single_tree.report.status);
+
+  EXPECT_TRUE(f.fs->ListSnapshots().empty());
+  for (const auto& tape : f.tapes) {
+    EXPECT_EQ(tape->size(), 0u);
+  }
+}
+
+// A parallel backup whose shared snapshot cannot be created fails as a
+// whole: the merged report carries the error, so a caller that reads only
+// `merged` (the nightly scheduler) cannot count the volume as backed up.
+TEST(ParallelJobsTest, ControlSnapshotFailureFailsTheMergedReport) {
+  ParallelFixture f;
+  ASSERT_TRUE(f.fs->CreateSnapshot("taken").ok());
+  ParallelJobResult<LogicalBackupJobResult> backup;
+  JobSpec spec{.fs = f.fs.get(),
+               .endpoints = f.Endpoints(),
+               .trees = {QuotaTreePath(0), QuotaTreePath(1), QuotaTreePath(2),
+                         QuotaTreePath(3)}};
+  spec.logical_dump.snapshot_name = "taken";  // a logical dump makes its own
+  RunToEnd(&f, spec, &backup);
+  EXPECT_EQ(backup.merged.status.code(), ErrorCode::kAlreadyExists)
+      << backup.merged.status.ToString();
+  EXPECT_TRUE(backup.parts.empty());
 }
 
 }  // namespace

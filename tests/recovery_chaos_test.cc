@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/backup/jobs.h"
-#include "src/backup/remote.h"
 #include "src/backup/supervisor.h"
 #include "src/dump/catalog.h"
 #include "src/dump/logical_dump.h"
@@ -264,9 +263,10 @@ TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
 
   LogicalBackupJobResult backup;
   CountdownLatch done(&w.env, 1);
-  w.env.Spawn(LogicalBackupJob(&filer, w.src.get(), &drive,
-                               LogicalDumpOptions{}, &backup, &done, {},
-                               &policy));
+  w.env.Spawn(RunJob(&filer,
+                     {.fs = w.src.get(),
+                      .endpoints = {{.drive = &drive, .supervision = &policy}}},
+                     &backup, &done));
   w.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
@@ -282,15 +282,14 @@ TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
 
   auto volume = Volume::Create(&w.env, "r", Geometry());
   auto fs = std::move(Filesystem::Format(volume.get(), &w.env)).value();
-  ResumableRestoreConfig cfg;
-  cfg.catalog = &*catalog;
-  cfg.kill = &injector;
-  cfg.checkpoint_every = 8;
+  JobSpec spec{.volume = volume.get(),
+               .endpoints = {{.drive = &drive, .supervision = &policy}}};
+  spec.logical_restore.catalog = &*catalog;
+  spec.logical_restore.kill = &injector;
+  spec.logical_restore.checkpoint_every = 8;
   ResumableRestoreJobResult result;
   CountdownLatch rdone(&w.env, 1);
-  w.env.Spawn(ResumableLogicalRestoreJob(&filer, &fs, volume.get(), &drive,
-                                         LogicalRestoreOptions{}, false,
-                                         &policy, cfg, &result, &rdone));
+  w.env.Spawn(ResumableLogicalRestoreJob(&filer, &fs, spec, &result, &rdone));
   w.env.Run();
 
   ASSERT_TRUE(result.report.status.ok()) << result.report.status.ToString();
@@ -336,15 +335,13 @@ TEST(RecoveryChaosTest, RemoteSingleFileRestoreCostsOFile) {
   rng.Fill(needle_data);
   ASSERT_TRUE(src->Write(*needle, 0, needle_data).ok());
 
-  RemoteTarget target;
-  target.link = &link;
-  target.server = &server;
-  target.drive = drive;
+  const StreamEndpoint target{
+      .link = &link, .server = &server, .drive = drive};
 
   LogicalBackupJobResult backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(RemoteLogicalBackupJob(&filer, src.get(), target,
-                                   LogicalDumpOptions{}, &backup, &done));
+  env.Spawn(RunJob(&filer, {.fs = src.get(), .endpoints = {target}},
+                   &backup, &done));
   env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   ASSERT_EQ(media.contents().size(), backup.dump.stream.size());
@@ -353,41 +350,44 @@ TEST(RecoveryChaosTest, RemoteSingleFileRestoreCostsOFile) {
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 
+  // The needle alone, through the catalog, gated on `budget`.
+  auto restore_needle = [&](Filesystem* fs, LinkBudget* budget,
+                            LogicalRestoreJobResult* out) {
+    JobSpec spec{.fs = fs, .endpoints = {target}, .budget = budget};
+    spec.logical_restore.select = {"/known/needle.dat"};
+    spec.logical_restore.catalog = &*catalog;
+    CountdownLatch restored(&env, 1);
+    env.Spawn(RunJob(&filer, spec, out, &restored));
+    env.Run();
+  };
+
   // A budget too small for even the ranged reads refuses up front.
   auto tiny_volume = Volume::Create(&env, "tiny", Geometry());
   auto tiny_fs =
       std::move(Filesystem::Format(tiny_volume.get(), &env)).value();
   LinkBudget tiny_budget(&link, 2 * kDumpRecordSize);
-  RemoteSingleFileRestoreResult rejected;
-  CountdownLatch tiny_done(&env, 1);
-  env.Spawn(RemoteSingleFileRestoreJob(&filer, tiny_fs.get(), target,
-                                       &*catalog, "/known/needle.dat",
-                                       LogicalRestoreOptions{}, false,
-                                       &tiny_budget, &rejected, &tiny_done));
-  env.Run();
-  EXPECT_TRUE(rejected.budget_rejected);
-  EXPECT_FALSE(rejected.report.status.ok());
+  LogicalRestoreJobResult rejected;
+  restore_needle(tiny_fs.get(), &tiny_budget, &rejected);
+  EXPECT_EQ(rejected.report.status.code(), ErrorCode::kExhausted)
+      << rejected.report.status.ToString();
+  EXPECT_EQ(rejected.report.stream_bytes, 0u);
   EXPECT_EQ(tiny_budget.consumed(), 0u);
 
-  // With a real allowance the file comes back for O(file) link bytes.
+  // With a real allowance the file comes back for O(file) link bytes: the
+  // restore's stream bytes are what crossed the link, and the budget
+  // settles to exactly that.
   auto rvolume = Volume::Create(&env, "r", Geometry());
   auto rfs = std::move(Filesystem::Format(rvolume.get(), &env)).value();
   LinkBudget budget(&link, 8 * kMiB);
-  RemoteSingleFileRestoreResult result;
-  CountdownLatch rdone(&env, 1);
-  env.Spawn(RemoteSingleFileRestoreJob(&filer, rfs.get(), target, &*catalog,
-                                       "/known/needle.dat",
-                                       LogicalRestoreOptions{}, false,
-                                       &budget, &result, &rdone));
-  env.Run();
+  LogicalRestoreJobResult result;
+  restore_needle(rfs.get(), &budget, &result);
   ASSERT_TRUE(result.report.status.ok()) << result.report.status.ToString();
-  EXPECT_FALSE(result.budget_rejected);
   EXPECT_EQ(result.restore.stats.files_restored, 1u);
-  EXPECT_GT(result.link_bytes, 0u);
-  EXPECT_EQ(result.full_stream_bytes, backup.dump.stream.size());
-  EXPECT_LT(result.link_bytes, result.full_stream_bytes / 10)
+  const uint64_t link_bytes = result.report.stream_bytes;
+  EXPECT_GT(link_bytes, 0u);
+  EXPECT_LT(link_bytes, backup.dump.stream.size() / 10)
       << "one file must cost well under a tenth of the stream";
-  EXPECT_EQ(budget.consumed(), result.link_bytes);
+  EXPECT_EQ(budget.consumed(), link_bytes);
 
   auto got = rfs->LookupPath("/known/needle.dat");
   ASSERT_TRUE(got.ok());
@@ -436,12 +436,11 @@ ContentOutageRun RunCompressedRemoteDump(bool outage) {
   content.index = &index;
 
   SupervisionPolicy policy;
-  RemoteTarget target;
-  target.link = &link;
-  target.server = &server;
-  target.drive = drive;
-  target.supervision = &policy;
-  target.content = content;
+  const StreamEndpoint target{.link = &link,
+                              .server = &server,
+                              .drive = drive,
+                              .supervision = &policy,
+                              .content = content};
 
   // Cable pull over the start of the streaming phase (after the 30 s
   // snapshot quiesce), long enough to exhaust every frame's retransmit
@@ -458,8 +457,8 @@ ContentOutageRun RunCompressedRemoteDump(bool outage) {
   ContentOutageRun run;
   LogicalBackupJobResult backup;
   CountdownLatch done(&env, 1);
-  env.Spawn(RemoteLogicalBackupJob(&filer, fs.get(), target,
-                                   LogicalDumpOptions{}, &backup, &done));
+  env.Spawn(RunJob(&filer, {.fs = fs.get(), .endpoints = {target}},
+                   &backup, &done));
   env.Run();
   run.backup_status = backup.report.status;
   if (!run.backup_status.ok()) {
@@ -479,9 +478,8 @@ ContentOutageRun RunCompressedRemoteDump(bool outage) {
   auto rfs = std::move(Filesystem::Format(rvolume.get(), &env)).value();
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&env, 1);
-  env.Spawn(RemoteLogicalRestoreJob(&filer, rfs.get(), target,
-                                    LogicalRestoreOptions{}, false, &restore,
-                                    &rdone));
+  env.Spawn(RunJob(&filer, {.fs = rfs.get(), .endpoints = {target}},
+                   &restore, &rdone));
   env.Run();
   run.restore_status = restore.report.status;
   if (run.restore_status.ok()) {
@@ -544,9 +542,12 @@ TEST(RecoveryChaosTest, CompressedTapeResumableRestoreSurvivesKills) {
 
   LogicalBackupJobResult backup;
   CountdownLatch done(&w.env, 1);
-  w.env.Spawn(LogicalBackupJob(&filer, w.src.get(), &drive,
-                               LogicalDumpOptions{}, &backup, &done, {},
-                               &policy, {}, content));
+  w.env.Spawn(RunJob(&filer,
+                     {.fs = w.src.get(),
+                      .endpoints = {{.drive = &drive,
+                                     .supervision = &policy,
+                                     .content = content}}},
+                     &backup, &done));
   w.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   ASSERT_LT(media.contents().size(), backup.dump.stream.size())
@@ -564,16 +565,16 @@ TEST(RecoveryChaosTest, CompressedTapeResumableRestoreSurvivesKills) {
 
   auto volume = Volume::Create(&w.env, "r", Geometry());
   auto fs = std::move(Filesystem::Format(volume.get(), &w.env)).value();
-  ResumableRestoreConfig cfg;
-  cfg.catalog = &*catalog;
-  cfg.kill = &injector;
-  cfg.checkpoint_every = 8;
-  cfg.content = content;
+  JobSpec spec{.volume = volume.get(),
+               .endpoints = {{.drive = &drive,
+                              .supervision = &policy,
+                              .content = content}}};
+  spec.logical_restore.catalog = &*catalog;
+  spec.logical_restore.kill = &injector;
+  spec.logical_restore.checkpoint_every = 8;
   ResumableRestoreJobResult result;
   CountdownLatch rdone(&w.env, 1);
-  w.env.Spawn(ResumableLogicalRestoreJob(&filer, &fs, volume.get(), &drive,
-                                         LogicalRestoreOptions{}, false,
-                                         &policy, cfg, &result, &rdone));
+  w.env.Spawn(ResumableLogicalRestoreJob(&filer, &fs, spec, &result, &rdone));
   w.env.Run();
 
   ASSERT_TRUE(result.report.status.ok()) << result.report.status.ToString();

@@ -197,9 +197,10 @@ TEST(RestartTest, SupervisedRestoreResumesAfterFilerRestart) {
   SupervisionPolicy policy;
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&filer, f.fs.get(), &drive,
-                               LogicalDumpOptions{}, &backup, &done, {},
-                               &policy));
+  f.env.Spawn(RunJob(&filer,
+                     {.fs = f.fs.get(),
+                      .endpoints = {{.drive = &drive, .supervision = &policy}}},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok());
   EXPECT_FALSE(backup.report.faults.any())
@@ -222,9 +223,11 @@ TEST(RestartTest, SupervisedRestoreResumesAfterFilerRestart) {
   rdrive.LoadMedia(&t0);
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(LogicalRestoreJob(&filer, rebooted->get(), &rdrive,
-                                LogicalRestoreOptions{}, false, &restore,
-                                &rdone, {}, &policy));
+  f.env.Spawn(RunJob(&filer,
+                     {.fs = rebooted->get(),
+                      .endpoints = {{.drive = &rdrive,
+                                     .supervision = &policy}}},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();
@@ -364,9 +367,12 @@ TEST(SpanningFaultTest, DefectOnSecondTapeRemountsAndRestores) {
   SupervisionPolicy policy;
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&filer, f.fs.get(), &drive,
-                               LogicalDumpOptions{}, &backup, &done,
-                               {&t1, &t2, &t3}, &policy));
+  f.env.Spawn(RunJob(&filer,
+                     {.fs = f.fs.get(),
+                      .endpoints = {{.drive = &drive,
+                                     .spare_tapes = {&t1, &t2, &t3},
+                                     .supervision = &policy}}},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok())
       << backup.report.status.ToString();
@@ -385,9 +391,12 @@ TEST(SpanningFaultTest, DefectOnSecondTapeRemountsAndRestores) {
   rdrive.LoadMedia(&t0);
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(LogicalRestoreJob(&filer, rfs.get(), &rdrive,
-                                LogicalRestoreOptions{}, false, &restore,
-                                &rdone, {&t2}, &policy));
+  f.env.Spawn(RunJob(&filer,
+                     {.fs = rfs.get(),
+                      .endpoints = {{.drive = &rdrive,
+                                     .spare_tapes = {&t2},
+                                     .supervision = &policy}}},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();

@@ -20,6 +20,7 @@
 #include <tuple>
 
 #include "src/backup/scheduler.h"
+#include "src/net/tape_server.h"
 #include "src/workload/population.h"
 
 namespace bkup {
@@ -523,22 +524,19 @@ TEST(SchedulerTest, ParallelLogicalVolumeRestoresByteIdentical) {
   auto restore_volume = Volume::Create(&f.env, "r", SmallGeometry());
   auto restore_fs =
       std::move(Filesystem::Format(restore_volume.get(), &f.env)).value();
-  std::vector<TapeDrive*> restore_drives;
-  std::vector<std::string> targets;
+  JobSpec job{.fs = restore_fs.get()};
   for (size_t k = 0; k < out.part_media.size(); ++k) {
     ASSERT_EQ(out.part_media[k].size(), 1u);
     TapeDrive* drive = f.config.drives[out.drives_used[k]];
     const size_t slot =
         f.library.SlotOfLabel(out.part_media[k][0]).value();
     ASSERT_TRUE(f.library.LoadSlot(drive, slot).ok());
-    restore_drives.push_back(drive);
-    targets.push_back(spec.subtrees[k]);
+    job.endpoints.push_back({.drive = drive});
+    job.trees.push_back(spec.subtrees[k]);
   }
-  ParallelLogicalRestoreResult restore;
+  ParallelJobResult<LogicalRestoreJobResult> restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(ParallelLogicalRestoreJob(&f.filer, restore_fs.get(),
-                                        restore_drives, targets, false,
-                                        &restore, &rdone));
+  f.env.Spawn(RunJob(&f.filer, job, &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.merged.status.ok()) << restore.merged.status.ToString();
   auto dst_sums = ChecksumTree(restore_fs->LiveReader()).value();

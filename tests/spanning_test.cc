@@ -5,8 +5,9 @@
 #include <memory>
 
 #include "src/backup/jobs.h"
-#include "src/backup/remote.h"
 #include "src/image/image_dump.h"
+#include "src/net/link.h"
+#include "src/net/tape_server.h"
 #include "src/workload/population.h"
 
 namespace bkup {
@@ -46,9 +47,11 @@ TEST(SpanningTest, DumpSpansMultipleSmallTapes) {
 
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&f.filer, f.fs.get(), &drive,
-                               LogicalDumpOptions{}, &backup, &done,
-                               {&t1, &t2, &t3}));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.fs.get(),
+                      .endpoints = {{.drive = &drive,
+                                     .spare_tapes = {&t1, &t2, &t3}}}},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok())
       << backup.report.status.ToString();
@@ -69,9 +72,11 @@ TEST(SpanningTest, DumpSpansMultipleSmallTapes) {
   rdrive.LoadMedia(&t0);
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(LogicalRestoreJob(&f.filer, restore_fs.get(), &rdrive,
-                                LogicalRestoreOptions{}, false, &restore,
-                                &rdone, {&t1, &t2, &t3}));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = restore_fs.get(),
+                      .endpoints = {{.drive = &rdrive,
+                                     .spare_tapes = {&t1, &t2, &t3}}}},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok())
       << restore.report.status.ToString();
@@ -86,8 +91,10 @@ TEST(SpanningTest, RunningOutOfSparesFailsCleanly) {
   drive.LoadMedia(&t0);
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(LogicalBackupJob(&f.filer, f.fs.get(), &drive,
-                               LogicalDumpOptions{}, &backup, &done, {&t1}));
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.fs.get(),
+                      .endpoints = {{.drive = &drive, .spare_tapes = {&t1}}}},
+                     &backup, &done));
   f.env.Run();
   EXPECT_EQ(backup.report.status.code(), ErrorCode::kNoSpace)
       << "an 11 MiB dump cannot fit on two 2 MiB tapes";
@@ -102,9 +109,11 @@ TEST(SpanningTest, MediaLoadTimeIsCharged) {
     drive.LoadMedia(first);
     LogicalBackupJobResult backup;
     CountdownLatch done(&f.env, 1);
-    f.env.Spawn(LogicalBackupJob(&f.filer, f.fs.get(), &drive,
-                                 LogicalDumpOptions{}, &backup, &done,
-                                 std::move(spares)));
+    f.env.Spawn(RunJob(&f.filer,
+                       {.fs = f.fs.get(),
+                        .endpoints = {{.drive = &drive,
+                                       .spare_tapes = std::move(spares)}}},
+                       &backup, &done));
     f.env.Run();
     EXPECT_TRUE(backup.report.status.ok());
     return backup.report.StreamElapsed();
@@ -133,16 +142,15 @@ TEST(SpanningTest, RemoteDumpsSpanServerMedia) {
   // ~11 MiB of logical stream onto 5 MiB media: the mounted tape plus both
   // spares.
   Tape l0("m.0", 5 * kMiB), l1("m.1", 5 * kMiB), l2("m.2", 5 * kMiB);
-  RemoteTarget target;
-  target.link = &link;
-  target.server = &server;
-  target.drive = drive;
-  target.spare_tapes = {&l1, &l2};
+  StreamEndpoint target{.link = &link,
+                        .server = &server,
+                        .drive = drive,
+                        .spare_tapes = {&l1, &l2}};
   drive->LoadMedia(&l0);
   LogicalBackupJobResult backup;
   CountdownLatch done(&f.env, 1);
-  f.env.Spawn(RemoteLogicalBackupJob(&f.filer, f.fs.get(), target,
-                                     LogicalDumpOptions{}, &backup, &done));
+  f.env.Spawn(RunJob(&f.filer, {.fs = f.fs.get(), .endpoints = {target}},
+                     &backup, &done));
   f.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   EXPECT_EQ(backup.report.tapes_used, three_media);
@@ -153,9 +161,8 @@ TEST(SpanningTest, RemoteDumpsSpanServerMedia) {
   auto rfs = std::move(Filesystem::Format(rvolume.get(), &f.env)).value();
   LogicalRestoreJobResult restore;
   CountdownLatch rdone(&f.env, 1);
-  f.env.Spawn(RemoteLogicalRestoreJob(&f.filer, rfs.get(), target,
-                                      LogicalRestoreOptions{}, false,
-                                      &restore, &rdone));
+  f.env.Spawn(RunJob(&f.filer, {.fs = rfs.get(), .endpoints = {target}},
+                     &restore, &rdone));
   f.env.Run();
   ASSERT_TRUE(restore.report.status.ok()) << restore.report.status.ToString();
   EXPECT_EQ(restore.report.tapes_used, three_media);
@@ -167,9 +174,8 @@ TEST(SpanningTest, RemoteDumpsSpanServerMedia) {
   drive->LoadMedia(&i0);
   ImageBackupJobResult ibackup;
   CountdownLatch idone(&f.env, 1);
-  f.env.Spawn(RemoteImageBackupJob(&f.filer, f.fs.get(), target,
-                                   ImageDumpOptions{}, true, &ibackup,
-                                   &idone));
+  f.env.Spawn(RunJob(&f.filer, {.fs = f.fs.get(), .endpoints = {target}},
+                     &ibackup, &idone));
   f.env.Run();
   ASSERT_TRUE(ibackup.report.status.ok())
       << ibackup.report.status.ToString();
@@ -179,8 +185,8 @@ TEST(SpanningTest, RemoteDumpsSpanServerMedia) {
   auto ivolume = Volume::Create(&f.env, "i", Geometry());
   ImageRestoreJobResult irestore;
   CountdownLatch irdone(&f.env, 1);
-  f.env.Spawn(RemoteImageRestoreJob(&f.filer, ivolume.get(), target,
-                                    &irestore, &irdone));
+  f.env.Spawn(RunJob(&f.filer, {.volume = ivolume.get(), .endpoints = {target}},
+                     &irestore, &irdone));
   f.env.Run();
   ASSERT_TRUE(irestore.report.status.ok())
       << irestore.report.status.ToString();
