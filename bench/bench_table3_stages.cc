@@ -28,13 +28,13 @@ int Run() {
   bench::PrintBanner("Table 3: Dump and Restore Details",
                      "OSDI'99 paper, Table 3 (Section 5.1)");
   std::printf("\nLogical Dump\n");
-  bench::PrintAllPhases(suite.logical_backup);
+  suite.logical_backup.PrintPhaseRows(stdout);
   std::printf("\nLogical Restore\n");
-  bench::PrintAllPhases(suite.logical_restore);
+  suite.logical_restore.PrintPhaseRows(stdout);
   std::printf("\nPhysical Dump\n");
-  bench::PrintAllPhases(suite.physical_backup);
+  suite.physical_backup.PrintPhaseRows(stdout);
   std::printf("\nPhysical Restore\n");
-  bench::PrintAllPhases(suite.physical_restore);
+  suite.physical_restore.PrintPhaseRows(stdout);
 
   std::printf(
       "\nPaper reference (Table 3):\n"

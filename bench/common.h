@@ -131,27 +131,6 @@ inline void PrintSummaryRow(const JobReport& report) {
               hours_188);
 }
 
-inline void PrintPhaseHeader() {
-  std::printf("  %-34s %14s %8s %10s %10s\n", "Stage", "Time spent",
-              "CPU", "Disk MB/s", "Tape MB/s");
-}
-
-inline void PrintPhaseRow(const PhaseStats& p, JobPhase phase) {
-  if (!p.active() || p.elapsed() <= 0) {
-    return;
-  }
-  std::printf("  %-34s %14s %7.1f%% %10.2f %10.2f\n", JobPhaseName(phase),
-              FormatDuration(p.elapsed()).c_str(),
-              p.CpuUtilization() * 100.0, p.DiskMBps(), p.TapeMBps());
-}
-
-inline void PrintAllPhases(const JobReport& report) {
-  PrintPhaseHeader();
-  for (int i = 0; i < static_cast<int>(JobPhase::kCount); ++i) {
-    PrintPhaseRow(report.phases[i], static_cast<JobPhase>(i));
-  }
-}
-
 // Runs the paper's basic single-tape suite (Tables 2 and 3): logical
 // backup, logical restore, physical backup, physical restore, one DLT
 // drive each, on the bench's mature home volume.

@@ -570,17 +570,36 @@ Task ContentChunkAdapter(ReplayConfig cfg, const FrameMap* map,
 
 // ------------------------------------------------------- restore procs ---
 
-// Restore-side reader of a whole media set: reads the stream in order,
-// loading the next spare as each media runs dry (multi-volume restores).
-// Locally it publishes the arrived-bytes watermark on `out`; at the
-// tape-server end of a remote stream it ships each piece through `session`
-// instead, then finishes the session and notifies `reader_done`.
-Task TapeReaderProc(ReplayConfig cfg, uint64_t total_bytes,
+// Records the mounted media as read unless it already is the last label: a
+// resumed restore mounts the same tape again.
+void NoteRead(TapeDrive* drive, JobReport* report) {
+  const std::string& label = drive->tape()->label();
+  if (report->tapes_used.empty() || report->tapes_used.back() != label) {
+    report->tapes_used.push_back(label);
+  }
+}
+
+// Recorded bytes between the head and the end of the mounted media.
+uint64_t LeftOnMedia(TapeDrive* drive) {
+  return drive->loaded() ? drive->tape()->size() - drive->position() : 0;
+}
+
+// Restore-side reader: reads every restore's media. Empty `ranges` reads
+// the whole set in order, loading the next spare as each media runs dry
+// (multi-volume restores). Otherwise each range is a seek on the mounted
+// tape and reads to its end: bytes inside the gaps are never touched, so
+// the tape moves O(needed), not O(stream), and watermarks stay monotone
+// because ranges ascend. Every read retries per chunk through ReadTape.
+// Locally each piece's end offset is published on `out`; at the tape-server
+// end of a remote stream each piece ships through `session` instead. After
+// a session failure the reader keeps reading but stops shipping, so the
+// job fails cleanly. Closes `out` (or finishes the session), then notifies
+// `reader_done`; `ranges` must live until then.
+Task TapeReaderProc(SimEnvironment* env, const StreamEndpoint& ep,
+                    uint64_t media_bytes,
+                    const std::vector<StreamRange>& ranges,
                     Channel<uint64_t>* out, StreamSession* session,
                     JobReport* report, SimEvent* reader_done) {
-  SimEnvironment* env = cfg.filer->env();
-  const StreamEndpoint& ep = *cfg.endpoint;
-  TapeDrive* tape = ep.drive;
   std::optional<ScopedTraceSpan> srv_span;
   if (session != nullptr) {
     srv_span.emplace(env->tracer(), ServerNode(ep),
@@ -588,165 +607,51 @@ Task TapeReaderProc(ReplayConfig cfg, uint64_t total_bytes,
                      session->ctx());
   }
   std::vector<uint8_t> scratch(kChunkBytes);
+  if (ep.drive->loaded()) {
+    NoteRead(ep.drive, report);
+  }
+  const bool whole = ranges.empty();
   size_t next_spare = 0;
-  if (tape->loaded()) {
-    report->tapes_used.push_back(tape->tape()->label());
-  }
-  uint64_t pos = 0;
-  bool failed = false;  // the session gave up; keep reading, stop shipping
-  while (pos < total_bytes) {
-    uint64_t remaining_on_tape =
-        tape->loaded() ? tape->tape()->size() - tape->position() : 0;
-    if (remaining_on_tape == 0) {
-      if (next_spare >= ep.spare_tapes.size()) {
-        KeepFirstError(report, Corruption("multi-volume set ended early"));
-        break;
+  bool failed = false;  // the session gave up
+  Status st;            // a seek error or the media running out
+  for (size_t i = 0; st.ok() && i < (whole ? 1 : ranges.size()); ++i) {
+    const StreamRange r = whole ? StreamRange{0, media_bytes} : ranges[i];
+    if (!whole) {
+      co_await ep.drive->TimedSeekTo(r.begin, &st);
+    }
+    for (uint64_t pos = r.begin; st.ok() && pos < r.end;) {
+      uint64_t on_tape = LeftOnMedia(ep.drive);
+      if (on_tape == 0 && whole && next_spare < ep.spare_tapes.size()) {
+        co_await ep.drive->TimedLoadMedia(ep.spare_tapes[next_spare++]);
+        NoteRead(ep.drive, report);
+        on_tape = LeftOnMedia(ep.drive);
       }
-      co_await tape->TimedLoadMedia(ep.spare_tapes[next_spare++]);
-      report->tapes_used.push_back(tape->tape()->label());
-      remaining_on_tape = tape->tape()->size();
-    }
-    const uint64_t n = std::min<uint64_t>(
-        {kChunkBytes, total_bytes - pos, remaining_on_tape});
-    co_await ReadTape(env, ep, std::span(scratch).first(n), report);
-    if (session == nullptr) {
-      pos += n;
-      co_await out->Send(pos);
-      continue;
-    }
-    if (!failed) {
-      Status sent;
-      co_await session->Send(pos, pos + n, 0, &sent);
-      failed = !sent.ok();
-      KeepFirstError(report, sent);
-    }
-    pos += n;
-  }
-  if (session == nullptr) {
-    out->Close();
-    co_return;
-  }
-  Status st;
-  co_await session->Finish(&st);
-  KeepFirstError(report, st);
-  reader_done->Notify();
-}
-
-// Local reader of a ranged restore: seeks to each range and reads it,
-// publishing the absolute stream offset reached so far. Watermarks stay
-// monotone because ranges ascend; bytes inside the gaps are never touched —
-// the tape moves O(needed), not O(stream). Read errors retry per chunk.
-Task RangedTapeReaderProc(ReplayConfig cfg, std::vector<StreamRange> ranges,
-                          Channel<uint64_t>* out, JobReport* report) {
-  SimEnvironment* env = cfg.filer->env();
-  const StreamEndpoint& ep = *cfg.endpoint;
-  TapeDrive* tape = ep.drive;
-  std::vector<uint8_t> scratch(kChunkBytes);
-  if (tape->loaded()) {
-    const std::string& label = tape->tape()->label();
-    if (report->tapes_used.empty() || report->tapes_used.back() != label) {
-      report->tapes_used.push_back(label);
-    }
-  }
-  for (const StreamRange& r : ranges) {
-    Status st;
-    co_await tape->TimedSeekTo(r.begin, &st);
-    if (!st.ok()) {
-      KeepFirstError(report, st);
-      break;
-    }
-    uint64_t pos = r.begin;
-    while (pos < r.end) {
-      const uint64_t on_tape =
-          tape->loaded() ? tape->tape()->size() - tape->position() : 0;
       if (on_tape == 0) {
-        KeepFirstError(report,
-                       Corruption("tape ended inside a restore range"));
+        st = Corruption(whole ? "multi-volume set ended early"
+                              : "tape ended inside a restore range");
         break;
       }
       const uint64_t n =
           std::min<uint64_t>({kChunkBytes, r.end - pos, on_tape});
       co_await ReadTape(env, ep, std::span(scratch).first(n), report);
-      pos += n;
-      co_await out->Send(pos);
-    }
-  }
-  out->Close();
-}
-
-// Wraps TapeServer::ReadRange so the progress channel closes and the
-// completion event fires when the range (or its error) is done.
-Task ReadRangeAndClose(TapeServer* server, TapeDrive* drive, uint64_t offset,
-                       uint64_t length, Channel<uint64_t>* progress,
-                       Status* status, SimEvent* done, TraceContext ctx) {
-  co_await server->ReadRange(drive, offset, length, kChunkBytes, progress,
-                             status, ctx);
-  progress->Close();
-  done->Notify();
-}
-
-// Server-side ranged reader: reads only `ranges` off the media through
-// TapeServer::ReadRange and ships each piece to the filer at its absolute
-// stream offset, so watermarks stay monotone across the gaps the tape never
-// touches. A read error retries the remainder of its range on the tape
-// backoff schedule (ranged reads are idempotent) — per range, where the
-// local reader retries per chunk.
-Task RangedRemoteTapeReaderProc(ReplayConfig cfg,
-                                std::vector<StreamRange> ranges,
-                                StreamSession* session, JobReport* report,
-                                SimEvent* reader_done) {
-  SimEnvironment* env = cfg.filer->env();
-  const StreamEndpoint& ep = *cfg.endpoint;
-  if (ep.drive->loaded()) {
-    report->tapes_used.push_back(ep.drive->tape()->label());
-  }
-  bool failed = false;
-  for (const StreamRange& r : ranges) {
-    uint64_t floor = r.begin;  // delivered-to-filer cursor within the range
-    int attempt = 0;
-    while (floor < r.end && !failed) {
-      Channel<uint64_t> progress(env, 4);
-      Status read_st;
-      SimEvent range_done(env);
-      env->Spawn(ReadRangeAndClose(ep.server, ep.drive, floor, r.end - floor,
-                                   &progress, &read_st, &range_done,
-                                   session->ctx()));
-      while (true) {
-        std::optional<uint64_t> watermark = co_await progress.Recv();
-        if (!watermark.has_value()) {
-          break;
-        }
+      if (session == nullptr) {
+        co_await out->Send(pos + n);
+      } else if (!failed) {
         Status sent;
-        co_await session->Send(floor, *watermark, 0, &sent);
-        floor = *watermark;
-        if (!sent.ok()) {
-          failed = true;
-          KeepFirstError(report, sent);
-        }
+        co_await session->Send(pos, pos + n, 0, &sent);
+        failed = !sent.ok();
+        KeepFirstError(report, sent);
       }
-      co_await range_done.Wait();
-      if (read_st.ok() || failed) {
-        break;
-      }
-      ++report->faults.tape_errors;
-      if (ep.supervision == nullptr ||
-          attempt + 1 >= kTapeRetry.max_attempts) {
-        KeepFirstError(report, read_st);
-        failed = true;
-        break;
-      }
-      ++report->faults.tape_retries;
-      TRACE_INSTANT(env, "faults", "tape.retry");
-      ++attempt;
-      co_await env->Delay(kTapeRetry.BackoffBefore(attempt));
-    }
-    if (failed) {
-      break;
+      pos += n;
     }
   }
-  Status st;
-  co_await session->Finish(&st);
   KeepFirstError(report, st);
+  if (session != nullptr) {
+    co_await session->Finish(&st);
+    KeepFirstError(report, st);
+  } else {
+    out->Close();
+  }
   reader_done->Notify();
 }
 
@@ -1014,8 +919,8 @@ Task ReplayRestore(ReplayConfig cfg, const IoTrace* trace,
     moved += r.size();
   }
 
-  // Readers publish wire watermarks; with content stages an adapter turns
-  // them into the raw ones the consumer waits on, paying decode CPU.
+  // The reader publishes wire watermarks; with content stages an adapter
+  // turns them into the raw ones the consumer waits on, paying decode CPU.
   Channel<uint64_t> arrived(env, kPipelineDepth);
   Channel<uint64_t> wire_arrived(env, kPipelineDepth);
   Channel<uint64_t>* read = map != nullptr ? &wire_arrived : &arrived;
@@ -1025,30 +930,21 @@ Task ReplayRestore(ReplayConfig cfg, const IoTrace* trace,
   if (ep.link != nullptr) {
     session.emplace(env, ep, report->name, media, report);
     co_await session->Start();
-    if (whole) {
-      env->Spawn(TapeReaderProc(cfg, media.size(), nullptr, &*session, report,
-                                &reader_done));
-    } else {
-      env->Spawn(RangedRemoteTapeReaderProc(cfg, ranges, &*session, report,
-                                            &reader_done));
-    }
+  }
+  env->Spawn(TapeReaderProc(env, ep, media.size(), ranges, read,
+                            session.has_value() ? &*session : nullptr, report,
+                            &reader_done));
+  if (session.has_value()) {
     env->Spawn(WatermarkAdapter(&session->conns(), read));
-  } else if (whole) {
-    env->Spawn(TapeReaderProc(cfg, media.size(), read, nullptr, report,
-                              nullptr));
-  } else {
-    env->Spawn(RangedTapeReaderProc(cfg, ranges, read, report));
   }
   if (map != nullptr) {
-    env->Spawn(ContentWatermarkAdapter(cfg, std::move(ranges), &wire_arrived,
+    env->Spawn(ContentWatermarkAdapter(cfg, ranges, &wire_arrived,
                                        &arrived, report, &adapter_done));
   }
 
   PhaseSpanner spans(env, report->name);
   co_await ReplayConsumer(cfg, trace, raw_bytes, &arrived, &spans, report);
-  if (session.has_value()) {
-    co_await reader_done.Wait();
-  }
+  co_await reader_done.Wait();
   if (map != nullptr) {
     co_await adapter_done.Wait();
   }

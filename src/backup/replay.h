@@ -13,7 +13,9 @@
 //         (filer)                              (NetLink)   (tape server)
 //
 // Restores run the same pipelines backwards, publishing arrived-bytes
-// watermarks to a consumer that charges CPU, NVRAM and disk writes.
+// watermarks to a consumer that charges CPU, NVRAM and disk writes. One
+// media reader serves every restore — whole or ranged, local or at the
+// server end of a link — and retries failed tape reads per chunk.
 #ifndef BKUP_BACKUP_REPLAY_H_
 #define BKUP_BACKUP_REPLAY_H_
 
@@ -61,8 +63,9 @@ Task ReplayBackup(ReplayConfig cfg, const IoTrace* trace,
 // hold — the wire image with content stages) back and charges CPU, NVRAM
 // and disk writes as each event's bytes arrive. `ranges` (raw offsets,
 // ascending) restricts the read to the bytes a catalog-driven restore
-// needs; empty means the whole stream. Ranged reads address the mounted
-// tape only, never a spanned set.
+// needs; empty means the whole stream, spare media included. Ranged reads
+// seek on the mounted tape only, never a spanned set; a range that runs
+// past that tape's end is Corruption.
 Task ReplayRestore(ReplayConfig cfg, const IoTrace* trace,
                    std::span<const uint8_t> media,
                    std::vector<StreamRange> ranges, JobReport* report,

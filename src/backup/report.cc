@@ -144,11 +144,6 @@ double JobReport::NetMBps() const {
                            SimToSeconds(e));
 }
 
-void JobReport::PrintSummaryRow(FILE* out) const {
-  std::fprintf(out, "%-24s %12s %10.2f %10.1f\n", name.c_str(),
-               FormatDuration(elapsed()).c_str(), MBps(), GBph());
-}
-
 void JobReport::PrintPhaseRows(FILE* out) const {
   for (int i = 0; i < static_cast<int>(JobPhase::kCount); ++i) {
     const PhaseStats& p = phases[i];

@@ -160,8 +160,6 @@ struct JobReport {
   // zero for local jobs, which never touch a NetLink).
   double NetMBps() const;
 
-  // Prints "Operation / Elapsed / MB/s / GB/h" (Table 2 row).
-  void PrintSummaryRow(FILE* out) const;
   // Prints the per-stage breakdown (Table 3 rows) with per-phase device
   // throughput.
   void PrintPhaseRows(FILE* out) const;

@@ -443,10 +443,14 @@ Result<RestoreCatalog> BuildRestoreCatalog(std::span<const uint8_t> stream) {
       return Corruption("stream prologue truncated");
     }
     if (rec.type == DumpRecordType::kDirectory) {
-      BKUP_ASSIGN_OR_RETURN(
-          std::vector<DirEntry> entries,
-          DecodeDumpDirectory(stream.subspan(pos, rec.payload_bytes)));
-      catalog.AddDirectory(rec.inum, rec.attrs, std::move(entries));
+      // A directory whose payload fails its CRC is lost, exactly as the
+      // restore itself skips it; the rest of the tree still resolves.
+      const auto bytes = stream.subspan(pos, rec.payload_bytes);
+      if (Crc32c(bytes) == rec.data_crc) {
+        BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries,
+                              DecodeDumpDirectory(bytes));
+        catalog.AddDirectory(rec.inum, rec.attrs, std::move(entries));
+      }
     } else if (rec.type != DumpRecordType::kUsedMap &&
                rec.type != DumpRecordType::kDumpedMap) {
       break;  // first file record: the prologue is complete

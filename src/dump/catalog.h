@@ -190,7 +190,9 @@ class TapeCatalogWriter {
 
 // Builds the in-memory directory catalog from a dump stream's prologue
 // (tape header, inode maps, directory records) without touching any file
-// system — the namei side of a catalog-driven single-file restore.
+// system — the namei side of a catalog-driven single-file restore. A
+// directory whose payload fails its CRC is left out, as the restore leaves
+// it out.
 Result<RestoreCatalog> BuildRestoreCatalog(std::span<const uint8_t> stream);
 
 }  // namespace bkup

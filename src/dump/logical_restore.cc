@@ -504,18 +504,7 @@ Status RestoreRun::HandleFileRecord(const DumpRecord& rec) {
     if (!wanted) {
       return Status::Ok();  // open_valid_ stays false; kAddr data skipped
     }
-    std::vector<std::string> rel_paths = catalog_.PathsOf(rec.inum);
-    if (!restore_all_) {
-      // Keep only the selected link names.
-      std::vector<std::string> filtered;
-      for (const std::string& rel : rel_paths) {
-        // A path is selected if some selected inum is one of its ancestors;
-        // the wanted_ set already captures that via Descendants, so keep
-        // paths whose parent dir is wanted.
-        filtered.push_back(rel);
-      }
-      rel_paths = std::move(filtered);
-    }
+    const std::vector<std::string> rel_paths = catalog_.PathsOf(rec.inum);
     if (rel_paths.empty()) {
       // Unreferenced inode (its directory record was lost to corruption).
       out_.stats.files_lost_to_corruption++;

@@ -11,6 +11,7 @@
 
 #include "src/dump/catalog.h"
 #include "src/dump/logical_dump.h"
+#include "src/dump/logical_restore.h"
 #include "src/fs/filesystem.h"
 #include "src/util/random.h"
 
@@ -364,6 +365,54 @@ TEST(TapeCatalogTest, RestoreRangesCoverOneFileCheaply) {
     }
     EXPECT_TRUE(covered) << "record at " << rec.offset;
   }
+}
+
+// A directory whose payload fails its CRC is skipped by the restore; the
+// name catalog a budgeted single-file restore prices its reads with must
+// skip it too, or that restore fails where the unbudgeted one succeeds.
+TEST(TapeCatalogTest, CorruptDirectoryOffThePathStillResolves) {
+  SimEnvironment env;
+  std::unique_ptr<Volume> volume;
+  std::unique_ptr<Filesystem> fs;
+  LogicalDumpOutput dump = DumpSeededTree(&env, &volume, &fs);
+  auto catalog = TapeCatalog::Load(dump.catalog_image);
+  ASSERT_TRUE(catalog.ok());
+  auto clean = BuildRestoreCatalog(dump.stream);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  auto sub = clean->Namei("/docs/sub");
+  ASSERT_TRUE(sub.ok());
+
+  // Overwrite the entry count (the payload's first 4 bytes) of /docs/sub.
+  std::vector<uint8_t> stream = dump.stream;
+  bool patched = false;
+  for (const TapeCatalog::Entry& e : catalog->entries()) {
+    if (e.type == DumpRecordType::kDirectory && e.inum == *sub) {
+      for (uint64_t i = 0; i < 4; ++i) {
+        stream[e.offset + kDumpRecordSize + i] = 0xFF;
+      }
+      patched = true;
+    }
+  }
+  ASSERT_TRUE(patched);
+
+  auto target_volume = Volume::Create(&env, "dst", CatalogTestGeometry());
+  auto target =
+      std::move(Filesystem::Format(target_volume.get(), &env)).value();
+  LogicalRestoreOptions options;
+  options.select = {"/a.txt"};
+  options.catalog = &*catalog;
+  auto restored = RunLogicalRestore(target.get(), stream, options);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->stats.files_restored, 1u);
+  EXPECT_GT(restored->stats.corrupt_records_skipped, 0u);
+
+  auto names = BuildRestoreCatalog(stream);
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  auto a = names->Namei("/a.txt");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(*a, *clean->Namei("/a.txt"));
+  EXPECT_EQ(names->Namei("/docs/sub/c.txt").status().code(),
+            ErrorCode::kNotFound);
 }
 
 // A logical dump seals its catalog every 64 entries, so a catalog whose

@@ -398,6 +398,108 @@ TEST(RecoveryChaosTest, RemoteSingleFileRestoreCostsOFile) {
   EXPECT_EQ(Crc32c(got_data), Crc32c(needle_data));
 }
 
+// One read rule for every restore: a ranged single-file restore through a
+// flaky drive retries each failed chunk read in place, whether the drive
+// hangs off the filer or sits on a tape server across a link. The same
+// seeded plan therefore costs the same errors, retries and repositions on
+// both; unsupervised, the first failed read fails the restore on both.
+// The needle spans many chunks, so one range sees several failed reads.
+TEST(RecoveryChaosTest, FlakyRangedRestoreRetriesLocalAndRemoteAlike) {
+  SimEnvironment env;
+  NetLink link(&env, "wan", LinkParams{});
+  TapeServer server(&env, "vault");
+  Filer filer(&env, FilerModel::F630());
+
+  auto src_volume = Volume::Create(&env, "src", Geometry());
+  auto src = std::move(Filesystem::Format(src_volume.get(), &env)).value();
+  WorkloadParams params;
+  params.seed = 5;
+  params.target_bytes = 2 * kMiB;
+  ASSERT_TRUE(PopulateFilesystem(src.get(), params).ok());
+  ASSERT_TRUE(src->Mkdir("/known", 0755).ok());
+  auto needle = src->Create("/known/needle.dat", 0644);
+  ASSERT_TRUE(needle.ok());
+  Rng rng(3);
+  std::vector<uint8_t> needle_data(3 * kMiB);
+  rng.Fill(needle_data);
+  ASSERT_TRUE(src->Write(*needle, 0, needle_data).ok());
+
+  Tape media("vault.0", 32 * kMiB);
+  TapeDrive writer(&env, "writer");
+  writer.LoadMedia(&media);
+  LogicalBackupJobResult backup;
+  CountdownLatch done(&env, 1);
+  env.Spawn(RunJob(&filer,
+                   {.fs = src.get(), .endpoints = {{.drive = &writer}}},
+                   &backup, &done));
+  env.Run();
+  ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
+  auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+
+  FaultPlan plan;
+  plan.seed = 21;
+  plan.TapeFlaky("vault.dlt0", 0.3);
+  const SupervisionPolicy policy;
+  struct Run {
+    LogicalRestoreJobResult result;
+    uint64_t repositions = 0;
+    bool identical = false;
+  };
+  // A fresh drive named like the server's, armed with the same plan, so
+  // both endpoints draw the same faults read for read.
+  auto restore_needle = [&](bool remote, bool supervised) {
+    Run run;
+    TapeDrive local(&env, "vault.dlt0");
+    TapeDrive* drive = remote ? server.AddDrive("dlt0") : &local;
+    drive->LoadMedia(&media);
+    FaultInjector injector(&env, plan);
+    injector.Arm(drive);
+    auto volume = Volume::Create(&env, "r", Geometry());
+    auto fs = std::move(Filesystem::Format(volume.get(), &env)).value();
+    JobSpec spec{.fs = fs.get(),
+                 .endpoints = {{.link = remote ? &link : nullptr,
+                                .server = remote ? &server : nullptr,
+                                .drive = drive,
+                                .supervision =
+                                    supervised ? &policy : nullptr}}};
+    spec.logical_restore.select = {"/known/needle.dat"};
+    spec.logical_restore.catalog = &*catalog;
+    CountdownLatch restored(&env, 1);
+    env.Spawn(RunJob(&filer, spec, &run.result, &restored));
+    env.Run();
+    injector.Disarm(drive);
+    run.repositions = drive->repositions();
+    auto got = fs->LookupPath("/known/needle.dat");
+    std::vector<uint8_t> got_data;
+    run.identical = got.ok() &&
+                    fs->Read(*got, 0, needle_data.size(), &got_data).ok() &&
+                    got_data == needle_data;
+    return run;
+  };
+
+  const Run local = restore_needle(false, true);
+  const Run remote = restore_needle(true, true);
+  ASSERT_TRUE(local.result.report.status.ok())
+      << local.result.report.status.ToString();
+  ASSERT_TRUE(remote.result.report.status.ok())
+      << remote.result.report.status.ToString();
+  EXPECT_TRUE(local.identical);
+  EXPECT_TRUE(remote.identical);
+  const FaultCounters& lf = local.result.report.faults;
+  const FaultCounters& rf = remote.result.report.faults;
+  EXPECT_GT(lf.tape_retries, 0u);
+  EXPECT_EQ(lf.tape_errors, rf.tape_errors);
+  EXPECT_EQ(lf.tape_retries, rf.tape_retries);
+  EXPECT_EQ(local.repositions, remote.repositions);
+  EXPECT_LT(remote.result.report.stream_bytes, backup.dump.stream.size());
+
+  const Run bare_local = restore_needle(false, false);
+  const Run bare_remote = restore_needle(true, false);
+  EXPECT_FALSE(bare_local.result.report.status.ok());
+  EXPECT_FALSE(bare_remote.result.report.status.ok());
+}
+
 // ----------------------------------------- kills inside an active pipeline
 
 // One compressed+dedup'd remote dump, optionally through a mid-stream link

@@ -18,14 +18,28 @@ Keeps the prose honest against the tree:
      file that never builds is silently dead coverage);
   7. every library under src/ with more than one source file has a
      DESIGN.md anchor (a "src/<lib>" mention) — a subsystem big enough
-     to span files is big enough to owe the design doc a paragraph.
+     to span files is big enough to owe the design doc a paragraph;
+  8. every backticked tree path in the prose docs (DESIGN.md,
+     docs/ARCHITECTURE.md, README.md, EXPERIMENTS.md) that starts with
+     src/, bench/, tests/, tools/, examples/, perfbench/ or docs/ resolves,
+     as given or with a .h/.cc/.cpp/.py suffix;
+  9. every backticked `Class::Member` in those docs names a member that
+     exists: Member appears inside the body of Class (a class, struct,
+     enum or namespace) or as an out-of-line Class::Member, under src/,
+     bench/ or perfbench/.
 
 Usage: check_docs.py [repo_root]   (defaults to the parent of tools/)
 """
 
+import glob
 import os
 import re
 import sys
+
+PROSE_DOCS = ("DESIGN.md", os.path.join("docs", "ARCHITECTURE.md"),
+              "README.md", "EXPERIMENTS.md")
+TREE_ROOTS = ("src", "bench", "tests", "tools", "examples", "perfbench",
+              "docs")
 
 
 def fail(errors):
@@ -195,6 +209,82 @@ def check_readme_links(root, errors):
                         % (lineno, target))
 
 
+def backticked(root):
+    """Yields (doc, lineno, text) for every `...` span in the prose docs."""
+    for doc in PROSE_DOCS:
+        path = os.path.join(root, doc)
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                for m in re.finditer(r"`([^`]+)`", line):
+                    yield doc, lineno, m.group(1)
+
+
+def check_doc_paths(root, errors):
+    """Backticked tree paths in the prose docs must exist."""
+    prefix_re = re.compile(r"^(?:%s)/" % "|".join(TREE_ROOTS))
+    for doc, lineno, text in backticked(root):
+        words = text.split()
+        if not words or not prefix_re.match(words[0]):
+            continue
+        target = re.sub(r":\d.*$", "", words[0])  # drop a :line suffix
+        if "<" in target:
+            continue  # a placeholder such as src/<lib>
+        candidates = [target] + [target + ext
+                                 for ext in (".h", ".cc", ".cpp", ".py")]
+        if not any(glob.glob(os.path.join(root, c)) for c in candidates):
+            errors.append("%s:%d names `%s`, which does not exist"
+                          % (doc, lineno, target))
+
+
+def strip_comments(text):
+    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.DOTALL)
+    return re.sub(r"//[^\n]*", " ", text)
+
+
+def scope_bodies(text, name):
+    """Bodies of every class/struct/enum/namespace `name` definition."""
+    head_re = re.compile(
+        r"\b(?:class|struct|enum(?:\s+class)?|namespace)\s+%s\b[^;{]*\{"
+        % re.escape(name))
+    for m in head_re.finditer(text):
+        depth, i = 1, m.end()
+        while depth and i < len(text):
+            depth += {"{": 1, "}": -1}.get(text[i], 0)
+            i += 1
+        yield text[m.end():i]
+
+
+def check_doc_members(root, errors):
+    """Backticked Class::Member references must name a real member."""
+    sources = []
+    for base in ("src", "bench", "perfbench"):
+        for dirpath, _, names in os.walk(os.path.join(root, base)):
+            for name in names:
+                if name.endswith((".h", ".cc", ".cpp")):
+                    with open(os.path.join(dirpath, name),
+                              encoding="utf-8", errors="replace") as f:
+                        sources.append(strip_comments(f.read()))
+    ref_re = re.compile(r"^([A-Za-z_]\w*)::(~?[A-Za-z_]\w*)")
+    for doc, lineno, text in backticked(root):
+        m = ref_re.match(text)
+        if not m or m.group(1) == "std":
+            continue
+        owner, member = m.groups()
+        member_re = re.compile(r"(?<![\w~])%s\b" % re.escape(member))
+        qualified_re = re.compile(r"\b%s::%s\b"
+                                  % (re.escape(owner), re.escape(member)))
+        found = any(
+            qualified_re.search(src) or
+            any(member_re.search(body) for body in scope_bodies(src, owner))
+            for src in sources)
+        if not found:
+            errors.append("%s:%d names `%s::%s`, which is not a member "
+                          "under src/, bench/ or perfbench/"
+                          % (doc, lineno, owner, member))
+
+
 def main(argv):
     root = os.path.abspath(
         argv[1] if len(argv) > 1
@@ -207,6 +297,8 @@ def main(argv):
     check_baseline_experiments(root, errors)
     check_readme_links(root, errors)
     check_test_registration(root, errors)
+    check_doc_paths(root, errors)
+    check_doc_members(root, errors)
     if errors:
         return fail(errors)
     print("documentation checks OK")
