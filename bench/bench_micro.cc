@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops of the
 // backup paths: checksums, bitmap algebra (the Table 1 computation), block
 // map plane operations, dump record serialization, the write allocator,
-// RAID parity math and the content stages (chunking, encode, decode).
+// RAID parity math, the content stages (chunking, encode, decode) and the
+// two dump engines end to end.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,10 +11,13 @@
 #include "src/block/block.h"
 #include "src/content/content.h"
 #include "src/dump/format.h"
+#include "src/dump/logical_dump.h"
 #include "src/fs/blockmap.h"
+#include "src/image/image_dump.h"
 #include "src/util/bitmap.h"
 #include "src/util/checksum.h"
 #include "src/util/random.h"
+#include "src/workload/population.h"
 
 namespace bkup {
 namespace {
@@ -212,6 +216,51 @@ void BM_ContentDecode(benchmark::State& state) {
                           static_cast<int64_t>(raw.size()));
 }
 BENCHMARK(BM_ContentDecode);
+
+// The dump engines run over one seeded volume populated with 32 MiB and
+// snapshotted; bytes processed are stream bytes.
+struct DumpVolume {
+  DumpVolume() {
+    VolumeGeometry geom;
+    geom.num_raid_groups = 2;
+    geom.disks_per_group = 4;
+    geom.blocks_per_disk = 4096;
+    volume = Volume::Create(&env, "bench", geom);
+    fs = std::move(Filesystem::Format(volume.get(), &env)).value();
+    WorkloadParams params;
+    params.target_bytes = 32 * kMiB;
+    (void)PopulateFilesystem(fs.get(), params).value();
+    (void)fs->CreateSnapshot("bench");
+  }
+  SimEnvironment env;
+  std::unique_ptr<Volume> volume;
+  std::unique_ptr<Filesystem> fs;
+};
+
+void BM_LogicalDump(benchmark::State& state) {
+  DumpVolume v;
+  const FsReader reader = v.fs->SnapshotReader("bench").value();
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const LogicalDumpOutput out =
+        RunLogicalDump(reader, LogicalDumpOptions{}).value();
+    bytes += static_cast<int64_t>(out.stream.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_LogicalDump)->Unit(benchmark::kMillisecond);
+
+void BM_ImageDump(benchmark::State& state) {
+  DumpVolume v;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const ImageDumpOutput out =
+        RunImageDump(v.volume.get(), ImageDumpOptions{}).value();
+    bytes += static_cast<int64_t>(out.stream.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_ImageDump)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bkup

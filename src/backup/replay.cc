@@ -153,6 +153,7 @@ Task RecoverTapeWrite(SimEnvironment* env, const StreamEndpoint& ep,
     *st = Status::Ok();
     while (cursor < end && st->ok()) {
       const uint64_t n = std::min<uint64_t>(kChunkBytes, end - cursor);
+      ep.drive->ReserveAhead(stream.size() - cursor);
       co_await ep.drive->TimedWrite(stream.subspan(cursor, n), st);
       if (st->ok()) {
         cursor += n;
@@ -185,6 +186,7 @@ Task WriteSpanning(SimEnvironment* env, const StreamEndpoint& ep,
     media->media_start = begin;
   }
   Status st;
+  tape->ReserveAhead(stream.size() - begin);
   co_await tape->TimedWrite(stream.subspan(begin, end - begin), &st);
   if (!st.ok() && ep.supervision != nullptr) {
     co_await RecoverTapeWrite(env, ep, stream, begin, end, media, report, &st);

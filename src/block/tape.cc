@@ -70,6 +70,13 @@ Status TapeDrive::WriteData(std::span<const uint8_t> data) {
   return Status::Ok();
 }
 
+void TapeDrive::ReserveAhead(uint64_t nbytes) {
+  if (tape_ != nullptr && position_ < tape_->capacity()) {
+    tape_->mutable_bytes().reserve(
+        position_ + std::min(nbytes, tape_->capacity() - position_));
+  }
+}
+
 Status TapeDrive::ReadData(std::span<uint8_t> out) {
   if (tape_ == nullptr) {
     return FailedPrecondition(name_ + ": no media loaded");

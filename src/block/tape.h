@@ -92,6 +92,10 @@ class TapeDrive {
   // serpentine media.
   Status WriteData(std::span<const uint8_t> data);
 
+  // Sizes the mounted media for `nbytes` more bytes at the head, clamped at
+  // its capacity, so a stream written piecewise grows each media once.
+  void ReserveAhead(uint64_t nbytes);
+
   // Reads exactly `out.size()` bytes at the position; fails with Corruption
   // if the tape ends first.
   Status ReadData(std::span<uint8_t> out);

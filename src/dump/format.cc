@@ -187,8 +187,17 @@ uint64_t InodeMapStreamBytes(uint32_t num_inodes) {
   return (bytes + 7) / 8 * 8;
 }
 
+uint64_t DumpDirectoryBytes(const std::vector<DirEntry>& entries) {
+  uint64_t bytes = 4;  // u32 count
+  for (const DirEntry& e : entries) {
+    bytes += 4 + 1 + 2 + e.name.size();  // inum, type, u16-prefixed name
+  }
+  return bytes;
+}
+
 std::vector<uint8_t> EncodeDumpDirectory(const std::vector<DirEntry>& entries) {
   std::vector<uint8_t> out;
+  out.reserve(DumpDirectoryBytes(entries));
   ByteWriter w(&out);
   w.PutU32(static_cast<uint32_t>(entries.size()));
   for (const DirEntry& e : entries) {

@@ -115,6 +115,8 @@ uint64_t InodeMapStreamBytes(uint32_t num_inodes);
 // portable encoding, "a simple, known format of the file name followed by
 // the inode number".
 std::vector<uint8_t> EncodeDumpDirectory(const std::vector<DirEntry>& entries);
+// EncodeDumpDirectory(entries).size(), without encoding.
+uint64_t DumpDirectoryBytes(const std::vector<DirEntry>& entries);
 Result<std::vector<DirEntry>> DecodeDumpDirectory(
     std::span<const uint8_t> bytes);
 

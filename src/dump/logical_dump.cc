@@ -28,6 +28,14 @@ struct DumpContext {
   std::map<Inum, std::vector<DirEntry>> dirs;  // their (filtered) entries
   std::map<Inum, Inum> parent;                 // child dir -> parent dir
   std::map<Inum, InodeData> file_inodes;       // non-directories
+  // Phase IV's files in inode order with their pointer maps, loaded once
+  // while sizing the stream.
+  struct DumpedFile {
+    Inum inum;
+    const InodeData* inode;
+    std::vector<uint32_t> ptrs;
+  };
+  std::vector<DumpedFile> dumped_files;
 
   TapeCatalogWriter catalog_writer{64};
 
@@ -258,12 +266,10 @@ Status DumpDirectories(DumpContext* ctx) {
 // Phase IV: dump files in ascending inode order.
 Status DumpFiles(DumpContext* ctx) {
   const FsReader& reader = *ctx->reader;
-  for (const auto& [inum, inode] : ctx->file_inodes) {
-    if (!ctx->dumped.Test(inum)) {
-      continue;
-    }
-    BKUP_ASSIGN_OR_RETURN(std::vector<uint32_t> ptrs,
-                          reader.PointerMap(inode));
+  std::vector<uint8_t>& stream = ctx->out.stream;
+  Block block;
+  for (const auto& [inum, inode_ptr, ptrs] : ctx->dumped_files) {
+    const InodeData& inode = *inode_ptr;
     // Short symlink targets ride in the header (like BSD's spcl); longer
     // ones travel as ordinary data blocks, which the block map already
     // covers (a symlink's target is its file content here).
@@ -300,9 +306,10 @@ Status DumpFiles(DumpContext* ctx) {
       // brought the inode file through the cache (the kernel dump "generates
       // its own read-ahead policy").
 
-      // Gather the present blocks for this record.
-      std::vector<uint8_t> data;
-      Block block;
+      // The present blocks go straight to the stream behind a placeholder
+      // header, which is filled in once their CRC is known.
+      const uint64_t record_offset = stream.size();
+      stream.resize(record_offset + kDumpRecordSize);
       uint32_t present = 0;
       for (uint32_t i = 0; i < map_count; ++i) {
         const uint32_t vbn = ptrs[fbn + i];
@@ -312,19 +319,18 @@ Status DumpFiles(DumpContext* ctx) {
         }
         rec.block_map[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
         BKUP_RETURN_IF_ERROR(reader.volume()->ReadBlock(vbn, &block));
-        data.insert(data.end(), block.data.begin(), block.data.end());
+        ctx->Emit(block.data);
         event.disk_reads.push_back(vbn);
         ++present;
       }
       rec.present_count = present;
-      rec.data_crc = Crc32c(data);
-      const uint64_t record_offset = ctx->out.stream.size();
+      rec.data_crc = Crc32c(
+          std::span(stream).subspan(record_offset + kDumpRecordSize));
       BKUP_ASSIGN_OR_RETURN(std::vector<uint8_t> hdr, rec.Serialize());
-      ctx->Emit(hdr);
-      ctx->Emit(data);
+      std::ranges::copy(hdr, stream.begin() + static_cast<long>(record_offset));
       ctx->Index(rec.type, inum, record_offset);
 
-      event.stream_end = ctx->out.stream.size();
+      event.stream_end = stream.size();
       event.cpu.push_back({CpuCost::kHeaderFormat, 1});
       event.cpu.push_back({CpuCost::kLogicalBlock, present});
       ctx->out.stats.data_blocks += present;
@@ -335,6 +341,43 @@ Status DumpFiles(DumpContext* ctx) {
     ctx->out.stats.files_dumped++;
   }
   return Status::Ok();
+}
+
+// Sizes the stream before its first byte: the tape header, both inode maps,
+// each dumped directory's record and padded payload, each dumped file's
+// records and present blocks, and the end record. The file terms come from
+// the pointer maps, loaded here once for Phase IV: present blocks are the
+// map's nonzero entries, never an inode's `size`, capped at the volume's
+// block count; the record count follows the map's length, which PointerMap
+// bounds at kMaxFileBlocks.
+Result<uint64_t> SizeStream(DumpContext* ctx) {
+  const FsReader& reader = *ctx->reader;
+  uint64_t bytes = 2 * kDumpRecordSize +  // tape header, end record
+                   2 * (kDumpRecordSize +
+                        InodeMapStreamBytes(reader.max_inodes()));
+  for (const auto& [inum, entries] : ctx->dirs) {
+    if (ctx->dumped.Test(inum)) {
+      bytes += kDumpRecordSize +
+               (DumpDirectoryBytes(entries) + kDumpRecordSize - 1) /
+                   kDumpRecordSize * kDumpRecordSize;
+    }
+  }
+  uint64_t present = 0;
+  for (const auto& [inum, inode] : ctx->file_inodes) {
+    if (!ctx->dumped.Test(inum)) {
+      continue;
+    }
+    BKUP_ASSIGN_OR_RETURN(std::vector<uint32_t> ptrs,
+                          reader.PointerMap(inode));
+    const uint64_t records = std::max<uint64_t>(
+        1, (ptrs.size() + kMapBitsPerRecord - 1) / kMapBitsPerRecord);
+    bytes += records * kDumpRecordSize;
+    present += ptrs.size() - static_cast<uint64_t>(std::ranges::count(ptrs, 0));
+    ctx->dumped_files.push_back({inum, &inode, std::move(ptrs)});
+  }
+  return bytes +
+         std::min<uint64_t>(present, reader.volume()->num_blocks()) *
+             kBlockSize;
 }
 
 // Readability pre-scan for skip_unreadable, between the mapping phase and
@@ -386,6 +429,8 @@ Result<LogicalDumpOutput> RunLogicalDump(const FsReader& reader,
   if (options.skip_unreadable) {
     BKUP_RETURN_IF_ERROR(SkipUnreadableFiles(&ctx));
   }
+  BKUP_ASSIGN_OR_RETURN(const uint64_t stream_bytes, SizeStream(&ctx));
+  ctx.out.stream.reserve(stream_bytes);
   BKUP_RETURN_IF_ERROR(EmitHeaders(&ctx));
   BKUP_RETURN_IF_ERROR(DumpDirectories(&ctx));
   BKUP_RETURN_IF_ERROR(DumpFiles(&ctx));

@@ -753,14 +753,18 @@ Status Filesystem::Write(Inum inum, uint64_t offset,
                          std::span<const uint8_t> data) {
   BKUP_RETURN_IF_ERROR(DoWrite(inum, offset, data));
   if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kWrite));
-    w.PutU32(inum);
-    w.PutU64(offset);
-    w.PutU32(static_cast<uint32_t>(data.size()));
-    w.PutBytes(data);
-    LogOp(std::move(rec));
+    // Without a log the record would be dropped: skip copying the payload.
+    if (nvram_ != nullptr) {
+      std::vector<uint8_t> rec;
+      rec.reserve(1 + 4 + 8 + 4 + data.size());  // op, inum, offset, length
+      ByteWriter w(&rec);
+      w.PutU8(static_cast<uint8_t>(NvOp::kWrite));
+      w.PutU32(inum);
+      w.PutU64(offset);
+      w.PutU32(static_cast<uint32_t>(data.size()));
+      w.PutBytes(data);
+      LogOp(std::move(rec));
+    }
     MaybeAutoCp();
   }
   return Status::Ok();

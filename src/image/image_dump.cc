@@ -52,6 +52,32 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
   header.part_index = options.part_index;
   header.part_count = options.part_count;
 
+  // This part's extents, in ascending vbn order. Extents break at
+  // discontinuities and at kChunkBlocks (which also bounds the size of one
+  // trace event, so the replay pipelines at track-buffer grain). Chunk
+  // indices are assigned over the full set so the parts of a striped
+  // multi-tape dump partition it deterministically.
+  std::vector<ImageExtent> extents;
+  uint64_t stream_bytes = kBlockSize + ImageTrailer::kEncodedSize;
+  uint64_t chunk_index = 0;
+  for (Vbn v = full_set.FindFirstSet(); v != Bitmap::npos;
+       ++chunk_index) {
+    Vbn end = v;
+    while (end + 1 < map.num_blocks() && full_set.Test(end + 1) &&
+           end + 1 - v < kChunkBlocks) {
+      ++end;
+    }
+    if (chunk_index % options.part_count == options.part_index) {
+      extents.push_back({.start = v,
+                         .count = static_cast<uint32_t>(end - v + 1),
+                         .data_crc = 0});
+      stream_bytes += ImageExtent::kEncodedSize +
+                      uint64_t{extents.back().count} * kBlockSize;
+    }
+    v = full_set.FindFirstSet(end + 1);
+  }
+  out.stream.reserve(stream_bytes);
+
   BKUP_ASSIGN_OR_RETURN(Block header_block, header.Serialize());
   out.stream.insert(out.stream.end(), header_block.data.begin(),
                     header_block.data.end());
@@ -64,41 +90,15 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
     out.stats.meta_reads = meta_reads.size();
   }
 
-  // Stream the block set in ascending vbn order, extent by extent. Extents
-  // break at discontinuities and at kChunkBlocks (which also bounds the size
-  // of one trace event, so the replay pipelines at track-buffer grain).
-  // Chunk indices are assigned over the full set so the parts of a striped
-  // multi-tape dump partition it deterministically.
-  Vbn v = full_set.FindFirstSet();
   Block block;
-  uint64_t chunk_index = 0;
-  while (v != Bitmap::npos) {
-    // Find the end of this run.
-    Vbn end = v;
-    while (end + 1 < map.num_blocks() && full_set.Test(end + 1) &&
-           end + 1 - v < kChunkBlocks) {
-      ++end;
-    }
-    const bool ours =
-        chunk_index % options.part_count == options.part_index;
-    ++chunk_index;
-    if (!ours) {
-      v = full_set.FindFirstSet(end + 1);
-      continue;
-    }
-    for (Vbn b = v; b <= end; ++b) {
-      out.block_set.Set(b);
-    }
-    ImageExtent extent;
-    extent.start = v;
-    extent.count = static_cast<uint32_t>(end - v + 1);
-
+  std::vector<uint8_t> data;
+  data.reserve(kChunkBlocks * kBlockSize);
+  for (ImageExtent& extent : extents) {
     IoEvent& event = out.trace.events.emplace_back();
     event.phase = JobPhase::kDumpBlocks;
-
-    std::vector<uint8_t> data;
-    data.reserve(extent.count * kBlockSize);
-    for (Vbn b = v; b <= end; ++b) {
+    data.clear();
+    for (Vbn b = extent.start; b < extent.start + extent.count; ++b) {
+      out.block_set.Set(b);
       BKUP_RETURN_IF_ERROR(volume->ReadBlock(b, &block));
       data.insert(data.end(), block.data.begin(), block.data.end());
       event.disk_reads.push_back(b);
@@ -111,10 +111,7 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
     event.stream_end = out.stream.size();
     out.stats.blocks_dumped += extent.count;
     out.stats.extents++;
-
-    v = full_set.FindFirstSet(end + 1);
   }
-  header.block_count = out.block_set.CountOnes();
 
   // Trailer: the fsinfo exactly as on disk at dump time.
   ImageTrailer trailer;
