@@ -95,12 +95,16 @@ void NoteMounted(TapeDrive* drive, JobReport* report) {
 // ------------------------------------------------------------ tape side ---
 
 // Where a backup stream stands on the endpoint's media set: the next spare
-// to load, and the checkpoint — the stream offset where the mounted media
-// begins. Tape content is always stream[media_start, media_start +
-// position), which is what makes abandon-and-rewrite possible.
+// to load, the checkpoint — the stream offset where the mounted media
+// begins — and the first write error no recovery undid. Tape content is
+// always stream[media_start, media_start + position), which is what makes
+// abandon-and-rewrite possible; after an unrecovered error no later chunk
+// is written, so the media never holds stream bytes past a gap. Kept at 16
+// bytes: it lives in each writer's per-job coroutine frame.
 struct MediaCursor {
-  size_t next_spare = 0;
   uint64_t media_start = 0;
+  uint32_t next_spare = 0;
+  ErrorCode error = ErrorCode::kOk;
 };
 
 // Recovers a failed tape write of stream[begin, end). On entry `*st` holds
@@ -173,10 +177,14 @@ Task RecoverTapeWrite(SimEnvironment* env, const StreamEndpoint& ep,
 // writer and the tape-server writer share. When the piece would overflow
 // the mounted media, the next spare is loaded first (multi-volume dumps;
 // with no spare left the write fails with NoSpace). Under supervision a
-// write error runs RecoverTapeWrite.
+// write error runs RecoverTapeWrite. Once a write has failed for good,
+// every later call does nothing: the caller keeps draining its input.
 Task WriteSpanning(SimEnvironment* env, const StreamEndpoint& ep,
                    std::span<const uint8_t> stream, uint64_t begin,
                    uint64_t end, MediaCursor* media, JobReport* report) {
+  if (media->error != ErrorCode::kOk) {
+    co_return;
+  }
   TapeDrive* tape = ep.drive;
   if (tape->loaded() &&
       tape->position() + (end - begin) > tape->tape()->capacity() &&
@@ -191,6 +199,7 @@ Task WriteSpanning(SimEnvironment* env, const StreamEndpoint& ep,
   if (!st.ok() && ep.supervision != nullptr) {
     co_await RecoverTapeWrite(env, ep, stream, begin, end, media, report, &st);
   }
+  media->error = st.code();
   KeepFirstError(report, st);
 }
 

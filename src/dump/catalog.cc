@@ -173,22 +173,6 @@ constexpr uint32_t kCatalogVersion = 1;
 constexpr uint8_t kEntryFrame = 1;
 constexpr uint8_t kCheckpointFrame = 2;
 
-// Payload bytes following a record header of `rec` on the stream.
-uint64_t RecordPayloadBytes(const DumpRecord& rec) {
-  switch (rec.type) {
-    case DumpRecordType::kUsedMap:
-    case DumpRecordType::kDumpedMap:
-      return rec.map_bytes;
-    case DumpRecordType::kDirectory:
-      return static_cast<uint64_t>(rec.present_count) * kDumpRecordSize;
-    case DumpRecordType::kInode:
-    case DumpRecordType::kAddr:
-      return static_cast<uint64_t>(rec.present_count) * kBlockSize;
-    default:
-      return 0;
-  }
-}
-
 }  // namespace
 
 void CoalesceRanges(std::vector<StreamRange>* ranges) {
@@ -356,28 +340,19 @@ Result<TapeCatalog> TapeCatalog::Load(std::span<const uint8_t> image,
 }
 
 Result<TapeCatalog> TapeCatalog::FromStream(std::span<const uint8_t> stream) {
+  DumpStreamReader reader(stream);
+  BKUP_RETURN_IF_ERROR(reader.ReadPrologue().status());
   TapeCatalog catalog;
-  uint64_t pos = 0;
-  while (pos + kDumpRecordSize <= stream.size()) {
-    Result<DumpRecord> rec =
-        DumpRecord::Parse(stream.subspan(pos, kDumpRecordSize));
-    if (!rec.ok()) {
-      return Corruption("unparseable record while indexing stream");
-    }
-    if (rec->type == DumpRecordType::kEnd) {
+  while (std::optional<DumpStreamItem> item = reader.Next()) {
+    const DumpRecordType type = item->record.type;
+    if (item->truncated || type == DumpRecordType::kEnd) {
       break;
     }
-    const uint64_t payload = RecordPayloadBytes(*rec);
-    if (pos + kDumpRecordSize + payload > stream.size()) {
-      break;  // truncated tail: index what is whole
+    if (type == DumpRecordType::kDirectory || type == DumpRecordType::kInode ||
+        type == DumpRecordType::kAddr) {
+      catalog.Add(Entry{type, item->record.inum, item->offset,
+                        item->end - item->offset});
     }
-    if (rec->type == DumpRecordType::kDirectory ||
-        rec->type == DumpRecordType::kInode ||
-        rec->type == DumpRecordType::kAddr) {
-      catalog.Add(Entry{rec->type, rec->inum, pos,
-                        kDumpRecordSize + payload});
-    }
-    pos += kDumpRecordSize + payload;
   }
   return catalog;
 }
@@ -424,38 +399,30 @@ void TapeCatalogWriter::Checkpoint() {
 // --------------------------------------------------- BuildRestoreCatalog ---
 
 Result<RestoreCatalog> BuildRestoreCatalog(std::span<const uint8_t> stream) {
+  DumpStreamReader reader(stream);
+  BKUP_RETURN_IF_ERROR(reader.ReadPrologue().status());
+  // The directories end at the first file record, as the restore's
+  // directory stage does; like the restore, other records are passed over.
   RestoreCatalog catalog;
-  uint64_t pos = 0;
-  bool saw_header = false;
-  while (pos + kDumpRecordSize <= stream.size()) {
-    BKUP_ASSIGN_OR_RETURN(
-        DumpRecord rec, DumpRecord::Parse(stream.subspan(pos, kDumpRecordSize)));
-    pos += kDumpRecordSize;
-    if (!saw_header) {
-      if (rec.type != DumpRecordType::kTapeHeader) {
-        return Corruption("stream does not start with a tape header");
-      }
-      saw_header = true;
+  while (std::optional<DumpStreamItem> item = reader.Next()) {
+    const DumpRecord& rec = item->record;
+    if (rec.type == DumpRecordType::kInode ||
+        rec.type == DumpRecordType::kAddr || rec.type == DumpRecordType::kEnd) {
+      break;
+    }
+    if (rec.type != DumpRecordType::kDirectory) {
       continue;
     }
-    const uint64_t payload = RecordPayloadBytes(rec);
-    if (pos + payload > stream.size()) {
+    if (item->truncated) {
       return Corruption("stream prologue truncated");
     }
-    if (rec.type == DumpRecordType::kDirectory) {
-      // A directory whose payload fails its CRC is lost, exactly as the
-      // restore itself skips it; the rest of the tree still resolves.
-      const auto bytes = stream.subspan(pos, rec.payload_bytes);
-      if (Crc32c(bytes) == rec.data_crc) {
-        BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries,
-                              DecodeDumpDirectory(bytes));
-        catalog.AddDirectory(rec.inum, rec.attrs, std::move(entries));
-      }
-    } else if (rec.type != DumpRecordType::kUsedMap &&
-               rec.type != DumpRecordType::kDumpedMap) {
-      break;  // first file record: the prologue is complete
+    // A directory whose payload fails its CRC is lost, exactly as the
+    // restore itself skips it; the rest of the tree still resolves.
+    if (item->PayloadIntact()) {
+      BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries,
+                            DecodeDumpDirectory(item->payload));
+      catalog.AddDirectory(rec.inum, rec.attrs, std::move(entries));
     }
-    pos += payload;
   }
   BKUP_RETURN_IF_ERROR(catalog.Finalize());
   return catalog;

@@ -152,9 +152,11 @@ class TapeCatalog {
   static Result<TapeCatalog> Load(std::span<const uint8_t> image,
                                   LoadStats* stats = nullptr);
 
-  // Rebuilds the index by scanning a dump stream's records — the fallback
-  // for media dumped before catalogs existed, and the oracle Load-ed
-  // catalogs are tested against.
+  // Rebuilds the index by scanning a dump stream with DumpStreamReader:
+  // the test oracle Load-ed catalogs are checked against (no production
+  // code calls it). A damaged header is stepped over as the restore steps
+  // over it, and a truncated tail is left out. Corruption if the stream
+  // does not start with a tape header.
   static Result<TapeCatalog> FromStream(std::span<const uint8_t> stream);
 
  private:
@@ -190,9 +192,9 @@ class TapeCatalogWriter {
 
 // Builds the in-memory directory catalog from a dump stream's prologue
 // (tape header, inode maps, directory records) without touching any file
-// system — the namei side of a catalog-driven single-file restore. A
-// directory whose payload fails its CRC is left out, as the restore leaves
-// it out.
+// system — the namei side of a catalog-driven single-file restore. It
+// reads the stream as the restore does: a damaged header is stepped over,
+// and a directory whose payload fails its CRC is left out.
 Result<RestoreCatalog> BuildRestoreCatalog(std::span<const uint8_t> stream);
 
 }  // namespace bkup

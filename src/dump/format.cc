@@ -182,6 +182,90 @@ Result<DumpRecord> DumpRecord::Parse(std::span<const uint8_t> bytes) {
   return rec;
 }
 
+bool DumpStreamItem::PayloadIntact() const {
+  return Crc32c(payload) == record.data_crc;
+}
+
+std::optional<DumpStreamItem> DumpStreamReader::Next() {
+  bool skipping = false;
+  while (pos_ <= stream_.size() && stream_.size() - pos_ >= kDumpRecordSize) {
+    Result<DumpRecord> rec =
+        DumpRecord::Parse(stream_.subspan(pos_, kDumpRecordSize));
+    if (!rec.ok()) {
+      // Resynchronize at the next tape block — "a minor tape corruption
+      // will usually affect only that single file".
+      skipping = true;
+      pos_ += kDumpRecordSize;
+      continue;
+    }
+    skipped_runs_ += skipping ? 1 : 0;
+    DumpStreamItem item;
+    item.record = std::move(rec).value();
+    item.offset = pos_;
+    const DumpRecord& r = item.record;
+    uint64_t extent = 0;  // payload plus padding
+    uint64_t used = 0;    // payload proper
+    switch (r.type) {
+      case DumpRecordType::kUsedMap:
+      case DumpRecordType::kDumpedMap:
+        extent = used = r.map_bytes;
+        break;
+      case DumpRecordType::kDirectory:
+        // Parse has checked payload_bytes fits the padded blocks.
+        extent = static_cast<uint64_t>(r.present_count) * kDumpRecordSize;
+        used = r.payload_bytes;
+        break;
+      case DumpRecordType::kInode:
+      case DumpRecordType::kAddr:
+        extent = used = static_cast<uint64_t>(r.present_count) * kBlockSize;
+        break;
+      case DumpRecordType::kTapeHeader:
+      case DumpRecordType::kEnd:
+        break;
+    }
+    const uint64_t header_end = pos_ + kDumpRecordSize;
+    if (extent > stream_.size() - header_end) {
+      item.truncated = true;
+      pos_ = stream_.size();
+    } else {
+      item.payload = stream_.subspan(header_end, used);
+      pos_ = header_end + extent;
+    }
+    item.end = pos_;
+    return item;
+  }
+  skipped_runs_ += skipping ? 1 : 0;
+  return std::nullopt;
+}
+
+Result<DumpStreamPrologue> DumpStreamReader::ReadPrologue() {
+  DumpStreamPrologue prologue;
+  for (const DumpRecordType expected :
+       {DumpRecordType::kTapeHeader, DumpRecordType::kUsedMap,
+        DumpRecordType::kDumpedMap}) {
+    std::optional<DumpStreamItem> item = Next();
+    if (!item.has_value()) {
+      return NotFound("end of stream");
+    }
+    if (item->record.type != expected) {
+      return Corruption(expected == DumpRecordType::kTapeHeader
+                            ? "stream does not start with a tape header"
+                            : "expected inode map record");
+    }
+    if (item->truncated) {
+      return Corruption("inode map truncated");
+    }
+    if (expected == DumpRecordType::kTapeHeader) {
+      prologue.header = std::move(item->record);
+      continue;
+    }
+    Bitmap& map = expected == DumpRecordType::kUsedMap ? prologue.used
+                                                       : prologue.dumped;
+    map = Bitmap::Deserialize(item->payload, item->record.map_inode_count);
+  }
+  return prologue;
+}
+
 uint64_t InodeMapStreamBytes(uint32_t num_inodes) {
   uint64_t bytes = (num_inodes + 7) / 8;
   return (bytes + 7) / 8 * 8;
@@ -193,6 +277,11 @@ uint64_t DumpDirectoryBytes(const std::vector<DirEntry>& entries) {
     bytes += 4 + 1 + 2 + e.name.size();  // inum, type, u16-prefixed name
   }
   return bytes;
+}
+
+uint64_t DirectoryStreamBytes(uint64_t payload_bytes) {
+  return (payload_bytes + kDumpRecordSize - 1) / kDumpRecordSize *
+         kDumpRecordSize;
 }
 
 std::vector<uint8_t> EncodeDumpDirectory(const std::vector<DirEntry>& entries) {

@@ -20,10 +20,17 @@
 // CRC), so a restore can skip a corrupted region and resynchronize at the
 // next valid header — the property behind the paper's claim that "a minor
 // tape corruption will usually affect only that single file".
+//
+// DumpStreamReader is the one place that knows record framing (each record
+// type's payload extent, directory padding) and that resynchronization
+// rule. Restore, verify and both catalog builders are loops over it; each
+// keeps only its own policy for what a damaged record costs.
 #ifndef BKUP_DUMP_FORMAT_H_
 #define BKUP_DUMP_FORMAT_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,6 +115,57 @@ struct DumpRecord {
   }
 };
 
+// One record of a logical dump stream, as DumpStreamReader yields it.
+struct DumpStreamItem {
+  DumpRecord record;
+  uint64_t offset = 0;  // stream offset of the record's 1 KB header
+  uint64_t end = 0;     // offset past its payload and any padding
+  // The payload proper, a view into the stream: an inode map's map_bytes,
+  // a directory's payload_bytes (padding left out), a file record's present
+  // blocks. Empty when truncated.
+  std::span<const uint8_t> payload;
+  // The payload runs past the end of the stream; `end` is the stream size.
+  bool truncated = false;
+
+  // The data CRC check of a kDirectory/kInode/kAddr payload, run only when
+  // asked: a consumer checks just the payloads it uses.
+  bool PayloadIntact() const;
+};
+
+// A logical dump stream's opening records.
+struct DumpStreamPrologue {
+  DumpRecord header;  // kTapeHeader
+  Bitmap used;        // inodes in use at dump time
+  Bitmap dumped;      // inodes written to the stream
+};
+
+// Reads a logical dump stream record by record, without copying payloads.
+class DumpStreamReader {
+ public:
+  explicit DumpStreamReader(std::span<const uint8_t> stream)
+      : stream_(stream) {}
+
+  // The record at position(), which then moves to the record's `end`. A
+  // header that does not parse is skipped one tape block (1 KB) at a time
+  // until one does; each run of skipped headers counts once in
+  // skipped_runs(). Nullopt once no whole header is left.
+  std::optional<DumpStreamItem> Next();
+
+  // The next three records as the prologue: the tape header, then the used
+  // and dumped inode maps. NotFound if the stream runs out first,
+  // Corruption if a record is of another type or a map is truncated.
+  Result<DumpStreamPrologue> ReadPrologue();
+
+  uint64_t position() const { return pos_; }
+  void Seek(uint64_t offset) { pos_ = offset; }
+  uint32_t skipped_runs() const { return skipped_runs_; }
+
+ private:
+  std::span<const uint8_t> stream_;
+  uint64_t pos_ = 0;
+  uint32_t skipped_runs_ = 0;
+};
+
 // Data bytes following a map record: ceil(bits/8), padded to 8-byte align.
 uint64_t InodeMapStreamBytes(uint32_t num_inodes);
 
@@ -117,6 +175,8 @@ uint64_t InodeMapStreamBytes(uint32_t num_inodes);
 std::vector<uint8_t> EncodeDumpDirectory(const std::vector<DirEntry>& entries);
 // EncodeDumpDirectory(entries).size(), without encoding.
 uint64_t DumpDirectoryBytes(const std::vector<DirEntry>& entries);
+// Stream bytes of a directory payload: padded to whole 1 KB tape blocks.
+uint64_t DirectoryStreamBytes(uint64_t payload_bytes);
 Result<std::vector<DirEntry>> DecodeDumpDirectory(
     std::span<const uint8_t> bytes);
 

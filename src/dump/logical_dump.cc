@@ -231,10 +231,7 @@ Status DumpDirectories(DumpContext* ctx) {
                                inode.generation};
     rec.payload_bytes = payload.size();
     rec.data_crc = Crc32c(payload);
-    // Pad the payload to whole 1 KB tape blocks.
-    payload.resize((payload.size() + kDumpRecordSize - 1) / kDumpRecordSize *
-                       kDumpRecordSize,
-                   0);
+    payload.resize(DirectoryStreamBytes(payload.size()), 0);
     rec.present_count =
         static_cast<uint32_t>(payload.size() / kDumpRecordSize);
     const uint64_t record_offset = ctx->out.stream.size();
@@ -358,8 +355,7 @@ Result<uint64_t> SizeStream(DumpContext* ctx) {
   for (const auto& [inum, entries] : ctx->dirs) {
     if (ctx->dumped.Test(inum)) {
       bytes += kDumpRecordSize +
-               (DumpDirectoryBytes(entries) + kDumpRecordSize - 1) /
-                   kDumpRecordSize * kDumpRecordSize;
+               DirectoryStreamBytes(DumpDirectoryBytes(entries));
     }
   }
   uint64_t present = 0;

@@ -4,8 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "src/util/checksum.h"
-
 namespace bkup {
 
 // ------------------------------------------------------- RestoreSymtable ---
@@ -119,7 +117,7 @@ class RestoreRun {
  public:
   RestoreRun(Filesystem* fs, std::span<const uint8_t> stream,
              const LogicalRestoreOptions& options)
-      : fs_(fs), stream_(stream), opt_(options) {}
+      : fs_(fs), opt_(options), reader_(stream) {}
 
   Result<LogicalRestoreOutput> Run();
 
@@ -127,22 +125,17 @@ class RestoreRun {
   IoEvent& Event(JobPhase phase) {
     out_.trace.events.emplace_back();
     out_.trace.events.back().phase = phase;
-    out_.trace.events.back().stream_end = pos_;
+    out_.trace.events.back().stream_end = reader_.position();
     return out_.trace.events.back();
   }
 
-  // Parses the record at pos_, resynchronizing on corruption by scanning
-  // forward at 1 KB boundaries. Returns NotFound at end of stream.
-  Result<DumpRecord> NextRecord();
-
-  Status ReadMaps();
-  Status HandleDirectory(const DumpRecord& rec);
+  Status HandleDirectory(const DumpStreamItem& item);
   Status FinishDirectoryStage();
   Status ComputeSelection();
   Status ApplyMoves();
   Status CreateDirectories();
   Status ApplyDeletes();
-  Status HandleFileRecord(const DumpRecord& rec);
+  Status HandleFileRecord(const DumpStreamItem& item);
   Status FinalizeOpenFile();
   Status FinalPass();
 
@@ -159,14 +152,12 @@ class RestoreRun {
   Result<LogicalRestoreOutput> Finish();
 
   Filesystem* fs_;
-  std::span<const uint8_t> stream_;
   const LogicalRestoreOptions& opt_;
   LogicalRestoreOutput out_;
-  uint64_t pos_ = 0;
+  DumpStreamReader reader_;
 
   RestoreCatalog catalog_;
   Bitmap used_;
-  Bitmap dumped_;
   bool dirs_done_ = false;
 
   bool restore_all_ = true;
@@ -177,8 +168,6 @@ class RestoreRun {
 
   // Directory attribute fixups for the final pass.
   std::vector<std::pair<std::string, DumpInodeAttrs>> dir_fixups_;
-
-  bool stream_exhausted_ = false;
 
   // Currently-open file being filled from kInode/kAddr records.
   Inum open_dumped_ = kInvalidInum;
@@ -197,70 +186,20 @@ class RestoreRun {
   std::vector<StreamRange> consumed_;
 };
 
-Result<DumpRecord> RestoreRun::NextRecord() {
-  bool corrupt_seen = false;
-  while (pos_ + kDumpRecordSize <= stream_.size()) {
-    Result<DumpRecord> rec =
-        DumpRecord::Parse(stream_.subspan(pos_, kDumpRecordSize));
-    if (rec.ok()) {
-      if (corrupt_seen) {
-        out_.stats.corrupt_records_skipped++;
-      }
-      pos_ += kDumpRecordSize;
-      return rec;
-    }
-    // Resynchronize at the next tape block — "a minor tape corruption will
-    // usually affect only that single file".
-    corrupt_seen = true;
-    pos_ += kDumpRecordSize;
-  }
-  if (corrupt_seen) {
-    out_.stats.corrupt_records_skipped++;
-  }
-  return NotFound("end of stream");
-}
-
-Status RestoreRun::ReadMaps() {
-  for (const DumpRecordType expected :
-       {DumpRecordType::kUsedMap, DumpRecordType::kDumpedMap}) {
-    BKUP_ASSIGN_OR_RETURN(DumpRecord rec, NextRecord());
-    if (rec.type != expected) {
-      return Corruption("expected inode map record");
-    }
-    if (pos_ + rec.map_bytes > stream_.size()) {
-      return Corruption("inode map truncated");
-    }
-    Bitmap map = Bitmap::Deserialize(stream_.subspan(pos_, rec.map_bytes),
-                                     rec.map_inode_count);
-    pos_ += rec.map_bytes;
-    if (expected == DumpRecordType::kUsedMap) {
-      used_ = std::move(map);
-    } else {
-      dumped_ = std::move(map);
-    }
-  }
-  IoEvent& event = Event(JobPhase::kCreateFiles);
-  event.cpu.push_back({CpuCost::kHeaderFormat, 2});
-  return Status::Ok();
-}
-
-Status RestoreRun::HandleDirectory(const DumpRecord& rec) {
-  const uint64_t padded =
-      static_cast<uint64_t>(rec.present_count) * kDumpRecordSize;
-  if (pos_ + padded > stream_.size() || rec.payload_bytes > padded) {
+Status RestoreRun::HandleDirectory(const DumpStreamItem& item) {
+  if (item.truncated) {
     return Corruption("directory payload truncated");
   }
-  const auto payload = stream_.subspan(pos_, rec.payload_bytes);
-  pos_ += padded;
-  if (Crc32c(payload) != rec.data_crc) {
+  if (!item.PayloadIntact()) {
     out_.stats.corrupt_records_skipped++;
     return Status::Ok();  // this directory is lost; restore continues
   }
   BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries,
-                        DecodeDumpDirectory(payload));
+                        DecodeDumpDirectory(item.payload));
   IoEvent& event = Event(JobPhase::kCreateFiles);
   event.cpu.push_back({CpuCost::kDirEntry, entries.size()});
-  catalog_.AddDirectory(rec.inum, rec.attrs, std::move(entries));
+  catalog_.AddDirectory(item.record.inum, item.record.attrs,
+                        std::move(entries));
   return Status::Ok();
 }
 
@@ -275,7 +214,6 @@ Status RestoreRun::ComputeSelection() {
       wanted_.insert(d);
     }
     // Ancestor directories are needed to hold the restored files.
-    std::string prefix = "/";
     BKUP_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(sel));
     wanted_.insert(catalog_.root());
     Inum cur = catalog_.root();
@@ -291,7 +229,6 @@ Status RestoreRun::ComputeSelection() {
       cur = it->inum;
       wanted_.insert(cur);
     }
-    (void)prefix;
   }
   return Status::Ok();
 }
@@ -478,22 +415,22 @@ Status RestoreRun::FinalizeOpenFile() {
   return fs_->SetAttr(open_fs_, req);
 }
 
-Status RestoreRun::HandleFileRecord(const DumpRecord& rec) {
-  BKUP_RETURN_IF_ERROR(FinishDirectoryStage());
-
-  const uint64_t data_bytes =
-      static_cast<uint64_t>(rec.present_count) * kBlockSize;
-  if (pos_ + data_bytes > stream_.size()) {
+Status RestoreRun::HandleFileRecord(const DumpStreamItem& item) {
+  if (!dirs_done_) {
+    // The directory stage closes on the first file header: its events are
+    // stamped with the stream read up to that header, not the file's data.
+    reader_.Seek(item.offset + kDumpRecordSize);
+    BKUP_RETURN_IF_ERROR(FinishDirectoryStage());
+    reader_.Seek(item.end);
+  }
+  const DumpRecord& rec = item.record;
+  if (item.truncated) {
     // Ran off a truncated tape mid-file: salvage everything restored so
-    // far and stop consuming records.
-    pos_ = stream_.size();
+    // far; the reader has no records left.
     out_.stats.corrupt_records_skipped++;
     out_.stats.files_lost_to_corruption++;
-    stream_exhausted_ = true;
     return Status::Ok();
   }
-  const auto data = stream_.subspan(pos_, data_bytes);
-  pos_ += data_bytes;
 
   if (rec.type == DumpRecordType::kInode) {
     BKUP_RETURN_IF_ERROR(FinalizeOpenFile());
@@ -511,7 +448,7 @@ Status RestoreRun::HandleFileRecord(const DumpRecord& rec) {
       return Status::Ok();
     }
 
-    if (Crc32c(data) != rec.data_crc) {
+    if (!item.PayloadIntact()) {
       out_.stats.corrupt_records_skipped++;
       out_.stats.files_lost_to_corruption++;
       return Status::Ok();
@@ -564,7 +501,7 @@ Status RestoreRun::HandleFileRecord(const DumpRecord& rec) {
     if (!open_valid_ || rec.inum != open_dumped_) {
       return Status::Ok();  // continuation of a skipped or corrupt file
     }
-    if (Crc32c(data) != rec.data_crc) {
+    if (!item.PayloadIntact()) {
       out_.stats.corrupt_records_skipped++;
       out_.stats.files_lost_to_corruption++;
       open_valid_ = false;
@@ -584,11 +521,10 @@ Status RestoreRun::HandleFileRecord(const DumpRecord& rec) {
       continue;
     }
     const uint64_t offset = (rec.first_fbn + i) * kBlockSize;
-    BKUP_RETURN_IF_ERROR(
-        fs_->Write(open_fs_, offset, data.subspan(consumed, kBlockSize)));
+    BKUP_RETURN_IF_ERROR(fs_->Write(
+        open_fs_, offset, item.payload.subspan(consumed, kBlockSize)));
     consumed += kBlockSize;
   }
-  event.stream_end = pos_;
   event.blocks_written += rec.present_count;
   event.nvram_bytes += consumed + 32ull * rec.present_count;
   event.cpu.push_back({CpuCost::kRestoreLogicalBlock, rec.present_count});
@@ -635,27 +571,29 @@ bool RestoreRun::Applied(RestorePhase phase) {
     }
   }
   if (!killed_ && opt_.kill != nullptr &&
-      opt_.kill->ShouldKill(phase, entries_applied_, pos_)) {
+      opt_.kill->ShouldKill(phase, entries_applied_, reader_.position())) {
     killed_ = true;
   }
   return killed_;
 }
 
 void RestoreRun::Jump(uint64_t to) {
-  if (to <= pos_) {
+  const uint64_t pos = reader_.position();
+  if (to <= pos) {
     return;
   }
-  out_.stats.bytes_skipped += to - pos_;
-  if (pos_ > run_start_) {
-    consumed_.push_back({run_start_, pos_});
+  out_.stats.bytes_skipped += to - pos;
+  if (pos > run_start_) {
+    consumed_.push_back({run_start_, pos});
   }
-  pos_ = to;
+  reader_.Seek(to);
   run_start_ = to;
 }
 
 Result<LogicalRestoreOutput> RestoreRun::Finish() {
-  if (pos_ > run_start_) {
-    consumed_.push_back({run_start_, pos_});
+  const uint64_t pos = reader_.position();
+  if (pos > run_start_) {
+    consumed_.push_back({run_start_, pos});
   }
   CoalesceRanges(&consumed_);
   out_.consumed_ranges = consumed_;
@@ -663,21 +601,24 @@ Result<LogicalRestoreOutput> RestoreRun::Finish() {
   for (const StreamRange& r : out_.consumed_ranges) {
     out_.stats.bytes_replayed += r.size();
   }
-  out_.stopped_at = pos_;
+  out_.stopped_at = pos;
   out_.interrupted = killed_;
+  out_.stats.corrupt_records_skipped += reader_.skipped_runs();
   return std::move(out_);
 }
 
 Result<bool> RestoreRun::EntryComplete(const TapeCatalog::Entry& entry) {
-  if (entry.offset + kDumpRecordSize > stream_.size()) {
+  DumpStreamReader at = reader_;  // a second cursor on the same stream
+  at.Seek(entry.offset);
+  std::optional<DumpStreamItem> item = at.Next();
+  if (!item.has_value() || item->offset != entry.offset) {
     return false;
   }
-  Result<DumpRecord> rec =
-      DumpRecord::Parse(stream_.subspan(entry.offset, kDumpRecordSize));
-  if (!rec.ok() || rec->type != DumpRecordType::kInode) {
+  const DumpRecord& rec = item->record;
+  if (rec.type != DumpRecordType::kInode) {
     return false;
   }
-  const std::vector<std::string> rel_paths = catalog_.PathsOf(rec->inum);
+  const std::vector<std::string> rel_paths = catalog_.PathsOf(rec.inum);
   if (rel_paths.empty()) {
     return false;
   }
@@ -702,7 +643,7 @@ Result<bool> RestoreRun::EntryComplete(const TapeCatalog::Entry& entry) {
   if (!attrs.ok()) {
     return false;
   }
-  const DumpInodeAttrs& want = rec->attrs;
+  const DumpInodeAttrs& want = rec.attrs;
   if (attrs->type != want.type || attrs->size != want.size ||
       attrs->mtime != want.mtime || attrs->uid != want.uid ||
       attrs->gid != want.gid) {
@@ -711,10 +652,10 @@ Result<bool> RestoreRun::EntryComplete(const TapeCatalog::Entry& entry) {
   // The file survives as-is; register it so a later incremental pass and
   // the symtable still see it.
   const std::string fs_path = JoinTarget(opt_.target_dir, rel_paths[0]);
-  inum_map_[rec->inum] = fs_inum;
-  fs_path_of_[rec->inum] = fs_path;
+  inum_map_[rec.inum] = fs_inum;
+  fs_path_of_[rec.inum] = fs_path;
   if (opt_.symtable != nullptr) {
-    opt_.symtable->Set(rec->inum, fs_path);
+    opt_.symtable->Set(rec.inum, fs_path);
   }
   return true;
 }
@@ -758,7 +699,7 @@ Status RestoreRun::MaybePlanAndSkip(bool* stop) {
     return Status::Ok();  // classic full scan
   }
   if (!plan_ready_) {
-    if (pos_ < opt_.catalog->directory_end()) {
+    if (reader_.position() < opt_.catalog->directory_end()) {
       return Status::Ok();  // still inside the prologue
     }
     // The cursor reached the file section: the directory stage is fully
@@ -767,14 +708,15 @@ Status RestoreRun::MaybePlanAndSkip(bool* stop) {
     BKUP_RETURN_IF_ERROR(BuildReplayPlan());
     plan_ready_ = true;
   }
-  while (plan_idx_ < plan_.size() && pos_ >= plan_[plan_idx_].end) {
+  const uint64_t pos = reader_.position();
+  while (plan_idx_ < plan_.size() && pos >= plan_[plan_idx_].end) {
     ++plan_idx_;
   }
   if (plan_idx_ >= plan_.size()) {
     *stop = true;  // nothing left to replay; skip straight to the final pass
     return Status::Ok();
   }
-  if (pos_ < plan_[plan_idx_].begin) {
+  if (pos < plan_[plan_idx_].begin) {
     Jump(plan_[plan_idx_].begin);
   }
   return Status::Ok();
@@ -792,13 +734,11 @@ Result<LogicalRestoreOutput> RestoreRun::Run() {
     return NotADirectory("restore target is not a directory");
   }
 
-  BKUP_ASSIGN_OR_RETURN(DumpRecord header, NextRecord());
-  if (header.type != DumpRecordType::kTapeHeader) {
-    return Corruption("stream does not start with a tape header");
-  }
-  out_.level = header.level;
-  out_.dump_time = header.dump_time;
-  BKUP_RETURN_IF_ERROR(ReadMaps());
+  BKUP_ASSIGN_OR_RETURN(DumpStreamPrologue prologue, reader_.ReadPrologue());
+  out_.level = prologue.header.level;
+  out_.dump_time = prologue.header.dump_time;
+  used_ = std::move(prologue.used);
+  Event(JobPhase::kCreateFiles).cpu.push_back({CpuCost::kHeaderFormat, 2});
   if (Applied(RestorePhase::kMaps)) {
     return Finish();
   }
@@ -809,21 +749,18 @@ Result<LogicalRestoreOutput> RestoreRun::Run() {
     if (plan_done) {
       break;
     }
-    Result<DumpRecord> rec = NextRecord();
-    if (!rec.ok()) {
-      break;  // ran off the end: treat like kEnd but count it
+    std::optional<DumpStreamItem> item = reader_.Next();
+    if (!item.has_value() || item->record.type == DumpRecordType::kEnd) {
+      break;  // running off the end stops the scan like kEnd does
     }
-    if (rec->type == DumpRecordType::kEnd || stream_exhausted_) {
-      break;
-    }
-    switch (rec->type) {
+    switch (item->record.type) {
       case DumpRecordType::kDirectory:
-        BKUP_RETURN_IF_ERROR(HandleDirectory(*rec));
+        BKUP_RETURN_IF_ERROR(HandleDirectory(*item));
         Applied(RestorePhase::kDirectories);
         break;
       case DumpRecordType::kInode:
       case DumpRecordType::kAddr:
-        BKUP_RETURN_IF_ERROR(HandleFileRecord(*rec));
+        BKUP_RETURN_IF_ERROR(HandleFileRecord(*item));
         Applied(RestorePhase::kFiles);
         break;
       default:

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "src/util/bitmap.h"
-#include "src/util/checksum.h"
 
 namespace bkup {
 
@@ -27,132 +26,68 @@ std::string DumpVerifyReport::Summary() const {
 
 Result<DumpVerifyReport> VerifyDumpStream(std::span<const uint8_t> stream) {
   DumpVerifyReport report;
-  uint64_t pos = 0;
+  DumpStreamReader reader(stream);
 
-  auto next_record = [&]() -> Result<DumpRecord> {
-    bool corrupt_seen = false;
-    while (pos + kDumpRecordSize <= stream.size()) {
-      Result<DumpRecord> rec =
-          DumpRecord::Parse(stream.subspan(pos, kDumpRecordSize));
-      if (rec.ok()) {
-        if (corrupt_seen) {
-          report.corrupt_records++;
-        }
-        pos += kDumpRecordSize;
-        return rec;
-      }
-      corrupt_seen = true;
-      pos += kDumpRecordSize;
-    }
-    if (corrupt_seen) {
-      report.corrupt_records++;
-    }
-    return NotFound("end of stream");
-  };
+  BKUP_ASSIGN_OR_RETURN(DumpStreamPrologue prologue, reader.ReadPrologue());
+  report.level = prologue.header.level;
+  report.dump_time = prologue.header.dump_time;
+  report.volume_name = prologue.header.volume_name;
+  report.inodes_expected = static_cast<uint32_t>(prologue.dumped.CountOnes());
 
-  // Tape header.
-  BKUP_ASSIGN_OR_RETURN(DumpRecord header, next_record());
-  if (header.type != DumpRecordType::kTapeHeader) {
-    return Corruption("stream does not start with a tape header");
-  }
-  report.level = header.level;
-  report.dump_time = header.dump_time;
-  report.volume_name = header.volume_name;
-
-  // The two inode maps.
-  Bitmap dumped_map;
-  for (const DumpRecordType expected :
-       {DumpRecordType::kUsedMap, DumpRecordType::kDumpedMap}) {
-    BKUP_ASSIGN_OR_RETURN(DumpRecord rec, next_record());
-    if (rec.type != expected) {
-      return Corruption("missing inode map record");
-    }
-    if (pos + rec.map_bytes > stream.size()) {
-      return Corruption("inode map truncated");
-    }
-    if (expected == DumpRecordType::kDumpedMap) {
-      dumped_map = Bitmap::Deserialize(stream.subspan(pos, rec.map_bytes),
-                                       rec.map_inode_count);
-    }
-    pos += rec.map_bytes;
-  }
-  report.inodes_expected = static_cast<uint32_t>(dumped_map.CountOnes());
-
-  Bitmap seen(dumped_map.size());
+  Bitmap seen(prologue.dumped.size());
   bool saw_file = false;
   bool saw_end = false;
   Inum last_dir = 0;
   Inum last_file = 0;
 
-  while (true) {
-    Result<DumpRecord> rec = next_record();
-    if (!rec.ok()) {
-      break;  // truncated tape: no end marker
-    }
-    if (rec->type == DumpRecordType::kEnd) {
+  while (std::optional<DumpStreamItem> item = reader.Next()) {
+    const DumpRecord& rec = item->record;
+    if (rec.type == DumpRecordType::kEnd) {
       saw_end = true;
       break;
     }
-    switch (rec->type) {
-      case DumpRecordType::kDirectory: {
-        const uint64_t padded =
-            static_cast<uint64_t>(rec->present_count) * kDumpRecordSize;
-        if (pos + padded > stream.size() || rec->payload_bytes > padded) {
-          report.corrupt_records++;
-          pos = stream.size();
-          break;
-        }
-        if (Crc32c(stream.subspan(pos, rec->payload_bytes)) !=
-            rec->data_crc) {
-          report.data_crc_errors++;
-        }
-        pos += padded;
+    if (item->truncated) {
+      report.corrupt_records++;  // the tape ends inside this record
+      break;
+    }
+    switch (rec.type) {
+      case DumpRecordType::kDirectory:
+        report.data_crc_errors += item->PayloadIntact() ? 0 : 1;
         // "All directories precede all files ... in ascending inode order."
-        if (saw_file || rec->inum < last_dir) {
+        if (saw_file || rec.inum < last_dir) {
           report.out_of_order_records++;
         }
-        last_dir = rec->inum;
+        last_dir = rec.inum;
         report.directories++;
-        if (rec->inum < seen.size()) {
-          seen.Set(rec->inum);
+        if (rec.inum < seen.size()) {
+          seen.Set(rec.inum);
         }
         break;
-      }
       case DumpRecordType::kInode:
-      case DumpRecordType::kAddr: {
-        const uint64_t data_bytes =
-            static_cast<uint64_t>(rec->present_count) * kBlockSize;
-        if (pos + data_bytes > stream.size()) {
-          report.corrupt_records++;
-          pos = stream.size();
-          break;
-        }
-        if (Crc32c(stream.subspan(pos, data_bytes)) != rec->data_crc) {
-          report.data_crc_errors++;
-        }
-        pos += data_bytes;
-        report.data_blocks += rec->present_count;
-        if (rec->type == DumpRecordType::kInode) {
-          if (rec->inum < last_file) {
+      case DumpRecordType::kAddr:
+        report.data_crc_errors += item->PayloadIntact() ? 0 : 1;
+        report.data_blocks += rec.present_count;
+        if (rec.type == DumpRecordType::kInode) {
+          if (rec.inum < last_file) {
             report.out_of_order_records++;
           }
-          last_file = rec->inum;
+          last_file = rec.inum;
           saw_file = true;
           report.files++;
-          if (rec->inum < seen.size()) {
-            seen.Set(rec->inum);
+          if (rec.inum < seen.size()) {
+            seen.Set(rec.inum);
           }
         }
         break;
-      }
       default:
         report.corrupt_records++;
         break;
     }
   }
+  report.corrupt_records += reader.skipped_runs();
 
   // Which dumped inodes never showed up?
-  dumped_map.ForEachSet([&](size_t inum) {
+  prologue.dumped.ForEachSet([&](size_t inum) {
     if (!seen.Test(inum) &&
         report.missing_inodes.size() < kMaxReportedMissing) {
       report.missing_inodes.push_back(static_cast<Inum>(inum));

@@ -5,6 +5,7 @@
 // oracle a loaded catalog must agree with.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -367,9 +368,11 @@ TEST(TapeCatalogTest, RestoreRangesCoverOneFileCheaply) {
   }
 }
 
-// A directory whose payload fails its CRC is skipped by the restore; the
-// name catalog a budgeted single-file restore prices its reads with must
-// skip it too, or that restore fails where the unbudgeted one succeeds.
+// A damaged directory is skipped by the restore; the name catalog a
+// budgeted single-file restore prices its reads with must skip it too, or
+// that restore fails where the unbudgeted one succeeds. Two damages: a
+// payload that fails its CRC, and a header that fails its own, which every
+// reader must step over to the next valid header.
 TEST(TapeCatalogTest, CorruptDirectoryOffThePathStillResolves) {
   SimEnvironment env;
   std::unique_ptr<Volume> volume;
@@ -381,38 +384,59 @@ TEST(TapeCatalogTest, CorruptDirectoryOffThePathStillResolves) {
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   auto sub = clean->Namei("/docs/sub");
   ASSERT_TRUE(sub.ok());
-
-  // Overwrite the entry count (the payload's first 4 bytes) of /docs/sub.
-  std::vector<uint8_t> stream = dump.stream;
-  bool patched = false;
+  uint64_t sub_offset = 0;
   for (const TapeCatalog::Entry& e : catalog->entries()) {
     if (e.type == DumpRecordType::kDirectory && e.inum == *sub) {
-      for (uint64_t i = 0; i < 4; ++i) {
-        stream[e.offset + kDumpRecordSize + i] = 0xFF;
-      }
-      patched = true;
+      sub_offset = e.offset;
     }
   }
-  ASSERT_TRUE(patched);
+  ASSERT_GT(sub_offset, 0u);
 
-  auto target_volume = Volume::Create(&env, "dst", CatalogTestGeometry());
-  auto target =
-      std::move(Filesystem::Format(target_volume.get(), &env)).value();
-  LogicalRestoreOptions options;
-  options.select = {"/a.txt"};
-  options.catalog = &*catalog;
-  auto restored = RunLogicalRestore(target.get(), stream, options);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->stats.files_restored, 1u);
-  EXPECT_GT(restored->stats.corrupt_records_skipped, 0u);
+  struct Patch {
+    const char* name;
+    bool header;  // damages the header, not the payload
+    void (*apply)(uint8_t* record);  // record: /docs/sub's header
+  };
+  const Patch patches[] = {
+      {"payload entry count", false,
+       [](uint8_t* record) { std::fill_n(record + kDumpRecordSize, 4, 0xFF); }},
+      {"header byte 100", true, [](uint8_t* record) { record[100] ^= 0xFF; }},
+  };
+  for (const Patch& patch : patches) {
+    SCOPED_TRACE(patch.name);
+    std::vector<uint8_t> stream = dump.stream;
+    patch.apply(stream.data() + sub_offset);
 
-  auto names = BuildRestoreCatalog(stream);
-  ASSERT_TRUE(names.ok()) << names.status().ToString();
-  auto a = names->Namei("/a.txt");
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_EQ(*a, *clean->Namei("/a.txt"));
-  EXPECT_EQ(names->Namei("/docs/sub/c.txt").status().code(),
-            ErrorCode::kNotFound);
+    auto target_volume = Volume::Create(&env, "dst", CatalogTestGeometry());
+    auto target =
+        std::move(Filesystem::Format(target_volume.get(), &env)).value();
+    LogicalRestoreOptions options;
+    options.select = {"/a.txt"};
+    options.catalog = &*catalog;
+    auto restored = RunLogicalRestore(target.get(), stream, options);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored->stats.files_restored, 1u);
+    EXPECT_GT(restored->stats.corrupt_records_skipped, 0u);
+
+    auto names = BuildRestoreCatalog(stream);
+    ASSERT_TRUE(names.ok()) << names.status().ToString();
+    auto a = names->Namei("/a.txt");
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(*a, *clean->Namei("/a.txt"));
+    EXPECT_EQ(names->Namei("/docs/sub/c.txt").status().code(),
+              ErrorCode::kNotFound);
+
+    // The scan oracle indexes every record but the damaged header's.
+    auto scanned = TapeCatalog::FromStream(stream);
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    std::vector<TapeCatalog::Entry> expected = catalog->entries();
+    if (patch.header) {
+      std::erase_if(expected, [&](const TapeCatalog::Entry& e) {
+        return e.offset == sub_offset;
+      });
+    }
+    EXPECT_EQ(scanned->entries(), expected);
+  }
 }
 
 // A logical dump seals its catalog every 64 entries, so a catalog whose

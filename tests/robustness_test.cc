@@ -4,9 +4,12 @@
 // sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 
 #include "src/backup/supervisor.h"
+#include "src/dump/catalog.h"
 #include "src/dump/logical_dump.h"
 #include "src/dump/logical_restore.h"
 #include "src/dump/verify.h"
@@ -440,6 +443,39 @@ TEST_P(RecordFuzzTest, BitflippedRealRecordsParseOrRejectCleanly) {
   }
 }
 
+// Every reader of the logical stream survives the same damage and agrees
+// with the others: a restore that succeeds implies a name catalog that
+// builds, a record the restore skipped makes verify fail the tape, and the
+// scanned offset index holds only records the clean stream holds.
+void ExpectStreamReadersAgree(std::span<const uint8_t> stream,
+                              const std::vector<TapeCatalog::Entry>& clean,
+                              bool restore_must_succeed) {
+  SimEnvironment env;
+  auto volume = Volume::Create(&env, "r", Geometry());
+  auto fs = std::move(Filesystem::Format(volume.get(), &env)).value();
+  // Must not crash; damaged files are skipped, everything else restores.
+  auto restored = RunLogicalRestore(fs.get(), stream, LogicalRestoreOptions{});
+  if (restore_must_succeed) {
+    EXPECT_TRUE(restored.ok()) << restored.status().ToString();
+  }
+  auto names = BuildRestoreCatalog(stream);
+  auto verify = VerifyDumpStream(stream);
+  if (restored.ok()) {
+    EXPECT_TRUE(names.ok()) << names.status().ToString();
+    if (restored->stats.corrupt_records_skipped > 0) {
+      ASSERT_TRUE(verify.ok()) << verify.status().ToString();
+      EXPECT_FALSE(verify->readable) << verify->Summary();
+    }
+  }
+  auto scanned = TapeCatalog::FromStream(stream);
+  if (scanned.ok()) {
+    for (const TapeCatalog::Entry& e : scanned->entries()) {
+      EXPECT_NE(std::ranges::find(clean, e), clean.end())
+          << "entry at " << e.offset << " is not in the clean stream";
+    }
+  }
+}
+
 TEST_P(RecordFuzzTest, RestoreSurvivesRandomStreamMutations) {
   RobustFixture f;
   LogicalDumpOutput dump = f.Dump();
@@ -448,14 +484,14 @@ TEST_P(RecordFuzzTest, RestoreSurvivesRandomStreamMutations) {
   for (int i = 0; i < 20; ++i) {
     mutated[rng.Below(mutated.size())] ^= 0x40;
   }
-  SimEnvironment env2;
-  auto volume = Volume::Create(&env2, "r", Geometry());
-  auto fs = std::move(Filesystem::Format(volume.get(), &env2)).value();
-  // Must not crash and must not return a hard error — damaged files are
-  // skipped, everything else restores.
-  auto restored =
-      RunLogicalRestore(fs.get(), mutated, LogicalRestoreOptions{});
-  EXPECT_TRUE(restored.ok()) << restored.status().ToString();
+  const std::vector<TapeCatalog::Entry>& clean = dump.catalog.entries();
+  {
+    SCOPED_TRACE("mutated");
+    ExpectStreamReadersAgree(mutated, clean, /*restore_must_succeed=*/true);
+  }
+  SCOPED_TRACE("mutated and truncated");
+  ExpectStreamReadersAgree(std::span(mutated).first(rng.Below(mutated.size())),
+                           clean, /*restore_must_succeed=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecordFuzzTest, ::testing::Values(1, 2, 3));

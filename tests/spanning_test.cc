@@ -125,19 +125,19 @@ TEST(SpanningTest, RunningOutOfSparesFailsCleanly) {
   f.env.Run();
   EXPECT_EQ(backup.report.status.code(), ErrorCode::kNoSpace)
       << "an 11 MiB dump cannot fit on two 2 MiB tapes";
-  // The first tape spans where it always has. The second holds the stream
-  // up to the write that found it full; the writer then keeps appending the
-  // later, smaller chunks that still fit, so its tail is pinned as is.
-  ExpectTapesSliceStream({&t0}, backup.dump.stream);
+  // The first tape spans where it always has. The second holds exactly the
+  // stream up to the write that found it full: no later chunk is written
+  // after that failure, so the set is a prefix of the stream with no gap.
+  ExpectTapesSliceStream({&t0, &t1}, backup.dump.stream);
   for (Tape* t : {&t0, &t1}) {
     EXPECT_LE(t->mutable_bytes().capacity(), t->capacity()) << t->label();
   }
   EXPECT_EQ(Crc32c(t0.contents()), 0x48d820b9u);
   EXPECT_EQ(t0.size(), 2076416u);
-  EXPECT_EQ(Crc32c(t1.contents()), 0x3fd2da68u);
-  EXPECT_EQ(t1.size(), t1.capacity());
+  EXPECT_EQ(Crc32c(t1.contents()), 0xbefdf65au);
+  EXPECT_EQ(t1.size(), 1847296u);
   EXPECT_TRUE(std::ranges::equal(
-      t1.contents().first(1847296),
+      t1.contents(),
       std::span(backup.dump.stream).subspan(t0.size(), 1847296)));
 }
 
