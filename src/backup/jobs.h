@@ -61,10 +61,12 @@ struct BackupQos {
 // next media in the list is loaded (paying the stacker's load time) and the
 // stream continues, the operator-feeding-tapes model of dump(8) — and the
 // remount pool for supervised media errors. A restore must be given the
-// same list, in the same order. A null `supervision` fails the job on the
-// first unrecovered device or link error; with a policy, disk accesses
-// retry/reconstruct, tape errors retry/remount and connections are re-made,
-// each charged to the report's FaultCounters.
+// same list, in the same order. A backup writes from the start of the
+// mounted media: a head past recorded data fails it (kFailedPrecondition).
+// A null `supervision` fails the job on the first unrecovered device or
+// link error; with a policy, disk accesses retry/reconstruct, tape errors
+// retry/remount and connections are re-made, each charged to the report's
+// FaultCounters.
 struct StreamEndpoint {
   NetLink* link = nullptr;
   TapeServer* server = nullptr;

@@ -35,12 +35,10 @@ constexpr RetryPolicy kLinkRetry{.max_attempts = 5,
 // ~50%).
 constexpr double kSnapshotCpuFraction = 0.5;
 
-// One pipeline chunk: stream bytes [begin, end) produced under `phase`.
-struct StreamChunk {
-  uint64_t begin;
-  uint64_t end;
-  JobPhase phase;
-};
+// A stream's frame sources, each drained in order until it closes: the
+// pipeline's one channel locally, each connection's over a session.
+using FrameFeed = Channel<Channel<StreamFrame>*>;
+inline constexpr size_t kFeedDepth = 16;
 
 // Keeps one span open per job track, closing the previous phase's span and
 // opening the next as a replay loop crosses phase boundaries. The track is
@@ -96,16 +94,22 @@ void NoteMounted(TapeDrive* drive, JobReport* report) {
 
 // Where a backup stream stands on the endpoint's media set: the next spare
 // to load, the checkpoint — the stream offset where the mounted media
-// begins — and the first write error no recovery undid. Tape content is
-// always stream[media_start, media_start + position), which is what makes
-// abandon-and-rewrite possible; after an unrecovered error no later chunk
-// is written, so the media never holds stream bytes past a gap. Kept at 16
-// bytes: it lives in each writer's per-job coroutine frame.
+// begins — and the first write error no recovery undid. A backup starts at
+// the head of its first media, so tape content is always stream[media_start,
+// media_start + position) — abandon-and-rewrite relies on it — and no frame
+// is written after an unrecovered error: the media never hold a gap. Kept
+// at 16 bytes: it lives in the writer's per-job coroutine frame.
 struct MediaCursor {
   uint64_t media_start = 0;
   uint32_t next_spare = 0;
   ErrorCode error = ErrorCode::kOk;
 };
+
+// The stream's reach on the media set: every stream byte below it is on the
+// mounted media or an earlier one of the set.
+uint64_t MediaReach(const TapeDrive* drive, const MediaCursor& media) {
+  return media.media_start + drive->position();
+}
 
 // Recovers a failed tape write of stream[begin, end). On entry `*st` holds
 // the error. Transient errors back off and re-issue; an error that outlives
@@ -139,15 +143,13 @@ Task RecoverTapeWrite(SimEnvironment* env, const StreamEndpoint& ep,
       if (media->next_spare >= ep.spare_tapes.size()) {
         co_return;  // unrecoverable; *st keeps the final error
       }
-      Tape* spare = ep.spare_tapes[media->next_spare++];
-      co_await ep.drive->TimedLoadMedia(spare);
+      co_await ep.drive->TimedLoadMedia(ep.spare_tapes[media->next_spare++]);
       ++faults.tape_remounts;
       TRACE_INSTANT(env, "faults", "tape.remount");
-      report->tapes_used.push_back(spare->label());
       if (!report->final_media.empty()) {
         report->final_media.pop_back();  // the abandoned media
       }
-      report->final_media.push_back(spare->label());
+      NoteMounted(ep.drive, report);
       faults.bytes_rewritten += cursor - media->media_start;
       cursor = media->media_start;
       failed_at = cursor;
@@ -173,12 +175,12 @@ Task RecoverTapeWrite(SimEnvironment* env, const StreamEndpoint& ep,
   }
 }
 
-// Writes stream[begin, end) to the endpoint's drive: the step the local
-// writer and the tape-server writer share. When the piece would overflow
-// the mounted media, the next spare is loaded first (multi-volume dumps;
-// with no spare left the write fails with NoSpace). Under supervision a
-// write error runs RecoverTapeWrite. Once a write has failed for good,
-// every later call does nothing: the caller keeps draining its input.
+// Writes stream[begin, end) to the endpoint's drive: one step of the media
+// writer. When the piece would overflow the mounted media, the next spare
+// is loaded first (multi-volume dumps; with no spare left the write fails
+// with NoSpace). Under supervision a write error runs RecoverTapeWrite.
+// Once a write has failed for good, every later call does nothing: the
+// writer keeps draining its frames.
 Task WriteSpanning(SimEnvironment* env, const StreamEndpoint& ep,
                    std::span<const uint8_t> stream, uint64_t begin,
                    uint64_t end, MediaCursor* media, JobReport* report) {
@@ -235,15 +237,16 @@ Task ReadTape(SimEnvironment* env, const StreamEndpoint& ep,
 // the session drains it, reads its acked watermark, backs off per the
 // kLinkRetry schedule, and resends [acked, high-watermark) on a fresh
 // connection — the network analogue of RecoverTapeWrite's remount ladder.
-// The receiver consumes connections in order from `conns()` and drains each
-// one's frames to end-of-stream, so its own write cursor always equals the
-// acked watermark the next connection resumes from. Every connection paces
-// its frames through the endpoint's QoS throttle.
+// The receiver drains each connection's frames, fed in order to `feed`, to
+// end-of-stream, so it has always received up to the acked watermark the
+// next connection resumes from. Every connection paces its frames through
+// the endpoint's QoS throttle. The session keeps its first error in the
+// report; once it has failed for good, every later Send does nothing.
 class StreamSession {
  public:
   StreamSession(SimEnvironment* env, const StreamEndpoint& ep,
                 std::string name, std::span<const uint8_t> stream,
-                JobReport* report)
+                FrameFeed* feed, JobReport* report)
       : env_(env),
         link_(ep.link),
         name_(std::move(name)),
@@ -252,7 +255,7 @@ class StreamSession {
         supervised_(ep.supervision != nullptr),
         report_(report),
         throttle_(ep.qos.throttle),
-        conn_feed_(env, 16) {
+        feed_(feed) {
     // One causal trace for the whole session: every connection, frame and
     // reconnect incarnation shares this id (no-op without a tracer).
     if (Tracer* tracer = env_->tracer()) {
@@ -266,13 +269,15 @@ class StreamSession {
   // Opens the first connection; call (and await) before Send.
   Task Start() { co_await Connect(); }
 
-  // The receiver's view: connections in the order they were made. Closed by
-  // Finish once the stream (and any recovery) is complete.
-  Channel<StreamConn*>& conns() { return conn_feed_; }
+  // True once the stream has failed beyond the reconnect budget.
+  bool failed() const { return failed_; }
 
-  // Ships stream[begin, end); *status is Ok unless the stream failed beyond
-  // the reconnect budget. Ranges must be sent in order.
-  Task Send(uint64_t begin, uint64_t end, uint32_t tag, Status* status) {
+  // Ships stream[begin, end), recovering as the budget allows; a no-op once
+  // the stream has failed. Ranges must be sent in order.
+  Task Send(uint64_t begin, uint64_t end, uint32_t tag) {
+    if (failed_) {
+      co_return;
+    }
     last_tag_ = tag;
     hwm_ = std::max(hwm_, end);
     Status st;
@@ -280,12 +285,13 @@ class StreamSession {
     while (!st.ok() && CanRecover()) {
       co_await RecoverOnce(&st);
     }
-    *status = st;
+    failed_ = !st.ok();
+    KeepFirstError(report_, st);
   }
 
   // Waits out everything in flight (recovering if the tail fails), then
   // signals end-of-stream to the receiver and settles the stats.
-  Task Finish(Status* status) {
+  Task Finish() {
     Status st;
     while (true) {
       co_await conns_.back()->Drain(&st);
@@ -295,11 +301,11 @@ class StreamSession {
       co_await RecoverOnce(&st);
     }
     conns_.back()->CloseSend();
-    conn_feed_.Close();
+    feed_->Close();  // the stream and any recovery are complete
     for (const auto& conn : conns_) {
       report_->faults.link_retransmits += conn->stats().retransmits;
     }
-    *status = st;
+    KeepFirstError(report_, st);
   }
 
  private:
@@ -312,7 +318,7 @@ class StreamSession {
         link_, name_ + "#" + std::to_string(conns_.size())));
     conns_.back()->set_throttle(throttle_);  // QoS survives reconnects
     conns_.back()->EnableTracing(ctx_, "filer", server_node_);
-    co_await conn_feed_.Send(conns_.back().get());
+    co_await feed_->Send(&conns_.back()->frames());
   }
 
   // One reconnect: retire the failed connection, resume past its ack.
@@ -353,118 +359,110 @@ class StreamSession {
   bool supervised_;
   JobReport* report_;
   BackupThrottle* throttle_;
-  Channel<StreamConn*> conn_feed_;
+  FrameFeed* feed_;
   std::vector<std::unique_ptr<StreamConn>> conns_;
   uint64_t hwm_ = 0;          // highest stream byte handed to Send
   uint64_t acked_floor_ = 0;  // resume point carried across reconnects
   int attempts_ = 0;          // reconnects made (cumulative budget)
   uint32_t last_tag_ = 0;
+  bool failed_ = false;
 };
 
 // ------------------------------------------------------- backup procs ---
 
-// Consumer half of a local backup: drains chunks to the drive.
+// Takes `lost` stream bytes back out of the phases' tape bytes, latest phase
+// first (a backup's phases follow JobPhase order along the stream). The set
+// loses bytes when a remount's rewrite fails short of the abandoned media.
+void UnbillTape(JobReport* report, JobPhase phase, uint64_t lost) {
+  for (int p = static_cast<int>(phase); p >= 0 && lost > 0; --p) {
+    uint64_t& billed = report->phases[p].tape_bytes;
+    const uint64_t n = std::min(billed, lost);
+    billed -= n;
+    lost -= n;
+  }
+}
+
+// The one backup media writer: drains each frame channel on `feed`, in
+// order, to the endpoint's spanning media (`stream` is what they hold; a
+// remote stream ships offsets, not copies). Skipping and billing follow the
+// stream's reach on the media: a resumed connection's replayed prefix is
+// skipped, and each phase is billed only for what its frames put there.
+// `session` (null locally) puts the writer's span on the server's row.
 Task TapeWriterProc(ReplayConfig cfg, std::span<const uint8_t> stream,
-                    Channel<StreamChunk>* chunks, JobReport* report,
-                    SimEvent* writer_done) {
+                    FrameFeed* feed, const StreamSession* session,
+                    JobReport* report, SimEvent* writer_done) {
   SimEnvironment* env = cfg.filer->env();
   const StreamEndpoint& ep = *cfg.endpoint;
+  std::optional<ScopedTraceSpan> srv_span;
+  if (session != nullptr) {
+    srv_span.emplace(env->tracer(), ServerNode(ep),
+                     ("srv:" + report->name).c_str(), "tape.write",
+                     session->ctx());
+  }
   MediaCursor media;
   if (ep.drive->loaded()) {
     NoteMounted(ep.drive, report);
   }
+  if (ep.drive->position() != 0) {  // MediaReach counts from the media start
+    media.error = ErrorCode::kFailedPrecondition;
+    KeepFirstError(report, FailedPrecondition(ep.drive->name() +
+                                              ": backup not at media start"));
+  }
   while (true) {
-    std::optional<StreamChunk> chunk = co_await chunks->Recv();
-    if (!chunk.has_value()) {
+    std::optional<Channel<StreamFrame>*> frames = co_await feed->Recv();
+    if (!frames.has_value()) {
       break;
     }
-    co_await WriteSpanning(env, ep, stream, chunk->begin, chunk->end, &media,
-                           report);
-    report->TouchPhase(chunk->phase, env->now(),
-                       cfg.filer->cpu().BusyIntegral());
-    report->phase(chunk->phase).tape_bytes += chunk->end - chunk->begin;
+    while (true) {
+      std::optional<StreamFrame> frame = co_await (*frames)->Recv();
+      if (!frame.has_value()) {
+        break;
+      }
+      const uint64_t reach = MediaReach(ep.drive, media);
+      if (frame->end <= reach) {
+        continue;
+      }
+      co_await WriteSpanning(env, ep, stream, std::max(frame->begin, reach),
+                             frame->end, &media, report);
+      const auto phase = static_cast<JobPhase>(frame->tag);
+      report->TouchPhase(phase, env->now(), cfg.filer->cpu().BusyIntegral());
+      const uint64_t reached = MediaReach(ep.drive, media);
+      if (reached >= reach) {
+        report->phase(phase).tape_bytes += reached - reach;
+      } else {
+        UnbillTape(report, phase, reach - reached);
+      }
+    }
   }
   writer_done->Notify();
 }
 
-// Filer-side pump: forwards produced chunks into the stream session and
-// attributes the shipped bytes to each chunk's phase. After an unrecoverable
-// stream failure it keeps draining the channel (dropping the sends) so the
-// producer can finish and the job fails cleanly instead of deadlocking.
+// Filer-side pump: forwards produced frames into the stream session and
+// attributes the shipped bytes to each frame's phase. Once the session has
+// failed it keeps draining the channel, shipping nothing, so the producer
+// can finish and the job fails cleanly instead of deadlocking.
 Task NetSenderProc(ReplayConfig cfg, StreamSession* session,
-                   Channel<StreamChunk>* chunks, JobReport* report,
+                   Channel<StreamFrame>* frames, JobReport* report,
                    SimEvent* sender_done) {
   SimEnvironment* env = cfg.filer->env();
   ScopedTraceSpan span(env->tracer(),
                        ("net:" + cfg.endpoint->link->name()).c_str(), "stream",
                        session->ctx());
-  bool failed = false;
   while (true) {
-    std::optional<StreamChunk> chunk = co_await chunks->Recv();
-    if (!chunk.has_value()) {
+    std::optional<StreamFrame> frame = co_await frames->Recv();
+    if (!frame.has_value()) {
       break;
     }
-    if (failed) {
+    if (session->failed()) {
       continue;
     }
-    Status st;
-    co_await session->Send(chunk->begin, chunk->end,
-                           static_cast<uint32_t>(chunk->phase), &st);
-    report->phase(chunk->phase).net_bytes += chunk->end - chunk->begin;
-    report->TouchPhase(chunk->phase, env->now(),
-                       cfg.filer->cpu().BusyIntegral());
-    failed = !st.ok();
-    KeepFirstError(report, st);
+    co_await session->Send(frame->begin, frame->end, frame->tag);
+    const auto phase = static_cast<JobPhase>(frame->tag);
+    report->phase(phase).net_bytes += frame->end - frame->begin;
+    report->TouchPhase(phase, env->now(), cfg.filer->cpu().BusyIntegral());
   }
-  Status st;
-  co_await session->Finish(&st);
-  KeepFirstError(report, st);
+  co_await session->Finish();
   sender_done->Notify();
-}
-
-// Server-side writer: drains each connection's in-order frames to the
-// drive — TapeWriterProc with a network where the channel used to be.
-// `stream` stands in for the received payload bytes (the simulation ships
-// offsets, not copies). The write cursor skips bytes a resumed connection
-// replays that the tape already holds.
-Task RemoteTapeWriterProc(ReplayConfig cfg, std::span<const uint8_t> stream,
-                          Channel<StreamConn*>* conn_feed, JobReport* report,
-                          SimEvent* writer_done, TraceContext ctx) {
-  SimEnvironment* env = cfg.filer->env();
-  const StreamEndpoint& ep = *cfg.endpoint;
-  // This coroutine *is* the server: its span lives on the server's process
-  // row, under the same trace id as the filer-side spans and the frames.
-  ScopedTraceSpan srv_span(env->tracer(), ServerNode(ep),
-                           ("srv:" + report->name).c_str(), "tape.write",
-                           ctx);
-  MediaCursor media;
-  uint64_t written = 0;  // stream bytes on tape == delivered watermark
-  if (ep.drive->loaded()) {
-    NoteMounted(ep.drive, report);
-  }
-  while (true) {
-    std::optional<StreamConn*> conn = co_await conn_feed->Recv();
-    if (!conn.has_value()) {
-      break;
-    }
-    while (true) {
-      std::optional<StreamFrame> frame = co_await (*conn)->frames().Recv();
-      if (!frame.has_value()) {
-        break;
-      }
-      if (frame->end <= written) {
-        continue;  // replayed prefix of a resumed connection
-      }
-      const uint64_t begin = std::max(frame->begin, written);
-      co_await WriteSpanning(env, ep, stream, begin, frame->end, &media,
-                             report);
-      written = frame->end;
-      const JobPhase phase = static_cast<JobPhase>(frame->tag);
-      report->TouchPhase(phase, env->now(), cfg.filer->cpu().BusyIntegral());
-      report->phase(phase).tape_bytes += frame->end - begin;
-    }
-  }
-  writer_done->Notify();
 }
 
 // Charges one event's disk reads, then signals its ready-event and frees a
@@ -485,10 +483,10 @@ Task DiskFetch(ReplayConfig cfg, const IoEvent* event, JobReport* report,
 }
 
 // Producer half of a backup replay: charges read-ahead disk fetches and CPU
-// per trace event and emits the stream as ordered chunks on `out`, pacing
+// per trace event and emits the stream as ordered frames on `out`, pacing
 // them through `throttle` when set. Does not close the channel.
 Task ReplayProducer(ReplayConfig cfg, const IoTrace* trace,
-                    BackupThrottle* throttle, Channel<StreamChunk>* out,
+                    BackupThrottle* throttle, Channel<StreamFrame>* out,
                     PhaseSpanner* spans, JobReport* report) {
   SimEnvironment* env = cfg.filer->env();
   const int priority = cfg.endpoint->qos.io_priority;
@@ -527,7 +525,9 @@ Task ReplayProducer(ReplayConfig cfg, const IoTrace* trace,
       if (throttle != nullptr) {
         co_await throttle->Acquire(n);
       }
-      co_await out->Send(StreamChunk{sent, sent + n, e.phase});
+      co_await out->Send(StreamFrame{.begin = sent,
+                                     .end = sent + n,
+                                     .tag = static_cast<uint32_t>(e.phase)});
       sent += n;
     }
     report->TouchPhase(e.phase, env->now(), cfg.filer->cpu().BusyIntegral());
@@ -535,14 +535,14 @@ Task ReplayProducer(ReplayConfig cfg, const IoTrace* trace,
 }
 
 // Spliced between producer and writer when content stages are on:
-// translates raw producer chunks into wire chunks through the FrameMap,
+// translates raw producer frames into wire frames through the FrameMap,
 // charging the enabled encode stages' CPU per raw MB and pacing `throttle`
 // (when set) on the post-stage wire bytes — the rate cap applies to what
 // the tape or link actually moves. Closes `out` and notifies `done` when
 // `in` drains.
 Task ContentChunkAdapter(ReplayConfig cfg, const FrameMap* map,
-                         BackupThrottle* throttle, Channel<StreamChunk>* in,
-                         Channel<StreamChunk>* out, JobReport* report,
+                         BackupThrottle* throttle, Channel<StreamFrame>* in,
+                         Channel<StreamFrame>* out, JobReport* report,
                          SimEvent* done) {
   const StreamEndpoint& ep = *cfg.endpoint;
   const SimDuration cpu_per_mb = ep.content.EncodeCpuPerMb();
@@ -550,13 +550,13 @@ Task ContentChunkAdapter(ReplayConfig cfg, const FrameMap* map,
   uint64_t cpu_charged = 0;
   uint64_t wire_sent = 0;
   while (true) {
-    std::optional<StreamChunk> chunk = co_await in->Recv();
-    if (!chunk.has_value()) {
+    std::optional<StreamFrame> frame = co_await in->Recv();
+    if (!frame.has_value()) {
       break;
     }
     // Encode CPU is priced per *raw* MB moved; the running total keeps the
-    // charge exact across chunks of any size.
-    raw_done += chunk->end - chunk->begin;
+    // charge exact across frames of any size.
+    raw_done += frame->end - frame->begin;
     const uint64_t cpu_due =
         static_cast<uint64_t>(cpu_per_mb) * raw_done / 1000000;
     if (cpu_due > cpu_charged) {
@@ -566,12 +566,13 @@ Task ContentChunkAdapter(ReplayConfig cfg, const FrameMap* map,
       report->content.encode_cpu_us += cpu_due - cpu_charged;
       cpu_charged = cpu_due;
     }
-    const uint64_t wire_end = map->WireOf(chunk->end);
+    const uint64_t wire_end = map->WireOf(frame->end);
     if (wire_end > wire_sent) {
       if (throttle != nullptr) {
         co_await throttle->Acquire(wire_end - wire_sent);
       }
-      co_await out->Send(StreamChunk{wire_sent, wire_end, chunk->phase});
+      co_await out->Send(
+          StreamFrame{.begin = wire_sent, .end = wire_end, .tag = frame->tag});
       wire_sent = wire_end;
     }
   }
@@ -603,9 +604,9 @@ uint64_t LeftOnMedia(TapeDrive* drive) {
 // because ranges ascend. Every read retries per chunk through ReadTape.
 // Locally each piece's end offset is published on `out`; at the tape-server
 // end of a remote stream each piece ships through `session` instead. After
-// a session failure the reader keeps reading but stops shipping, so the
-// job fails cleanly. Closes `out` (or finishes the session), then notifies
-// `reader_done`; `ranges` must live until then.
+// a session failure the reader keeps reading while the session ships
+// nothing, so the job fails cleanly. Closes `out` (or finishes the
+// session), then notifies `reader_done`; `ranges` must live until then.
 Task TapeReaderProc(SimEnvironment* env, const StreamEndpoint& ep,
                     uint64_t media_bytes,
                     const std::vector<StreamRange>& ranges,
@@ -623,8 +624,7 @@ Task TapeReaderProc(SimEnvironment* env, const StreamEndpoint& ep,
   }
   const bool whole = ranges.empty();
   size_t next_spare = 0;
-  bool failed = false;  // the session gave up
-  Status st;            // a seek error or the media running out
+  Status st;  // a seek error or the media running out
   for (size_t i = 0; st.ok() && i < (whole ? 1 : ranges.size()); ++i) {
     const StreamRange r = whole ? StreamRange{0, media_bytes} : ranges[i];
     if (!whole) {
@@ -647,19 +647,15 @@ Task TapeReaderProc(SimEnvironment* env, const StreamEndpoint& ep,
       co_await ReadTape(env, ep, std::span(scratch).first(n), report);
       if (session == nullptr) {
         co_await out->Send(pos + n);
-      } else if (!failed) {
-        Status sent;
-        co_await session->Send(pos, pos + n, 0, &sent);
-        failed = !sent.ok();
-        KeepFirstError(report, sent);
+      } else {
+        co_await session->Send(pos, pos + n, 0);
       }
       pos += n;
     }
   }
   KeepFirstError(report, st);
   if (session != nullptr) {
-    co_await session->Finish(&st);
-    KeepFirstError(report, st);
+    co_await session->Finish();
   } else {
     out->Close();
   }
@@ -668,16 +664,15 @@ Task TapeReaderProc(SimEnvironment* env, const StreamEndpoint& ep,
 
 // Filer-side receive adapter for remote restores: turns the in-order frames
 // of the session's connections into a monotone arrived-bytes watermark.
-Task WatermarkAdapter(Channel<StreamConn*>* conn_feed,
-                      Channel<uint64_t>* out) {
+Task WatermarkAdapter(FrameFeed* feed, Channel<uint64_t>* out) {
   uint64_t hwm = 0;
   while (true) {
-    std::optional<StreamConn*> conn = co_await conn_feed->Recv();
-    if (!conn.has_value()) {
+    std::optional<Channel<StreamFrame>*> frames = co_await feed->Recv();
+    if (!frames.has_value()) {
       break;
     }
     while (true) {
-      std::optional<StreamFrame> frame = co_await (*conn)->frames().Recv();
+      std::optional<StreamFrame> frame = co_await (*frames)->Recv();
       if (!frame.has_value()) {
         break;
       }
@@ -864,33 +859,37 @@ Task ReplayBackup(ReplayConfig cfg, const IoTrace* trace,
     media = wire;
   }
 
-  // The writer side: the drive's own writer, or a sender feeding a session
-  // whose frames the tape server's writer drains.
-  Channel<StreamChunk> chunks(env, kPipelineDepth);
+  // The writer drains a feed of frame channels: the pipeline's one channel
+  // locally, each connection of a session a sender feeds remotely.
+  Channel<StreamFrame> frames(env, kPipelineDepth);
+  FrameFeed feed(env, kFeedDepth);
   SimEvent writer_done(env);
   SimEvent sender_done(env);
   std::optional<StreamSession> session;
   if (ep.link != nullptr) {
-    session.emplace(env, ep, report->name, media, report);
+    session.emplace(env, ep, report->name, media, &feed, report);
     co_await session->Start();
-    env->Spawn(RemoteTapeWriterProc(cfg, media, &session->conns(), report,
-                                    &writer_done, session->ctx()));
-    env->Spawn(NetSenderProc(cfg, &*session, &chunks, report, &sender_done));
   } else {
-    env->Spawn(TapeWriterProc(cfg, media, &chunks, report, &writer_done));
+    co_await feed.Send(&frames);
+    feed.Close();
+  }
+  StreamSession* remote = session.has_value() ? &*session : nullptr;
+  env->Spawn(TapeWriterProc(cfg, media, &feed, remote, report, &writer_done));
+  if (remote != nullptr) {
+    env->Spawn(NetSenderProc(cfg, remote, &frames, report, &sender_done));
   }
 
   // A local stream is paced where its bytes are made: raw producer bytes,
   // or wire bytes in the encode adapter. A remote stream is paced only at
   // its StreamConns, so no byte is drawn from the bucket twice.
   BackupThrottle* throttle = ep.link == nullptr ? ep.qos.throttle : nullptr;
-  Channel<StreamChunk> raw_chunks(env, kPipelineDepth);
+  Channel<StreamFrame> raw_frames(env, kPipelineDepth);
   SimEvent adapter_done(env);
   if (content) {
-    env->Spawn(ContentChunkAdapter(cfg, &map, throttle, &raw_chunks, &chunks,
+    env->Spawn(ContentChunkAdapter(cfg, &map, throttle, &raw_frames, &frames,
                                    report, &adapter_done));
   }
-  Channel<StreamChunk>* produced = content ? &raw_chunks : &chunks;
+  Channel<StreamFrame>* produced = content ? &raw_frames : &frames;
   PhaseSpanner spans(env, report->name);
   co_await ReplayProducer(cfg, trace, content ? nullptr : throttle, produced,
                           &spans, report);
@@ -903,7 +902,7 @@ Task ReplayBackup(ReplayConfig cfg, const IoTrace* trace,
   }
   co_await writer_done.Wait();
   // Close after the writer drains so the final phase's span covers the tape
-  // tail, not just the last produced chunk.
+  // tail, not just the last produced frame.
   spans.Close();
   report->stream_bytes += stream.size();
   done->CountDown();
@@ -937,16 +936,18 @@ Task ReplayRestore(ReplayConfig cfg, const IoTrace* trace,
   Channel<uint64_t>* read = map != nullptr ? &wire_arrived : &arrived;
   SimEvent reader_done(env);
   SimEvent adapter_done(env);
+  std::optional<FrameFeed> feed;  // a remote stream's connections
   std::optional<StreamSession> session;
   if (ep.link != nullptr) {
-    session.emplace(env, ep, report->name, media, report);
+    session.emplace(env, ep, report->name, media,
+                    &feed.emplace(env, kFeedDepth), report);
     co_await session->Start();
   }
   env->Spawn(TapeReaderProc(env, ep, media.size(), ranges, read,
                             session.has_value() ? &*session : nullptr, report,
                             &reader_done));
   if (session.has_value()) {
-    env->Spawn(WatermarkAdapter(&session->conns(), read));
+    env->Spawn(WatermarkAdapter(&*feed, read));
   }
   if (map != nullptr) {
     env->Spawn(ContentWatermarkAdapter(cfg, ranges, &wire_arrived,

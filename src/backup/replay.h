@@ -4,18 +4,18 @@
 //
 // One backup replay and one restore replay serve every job. The endpoint
 // decides where the stream goes: with no link, the drive hangs off the
-// filer and the tape writer (or reader) runs beside the engine's replay;
-// with a link, a StreamSession carries the stream to (or from) the drive on
-// a tape server:
+// filer beside the engine's replay; with a link, a StreamSession carries
+// the stream to (or from) the drive on a tape server:
 //
-//     [disk reads + CPU] -> Channel<chunk> -> [tape writes]           (local)
-//     [disk reads + CPU] -> Channel<chunk> -> StreamConn -> [tape writes]
+//     [disk reads + CPU] -> Channel<frame> -> [tape writes]           (local)
+//     [disk reads + CPU] -> Channel<frame> -> StreamConn -> [tape writes]
 //         (filer)                              (NetLink)   (tape server)
 //
-// Restores run the same pipelines backwards, publishing arrived-bytes
-// watermarks to a consumer that charges CPU, NVRAM and disk writes. One
-// media reader serves every restore — whole or ranged, local or at the
-// server end of a link — and retries failed tape reads per chunk.
+// One media writer serves every backup and bills each phase only for bytes
+// the media hold. Restores run the same pipelines backwards, publishing
+// arrived-bytes watermarks to a consumer that charges CPU, NVRAM and disk
+// writes; one media reader serves every restore — whole or ranged, local
+// or at the server end of a link — and retries failed tape reads per chunk.
 #ifndef BKUP_BACKUP_REPLAY_H_
 #define BKUP_BACKUP_REPLAY_H_
 

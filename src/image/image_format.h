@@ -37,7 +37,8 @@ struct ImageHeader {
   std::string base_snapshot;     // name of the base (incremental only)
   uint64_t base_generation = 0;  // generation the base snapshot captured
   std::string snapshot_name;     // snapshot quiescing this dump
-  uint64_t block_count = 0;      // data blocks in the stream
+  // Reserved, always 0: the trailer's block_count is the authority.
+  uint64_t block_count = 0;
   // Multi-tape striping: this stream carries every chunk with
   // index % part_count == part_index. All parts together form the dump.
   uint32_t part_index = 0;
@@ -60,7 +61,7 @@ struct ImageExtent {
 };
 
 struct ImageTrailer {
-  uint64_t block_count = 0;
+  uint64_t block_count = 0;  // data blocks in the stream
   Block fsinfo;  // raw fsinfo block, written to vbn 0/1 by restore
 
   // Two 4 KB blocks: marker+count, then the fsinfo block itself.

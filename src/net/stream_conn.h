@@ -9,7 +9,7 @@
 // interrupted stream on a fresh connection without rewinding to zero.
 //
 // A connection that exhausts a frame's retransmit budget fails permanently
-// (`error()`); in-flight frames wind down and `Drain()` returns the error.
+// (`failed()`); in-flight frames wind down and `Drain()` returns the error.
 // The receiver must keep draining `frames()` to end-of-stream even after a
 // failure — everything delivered is still good data (this is what makes
 // resume-from-ack exact).
@@ -44,7 +44,7 @@ inline constexpr uint64_t kFrameHeaderBytes = 32;
 // One frame as the receiver sees it: stream bytes [begin, end), a sender
 // sequence number, the payload checksum as computed at send time (`crc`) and
 // as it survived the wire (`wire_crc` — corruption shows up here). `tag` is
-// an opaque caller tag (remote jobs carry the JobPhase) echoed per frame.
+// an opaque caller tag echoed per frame (a backup's frames carry the phase).
 struct StreamFrame {
   uint64_t seq = 0;
   uint64_t begin = 0;
@@ -54,8 +54,8 @@ struct StreamFrame {
   uint32_t wire_crc = 0;
   // Causal trace context carried in the frame header (see kFrameHeaderBytes):
   // the receiver's node continues the sender's trace without a side channel.
-  uint64_t trace_id = 0;
   uint32_t incarnation = 0;
+  uint64_t trace_id = 0;
 };
 
 struct ConnStats {
@@ -74,9 +74,6 @@ class StreamConn {
  public:
   StreamConn(NetLink* link, std::string name);
 
-  const std::string& name() const { return name_; }
-  NetLink* link() const { return link_; }
-
   // Enables cross-node tracing: every frame carries `ctx` in its header,
   // and each frame draws a flow arrow (Chrome "s"/"f") from this
   // connection's tx track on `sender_node`'s process row to its rx track on
@@ -91,7 +88,6 @@ class StreamConn {
   // Retransmits are not re-charged: the bucket shapes offered load, and a
   // lossy wire's repair traffic is the link's cost, not the job's.
   void set_throttle(BackupThrottle* throttle) { throttle_ = throttle; }
-  BackupThrottle* throttle() const { return throttle_; }
 
   // ----------------------------------------------------------- sender ---
 
@@ -116,7 +112,6 @@ class StreamConn {
   // Cumulative ack: all stream bytes below this were delivered in order.
   uint64_t acked() const { return acked_; }
 
-  const Status& error() const { return error_; }
   bool failed() const { return !error_.ok(); }
   const ConnStats& stats() const { return stats_; }
 

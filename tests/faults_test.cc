@@ -16,6 +16,7 @@
 #include "src/faults/fault_injector.h"
 #include "src/image/image_dump.h"
 #include "src/workload/population.h"
+#include "tests/media_invariants.h"
 
 namespace bkup {
 namespace {
@@ -256,6 +257,8 @@ ScenarioRun RunTripleFaultScenario() {
   out.tapes_used = backup.report.tapes_used;
   out.final_media = backup.report.final_media;
   out.stream_bytes = backup.report.stream_bytes;
+  ExpectReportMatchesMedia(backup.report, {&t0, &t1, &t2},
+                           backup.dump.stream);
   if (!out.backup_ok || out.final_media.empty()) {
     return out;
   }
@@ -363,6 +366,7 @@ TEST(FaultSupervisionTest, FlakyTapeReadsAreRetriedDuringRestore) {
                    &backup, &done));
   env.Run();
   ASSERT_TRUE(backup.report.status.ok());
+  ExpectReportMatchesMedia(backup.report, {&t0}, backup.dump.stream);
 
   // A clean tape in a flaky restore drive: every read has a 20% chance of
   // failing and must be retried in place (a failed read moves no bytes).
@@ -389,6 +393,48 @@ TEST(FaultSupervisionTest, FlakyTapeReadsAreRetriedDuringRestore) {
   EXPECT_GT(restore.report.faults.tape_errors, 0u);
   EXPECT_GT(restore.report.faults.tape_retries, 0u);
   EXPECT_EQ(ChecksumTree(rfs->LiveReader()).value(), src_sums);
+}
+
+// A media defect on the mounted tape, and another on the only spare, nearer
+// its start: the remount's rewrite stops short of where the first tape had
+// reached, and with no spare left the job fails. Its report bills what the
+// spare holds — less than the stream once reached — and nothing of the
+// abandoned tape.
+TEST(FaultSupervisionTest, FailedRewriteBillsOnlyWhatTheSpareHolds) {
+  SimEnvironment env;
+  Filer filer(&env, FilerModel::F630());
+  auto volume = Volume::Create(&env, "home", Geometry());
+  auto fs = std::move(Filesystem::Format(volume.get(), &env)).value();
+  WorkloadParams params;
+  params.target_bytes = 6 * kMiB;
+  ASSERT_TRUE(PopulateFilesystem(fs.get(), params).ok());
+
+  Tape t0("night.0", 32 * kMiB), t1("night.1", 32 * kMiB);
+  TapeDrive drive(&env, "dlt0");
+  drive.LoadMedia(&t0);
+  FaultPlan plan;
+  plan.TapeMediaDefect("night.0", 3 * kMiB, 64 * kKiB)
+      .TapeMediaDefect("night.1", 1 * kMiB, 64 * kKiB);
+  FaultInjector injector(&env, plan);
+  injector.Arm(&drive);
+
+  SupervisionPolicy policy;
+  LogicalBackupJobResult backup;
+  CountdownLatch done(&env, 1);
+  env.Spawn(RunJob(&filer,
+                   {.fs = fs.get(),
+                    .endpoints = {{.drive = &drive,
+                                   .spare_tapes = {&t1},
+                                   .supervision = &policy}}},
+                   &backup, &done));
+  env.Run();
+  EXPECT_EQ(backup.report.status.code(), ErrorCode::kIoError)
+      << backup.report.status.ToString();
+  EXPECT_EQ(backup.report.faults.tape_remounts, 1u);
+  EXPECT_EQ(backup.report.final_media, std::vector<std::string>{"night.1"});
+  EXPECT_EQ(t1.size(), 1 * kMiB) << "the rewrite stops at the spare's defect";
+  EXPECT_GT(t0.size(), t1.size()) << "the first tape had reached further";
+  ExpectReportMatchesMedia(backup.report, {&t0, &t1}, backup.dump.stream);
 }
 
 // ----------------------------------------------- graceful degradation ---

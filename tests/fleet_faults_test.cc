@@ -20,6 +20,7 @@
 #include "src/faults/fault_injector.h"
 #include "src/net/tape_server.h"
 #include "src/workload/population.h"
+#include "tests/media_invariants.h"
 
 namespace bkup {
 namespace {
@@ -111,6 +112,13 @@ FailureNightRun RunDriveFailureNight() {
   EXPECT_TRUE(done.done());
   run.exec = run.report.SerializeExecution();
   run.drives_killed = injector.stats().drives_killed;
+  for (const VolumeOutcome& out : run.report.volumes) {
+    std::vector<Tape*> tapes;
+    for (const std::string& label : out.report.final_media) {
+      tapes.push_back(library.TapeInSlot(library.SlotOfLabel(label).value()));
+    }
+    ExpectReportMatchesMedia(out.report, tapes);
+  }
 
   // Restore every volume from its final media on a fresh, unarmed drive
   // and compare checksums against the pre-night population.
@@ -260,6 +268,11 @@ TEST(FleetFaultsTest, RemoteParallelImageSurvivesLinkFlakyPlusTapeFault) {
       << "the flaky drive must actually fail transfers";
   EXPECT_GE(backup.merged.faults.link_retransmits, 1u);
   EXPECT_GE(backup.merged.faults.tape_retries, 1u);
+  ASSERT_EQ(backup.parts.size(), 2u);
+  for (const auto& part : backup.parts) {
+    ExpectReportMatchesMedia(part->report, {&m0, &m1}, part->dump.stream);
+  }
+  ExpectReportMatchesMedia(backup.merged, {&m0, &m1});
 
   // Restore both stripes concurrently over the (now clean) link into one
   // fresh volume and verify the tree byte for byte.

@@ -143,6 +143,17 @@ TEST(ImageTest, FullDumpRestoreGivesIdenticalVolume) {
   ImageDumpOutput dump = f.Dump();
   EXPECT_GT(dump.stats.blocks_dumped, 57u);
   EXPECT_GT(dump.stats.extents, 0u);
+  // The header's block count is reserved and always 0; the trailer's count
+  // is the authority.
+  Block header_block;
+  header_block.CopyFrom(std::span(dump.stream).first(kBlockSize));
+  auto header = ImageHeader::Parse(header_block);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->block_count, 0u);
+  auto trailer = ImageTrailer::Parse(
+      std::span(dump.stream).last(ImageTrailer::kEncodedSize));
+  ASSERT_TRUE(trailer.ok()) << trailer.status().ToString();
+  EXPECT_EQ(trailer->block_count, dump.stats.blocks_dumped);
 
   auto restored = RunImageRestore(f.dst_volume.get(), dump.stream);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();

@@ -19,6 +19,7 @@
 #include "src/net/stream_conn.h"
 #include "src/net/tape_server.h"
 #include "src/workload/population.h"
+#include "tests/media_invariants.h"
 
 namespace bkup {
 namespace {
@@ -289,6 +290,7 @@ TEST(RemoteJobTest, LogicalBackupAndRestoreRoundTripOverCleanLink) {
       << "every stream byte crossed the link exactly once";
   EXPECT_EQ(backup.report.total_tape_bytes(), backup.report.stream_bytes);
   EXPECT_GT(backup.report.NetMBps(), 0.0);
+  ExpectReportMatchesMedia(backup.report, {f.media.get()}, backup.dump.stream);
 
   // Rewind the server drive and restore over the same link into a fresh
   // file system.
@@ -344,6 +346,9 @@ OutageRunResult RunOutageScenario() {
   if (!result.status.ok()) {
     return result;
   }
+  // The resumed connection replays a prefix the tape already holds: it is
+  // neither written nor billed twice.
+  ExpectReportMatchesMedia(backup.report, {f.media.get()}, backup.dump.stream);
 
   // Rewind, then remote-restore the server-side media (the outage window
   // is past).
@@ -390,6 +395,29 @@ TEST(RemoteJobTest, OutageRecoveryIsDeterministic) {
   ASSERT_TRUE(a.status.ok());
   EXPECT_EQ(a.faults, b.faults)
       << "same plan, same seed: identical recovery history";
+}
+
+// Out of space at the tape server: one 2 MiB tape and no spare under a
+// 6 MiB volume's dump. The link still carries the whole stream, but the
+// tape holds only the prefix that fit, with no gap, and the failed job
+// bills exactly those bytes.
+TEST(RemoteJobTest, RunningOutOfServerMediaBillsOnlyWhatTheTapeHolds) {
+  RemoteFixture f;
+  Tape small("small.0", 2 * kMiB);
+  f.drive->LoadMedia(&small);
+  LogicalBackupJobResult backup;
+  CountdownLatch done(&f.env, 1);
+  f.env.Spawn(RunJob(f.filer.get(),
+                     {.fs = f.fs.get(), .endpoints = {f.Target()}},
+                     &backup, &done));
+  f.env.Run();
+  ASSERT_TRUE(done.done());
+  EXPECT_EQ(backup.report.status.code(), ErrorCode::kNoSpace)
+      << backup.report.status.ToString();
+  EXPECT_EQ(backup.report.total_net_bytes(), backup.dump.stream.size());
+  EXPECT_GT(small.size(), 0u);
+  EXPECT_LT(small.size(), backup.dump.stream.size());
+  ExpectReportMatchesMedia(backup.report, {&small}, backup.dump.stream);
 }
 
 }  // namespace

@@ -37,6 +37,7 @@
 #include "src/obs/json.h"
 #include "src/util/checksum.h"
 #include "src/workload/population.h"
+#include "tests/media_invariants.h"
 
 namespace bkup {
 namespace {
@@ -269,6 +270,7 @@ TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
                      &backup, &done));
   w.env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
+  ExpectReportMatchesMedia(backup.report, {&media}, backup.dump.stream);
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 
@@ -347,6 +349,7 @@ TEST(RecoveryChaosTest, RemoteSingleFileRestoreCostsOFile) {
   ASSERT_EQ(media.contents().size(), backup.dump.stream.size());
   ASSERT_EQ(Crc32c(media.contents()), Crc32c(backup.dump.stream))
       << "tape image must be the dump stream byte for byte";
+  ExpectReportMatchesMedia(backup.report, {&media}, backup.dump.stream);
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 
@@ -434,6 +437,7 @@ TEST(RecoveryChaosTest, FlakyRangedRestoreRetriesLocalAndRemoteAlike) {
                    &backup, &done));
   env.Run();
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
+  ExpectReportMatchesMedia(backup.report, {&media}, backup.dump.stream);
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 
@@ -566,6 +570,8 @@ ContentOutageRun RunCompressedRemoteDump(bool outage) {
   if (!run.backup_status.ok()) {
     return run;
   }
+  // The media hold the wire image, which the test does not rebuild.
+  ExpectReportMatchesMedia(backup.report, {&media});
   run.faults = backup.report.faults;
   run.content = backup.report.content;
   run.raw_stream_bytes = backup.dump.stream.size();
@@ -654,6 +660,7 @@ TEST(RecoveryChaosTest, CompressedTapeResumableRestoreSurvivesKills) {
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   ASSERT_LT(media.contents().size(), backup.dump.stream.size())
       << "compressed backup must write wire bytes to tape";
+  ExpectReportMatchesMedia(backup.report, {&media});
   auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
 

@@ -14,6 +14,7 @@
 #include "src/util/serdes.h"
 #include "src/workload/aging.h"
 #include "src/workload/population.h"
+#include "tests/media_invariants.h"
 
 namespace bkup {
 namespace {
@@ -39,23 +40,6 @@ struct SpanFixture {
   std::unique_ptr<Volume> volume;
   std::unique_ptr<Filesystem> fs;
 };
-
-// Each tape holds the next slice of the stream, filled no further than its
-// capacity and never allocated past it; in mount order the slices
-// concatenate to a prefix of the stream.
-void ExpectTapesSliceStream(const std::vector<Tape*>& tapes,
-                            std::span<const uint8_t> stream) {
-  uint64_t at = 0;
-  for (Tape* t : tapes) {
-    EXPECT_LE(t->size(), t->capacity()) << t->label();
-    EXPECT_LE(t->mutable_bytes().capacity(), t->capacity()) << t->label();
-    ASSERT_LE(at + t->size(), stream.size()) << t->label();
-    EXPECT_TRUE(std::ranges::equal(t->contents(),
-                                   stream.subspan(at, t->size())))
-        << t->label() << " is not stream[" << at << ", +" << t->size() << ")";
-    at += t->size();
-  }
-}
 
 TEST(SpanningTest, DumpSpansMultipleSmallTapes) {
   SpanFixture f;
@@ -88,6 +72,8 @@ TEST(SpanningTest, DumpSpansMultipleSmallTapes) {
   // Spans fall at the offsets they always have, and the set concatenated
   // is the stream.
   ExpectTapesSliceStream({&t0, &t1, &t2, &t3}, backup.dump.stream);
+  ExpectReportMatchesMedia(backup.report, {&t0, &t1, &t2, &t3},
+                           backup.dump.stream);
   EXPECT_EQ((std::vector<uint64_t>{t0.size(), t1.size(), t2.size(), t3.size()}),
             (std::vector<uint64_t>{4185856, 4113408, 2675712, 0}));
 
@@ -126,9 +112,12 @@ TEST(SpanningTest, RunningOutOfSparesFailsCleanly) {
   EXPECT_EQ(backup.report.status.code(), ErrorCode::kNoSpace)
       << "an 11 MiB dump cannot fit on two 2 MiB tapes";
   // The first tape spans where it always has. The second holds exactly the
-  // stream up to the write that found it full: no later chunk is written
-  // after that failure, so the set is a prefix of the stream with no gap.
-  ExpectTapesSliceStream({&t0, &t1}, backup.dump.stream);
+  // stream up to the write that found it full: no later frame is written
+  // after that failure, so the set is a prefix of the stream with no gap,
+  // and the failed job bills only those bytes.
+  ExpectReportMatchesMedia(backup.report, {&t0, &t1}, backup.dump.stream);
+  EXPECT_EQ(backup.report.final_media,
+            (std::vector<std::string>{"only.0", "only.1"}));
   for (Tape* t : {&t0, &t1}) {
     EXPECT_LE(t->mutable_bytes().capacity(), t->capacity()) << t->label();
   }
@@ -141,6 +130,28 @@ TEST(SpanningTest, RunningOutOfSparesFailsCleanly) {
       std::span(backup.dump.stream).subspan(t0.size(), 1847296)));
 }
 
+// A backup starts at the head of its first media: one whose drive sits past
+// data already recorded is refused, and the tape keeps exactly what it held.
+TEST(SpanningTest, BackupPastRecordedDataIsRefused) {
+  SpanFixture f;
+  Tape t0("used.0", 32 * kMiB);
+  TapeDrive drive(&f.env, "dlt0");
+  drive.LoadMedia(&t0);
+  const std::vector<uint8_t> recorded(64 * kKiB, 0xAB);
+  ASSERT_TRUE(drive.WriteData(recorded).ok());
+  LogicalBackupJobResult backup;
+  CountdownLatch done(&f.env, 1);
+  f.env.Spawn(RunJob(&f.filer,
+                     {.fs = f.fs.get(), .endpoints = {{.drive = &drive}}},
+                     &backup, &done));
+  f.env.Run();
+  ASSERT_TRUE(done.done());
+  EXPECT_EQ(backup.report.status.code(), ErrorCode::kFailedPrecondition)
+      << backup.report.status.ToString();
+  EXPECT_TRUE(std::ranges::equal(t0.contents(), recorded));
+  EXPECT_EQ(backup.report.total_tape_bytes(), 0u);
+}
+
 TEST(SpanningTest, MediaLoadTimeIsCharged) {
   SpanFixture f;
   // Single big tape vs a spanned set of the same total capacity: the
@@ -150,13 +161,15 @@ TEST(SpanningTest, MediaLoadTimeIsCharged) {
     drive.LoadMedia(first);
     LogicalBackupJobResult backup;
     CountdownLatch done(&f.env, 1);
-    f.env.Spawn(RunJob(&f.filer,
-                       {.fs = f.fs.get(),
-                        .endpoints = {{.drive = &drive,
-                                       .spare_tapes = std::move(spares)}}},
-                       &backup, &done));
+    f.env.Spawn(RunJob(
+        &f.filer,
+        {.fs = f.fs.get(),
+         .endpoints = {{.drive = &drive, .spare_tapes = spares}}},
+        &backup, &done));
     f.env.Run();
     EXPECT_TRUE(backup.report.status.ok());
+    spares.push_back(first);
+    ExpectReportMatchesMedia(backup.report, spares, backup.dump.stream);
     return backup.report.StreamElapsed();
   };
   Tape big("big", 1ull * kGiB);
@@ -196,6 +209,7 @@ TEST(SpanningTest, RemoteDumpsSpanServerMedia) {
   ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
   EXPECT_EQ(backup.report.tapes_used, three_media);
   EXPECT_EQ(l0.size() + l1.size() + l2.size(), backup.report.stream_bytes);
+  ExpectReportMatchesMedia(backup.report, {&l0, &l1, &l2}, backup.dump.stream);
 
   drive->LoadMedia(&l0);
   auto rvolume = Volume::Create(&f.env, "r", Geometry());
@@ -221,6 +235,8 @@ TEST(SpanningTest, RemoteDumpsSpanServerMedia) {
   ASSERT_TRUE(ibackup.report.status.ok())
       << ibackup.report.status.ToString();
   EXPECT_EQ(ibackup.report.tapes_used, three_media);
+  ExpectReportMatchesMedia(ibackup.report, {&i0, &i1, &i2},
+                           ibackup.dump.stream);
 
   drive->LoadMedia(&i0);
   auto ivolume = Volume::Create(&f.env, "i", Geometry());
@@ -375,6 +391,12 @@ TEST(StreamBytesTest, SpannedTapesArePinned) {
   ExpectTapesSliceStream({media[4].get(), media[5].get(), media[6].get(),
                           media[7].get()},
                          image.dump.stream);
+  std::vector<Tape*> tapes;
+  for (const auto& t : media) {
+    tapes.push_back(t.get());
+  }
+  ExpectReportMatchesMedia(logical.report, tapes, logical.dump.stream);
+  ExpectReportMatchesMedia(image.report, tapes, image.dump.stream);
   const Pin kWant[] = {
       {0x0827e6a8, 3059456}, {0xbaae5c91, 3116032},  // logical
       {0x9ab64bf4, 3136512}, {0x92dbf5a9, 1504256},
