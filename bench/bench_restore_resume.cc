@@ -5,7 +5,7 @@
 // Three measurements on the same mature volume:
 //   1. Full logical restore (baseline): replay the whole stream.
 //   2. Killed + resumed restore: a crash injector kills the restore halfway
-//      through the file section; the resumable job remounts, diffs the
+//      through the file section; the restore job remounts, diffs the
 //      catalog against the partial tree, and replays only the missing
 //      suffix. The bench reports replayed vs. skipped bytes against the
 //      full-replay baseline.
@@ -106,7 +106,7 @@ int Run(int argc, char** argv) {
   }
 
   // 2. Killed + resumed: one kill halfway through the file section, then
-  // the supervised resumable job remounts and replays only the suffix.
+  // the supervised restore remounts and replays only the suffix.
   const uint64_t dir_end = catalog->directory_end();
   const uint64_t stream_end = catalog->stream_end();
   CrashPlan plan;
@@ -114,24 +114,25 @@ int Run(int argc, char** argv) {
   plan.KillAtOffset(dir_end + (stream_end - dir_end) / 2);
   CrashInjector injector(plan);
   SupervisionPolicy policy;
-  ResumableRestoreJobResult resumed;
+  LogicalRestoreJobResult resumed;
   auto rvolume = b.FreshVolume("resumed");
   auto rfs = std::move(Filesystem::Format(rvolume.get(), &b.env)).value();
   {
     b.drives[0]->Rewind();
     JobSpec spec{
-        .volume = rvolume.get(),
+        .fs = rfs.get(),
         .endpoints = {{.drive = b.drives[0].get(), .supervision = &policy}}};
     spec.logical_restore.catalog = &*catalog;
     spec.logical_restore.kill = &injector;
     spec.logical_restore.checkpoint_every = 16;
     CountdownLatch done(&b.env, 1);
-    b.env.Spawn(ResumableLogicalRestoreJob(b.filer.get(), &rfs, spec,
-                                           &resumed, &done));
+    b.env.Spawn(RunJob(b.filer.get(), spec, &resumed, &done));
     b.env.Run();
     bench::CheckStatus(resumed.report.status, "resumed restore");
     resumed.report.name = "Killed+Resumed Restore";
-    auto sums = ChecksumTree(rfs->LiveReader());
+    Filesystem* restored =
+        resumed.remounted != nullptr ? resumed.remounted.get() : rfs.get();
+    auto sums = ChecksumTree(restored->LiveReader());
     bench::CheckStatus(sums.status(), "resumed checksums");
     if (*sums != *source_sums) {
       std::fprintf(stderr, "FATAL: resumed restore tree != source tree\n");

@@ -1,10 +1,10 @@
-// RunJob and the resumable restore: one body per engine and direction, run
-// over one StreamEndpoint by a single job and by each part of a parallel job
-// alike, local or remote.
+// RunJob: one body per engine and direction, run over one StreamEndpoint by
+// a single job and by each part of a parallel job alike, local or remote.
 #include "src/backup/jobs.h"
 
 #include <cctype>
 #include <optional>
+#include <set>
 #include <type_traits>
 
 #include "src/backup/replay.h"
@@ -15,9 +15,9 @@ namespace bkup {
 
 namespace {
 
-// Crash-resumable restores: a killed restore process is restarted (after
-// reboot-scale backoff) and resumed from the catalog diff, up to
-// max_attempts incarnations.
+// A killed logical restore process is restarted (after reboot-scale
+// backoff) and resumed from the catalog diff, up to max_attempts
+// incarnations.
 constexpr RetryPolicy kRestartRetry{.max_attempts = 8,
                                     .initial_backoff = kSecond,
                                     .max_backoff = 30 * kSecond};
@@ -119,6 +119,10 @@ Status CheckShape(const JobSpec& spec, bool parallel, bool per_part_trees) {
                                ? "a parallel logical job takes one tree per "
                                  "endpoint"
                                : "only a parallel logical job takes trees");
+  }
+  if (parallel && spec.logical_restore.kill != nullptr) {
+    return InvalidArgument(
+        "a parallel restore's parts share one file system: no kill hook");
   }
   return Status::Ok();
 }
@@ -237,19 +241,19 @@ Task BackupBody(Filer* filer, JobSpec spec, std::string name, bool part,
   done->CountDown();
 }
 
-// The link bytes a selective restore will move, known before any byte
-// moves: the frame-aligned wire cover of the catalog's ranges for every
-// selected path and its descendants.
-Result<uint64_t> SelectionLinkBytes(const MediaImage& media,
-                                    const LogicalRestoreOptions& options) {
+// Reserves on `budget` the link bytes a selective restore will move, known
+// before any byte moves: the frame-aligned wire cover of the catalog's plan
+// for the selection, the same plan the engine reads by. kExhausted when the
+// budget refuses them.
+Status ReserveSelection(LinkBudget* budget, const MediaImage& media,
+                        const LogicalRestoreOptions& options,
+                        uint64_t* reserved) {
   BKUP_ASSIGN_OR_RETURN(RestoreCatalog names, BuildRestoreCatalog(media.raw));
-  std::vector<Inum> wanted;
-  for (const std::string& path : options.select) {
-    BKUP_ASSIGN_OR_RETURN(Inum selected, names.Namei(path));
-    const std::vector<Inum> below = names.Descendants(selected);
-    wanted.insert(wanted.end(), below.begin(), below.end());
-  }
-  std::vector<StreamRange> ranges = options.catalog->RestoreRanges(wanted);
+  BKUP_ASSIGN_OR_RETURN(std::set<Inum> wanted, names.Select(options.select));
+  std::vector<StreamRange> ranges = options.catalog->RestoreRanges(
+      [&wanted](const TapeCatalog::Entry& file, size_t /*records*/) {
+        return wanted.count(file.inum) != 0;
+      });
   if (media.content_map != nullptr) {
     ranges = media.content_map->WireRangesOf(ranges);
   }
@@ -257,26 +261,54 @@ Result<uint64_t> SelectionLinkBytes(const MediaImage& media,
   for (const StreamRange& r : ranges) {
     total += r.size();
   }
-  return total;
+  if (!budget->TryReserve(total)) {
+    return Exhausted("link budget rejected the restore");
+  }
+  *reserved = total;
+  return Status::Ok();
+}
+
+// Adds one incarnation's engine accounting to a killable restore's report;
+// only a resumed incarnation's consumed bytes count as replayed.
+void AddResume(const LogicalRestoreStats& stats, bool resumed,
+               ResumeStats* resume) {
+  resume->bytes_skipped += stats.bytes_skipped;
+  resume->entries_skipped += stats.entries_skipped;
+  resume->checkpoints += stats.checkpoints;
+  if (resumed) {
+    resume->bytes_replayed += stats.bytes_replayed;
+  }
+}
+
+// Crash-reboot of a killed restore: mounts `volume`'s last consistency
+// point as the file system the restore's later incarnations write into.
+Status Remount(Volume* volume, SimEnvironment* env,
+               LogicalRestoreJobResult* result) {
+  BKUP_ASSIGN_OR_RETURN(result->remounted, Filesystem::Mount(volume, env));
+  return Status::Ok();
 }
 
 // The endpoint's media -> functional logical restore -> replay through the
-// file system. A selective restore with a catalog replays only the ranges
-// the engine consumed, read off the mounted tape alone (ranged reads never
-// address a spanned set), and settles the spec's budget to what the replay
-// moved.
+// file system. A restore with a catalog and a selection or a kill hook
+// replays only the ranges the engine consumed, read off the mounted tape
+// alone (ranged reads never address a spanned set); a selective one
+// settles the spec's budget to what the replay moved. A killed run is
+// restarted on kRestartRetry: the file system is remounted from its volume
+// and the engine resumes from the catalog diff, each incarnation a span of
+// one trace.
 Task LogicalRestoreBody(Filer* filer, JobSpec spec, std::string name,
                         LogicalRestoreJobResult* result,
                         CountdownLatch* done) {
   SimEnvironment* env = filer->env();
-  Filesystem* fs = spec.fs;
   StreamEndpoint& ep = spec.endpoints.front();
-  const LogicalRestoreOptions& options = spec.logical_restore;
+  LogicalRestoreOptions& options = spec.logical_restore;
   JobReport& report = result->report;
   OpenReport(&report, filer,
              JobName(ep, spec.bypass_nvram ? name + " (NVRAM bypass)" : name));
-  const bool ranged = options.catalog != nullptr && !options.select.empty();
-  LinkBudget* budget = ranged ? spec.budget : nullptr;
+  const bool killable = options.kill != nullptr;
+  const bool selective = options.catalog != nullptr && !options.select.empty();
+  const bool ranged = selective || (options.catalog != nullptr && killable);
+  LinkBudget* budget = selective ? spec.budget : nullptr;
   if (ranged) {
     ep.spare_tapes.clear();
   }
@@ -288,47 +320,79 @@ Task LogicalRestoreBody(Filer* filer, JobSpec spec, std::string name,
   }
   uint64_t reserved = 0;
   if (budget != nullptr) {
-    Result<uint64_t> estimate = SelectionLinkBytes(media, options);
-    if (!estimate.ok() || !budget->TryReserve(*estimate)) {
-      report.status = estimate.ok()
-                          ? Exhausted("link budget rejected the restore")
-                          : estimate.status();
+    report.status = ReserveSelection(budget, media, options, &reserved);
+    if (!report.status.ok()) {
       done->CountDown();
       co_return;
     }
-    reserved = *estimate;
   }
-  fs->MarkCpCounters();
-  Result<LogicalRestoreOutput> restored =
-      RunLogicalRestore(fs, media.raw, options);
-  if (!restored.ok()) {
-    if (budget != nullptr) {
-      budget->Cancel(reserved);
+  // Only a killable restore traces its incarnations: ctx stays invalid
+  // otherwise.
+  TraceContext ctx;
+  if (killable && env->tracer() != nullptr) {
+    ctx = env->tracer()->StartTrace();
+  }
+  while (true) {
+    std::optional<ScopedTraceSpan> incarnation;
+    if (ctx.valid()) {
+      incarnation.emplace(env->tracer(), ("job:" + report.name).c_str(),
+                          "incarnation#" + std::to_string(result->attempts),
+                          ctx);
     }
-    report.status = restored.status();
-    done->CountDown();
-    co_return;
-  }
-  result->restore = std::move(*restored);
+    options.resume = options.resume || result->attempts > 0;
+    ++result->attempts;
+    spec.fs->MarkCpCounters();
+    Result<LogicalRestoreOutput> restored =
+        RunLogicalRestore(spec.fs, media.raw, options);
+    if (!restored.ok()) {
+      report.status = restored.status();
+      break;
+    }
+    result->restore = std::move(*restored);
+    report.data_bytes += result->restore.stats.bytes_restored;
+    if (killable) {
+      AddResume(result->restore.stats, result->attempts > 1, &report.resume);
+    }
 
-  ReplayConfig cfg{.filer = filer,
-                   .volume = fs->volume(),
-                   .endpoint = &ep,
-                   .charge_nvram = !spec.bypass_nvram,
-                   .write_meta_multiplier = MetaMultiplier(fs),
-                   .content_map = media.content_map};
-  CountdownLatch replay_done(env, 1);
-  env->Spawn(ReplayRestore(
-      cfg, &result->restore.trace, media.media,
-      ranged ? result->restore.consumed_ranges : std::vector<StreamRange>{},
-      &report, &replay_done));
-  co_await replay_done.Wait();
+    ReplayConfig cfg{.filer = filer,
+                     .volume = spec.fs->volume(),
+                     .endpoint = &ep,
+                     .charge_nvram = !spec.bypass_nvram,
+                     .write_meta_multiplier = MetaMultiplier(spec.fs),
+                     .content_map = media.content_map};
+    CountdownLatch replay_done(env, 1);
+    env->Spawn(ReplayRestore(
+        cfg, &result->restore.trace, media.media,
+        ranged ? result->restore.consumed_ranges : std::vector<StreamRange>{},
+        &report, &replay_done));
+    co_await replay_done.Wait();
+    if (!result->restore.interrupted) {
+      break;
+    }
+    // The process died mid-stream: reboot, back off on the restart
+    // schedule, remount the last consistency point and resume.
+    report.resume.resumes++;
+    if (ctx.valid()) {
+      env->tracer()->Instant(env->tracer()->Track("faults"), "restore.kill",
+                             ctx);
+    }
+    ctx = ctx.NextIncarnation();
+    if (result->attempts >= kRestartRetry.max_attempts) {
+      report.status = Exhausted("restore restart budget exhausted");
+      break;
+    }
+    co_await env->Delay(kRestartRetry.BackoffBefore(result->attempts));
+    report.status = Remount(spec.fs->volume(), env, result);
+    if (!report.status.ok()) {
+      break;
+    }
+    spec.fs = result->remounted.get();
+  }
   if (budget != nullptr) {
     budget->Commit(reserved, report.stream_bytes);
   }
 
   CloseReport(&report, filer);
-  report.data_bytes = result->restore.stats.bytes_restored;
   done->CountDown();
 }
 
@@ -526,106 +590,5 @@ template Task RunJob(Filer*, const JobSpec&,
 template Task RunJob(Filer*, const JobSpec&,
                      ParallelJobResult<ImageRestoreJobResult>*,
                      CountdownLatch*);
-
-Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
-                                JobSpec spec,
-                                ResumableRestoreJobResult* result,
-                                CountdownLatch* done) {
-  SimEnvironment* env = filer->env();
-  JobReport& report = result->report;
-  OpenReport(&report, filer, "Resumable logical restore");
-  LogicalRestoreOptions& options = spec.logical_restore;
-  report.status = CheckShape(spec, false, false);
-  if (report.status.ok() && options.catalog == nullptr) {
-    report.status = InvalidArgument("resumable restore needs a catalog");
-  }
-  if (!report.status.ok()) {
-    done->CountDown();
-    co_return;
-  }
-  // Single-media: the ranged reads address the mounted tape directly. The
-  // wire image is decoded once (it is a pure function of the media); each
-  // incarnation's ranged replay still pays tape and decode CPU only for the
-  // wire frames its resume actually needs.
-  StreamEndpoint& ep = spec.endpoints.front();
-  ep.spare_tapes.clear();
-  MediaImage media;
-  if (Status st = ReadMedia(ep, &media, &report.content); !st.ok()) {
-    report.status = st;
-    done->CountDown();
-    co_return;
-  }
-
-  // One trace spans every incarnation: each supervised restart continues
-  // the same trace id with a bumped incarnation label.
-  TraceContext ctx;
-  if (Tracer* tracer = env->tracer()) {
-    ctx = tracer->StartTrace();
-  }
-  int attempt = 0;
-  while (true) {
-    ScopedTraceSpan incarnation_span(
-        env->tracer(), ("job:" + report.name).c_str(),
-        "incarnation#" + std::to_string(attempt), ctx);
-    ++result->attempts;
-    options.resume = attempt > 0;
-    (*fs)->MarkCpCounters();
-    Result<LogicalRestoreOutput> restored =
-        RunLogicalRestore(fs->get(), media.raw, options);
-    if (!restored.ok()) {
-      report.status = restored.status();
-      break;
-    }
-    report.resume.bytes_skipped += restored->stats.bytes_skipped;
-    report.resume.entries_skipped += restored->stats.entries_skipped;
-    report.resume.checkpoints += restored->stats.checkpoints;
-    if (attempt > 0) {
-      report.resume.bytes_replayed += restored->stats.bytes_replayed;
-    }
-    report.data_bytes += restored->stats.bytes_restored;
-
-    ReplayConfig cfg{.filer = filer,
-                     .volume = spec.volume,
-                     .endpoint = &ep,
-                     .charge_nvram = !spec.bypass_nvram,
-                     .write_meta_multiplier = MetaMultiplier(fs->get()),
-                     .content_map = media.content_map};
-    CountdownLatch replay_done(env, 1);
-    env->Spawn(ReplayRestore(cfg, &restored->trace, media.media,
-                             restored->consumed_ranges, &report,
-                             &replay_done));
-    co_await replay_done.Wait();
-
-    const bool interrupted = restored->interrupted;
-    result->restore = std::move(*restored);
-    if (!interrupted) {
-      break;  // this incarnation finished the restore
-    }
-    // The process died mid-stream: reboot, remount the last consistency
-    // point, back off on the restart schedule, and resume from the catalog.
-    report.resume.resumes++;
-    if (Tracer* tracer = env->tracer()) {
-      tracer->Instant(tracer->Track("faults"), "restore.kill", ctx);
-    }
-    ctx = ctx.NextIncarnation();
-    ++attempt;
-    if (attempt >= kRestartRetry.max_attempts) {
-      report.status = Exhausted("restore restart budget exhausted");
-      break;
-    }
-    co_await env->Delay(kRestartRetry.BackoffBefore(attempt));
-    fs->reset();
-    Result<std::unique_ptr<Filesystem>> mounted =
-        Filesystem::Mount(spec.volume, env);
-    if (!mounted.ok()) {
-      report.status = mounted.status();
-      break;
-    }
-    *fs = std::move(*mounted);
-  }
-
-  CloseReport(&report, filer);
-  done->CountDown();
-}
 
 }  // namespace bkup

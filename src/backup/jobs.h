@@ -4,8 +4,8 @@
 // A job has the structure of WAFL's real dump path — a producer touching
 // disks and CPU, a bounded buffer, and a consumer streaming a tape drive:
 //
-//     [disk reads + CPU] -> Channel<chunk> -> [tape writes]      (backup)
-//     [tape reads] -> Channel<watermark> -> [CPU/NVRAM + disk]   (restore)
+//     [disk reads + CPU] -> Channel<StreamFrame> -> [tape writes]  (backup)
+//     [tape reads] -> Channel<watermark> -> [CPU/NVRAM + disk]     (restore)
 //
 // Because the stages share the filer's CPU, the NVRAM port, the disk arms
 // and each tape's streaming behaviour, the paper's phenomena — tape
@@ -96,7 +96,7 @@ struct StreamEndpoint {
 struct JobSpec {
   // What a backup reads and a logical restore writes into.
   Filesystem* fs = nullptr;
-  // What an image restore writes into (and a resumable restore remounts).
+  // What an image restore writes into.
   Volume* volume = nullptr;
   // One per drive: a single job takes one, a parallel job runs part k over
   // endpoints[k]. An endpoint with a `link` puts its drive across a network.
@@ -108,6 +108,8 @@ struct JobSpec {
   // Engine options. A logical restore whose options carry `select` and a
   // `catalog` reads only the catalog ranges of the selected paths off the
   // mounted tape — the single-file ("stupidity") recovery, O(file) bytes.
+  // One whose options carry `kill` can be killed and is restarted (see
+  // RunJob); with a `catalog` each incarnation reads only what it resumes.
   LogicalDumpOptions logical_dump = {};
   ImageDumpOptions image_dump = {};
   LogicalRestoreOptions logical_restore = {};
@@ -129,8 +131,13 @@ struct LogicalBackupJobResult {
 };
 
 struct LogicalRestoreJobResult {
-  LogicalRestoreOutput restore;
+  LogicalRestoreOutput restore;  // the last incarnation's
   JobReport report;
+  uint32_t attempts = 0;  // process incarnations run
+  // Set once a killed restore restarts: spec.fs's volume remounted, the
+  // file system every later incarnation writes into and the one to read the
+  // restored tree from. spec.fs keeps the state the kill left.
+  std::unique_ptr<Filesystem> remounted;
 };
 
 struct ImageBackupJobResult {
@@ -176,11 +183,19 @@ struct ParallelJobResult {
 //   * a restore: the endpoint's media -> functional restore -> replay
 //     through the file system (logical) or straight into the RAID layer
 //     (image). A multi-media stream restores as the concatenation of the
-//     mounted tape and `spare_tapes`.
+//     mounted tape and `spare_tapes`;
+//   * a logical restore whose options carry `kill` survives process kills:
+//     a killed incarnation is restarted on a fixed schedule (8
+//     incarnations, 1 s backoff doubling to 30 s), supervised or not, into
+//     spec.fs's volume remounted at its last consistency point (crash-
+//     reboot), and resumes from the options' `catalog` diff of the partial
+//     tree. Their `checkpoint_every` sets the consistency-point cadence;
+//     the report's `resume` counts the work resumed and skipped.
 //
 // Spawn the returned task; `done` counts down when the job ends. A spec of
-// the wrong shape (no endpoint, several for a single job, or a tree count
-// other than one per part of a parallel logical job) ends it at once with
+// the wrong shape (no endpoint, several for a single job, a tree count
+// other than one per part of a parallel logical job, or a kill hook on a
+// parallel job, whose parts share one file system) ends it at once with
 // kInvalidArgument in the report.
 Task RunJob(Filer* filer, const JobSpec& spec, LogicalBackupJobResult* result,
             CountdownLatch* done);
@@ -193,28 +208,6 @@ Task RunJob(Filer* filer, const JobSpec& spec, ImageRestoreJobResult* result,
 template <typename Part>
 Task RunJob(Filer* filer, const JobSpec& spec, ParallelJobResult<Part>* result,
             CountdownLatch* done);
-
-struct ResumableRestoreJobResult {
-  LogicalRestoreOutput restore;  // the last attempt (the one that finished)
-  JobReport report;
-  uint32_t attempts = 0;  // process incarnations run
-};
-
-// A logical restore that survives process kills: each attempt resumes from
-// the catalog diff of the partially-restored tree, replaying only the
-// missing suffix through a ranged read of the mounted tape. The spec's
-// restore options must carry the dump's `catalog` (the recovery
-// authority); their `kill` injects the crashes and `checkpoint_every` sets
-// the consistency-point cadence. Between attempts the file system is
-// remounted from `spec.volume` (crash-reboot: the in-memory file system is
-// dropped and the volume's last consistency point mounted) and a fixed
-// restart schedule (8 incarnations, 1 s backoff doubling to 30 s) paces the
-// restarts, supervised or not. `fs` is taken by pointer-to-owner because a
-// remount replaces the Filesystem object; `spec.fs` is not read.
-Task ResumableLogicalRestoreJob(Filer* filer, std::unique_ptr<Filesystem>* fs,
-                                JobSpec spec,
-                                ResumableRestoreJobResult* result,
-                                CountdownLatch* done);
 
 }  // namespace bkup
 

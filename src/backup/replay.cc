@@ -484,7 +484,9 @@ Task DiskFetch(ReplayConfig cfg, const IoEvent* event, JobReport* report,
 
 // Producer half of a backup replay: charges read-ahead disk fetches and CPU
 // per trace event and emits the stream as ordered frames on `out`, pacing
-// them through `throttle` when set. Does not close the channel.
+// them through `throttle` when set. Stops at the first frame after the
+// report holds an unrecovered error: nothing will store the rest. Does not
+// close the channel.
 Task ReplayProducer(ReplayConfig cfg, const IoTrace* trace,
                     BackupThrottle* throttle, Channel<StreamFrame>* out,
                     PhaseSpanner* spans, JobReport* report) {
@@ -513,6 +515,13 @@ Task ReplayProducer(ReplayConfig cfg, const IoTrace* trace,
 
   uint64_t sent = 0;
   for (size_t i = 0; i < n_events; ++i) {
+    if (!report->status.ok()) {
+      // The fetches in flight hold `ready` and `window`: wait them out.
+      for (; i < spawned; ++i) {
+        co_await ready[i]->Wait();
+      }
+      break;
+    }
     const IoEvent& e = trace->events[i];
     spans->Enter(e.phase);
     co_await SpawnFetchesUpTo(i + kDiskWindow + 1);
@@ -520,7 +529,7 @@ Task ReplayProducer(ReplayConfig cfg, const IoTrace* trace,
     co_await ready[i]->Wait();
     report->phase(e.phase).disk_bytes += e.disk_reads.size() * kBlockSize;
     co_await cfg.filer->ChargeCpu(e.cpu, priority);
-    while (sent < e.stream_end) {
+    while (sent < e.stream_end && report->status.ok()) {
       const uint64_t n = std::min<uint64_t>(kChunkBytes, e.stream_end - sent);
       if (throttle != nullptr) {
         co_await throttle->Acquire(n);

@@ -1,6 +1,5 @@
 // Timed replay of a job's I/O trace over a stream endpoint (internal to
-// src/backup; the public entry points are RunJob and the resumable restore
-// in jobs.h).
+// src/backup; the public entry point is RunJob in jobs.h).
 //
 // One backup replay and one restore replay serve every job. The endpoint
 // decides where the stream goes: with no link, the drive hangs off the

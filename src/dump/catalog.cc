@@ -60,12 +60,32 @@ Result<std::vector<DirEntry>> RestoreCatalog::DirEntries(Inum inum) const {
 }
 
 Result<Inum> RestoreCatalog::Namei(const std::string& path) const {
+  return Walk(path, nullptr);
+}
+
+Result<std::set<Inum>> RestoreCatalog::Select(
+    std::span<const std::string> paths) const {
+  std::set<Inum> out;
+  for (const std::string& path : paths) {
+    BKUP_ASSIGN_OR_RETURN(Inum inum, Walk(path, &out));
+    for (Inum d : Descendants(inum)) {
+      out.insert(d);
+    }
+  }
+  return out;
+}
+
+Result<Inum> RestoreCatalog::Walk(const std::string& path,
+                                  std::set<Inum>* along) const {
   if (!finalized_) {
     return FailedPrecondition("catalog not finalized");
   }
   BKUP_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
   Inum current = root_;
   for (const std::string& part : parts) {
+    if (along != nullptr) {
+      along->insert(current);
+    }
     auto it = dirs_.find(current);
     if (it == dirs_.end()) {
       return NotFound("'" + part + "': parent directory not on this tape");
@@ -213,34 +233,26 @@ uint64_t TapeCatalog::directory_end() const {
   return i < entries_.size() ? entries_[i].offset : stream_end();
 }
 
-std::vector<TapeCatalog::Entry> TapeCatalog::RecordsOf(Inum inum) const {
-  std::vector<Entry> out;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].type != DumpRecordType::kInode ||
-        entries_[i].inum != inum) {
+std::vector<StreamRange> TapeCatalog::RestoreRanges(
+    const std::function<bool(const Entry& file, size_t records)>& want) const {
+  std::vector<StreamRange> ranges{{0, directory_end()}};
+  for (size_t i = first_file_entry(); i < entries_.size();) {
+    if (entries_[i].type != DumpRecordType::kInode) {
+      ++i;  // an orphan kAddr is useless without its kInode
       continue;
     }
-    out.push_back(entries_[i]);
-    for (size_t j = i + 1; j < entries_.size() &&
-                           entries_[j].type == DumpRecordType::kAddr &&
-                           entries_[j].inum == inum;
-         ++j) {
-      out.push_back(entries_[j]);
+    size_t j = i + 1;
+    while (j < entries_.size() && entries_[j].type == DumpRecordType::kAddr &&
+           entries_[j].inum == entries_[i].inum) {
+      ++j;
     }
-    break;
-  }
-  return out;
-}
-
-std::vector<StreamRange> TapeCatalog::RestoreRanges(
-    std::span<const Inum> wanted) const {
-  std::vector<StreamRange> ranges;
-  ranges.push_back({0, directory_end()});
-  for (Inum inum : wanted) {
-    for (const Entry& e : RecordsOf(inum)) {
-      ranges.push_back({e.offset, e.offset + e.bytes});
+    if (want(entries_[i], j - i)) {
+      ranges.push_back(
+          {entries_[i].offset, entries_[j - 1].offset + entries_[j - 1].bytes});
     }
+    i = j;
   }
+  // A loaded journal is not trusted to list records in stream order.
   std::sort(ranges.begin(), ranges.end(),
             [](const StreamRange& a, const StreamRange& b) {
               return a.begin < b.begin;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,6 +49,11 @@ class RestoreCatalog {
   // dump root itself.
   Result<Inum> Namei(const std::string& path) const;
 
+  // What a restore of `paths` needs: every inum below each path (inclusive)
+  // plus the directories that hold it, from the root down. NotFound if a
+  // path does not resolve.
+  Result<std::set<Inum>> Select(std::span<const std::string> paths) const;
+
   // All dump-relative paths referring to `inum` (several for hard links),
   // in deterministic order. Empty if the inum appears in no dumped
   // directory.
@@ -69,6 +75,9 @@ class RestoreCatalog {
   };
 
   std::string PathOfDir(Inum inum) const;
+  // Namei that also adds every inum on the way, the root included, to
+  // `along` when it is non-null.
+  Result<Inum> Walk(const std::string& path, std::set<Inum>* along) const;
 
   std::map<Inum, DirInfo> dirs_;
   // child inum -> list of (parent dir inum, name); files may have several.
@@ -128,18 +137,16 @@ class TapeCatalog {
   // (full, resumed, or single-file) must consume.
   uint64_t directory_end() const;
 
-  // Index of the first file-section entry, entries().size() if none.
-  size_t first_file_entry() const;
-
-  // The contiguous record extent of `inum`'s file data: its kInode record
-  // and the kAddr continuations that follow it. Empty if the inum has no
-  // file records (a directory, or not in this dump).
-  std::vector<Entry> RecordsOf(Inum inum) const;
-
-  // Byte ranges a restore of exactly `wanted` needs off the media: the
-  // prologue plus each wanted inum's record extents, coalesced and in
-  // ascending order. The heart of O(file) single-file restore.
-  std::vector<StreamRange> RestoreRanges(std::span<const Inum> wanted) const;
+  // Byte ranges a catalog-driven restore reads off the media: the prologue
+  // plus the extent of every file `want` accepts, coalesced and in
+  // ascending order. A file's extent is its kInode record and the kAddr
+  // continuations that follow it; `want` sees each file once, in stream
+  // order, as its kInode entry and the extent's record count. The one plan
+  // behind single-file restore (O(file) bytes), its link budget and the
+  // resume diff.
+  std::vector<StreamRange> RestoreRanges(
+      const std::function<bool(const Entry& file, size_t records)>& want)
+      const;
 
   // Serializes the whole index as one journal image (entry frames with a
   // checkpoint frame every `checkpoint_every` entries and one final seal).
@@ -160,6 +167,9 @@ class TapeCatalog {
   static Result<TapeCatalog> FromStream(std::span<const uint8_t> stream);
 
  private:
+  // Index of the first file-section entry, entries().size() if none.
+  size_t first_file_entry() const;
+
   std::vector<Entry> entries_;
 };
 

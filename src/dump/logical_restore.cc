@@ -1,6 +1,5 @@
 #include "src/dump/logical_restore.h"
 
-#include <algorithm>
 #include <set>
 #include <sstream>
 
@@ -143,8 +142,8 @@ class RestoreRun {
   // resumes or selects): seek between needed record extents via the catalog
   // instead of scanning every record.
   Status MaybePlanAndSkip(bool* stop);
-  Status BuildReplayPlan();
-  Result<bool> EntryComplete(const TapeCatalog::Entry& entry);
+  bool Replays(const TapeCatalog::Entry& file, size_t records);
+  bool EntryComplete(const TapeCatalog::Entry& entry);
   // Applies one record's worth of progress bookkeeping: the CP cadence and
   // the kill hook. True = the process just died.
   bool Applied(RestorePhase phase);
@@ -180,7 +179,7 @@ class RestoreRun {
   uint64_t entries_applied_ = 0;
   uint32_t applied_since_cp_ = 0;
   bool plan_ready_ = false;
-  std::vector<StreamRange> plan_;  // file-section extents to replay
+  std::vector<StreamRange> plan_;  // stream ranges to replay, prologue first
   size_t plan_idx_ = 0;
   uint64_t run_start_ = 0;  // begin of the current contiguous consumed run
   std::vector<StreamRange> consumed_;
@@ -205,30 +204,8 @@ Status RestoreRun::HandleDirectory(const DumpStreamItem& item) {
 
 Status RestoreRun::ComputeSelection() {
   restore_all_ = opt_.select.empty();
-  if (restore_all_) {
-    return Status::Ok();
-  }
-  for (const std::string& sel : opt_.select) {
-    BKUP_ASSIGN_OR_RETURN(Inum inum, catalog_.Namei(sel));
-    for (Inum d : catalog_.Descendants(inum)) {
-      wanted_.insert(d);
-    }
-    // Ancestor directories are needed to hold the restored files.
-    BKUP_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(sel));
-    wanted_.insert(catalog_.root());
-    Inum cur = catalog_.root();
-    for (size_t i = 0; i + 1 < parts.size(); ++i) {
-      BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries,
-                            catalog_.DirEntries(cur));
-      const auto it = std::find_if(
-          entries.begin(), entries.end(),
-          [&](const DirEntry& e) { return e.name == parts[i]; });
-      if (it == entries.end()) {
-        return NotFound("selection ancestor missing from catalog");
-      }
-      cur = it->inum;
-      wanted_.insert(cur);
-    }
+  if (!restore_all_) {
+    BKUP_ASSIGN_OR_RETURN(wanted_, catalog_.Select(opt_.select));
   }
   return Status::Ok();
 }
@@ -607,7 +584,7 @@ Result<LogicalRestoreOutput> RestoreRun::Finish() {
   return std::move(out_);
 }
 
-Result<bool> RestoreRun::EntryComplete(const TapeCatalog::Entry& entry) {
+bool RestoreRun::EntryComplete(const TapeCatalog::Entry& entry) {
   DumpStreamReader at = reader_;  // a second cursor on the same stream
   at.Seek(entry.offset);
   std::optional<DumpStreamItem> item = at.Next();
@@ -660,37 +637,18 @@ Result<bool> RestoreRun::EntryComplete(const TapeCatalog::Entry& entry) {
   return true;
 }
 
-Status RestoreRun::BuildReplayPlan() {
-  const std::vector<TapeCatalog::Entry>& entries = opt_.catalog->entries();
-  for (size_t i = opt_.catalog->first_file_entry(); i < entries.size();) {
-    if (entries[i].type != DumpRecordType::kInode) {
-      ++i;  // an orphan kAddr is useless without its kInode
-      continue;
-    }
-    // The file's extent: its kInode record plus following continuations.
-    size_t j = i + 1;
-    uint64_t end = entries[i].offset + entries[i].bytes;
-    while (j < entries.size() && entries[j].type == DumpRecordType::kAddr &&
-           entries[j].inum == entries[i].inum) {
-      end = entries[j].offset + entries[j].bytes;
-      ++j;
-    }
-    bool replay = restore_all_ || wanted_.count(entries[i].inum) != 0;
-    if (replay && opt_.resume) {
-      BKUP_ASSIGN_OR_RETURN(bool complete, EntryComplete(entries[i]));
-      if (complete) {
-        replay = false;
-        out_.stats.files_already_complete++;
-        out_.stats.entries_skipped += static_cast<uint32_t>(j - i);
-      }
-    }
-    if (replay) {
-      plan_.push_back({entries[i].offset, end});
-    }
-    i = j;
+// The replay plan's test for one file: replay it if it is selected and, on
+// a resume, not already complete on the target.
+bool RestoreRun::Replays(const TapeCatalog::Entry& file, size_t records) {
+  if (!restore_all_ && wanted_.count(file.inum) == 0) {
+    return false;
   }
-  CoalesceRanges(&plan_);
-  return Status::Ok();
+  if (opt_.resume && EntryComplete(file)) {
+    out_.stats.files_already_complete++;
+    out_.stats.entries_skipped += static_cast<uint32_t>(records);
+    return false;
+  }
+  return true;
 }
 
 Status RestoreRun::MaybePlanAndSkip(bool* stop) {
@@ -705,7 +663,10 @@ Status RestoreRun::MaybePlanAndSkip(bool* stop) {
     // The cursor reached the file section: the directory stage is fully
     // read, so the selection and the resume diff can be computed now.
     BKUP_RETURN_IF_ERROR(FinishDirectoryStage());
-    BKUP_RETURN_IF_ERROR(BuildReplayPlan());
+    plan_ = opt_.catalog->RestoreRanges(
+        [this](const TapeCatalog::Entry& file, size_t records) {
+          return Replays(file, records);
+        });
     plan_ready_ = true;
   }
   const uint64_t pos = reader_.position();

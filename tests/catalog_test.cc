@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,19 @@ TEST(CatalogTest, Descendants) {
   EXPECT_EQ(d[0], 10u);
   auto leaf = c.Descendants(21);
   EXPECT_EQ(leaf, std::vector<Inum>{21});
+}
+
+// A selection holds each path's subtree and the directories above it.
+TEST(CatalogTest, SelectAddsAncestors) {
+  RestoreCatalog c = MakeCatalog();
+  const std::vector<std::string> leaf = {"/docs/sub/b.txt"};
+  EXPECT_EQ(*c.Select(leaf), (std::set<Inum>{2, 10, 11, 21}));
+  const std::vector<std::string> two = {"/docs/sub", "/link-to-a"};
+  EXPECT_EQ(*c.Select(two), (std::set<Inum>{2, 10, 11, 20, 21}));
+  const std::vector<std::string> root = {"/"};
+  EXPECT_EQ(*c.Select(root), (std::set<Inum>{2, 10, 11, 20, 21}));
+  const std::vector<std::string> missing = {"/docs", "/nope"};
+  EXPECT_EQ(c.Select(missing).status().code(), ErrorCode::kNotFound);
 }
 
 TEST(CatalogTest, TopDownVisitsParentsFirst) {
@@ -345,8 +359,15 @@ TEST(TapeCatalogTest, RestoreRangesCoverOneFileCheaply) {
   auto inum = names->Namei("/docs/sub/c.txt");
   ASSERT_TRUE(inum.ok());
 
-  std::vector<Inum> wanted = {*inum};
-  auto ranges = catalog->RestoreRanges(wanted);
+  size_t files_seen = 0;
+  auto ranges = catalog->RestoreRanges(
+      [&](const TapeCatalog::Entry& file, size_t records) {
+        EXPECT_EQ(file.type, DumpRecordType::kInode);
+        EXPECT_GE(records, 1u);
+        ++files_seen;
+        return file.inum == *inum;
+      });
+  EXPECT_GT(files_seen, 1u) << "the plan offers every file once";
   ASSERT_FALSE(ranges.empty());
   // The prologue comes first, then the one file's extent.
   EXPECT_EQ(ranges.front().begin, 0u);
@@ -359,13 +380,19 @@ TEST(TapeCatalogTest, RestoreRangesCoverOneFileCheaply) {
   }
   EXPECT_LT(total, dump.stream.size()) << "one file must cost < full stream";
   // Every record of the wanted inum lies inside the ranges.
-  for (const auto& rec : catalog->RecordsOf(*inum)) {
+  size_t records = 0;
+  for (const auto& rec : catalog->entries()) {
+    if (rec.inum != *inum) {
+      continue;
+    }
+    ++records;
     bool covered = false;
     for (const auto& r : ranges) {
       covered |= rec.offset >= r.begin && rec.offset + rec.bytes <= r.end;
     }
     EXPECT_TRUE(covered) << "record at " << rec.offset;
   }
+  EXPECT_GE(records, 1u) << "the file's records are in the catalog";
 }
 
 // A damaged directory is skipped by the restore; the name catalog a

@@ -398,9 +398,14 @@ TEST(RemoteJobTest, OutageRecoveryIsDeterministic) {
 }
 
 // Out of space at the tape server: one 2 MiB tape and no spare under a
-// 6 MiB volume's dump. The link still carries the whole stream, but the
-// tape holds only the prefix that fit, with no gap, and the failed job
-// bills exactly those bytes.
+// 6 MiB volume's dump. The tape holds only the prefix that fit, with no
+// gap, and the failed job bills exactly those bytes. The replay stops once
+// the tape is full, so the link carries less than the stream: what the tape
+// holds plus what was in flight when it filled. That is at most the
+// connection's window on the wire and the tape server's two window-deep
+// receive channels (3 x window_frames frames of mtu_bytes, 6 MiB here), and
+// the producer's channel of 8 chunks of 256 KiB plus the chunk being sent.
+// Here the link carries 5,403,392 of the stream's 6,565,632 bytes.
 TEST(RemoteJobTest, RunningOutOfServerMediaBillsOnlyWhatTheTapeHolds) {
   RemoteFixture f;
   Tape small("small.0", 2 * kMiB);
@@ -414,7 +419,8 @@ TEST(RemoteJobTest, RunningOutOfServerMediaBillsOnlyWhatTheTapeHolds) {
   ASSERT_TRUE(done.done());
   EXPECT_EQ(backup.report.status.code(), ErrorCode::kNoSpace)
       << backup.report.status.ToString();
-  EXPECT_EQ(backup.report.total_net_bytes(), backup.dump.stream.size());
+  EXPECT_LT(backup.report.total_net_bytes(), backup.dump.stream.size());
+  EXPECT_GE(backup.report.total_net_bytes(), small.size());
   EXPECT_GT(small.size(), 0u);
   EXPECT_LT(small.size(), backup.dump.stream.size());
   ExpectReportMatchesMedia(backup.report, {&small}, backup.dump.stream);

@@ -250,8 +250,8 @@ TEST(RecoveryChaosTest, KilledRestoresConvergeEverywhere) {
       << "most resumes must skip already-complete files";
 }
 
-// The timed-world twin: a supervised ResumableLogicalRestoreJob takes two
-// kills, restarts on the supervisor's backoff schedule, replays only the
+// The timed-world twin: a supervised logical restore job with a kill hook
+// takes two kills, restarts on the restart schedule, replays only the
 // missing suffix off the tape, and reports the resume accounting in its
 // JSON job report.
 TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
@@ -284,14 +284,14 @@ TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
 
   auto volume = Volume::Create(&w.env, "r", Geometry());
   auto fs = std::move(Filesystem::Format(volume.get(), &w.env)).value();
-  JobSpec spec{.volume = volume.get(),
+  JobSpec spec{.fs = fs.get(),
                .endpoints = {{.drive = &drive, .supervision = &policy}}};
   spec.logical_restore.catalog = &*catalog;
   spec.logical_restore.kill = &injector;
   spec.logical_restore.checkpoint_every = 8;
-  ResumableRestoreJobResult result;
+  LogicalRestoreJobResult result;
   CountdownLatch rdone(&w.env, 1);
-  w.env.Spawn(ResumableLogicalRestoreJob(&filer, &fs, spec, &result, &rdone));
+  w.env.Spawn(RunJob(&filer, spec, &result, &rdone));
   w.env.Run();
 
   ASSERT_TRUE(result.report.status.ok()) << result.report.status.ToString();
@@ -300,7 +300,10 @@ TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
   EXPECT_EQ(result.report.resume.resumes, 2u);
   EXPECT_GT(result.report.resume.bytes_skipped, 0u);
   EXPECT_GT(result.report.resume.checkpoints, 0u);
-  EXPECT_EQ(ChecksumTree(fs->LiveReader()).value(), w.source_sums);
+  ASSERT_NE(result.remounted, nullptr) << "a restart remounts the volume";
+  EXPECT_EQ(result.remounted->volume(), volume.get());
+  EXPECT_EQ(ChecksumTree(result.remounted->LiveReader()).value(),
+            w.source_sums);
 
   JsonWriter jw;
   result.report.WriteJson(&jw);
@@ -308,6 +311,94 @@ TEST(RecoveryChaosTest, SupervisedResumableJobSurvivesKills) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ((*parsed)["resume"]["resumes"].int_value(), 2);
   EXPECT_GT((*parsed)["resume"]["bytes_skipped"].int_value(), 0);
+}
+
+// The remote twin: a restore across a link, killed twice, resumes through
+// the same RunJob. Each incarnation pulls only what it resumes over the
+// link, and the remounted tree is byte-identical to the source.
+TEST(RecoveryChaosTest, KilledRemoteRestoreResumesThroughRunJob) {
+  DumpedWorkload w(4243 + SeedOffset());
+  NetLink link(&w.env, "wan", LinkParams{});
+  TapeServer server(&w.env, "vault");
+  TapeDrive* drive = server.AddDrive("dlt0");
+  Tape media("vault.0", 32 * kMiB);
+  drive->LoadMedia(&media);
+  Filer filer(&w.env, FilerModel::F630());
+  SupervisionPolicy policy;
+  const StreamEndpoint target{.link = &link,
+                              .server = &server,
+                              .drive = drive,
+                              .supervision = &policy};
+
+  LogicalBackupJobResult backup;
+  CountdownLatch done(&w.env, 1);
+  w.env.Spawn(
+      RunJob(&filer, {.fs = w.src.get(), .endpoints = {target}}, &backup,
+             &done));
+  w.env.Run();
+  ASSERT_TRUE(backup.report.status.ok()) << backup.report.status.ToString();
+  ExpectReportMatchesMedia(backup.report, {&media}, backup.dump.stream);
+  auto catalog = TapeCatalog::Load(backup.dump.catalog_image);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+
+  const uint64_t dir_end = catalog->directory_end();
+  const uint64_t stream_end = catalog->stream_end();
+  CrashPlan plan;
+  plan.seed = 78;
+  plan.KillAtOffset(dir_end + (stream_end - dir_end) / 3)
+      .KillAtOffset(dir_end + 2 * (stream_end - dir_end) / 3);
+  CrashInjector injector(plan);
+
+  auto volume = Volume::Create(&w.env, "r", Geometry());
+  auto fs = std::move(Filesystem::Format(volume.get(), &w.env)).value();
+  JobSpec spec{.fs = fs.get(), .endpoints = {target}};
+  spec.logical_restore.catalog = &*catalog;
+  spec.logical_restore.kill = &injector;
+  spec.logical_restore.checkpoint_every = 8;
+  LogicalRestoreJobResult result;
+  CountdownLatch rdone(&w.env, 1);
+  w.env.Spawn(RunJob(&filer, spec, &result, &rdone));
+  w.env.Run();
+
+  ASSERT_TRUE(result.report.status.ok()) << result.report.status.ToString();
+  EXPECT_EQ(result.attempts, 3u) << "two kills = three incarnations";
+  EXPECT_FALSE(result.restore.interrupted);
+  EXPECT_EQ(result.report.resume.resumes, 2u);
+  EXPECT_GT(result.report.resume.bytes_skipped, 0u);
+  EXPECT_GT(result.report.total_net_bytes(), 0u) << "the restore crossed the link";
+  EXPECT_LT(result.report.stream_bytes, 2 * backup.dump.stream.size())
+      << "each incarnation pulls only what it resumes";
+  ASSERT_NE(result.remounted, nullptr) << "a restart remounts the volume";
+  EXPECT_EQ(ChecksumTree(result.remounted->LiveReader()).value(),
+            w.source_sums)
+      << "a resumed remote restore must be byte-identical";
+}
+
+// A parallel restore's parts write one file system, so one part's kill
+// cannot be survived by remounting it under the others: the kill hook is
+// refused before any part starts.
+TEST(RecoveryChaosTest, ParallelRestoreRefusesKillHook) {
+  SimEnvironment env;
+  Filer filer(&env, FilerModel::F630());
+  TapeDrive d0(&env, "dlt0"), d1(&env, "dlt1");
+  auto volume = Volume::Create(&env, "r", Geometry());
+  auto fs = std::move(Filesystem::Format(volume.get(), &env)).value();
+  CrashPlan plan;
+  plan.KillAtEntry(1);
+  CrashInjector injector(plan);
+  JobSpec spec{.fs = fs.get(),
+               .endpoints = {{.drive = &d0}, {.drive = &d1}},
+               .trees = {"/a", "/b"}};
+  spec.logical_restore.kill = &injector;
+  ParallelJobResult<LogicalRestoreJobResult> result;
+  CountdownLatch done(&env, 1);
+  env.Spawn(RunJob(&filer, spec, &result, &done));
+  env.Run();
+  ASSERT_TRUE(done.done());
+  EXPECT_EQ(result.merged.status.code(), ErrorCode::kInvalidArgument)
+      << result.merged.status.ToString();
+  EXPECT_TRUE(result.parts.empty());
+  EXPECT_FALSE(fs->LookupPath("/a").ok()) << "no part may start";
 }
 
 // Catalog-driven remote single-file restore: one file off the vault costs
@@ -391,6 +482,27 @@ TEST(RecoveryChaosTest, RemoteSingleFileRestoreCostsOFile) {
   EXPECT_LT(link_bytes, backup.dump.stream.size() / 10)
       << "one file must cost well under a tenth of the stream";
   EXPECT_EQ(budget.consumed(), link_bytes);
+
+  // The estimate is exact: the budget prices the catalog plan the engine
+  // reads by, so an allowance of exactly the bytes moved admits the
+  // restore and one byte less refuses it.
+  for (const uint64_t allowance : {link_bytes, link_bytes - 1}) {
+    auto volume = Volume::Create(&env, "exact", Geometry());
+    auto fs = std::move(Filesystem::Format(volume.get(), &env)).value();
+    LinkBudget exact(&link, allowance);
+    LogicalRestoreJobResult out;
+    restore_needle(fs.get(), &exact, &out);
+    if (allowance == link_bytes) {
+      EXPECT_TRUE(out.report.status.ok()) << out.report.status.ToString();
+      EXPECT_EQ(out.report.stream_bytes, link_bytes);
+      EXPECT_EQ(exact.consumed(), link_bytes);
+    } else {
+      EXPECT_EQ(out.report.status.code(), ErrorCode::kExhausted)
+          << out.report.status.ToString();
+      EXPECT_EQ(out.report.stream_bytes, 0u);
+      EXPECT_EQ(exact.consumed(), 0u);
+    }
+  }
 
   auto got = rfs->LookupPath("/known/needle.dat");
   ASSERT_TRUE(got.ok());
@@ -674,23 +786,25 @@ TEST(RecoveryChaosTest, CompressedTapeResumableRestoreSurvivesKills) {
 
   auto volume = Volume::Create(&w.env, "r", Geometry());
   auto fs = std::move(Filesystem::Format(volume.get(), &w.env)).value();
-  JobSpec spec{.volume = volume.get(),
+  JobSpec spec{.fs = fs.get(),
                .endpoints = {{.drive = &drive,
                               .supervision = &policy,
                               .content = content}}};
   spec.logical_restore.catalog = &*catalog;
   spec.logical_restore.kill = &injector;
   spec.logical_restore.checkpoint_every = 8;
-  ResumableRestoreJobResult result;
+  LogicalRestoreJobResult result;
   CountdownLatch rdone(&w.env, 1);
-  w.env.Spawn(ResumableLogicalRestoreJob(&filer, &fs, spec, &result, &rdone));
+  w.env.Spawn(RunJob(&filer, spec, &result, &rdone));
   w.env.Run();
 
   ASSERT_TRUE(result.report.status.ok()) << result.report.status.ToString();
   EXPECT_EQ(result.attempts, 3u) << "two kills = three incarnations";
   EXPECT_FALSE(result.restore.interrupted);
   EXPECT_EQ(result.report.resume.resumes, 2u);
-  EXPECT_EQ(ChecksumTree(fs->LiveReader()).value(), w.source_sums)
+  ASSERT_NE(result.remounted, nullptr) << "a restart remounts the volume";
+  EXPECT_EQ(ChecksumTree(result.remounted->LiveReader()).value(),
+            w.source_sums)
       << "resumed restore of compressed media must be byte-identical";
 
   // Bounded decode: a full-stream decode costs DecodeCpuPerMb() x raw MB;

@@ -128,6 +128,20 @@ TEST(SpanningTest, RunningOutOfSparesFailsCleanly) {
   EXPECT_TRUE(std::ranges::equal(
       t1.contents(),
       std::span(backup.dump.stream).subspan(t0.size(), 1847296)));
+  // The replay stops once the media are full: it reads from disk only the
+  // trace events that begin within what the tapes hold plus what was in
+  // flight, the producer's channel of 8 chunks of 256 KiB, the chunk the
+  // writer holds and the one the producer was sending.
+  const uint64_t in_flight = 10 * 256 * kKiB;
+  uint64_t bound = 0, full = 0, begin = 0;
+  for (const IoEvent& e : backup.dump.trace.events) {
+    const uint64_t bytes = e.disk_reads.size() * kBlockSize;
+    full += bytes;
+    bound += begin <= t0.size() + t1.size() + in_flight ? bytes : 0;
+    begin = e.stream_end;
+  }
+  EXPECT_LE(backup.report.total_disk_bytes(), bound);
+  EXPECT_LT(bound, full);
 }
 
 // A backup starts at the head of its first media: one whose drive sits past
