@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops of the
 // backup paths: checksums, bitmap algebra (the Table 1 computation), block
 // map plane operations, dump record serialization, the write allocator,
-// RAID parity math, the content stages (chunking, encode, decode) and the
-// two dump engines end to end.
+// RAID parity math, filling a stream buffer with and without huge page
+// advice, the content stages (chunking, encode, decode) and the two dump
+// engines end to end.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "src/util/bitmap.h"
 #include "src/util/checksum.h"
 #include "src/util/random.h"
+#include "src/util/stream_buffer.h"
 #include "src/workload/population.h"
 
 namespace bkup {
@@ -152,6 +154,33 @@ void BM_RaidParityXor(benchmark::State& state) {
                           kBlockSize);
 }
 BENCHMARK(BM_RaidParityXor);
+
+// A 32 MiB stream buffer reserved at its final size and filled a block at a
+// time, as the dump engines fill theirs. Arg 0 reserves it plainly, so the
+// host faults in one 4 KiB page per block; arg 1 reserves it through
+// ReserveBytes, so huge pages can back it (when THP is not `never`).
+void BM_StreamBufferFill(benchmark::State& state) {
+  constexpr size_t kStreamBytes = 32 * kMiB;
+  const bool advised = state.range(0) != 0;
+  Block block;
+  Rng(8).Fill(block.bytes());
+  for (auto _ : state) {
+    std::vector<uint8_t> stream;
+    if (advised) {
+      ReserveBytes(&stream, kStreamBytes);
+    } else {
+      stream.reserve(kStreamBytes);
+    }
+    while (stream.size() < kStreamBytes) {
+      stream.insert(stream.end(), block.data.begin(), block.data.end());
+    }
+    benchmark::DoNotOptimize(stream.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kStreamBytes));
+}
+BENCHMARK(BM_StreamBufferFill)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The content benchmarks run every stage, as remote backups do, over one
 // seeded 8 MiB stream.

@@ -10,6 +10,7 @@
 #include "src/backup/replay.h"
 #include "src/net/link.h"
 #include "src/obs/trace.h"
+#include "src/util/stream_buffer.h"
 
 namespace bkup {
 
@@ -78,6 +79,11 @@ Status ReadMedia(const StreamEndpoint& ep, MediaImage* out,
   }
   out->media = ep.drive->tape()->contents();
   if (!ep.spare_tapes.empty()) {
+    size_t total = out->media.size();
+    for (const Tape* t : ep.spare_tapes) {
+      total += t->contents().size();
+    }
+    ReserveBytes(&out->spliced, total);
     out->spliced.assign(out->media.begin(), out->media.end());
     for (Tape* t : ep.spare_tapes) {
       out->spliced.insert(out->spliced.end(), t->contents().begin(),

@@ -45,6 +45,11 @@ Status Disk::WriteData(Dbn dbn, const Block& block) {
   return Status::Ok();
 }
 
+Block* Disk::StoredBlock(Dbn dbn) {
+  auto it = store_.find(dbn);
+  return it == store_.end() ? nullptr : it->second.get();
+}
+
 void Disk::ReplaceWithBlank() {
   store_.clear();
   failed_ = false;

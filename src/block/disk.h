@@ -52,6 +52,9 @@ class Disk {
   // Reads block `dbn` into `out`; unwritten blocks read as zeros.
   Status ReadData(Dbn dbn, Block* out) const;
   Status WriteData(Dbn dbn, const Block& block);
+  // The stored block `dbn`, for update in place; null when it was never
+  // written (it reads as zeros). Like the data calls, it bypasses timing.
+  Block* StoredBlock(Dbn dbn);
 
   // --------------------------------------------------------- failures ---
 

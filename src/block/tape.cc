@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/obs/trace.h"
+#include "src/util/stream_buffer.h"
 
 namespace bkup {
 
@@ -72,8 +73,8 @@ Status TapeDrive::WriteData(std::span<const uint8_t> data) {
 
 void TapeDrive::ReserveAhead(uint64_t nbytes) {
   if (tape_ != nullptr && position_ < tape_->capacity()) {
-    tape_->mutable_bytes().reserve(
-        position_ + std::min(nbytes, tape_->capacity() - position_));
+    ReserveBytes(&tape_->mutable_bytes(),
+                 position_ + std::min(nbytes, tape_->capacity() - position_));
   }
 }
 

@@ -93,7 +93,8 @@ class TapeDrive {
   Status WriteData(std::span<const uint8_t> data);
 
   // Sizes the mounted media for `nbytes` more bytes at the head, clamped at
-  // its capacity, so a stream written piecewise grows each media once.
+  // its capacity, so a stream written piecewise grows each media once
+  // (through ReserveBytes, so only a growth asks for huge pages).
   void ReserveAhead(uint64_t nbytes);
 
   // Reads exactly `out.size()` bytes at the position; fails with Corruption

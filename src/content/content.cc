@@ -7,6 +7,7 @@
 #include "src/util/checksum.h"
 #include "src/util/random.h"
 #include "src/util/serdes.h"
+#include "src/util/stream_buffer.h"
 
 namespace bkup {
 
@@ -584,7 +585,7 @@ Result<EncodeResult> StagePipeline::Encode(
     wire_begin += frame.wire_len;
   }
 
-  out.wire.reserve(wire_begin);
+  ReserveBytes(&out.wire, wire_begin);
   PutStreamHeader(&out.wire, cfg_, raw.size());
   for (size_t i = 0; i < chunks.size(); ++i) {
     const FrameHeader& f = headers[i];
@@ -614,8 +615,8 @@ Result<std::vector<uint8_t>> StagePipeline::Decode(
   const uint64_t max_frames =
       (wire.size() - kContentStreamHeaderBytes) / kContentFrameHeaderBytes;
   std::vector<uint8_t> raw;
-  raw.reserve(std::min<uint64_t>(header.raw_total,
-                                 max_frames * cfg_.max_chunk_bytes));
+  ReserveBytes(&raw, std::min<uint64_t>(header.raw_total,
+                                        max_frames * cfg_.max_chunk_bytes));
   // Store-backed frames' entries and the hashes their frames claim.
   std::vector<std::span<const uint8_t>> stored;
   std::vector<uint64_t> want;

@@ -6,6 +6,7 @@
 
 #include "src/dump/dumpdates.h"
 #include "src/util/checksum.h"
+#include "src/util/stream_buffer.h"
 
 namespace bkup {
 
@@ -426,7 +427,7 @@ Result<LogicalDumpOutput> RunLogicalDump(const FsReader& reader,
     BKUP_RETURN_IF_ERROR(SkipUnreadableFiles(&ctx));
   }
   BKUP_ASSIGN_OR_RETURN(const uint64_t stream_bytes, SizeStream(&ctx));
-  ctx.out.stream.reserve(stream_bytes);
+  ReserveBytes(&ctx.out.stream, stream_bytes);
   BKUP_RETURN_IF_ERROR(EmitHeaders(&ctx));
   BKUP_RETURN_IF_ERROR(DumpDirectories(&ctx));
   BKUP_RETURN_IF_ERROR(DumpFiles(&ctx));

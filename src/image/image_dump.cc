@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "src/util/checksum.h"
+#include "src/util/stream_buffer.h"
 
 namespace bkup {
 
@@ -76,7 +77,7 @@ Result<ImageDumpOutput> RunImageDump(Volume* volume,
     }
     v = full_set.FindFirstSet(end + 1);
   }
-  out.stream.reserve(stream_bytes);
+  ReserveBytes(&out.stream, stream_bytes);
 
   BKUP_ASSIGN_OR_RETURN(Block header_block, header.Serialize());
   out.stream.insert(out.stream.end(), header_block.data.begin(),

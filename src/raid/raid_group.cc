@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace bkup {
 
@@ -28,6 +29,29 @@ size_t RaidGroup::failed_count() const {
   }
   return n;
 }
+
+namespace {
+
+// parity ^= old_data ^ data, word at a time; a null `old_data` is zeros.
+void FoldIntoParity(Block* parity, const Block* old_data, const Block& data) {
+  if (old_data == nullptr) {
+    parity->XorWith(data);
+    return;
+  }
+  uint8_t* dst = parity->data.data();
+  const uint8_t* old_bytes = old_data->data.data();
+  const uint8_t* new_bytes = data.data.data();
+  for (size_t i = 0; i < kBlockSize; i += sizeof(uint64_t)) {
+    uint64_t p, o, n;
+    std::memcpy(&p, dst + i, sizeof(p));
+    std::memcpy(&o, old_bytes + i, sizeof(o));
+    std::memcpy(&n, new_bytes + i, sizeof(n));
+    p ^= o ^ n;
+    std::memcpy(dst + i, &p, sizeof(p));
+  }
+}
+
+}  // namespace
 
 Status RaidGroup::XorStripeExcept(Dbn stripe, size_t skip_column, Block* out) {
   out->Zero();
@@ -84,15 +108,23 @@ Status RaidGroup::WriteBlock(uint64_t gbn, const Block& block) {
     return p.disk->WriteData(p.dbn, block);
   }
 
-  // Normal path: read-modify-write parity.
-  Block old_data;
-  Block old_parity;
-  BKUP_RETURN_IF_ERROR(p.disk->ReadData(p.dbn, &old_data));
-  BKUP_RETURN_IF_ERROR(parity->ReadData(p.dbn, &old_parity));
-  old_parity.XorWith(old_data);
-  old_parity.XorWith(block);
-  BKUP_RETURN_IF_ERROR(p.disk->WriteData(p.dbn, block));
-  return parity->WriteData(p.dbn, old_parity);
+  // Normal path: read-modify-write parity, folding the old and the new data
+  // into the stored parity block in one pass. A block never written reads
+  // as zeros, so a missing old block contributes nothing.
+  if (p.dbn >= p.disk->num_blocks() || p.dbn >= parity->num_blocks()) {
+    return InvalidArgument(name_ + ": write past end of group");
+  }
+  const Block* old_data = p.disk->StoredBlock(p.dbn);
+  if (Block* stored = parity->StoredBlock(p.dbn); stored != nullptr) {
+    FoldIntoParity(stored, old_data, block);
+  } else {
+    Block fresh = block;
+    if (old_data != nullptr) {
+      fresh.XorWith(*old_data);
+    }
+    BKUP_RETURN_IF_ERROR(parity->WriteData(p.dbn, fresh));
+  }
+  return p.disk->WriteData(p.dbn, block);
 }
 
 Status RaidGroup::Reconstruct(size_t column) {

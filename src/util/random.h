@@ -7,8 +7,10 @@
 #ifndef BKUP_UTIL_RANDOM_H_
 #define BKUP_UTIL_RANDOM_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -72,14 +74,15 @@ class Rng {
     return std::exp(mu + sigma * z);
   }
 
-  // Fill `out` with deterministic bytes.
+  // Fill `out` with deterministic bytes: each draw, little-endian.
   void Fill(std::span<uint8_t> out) {
     size_t i = 0;
     while (i + 8 <= out.size()) {
-      const uint64_t v = Next();
-      for (int b = 0; b < 8; ++b) {
-        out[i + b] = static_cast<uint8_t>(v >> (8 * b));
+      uint64_t v = Next();
+      if constexpr (std::endian::native == std::endian::big) {
+        v = __builtin_bswap64(v);
       }
+      std::memcpy(out.data() + i, &v, sizeof(v));
       i += 8;
     }
     if (i < out.size()) {

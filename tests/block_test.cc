@@ -69,6 +69,23 @@ TEST(DiskTest, WriteReadRoundTrip) {
   EXPECT_EQ(r, w);
 }
 
+TEST(DiskTest, StoredBlockIsTheWrittenBlockInPlace) {
+  SimEnvironment env;
+  Disk d(&env, "d0", 1000);
+  EXPECT_EQ(d.StoredBlock(7), nullptr);
+  EXPECT_EQ(d.StoredBlock(5000), nullptr);
+  const Block w = MakeBlock(0xAB);
+  ASSERT_TRUE(d.WriteData(7, w).ok());
+  Block* stored = d.StoredBlock(7);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(*stored, w);
+  stored->data[1] = 0x11;
+  Block r;
+  ASSERT_TRUE(d.ReadData(7, &r).ok());
+  EXPECT_EQ(r.data[0], 0xAB);
+  EXPECT_EQ(r.data[1], 0x11);
+}
+
 TEST(DiskTest, OutOfRangeRejected) {
   SimEnvironment env;
   Disk d(&env, "d0", 10);

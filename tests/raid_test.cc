@@ -87,6 +87,32 @@ TEST(RaidGroupTest, ParityIsXorOfDataColumns) {
   EXPECT_EQ(parity, expect);
 }
 
+// Overwrites fold into the stored parity block in place: rewriting a
+// column, and writing a column whose stripe already has parity, both leave
+// parity equal to the XOR of the stripe's current data.
+TEST(RaidGroupTest, OverwriteKeepsParityInStep) {
+  GroupFixture f(4);  // 3 data + parity
+  Rng rng(3);
+  Block b0 = RandomBlock(&rng), b1 = RandomBlock(&rng);
+  ASSERT_TRUE(f.group->WriteBlock(0, b0).ok());
+  ASSERT_TRUE(f.group->WriteBlock(1, b1).ok());  // data missing, parity not
+  for (int round = 0; round < 3; ++round) {
+    b1 = RandomBlock(&rng);
+    ASSERT_TRUE(f.group->WriteBlock(1, b1).ok());  // both stored
+  }
+  Block parity;
+  ASSERT_TRUE(f.group->parity_disk()->ReadData(0, &parity).ok());
+  Block expect = b0;
+  expect.XorWith(b1);
+  EXPECT_EQ(parity, expect);
+  Block got;
+  ASSERT_TRUE(f.group->ReadBlock(1, &got).ok());
+  EXPECT_EQ(got, b1);
+  // The stored parity block is the one updated: no second copy appears.
+  EXPECT_EQ(*f.group->parity_disk()->StoredBlock(0), expect);
+  EXPECT_EQ(f.group->parity_disk()->StoredBlock(1), nullptr);
+}
+
 TEST(RaidGroupTest, DegradedReadReconstructs) {
   GroupFixture f(5);
   Rng rng(3);

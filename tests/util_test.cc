@@ -1,7 +1,13 @@
 // Unit tests for src/util: status, bitmap, checksum, serdes, stats, units.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/util/bitmap.h"
@@ -9,6 +15,7 @@
 #include "src/util/random.h"
 #include "src/util/serdes.h"
 #include "src/util/status.h"
+#include "src/util/stream_buffer.h"
 #include "src/util/units.h"
 
 namespace bkup {
@@ -466,6 +473,27 @@ TEST(RandomTest, FillIsDeterministicAndCoversPartialWords) {
   EXPECT_NE(a, c);
 }
 
+// Fill's bytes are pinned: generated files, and so every stream and digest,
+// are built from them. One generator fills each length in turn, so the pins
+// also cover how many draws a partial word consumes.
+TEST(RandomTest, FillBytesArePinned) {
+  const std::vector<std::pair<size_t, uint32_t>> pins = {
+      {0, 0x00000000u},  {1, 0x33bbc033u},  {2, 0x51aac62du},
+      {3, 0x8fe1dd45u},  {4, 0xdcd1f58fu},  {5, 0x9fc8d717u},
+      {6, 0xd0f29626u},  {7, 0x753b4047u},  {8, 0x751031ddu},
+      {9, 0x362c492cu},  {10, 0xfbbfaff0u}, {11, 0x6b39b2b4u},
+      {12, 0xf9ee6eaau}, {13, 0x1f7e8e76u}, {14, 0xe6f332a8u},
+      {15, 0x253315d5u}, {16, 0xdc2a1bf5u}, {17, 0xf26b5bbcu},
+      {4096, 0x844ba849u},
+  };
+  Rng rng(9);
+  for (const auto& [len, crc] : pins) {
+    std::vector<uint8_t> bytes(len);
+    rng.Fill(bytes);
+    EXPECT_EQ(Crc32c(bytes), crc) << "length " << len;
+  }
+}
+
 TEST(RandomTest, LogNormalIsPositive) {
   Rng rng(4);
   for (int i = 0; i < 1000; ++i) {
@@ -476,6 +504,85 @@ TEST(RandomTest, LogNormalIsPositive) {
 TEST(RandomTest, NameHasRequestedLength) {
   Rng rng(8);
   EXPECT_EQ(rng.Name(12).size(), 12u);
+}
+
+TEST(StreamBufferTest, ReserveIntoEmptyIsExact) {
+  for (size_t n : {size_t{0}, size_t{100}, kHugePageBytes - 1,
+                   3 * kHugePageBytes + 17}) {
+    std::vector<uint8_t> buf;
+    ReserveBytes(&buf, n);
+    EXPECT_EQ(buf.capacity(), n);
+    EXPECT_TRUE(buf.empty());
+  }
+}
+
+TEST(StreamBufferTest, GrowingKeepsContentsAndShrinkingIsANoOp) {
+  std::vector<uint8_t> buf(1 << 20);
+  Rng rng(3);
+  rng.Fill(buf);
+  const std::vector<uint8_t> want = buf;
+  ReserveBytes(&buf, 5 * kHugePageBytes);
+  EXPECT_EQ(buf.capacity(), 5 * kHugePageBytes);
+  EXPECT_EQ(buf, want);
+  const uint8_t* data = buf.data();
+  ReserveBytes(&buf, kHugePageBytes);
+  EXPECT_EQ(buf.data(), data);
+  EXPECT_EQ(buf.capacity(), 5 * kHugePageBytes);
+  EXPECT_EQ(buf, want);
+}
+
+TEST(StreamBufferTest, InteriorHoldsOnlyWholeAlignedHugePages) {
+  // An arena with a huge-page-aligned `base` and room for five huge pages
+  // past it; the test only computes addresses inside it.
+  const auto arena = std::make_unique_for_overwrite<uint8_t[]>(
+      6 * kHugePageBytes);
+  const auto addr = reinterpret_cast<uintptr_t>(arena.get());
+  uint8_t* base = arena.get() + ((kHugePageBytes - addr % kHugePageBytes) %
+                                 kHugePageBytes);
+  // Below one huge page there is never an interior, even when aligned.
+  EXPECT_TRUE(HugePageInterior(base, kHugePageBytes - 1).empty());
+  EXPECT_TRUE(HugePageInterior(base + 16, kHugePageBytes).empty());
+  EXPECT_TRUE(HugePageInterior(nullptr, 0).empty());
+
+  const std::span<uint8_t> aligned = HugePageInterior(base, 4 * kHugePageBytes);
+  EXPECT_EQ(aligned.data(), base);
+  EXPECT_EQ(aligned.size(), 4 * kHugePageBytes);
+
+  // A malloc'd buffer starts just past a page boundary: it loses the
+  // partial huge pages at both ends.
+  const std::span<uint8_t> inner =
+      HugePageInterior(base + 16, 4 * kHugePageBytes);
+  EXPECT_EQ(inner.data(), base + kHugePageBytes);
+  EXPECT_EQ(inner.size(), 3 * kHugePageBytes);
+}
+
+// The point of the helper: a stream buffer takes a few faults per 2 MiB
+// instead of one per 4 KiB page. Needs the kernel to honour MADV_HUGEPAGE,
+// and no AddressSanitizer: its shadow memory, poisoned on every reserve and
+// resize, faults in 4 KiB pages of its own that no advice on the buffer
+// covers (about 2k of them for this buffer).
+TEST(StreamBufferTest, FillingAnAdvisedBufferTakesFewFaults) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "AddressSanitizer's shadow pages are faulted separately";
+#endif
+  std::ifstream mode_file("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  if (!std::getline(mode_file, mode) ||
+      mode.find("[never]") != std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages are off or absent";
+  }
+  constexpr size_t kBytes = size_t{16} << 20;
+  constexpr long kSmallPages = kBytes / 4096;
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  std::vector<uint8_t> buf;
+  ReserveBytes(&buf, kBytes);
+  buf.resize(kBytes);
+  std::memset(buf.data(), 0xA5, buf.size());
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, kSmallPages / 2);
+  EXPECT_EQ(buf[kBytes - 1], 0xA5);
 }
 
 }  // namespace
