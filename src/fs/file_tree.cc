@@ -189,36 +189,4 @@ Status FreeIndirectBlocks(const ReadBlockFn& read,
   return Status::Ok();
 }
 
-Status ForEachDataBlock(const ReadBlockFn& read, const InodeData& inode,
-                        const std::function<void(uint64_t, Vbn)>& fn) {
-  std::vector<uint32_t> ptrs;
-  BKUP_RETURN_IF_ERROR(LoadPointerMap(read, inode, &ptrs));
-  for (uint64_t fbn = 0; fbn < ptrs.size(); ++fbn) {
-    if (ptrs[fbn] != 0) {
-      fn(fbn, ptrs[fbn]);
-    }
-  }
-  return Status::Ok();
-}
-
-Status ForEachIndirectBlock(const ReadBlockFn& read, const InodeData& inode,
-                            const std::function<void(Vbn)>& fn) {
-  if (inode.single_indirect != 0) {
-    fn(inode.single_indirect);
-  }
-  if (inode.double_indirect != 0) {
-    Block l2;
-    BKUP_RETURN_IF_ERROR(read(inode.double_indirect, &l2));
-    std::vector<uint32_t> entries;
-    ParsePointerBlock(l2, &entries);
-    for (uint32_t p : entries) {
-      if (p != 0) {
-        fn(p);
-      }
-    }
-    fn(inode.double_indirect);
-  }
-  return Status::Ok();
-}
-
 }  // namespace bkup

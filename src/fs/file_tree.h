@@ -38,18 +38,10 @@ Status StorePointerMap(const WriteBlockFn& write, const AllocBlockFn& alloc,
                        const std::vector<uint32_t>& ptrs, InodeData* inode);
 
 // Frees every indirect block attached to `inode` (not the data blocks) and
-// clears its pointer fields. Used by truncate-to-zero and unlink.
+// clears its pointer fields: the copy-on-write flush calls it before
+// StorePointerMap, and unlink calls it to release the whole tree.
 Status FreeIndirectBlocks(const ReadBlockFn& read,
                           const FreeBlockFn& free_block, InodeData* inode);
-
-// Enumerates the vbn of every data block of `inode` in file order by reading
-// indirect blocks; invokes fn(fbn, vbn) for non-hole blocks only.
-Status ForEachDataBlock(const ReadBlockFn& read, const InodeData& inode,
-                        const std::function<void(uint64_t, Vbn)>& fn);
-
-// Enumerates the vbns of the indirect blocks themselves (metadata blocks).
-Status ForEachIndirectBlock(const ReadBlockFn& read, const InodeData& inode,
-                            const std::function<void(Vbn)>& fn);
 
 }  // namespace bkup
 

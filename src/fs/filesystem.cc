@@ -8,21 +8,16 @@ namespace bkup {
 
 namespace {
 
-// NVRAM log record opcodes.
-enum class NvOp : uint8_t {
-  kCreate = 1,
-  kMkdir = 2,
-  kSymlink = 3,
-  kLink = 4,
-  kUnlink = 5,
-  kRmdir = 6,
-  kRename = 7,
-  kWrite = 8,
-  kTruncate = 9,
-  kSetAttr = 10,
-};
-
 uint16_t DefaultDirMode() { return 0755; }
+
+// SetAttr records carry every field, with a bit per field that is set.
+enum SetAttrBits : uint8_t {
+  kSetMode = 1,
+  kSetUid = 2,
+  kSetGid = 4,
+  kSetMtime = 8,
+  kSetAtime = 16,
+};
 
 }  // namespace
 
@@ -83,13 +78,9 @@ Result<std::unique_ptr<Filesystem>> Filesystem::Format(Volume* volume,
   root.inode.mtime = root.inode.ctime = root.inode.atime = env->now();
   root.inode_dirty = true;
   root.ptrs_loaded = true;
-  fs->files_.emplace(kRootDirInum, std::move(root));
-  // Write the empty directory body.
-  const std::vector<uint8_t> empty = SerializeDirectory({});
-  fs->internal_dir_write_ = true;
-  Status root_write = fs->DoWrite(kRootDirInum, 0, empty);
-  fs->internal_dir_write_ = false;
-  BKUP_RETURN_IF_ERROR(root_write);
+  FileState* root_state =
+      &fs->files_.emplace(kRootDirInum, std::move(root)).first->second;
+  BKUP_RETURN_IF_ERROR(fs->WriteDirState(kRootDirInum, root_state, {}));
 
   BKUP_RETURN_IF_ERROR(fs->ConsistencyPoint().status());
   return fs;
@@ -98,46 +89,26 @@ Result<std::unique_ptr<Filesystem>> Filesystem::Format(Volume* volume,
 Result<std::unique_ptr<Filesystem>> Filesystem::Mount(Volume* volume,
                                                       SimEnvironment* env,
                                                       NvramLog* nvram) {
-  // "WAFL always uses the most recent consistency point on disk": read the
-  // primary fsinfo, falling back to the redundant copy.
-  Block block;
-  BKUP_RETURN_IF_ERROR(volume->ReadBlock(kFsInfoPrimary, &block));
-  Result<FsInfo> info = FsInfo::DeserializeFromBlock(block);
-  if (!info.ok()) {
-    BKUP_RETURN_IF_ERROR(volume->ReadBlock(kFsInfoBackup, &block));
-    info = FsInfo::DeserializeFromBlock(block);
-    if (!info.ok()) {
-      return Corruption("both fsinfo copies unreadable: " +
-                        info.status().message());
-    }
-  }
-  if (info->volume_blocks != volume->num_blocks()) {
+  BKUP_ASSIGN_OR_RETURN(FsInfo info, ReadFsInfoFromVolume(volume));
+  if (info.volume_blocks != volume->num_blocks()) {
     return Corruption("fsinfo volume size does not match this volume");
   }
 
   std::unique_ptr<Filesystem> fs(new Filesystem(volume, env, nvram));
-  fs->generation_ = info->generation;
-  fs->max_inodes_ = info->max_inodes;
-  fs->inode_file_inode_ = info->inode_file;
-  fs->blockmap_inode_ = info->blockmap_file;
-  fs->snapshots_ = info->snapshots;
+  fs->generation_ = info.generation;
+  fs->max_inodes_ = info.max_inodes;
+  fs->inode_file_inode_ = info.inode_file;
+  fs->blockmap_inode_ = info.blockmap_file;
+  fs->snapshots_ = info.snapshots;
   fs->last_cp_time_ = env->now();
 
-  // Load the block map from its file.
-  auto read = [volume](Vbn v, Block* b) { return volume->ReadBlock(v, b); };
-  BKUP_RETURN_IF_ERROR(
-      LoadPointerMap(read, fs->blockmap_inode_, &fs->blockmap_ptrs_));
-  Block bmblock;
-  for (uint64_t fbn = 0; fbn < fs->blockmap_ptrs_.size(); ++fbn) {
-    if (fs->blockmap_ptrs_[fbn] == 0) {
-      return Corruption("block-map file has a hole");
-    }
-    BKUP_RETURN_IF_ERROR(volume->ReadBlock(fs->blockmap_ptrs_[fbn], &bmblock));
-    fs->blockmap_.LoadFileBlock(fbn, bmblock);
-  }
+  BKUP_ASSIGN_OR_RETURN(
+      fs->blockmap_,
+      LoadBlockMapFromVolume(volume, info, nullptr, &fs->blockmap_ptrs_));
   fs->allocator_ = WriteAllocator(&fs->blockmap_);
-  fs->allocator_.set_write_point(info->alloc_write_point);
+  fs->allocator_.set_write_point(info.alloc_write_point);
 
+  auto read = [volume](Vbn v, Block* b) { return volume->ReadBlock(v, b); };
   BKUP_RETURN_IF_ERROR(
       LoadPointerMap(read, fs->inode_file_inode_, &fs->inode_file_ptrs_));
   BKUP_RETURN_IF_ERROR(fs->LoadInodeUsage());
@@ -162,8 +133,7 @@ Status Filesystem::LoadInodeUsage() {
     }
     BKUP_RETURN_IF_ERROR(volume_->ReadBlock(inode_file_ptrs_[fbn], &block));
     for (uint32_t i = 0; i < kInodesPerBlock; ++i) {
-      ByteReader r(std::span(block.data).subspan(i * kInodeSize, kInodeSize));
-      BKUP_ASSIGN_OR_RETURN(InodeData ino, InodeData::Deserialize(&r));
+      BKUP_ASSIGN_OR_RETURN(InodeData ino, InodeAt(block, i));
       if (ino.in_use()) {
         inode_used_.Set(fbn * kInodesPerBlock + i);
       }
@@ -188,14 +158,9 @@ Result<Filesystem::FileState*> Filesystem::LoadFile(Inum inum) {
   if (fbn < inode_file_ptrs_.size() && inode_file_ptrs_[fbn] != 0) {
     Block block;
     BKUP_RETURN_IF_ERROR(volume_->ReadBlock(inode_file_ptrs_[fbn], &block));
-    ByteReader r(std::span(block.data)
-                     .subspan((inum % kInodesPerBlock) * kInodeSize,
-                              kInodeSize));
-    BKUP_ASSIGN_OR_RETURN(state.inode, InodeData::Deserialize(&r));
+    BKUP_ASSIGN_OR_RETURN(state.inode, InodeAt(block, inum));
   }
-  auto [pos, inserted] = files_.emplace(inum, std::move(state));
-  (void)inserted;
-  return &pos->second;
+  return &files_.emplace(inum, std::move(state)).first->second;
 }
 
 Status Filesystem::EnsurePtrsLoaded(FileState* fs) {
@@ -240,19 +205,9 @@ Result<Inum> Filesystem::AllocateInum(InodeType type, uint16_t mode) {
 void Filesystem::FreeFileBlocks(FileState* fs) {
   // Frees all on-disk blocks of the file from the active plane; pending
   // dirty blocks simply evaporate.
-  if (!fs->ptrs_loaded) {
-    Status st = EnsurePtrsLoaded(fs);
-    assert(st.ok());
-    (void)st;
-  }
-  for (uint32_t p : fs->ptrs) {
-    if (p != 0) {
-      allocator_.FreeActive(p);
-    }
-  }
-  auto read = [this](Vbn v, Block* b) { return volume_->ReadBlock(v, b); };
-  auto free_block = [this](Vbn v) { allocator_.FreeActive(v); };
-  Status st = FreeIndirectBlocks(read, free_block, &fs->inode);
+  Status st = EnsurePtrsLoaded(fs);
+  assert(st.ok());
+  st = FreeTree(&fs->inode, fs->ptrs);
   assert(st.ok());
   (void)st;
   fs->ptrs.clear();
@@ -305,44 +260,16 @@ Result<std::vector<DirEntry>> Filesystem::ReadDirState(FileState* dir) {
 Status Filesystem::WriteDirState(Inum dir_inum, FileState* dir,
                                  const std::vector<DirEntry>& entries) {
   const std::vector<uint8_t> bytes = SerializeDirectory(entries);
-  internal_dir_write_ = true;
-  Status write_status = DoWrite(dir_inum, 0, bytes);
-  if (write_status.ok() && bytes.size() < dir->inode.size) {
-    write_status = DoTruncate(dir_inum, bytes.size());
+  BKUP_RETURN_IF_ERROR(DoWrite(dir_inum, 0, bytes));
+  if (bytes.size() < dir->inode.size) {
+    BKUP_RETURN_IF_ERROR(DoTruncate(dir_inum, bytes.size()));
   }
-  internal_dir_write_ = false;
-  BKUP_RETURN_IF_ERROR(write_status);
   dir->inode.mtime = env_->now();
   dir->inode_dirty = true;
   return Status::Ok();
 }
 
-Result<Filesystem::ResolvedParent> Filesystem::ResolveParent(
-    const std::string& path) {
-  BKUP_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
-  if (parts.empty()) {
-    return InvalidArgument("path names the root directory");
-  }
-  Inum current = kRootDirInum;
-  for (size_t i = 0; i + 1 < parts.size(); ++i) {
-    BKUP_ASSIGN_OR_RETURN(FileState * dir, LoadFile(current));
-    if (!dir->inode.in_use()) {
-      return NotFound("path component missing");
-    }
-    BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, ReadDirState(dir));
-    const auto it = std::find_if(
-        entries.begin(), entries.end(),
-        [&parts, i](const DirEntry& e) { return e.name == parts[i]; });
-    if (it == entries.end()) {
-      return NotFound("'" + parts[i] + "' not found");
-    }
-    current = it->inum;
-  }
-  return ResolvedParent{current, parts.back()};
-}
-
-Result<Inum> Filesystem::LookupLocked(const std::string& path) {
-  BKUP_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
+Result<Inum> Filesystem::Walk(std::span<const std::string> parts) {
   Inum current = kRootDirInum;
   for (const std::string& part : parts) {
     BKUP_ASSIGN_OR_RETURN(FileState * dir, LoadFile(current));
@@ -361,30 +288,41 @@ Result<Inum> Filesystem::LookupLocked(const std::string& path) {
   return current;
 }
 
+Result<Filesystem::ResolvedParent> Filesystem::ResolveParent(
+    std::string_view path) {
+  BKUP_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
+  if (parts.empty()) {
+    return InvalidArgument("path names the root directory");
+  }
+  BKUP_ASSIGN_OR_RETURN(Inum parent,
+                        Walk(std::span(parts).first(parts.size() - 1)));
+  return ResolvedParent{parent, std::move(parts.back())};
+}
+
+Result<Inum> Filesystem::LookupPath(std::string_view path) {
+  BKUP_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
+  return Walk(parts);
+}
+
 // ========================================================== namespace ops
 
-Result<Inum> Filesystem::DoCreate(const std::string& path, InodeType type,
+Result<Inum> Filesystem::DoCreate(std::string_view path, InodeType type,
                                   uint16_t mode,
-                                  const std::string& symlink_target) {
+                                  std::string_view symlink_target) {
   BKUP_ASSIGN_OR_RETURN(ResolvedParent rp, ResolveParent(path));
   BKUP_ASSIGN_OR_RETURN(FileState * parent, LoadFile(rp.parent));
   BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, ReadDirState(parent));
   for (const DirEntry& e : entries) {
     if (e.name == rp.leaf) {
-      return AlreadyExists("'" + path + "' exists");
+      return AlreadyExists("'" + std::string(path) + "' exists");
     }
   }
   BKUP_ASSIGN_OR_RETURN(Inum inum, AllocateInum(type, mode));
   entries.push_back(DirEntry{inum, type, rp.leaf});
-  // Reload the parent pointer: AllocateInum may have rehashed files_.
-  BKUP_ASSIGN_OR_RETURN(parent, LoadFile(rp.parent));
   BKUP_RETURN_IF_ERROR(WriteDirState(rp.parent, parent, entries));
   if (type == InodeType::kDirectory) {
-    const std::vector<uint8_t> empty = SerializeDirectory({});
-    internal_dir_write_ = true;
-    Status body_write = DoWrite(inum, 0, empty);
-    internal_dir_write_ = false;
-    BKUP_RETURN_IF_ERROR(body_write);
+    BKUP_ASSIGN_OR_RETURN(FileState * dir, LoadFile(inum));
+    BKUP_RETURN_IF_ERROR(WriteDirState(inum, dir, {}));
   } else if (type == InodeType::kSymlink) {
     const auto* data =
         reinterpret_cast<const uint8_t*>(symlink_target.data());
@@ -394,54 +332,9 @@ Result<Inum> Filesystem::DoCreate(const std::string& path, InodeType type,
   return inum;
 }
 
-Result<Inum> Filesystem::Create(const std::string& path, uint16_t mode) {
-  BKUP_ASSIGN_OR_RETURN(Inum inum, DoCreate(path, InodeType::kFile, mode, ""));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kCreate));
-    w.PutString(path);
-    w.PutU16(mode);
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return inum;
-}
-
-Result<Inum> Filesystem::Mkdir(const std::string& path, uint16_t mode) {
-  BKUP_ASSIGN_OR_RETURN(Inum inum,
-                        DoCreate(path, InodeType::kDirectory, mode, ""));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kMkdir));
-    w.PutString(path);
-    w.PutU16(mode);
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return inum;
-}
-
-Result<Inum> Filesystem::SymlinkAt(const std::string& target,
-                                   const std::string& path) {
-  BKUP_ASSIGN_OR_RETURN(Inum inum,
-                        DoCreate(path, InodeType::kSymlink, 0777, target));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kSymlink));
-    w.PutString(target);
-    w.PutString(path);
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return inum;
-}
-
-Status Filesystem::DoLink(const std::string& existing,
-                          const std::string& new_path) {
-  BKUP_ASSIGN_OR_RETURN(Inum target, LookupLocked(existing));
+Status Filesystem::DoLink(std::string_view existing,
+                          std::string_view new_path) {
+  BKUP_ASSIGN_OR_RETURN(Inum target, LookupPath(existing));
   BKUP_ASSIGN_OR_RETURN(FileState * tstate, LoadFile(target));
   if (tstate->inode.type == InodeType::kDirectory) {
     return IsADirectory("cannot hard-link a directory");
@@ -451,34 +344,18 @@ Status Filesystem::DoLink(const std::string& existing,
   BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, ReadDirState(parent));
   for (const DirEntry& e : entries) {
     if (e.name == rp.leaf) {
-      return AlreadyExists("'" + new_path + "' exists");
+      return AlreadyExists("'" + std::string(new_path) + "' exists");
     }
   }
   entries.push_back(DirEntry{target, tstate->inode.type, rp.leaf});
   BKUP_RETURN_IF_ERROR(WriteDirState(rp.parent, parent, entries));
-  BKUP_ASSIGN_OR_RETURN(tstate, LoadFile(target));
   tstate->inode.nlink++;
   tstate->inode.ctime = env_->now();
   tstate->inode_dirty = true;
   return Status::Ok();
 }
 
-Status Filesystem::Link(const std::string& existing,
-                        const std::string& new_path) {
-  BKUP_RETURN_IF_ERROR(DoLink(existing, new_path));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kLink));
-    w.PutString(existing);
-    w.PutString(new_path);
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return Status::Ok();
-}
-
-Status Filesystem::DoUnlink(const std::string& path, bool must_be_dir) {
+Status Filesystem::DoUnlink(std::string_view path, bool must_be_dir) {
   BKUP_ASSIGN_OR_RETURN(ResolvedParent rp, ResolveParent(path));
   BKUP_ASSIGN_OR_RETURN(FileState * parent, LoadFile(rp.parent));
   BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, ReadDirState(parent));
@@ -486,27 +363,25 @@ Status Filesystem::DoUnlink(const std::string& path, bool must_be_dir) {
       std::find_if(entries.begin(), entries.end(),
                    [&rp](const DirEntry& e) { return e.name == rp.leaf; });
   if (it == entries.end()) {
-    return NotFound("'" + path + "' not found");
+    return NotFound("'" + std::string(path) + "' not found");
   }
   const Inum inum = it->inum;
   BKUP_ASSIGN_OR_RETURN(FileState * state, LoadFile(inum));
   if (must_be_dir) {
     if (state->inode.type != InodeType::kDirectory) {
-      return NotADirectory("'" + path + "' is not a directory");
+      return NotADirectory("'" + std::string(path) + "' is not a directory");
     }
     BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> children, ReadDirState(state));
     if (!children.empty()) {
-      return NotEmpty("'" + path + "' is not empty");
+      return NotEmpty("'" + std::string(path) + "' is not empty");
     }
   } else if (state->inode.type == InodeType::kDirectory) {
-    return IsADirectory("'" + path + "' is a directory; use Rmdir");
+    return IsADirectory("'" + std::string(path) + "' is a directory; use Rmdir");
   }
 
   entries.erase(it);
-  BKUP_ASSIGN_OR_RETURN(parent, LoadFile(rp.parent));
   BKUP_RETURN_IF_ERROR(WriteDirState(rp.parent, parent, entries));
 
-  BKUP_ASSIGN_OR_RETURN(state, LoadFile(inum));
   if (state->inode.nlink > 1 && !must_be_dir) {
     state->inode.nlink--;
     state->inode.ctime = env_->now();
@@ -528,33 +403,7 @@ Status Filesystem::DoUnlink(const std::string& path, bool must_be_dir) {
   return Status::Ok();
 }
 
-Status Filesystem::Unlink(const std::string& path) {
-  BKUP_RETURN_IF_ERROR(DoUnlink(path, /*must_be_dir=*/false));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kUnlink));
-    w.PutString(path);
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return Status::Ok();
-}
-
-Status Filesystem::Rmdir(const std::string& path) {
-  BKUP_RETURN_IF_ERROR(DoUnlink(path, /*must_be_dir=*/true));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kRmdir));
-    w.PutString(path);
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return Status::Ok();
-}
-
-Status Filesystem::DoRename(const std::string& from, const std::string& to) {
+Status Filesystem::DoRename(std::string_view from, std::string_view to) {
   if (to.size() > from.size() && to.compare(0, from.size(), from) == 0 &&
       to[from.size()] == '/') {
     return InvalidArgument("cannot move a directory into itself");
@@ -567,12 +416,12 @@ Status Filesystem::DoRename(const std::string& from, const std::string& to) {
       std::find_if(src_entries.begin(), src_entries.end(),
                    [&src](const DirEntry& e) { return e.name == src.leaf; });
   if (src_it == src_entries.end()) {
-    return NotFound("'" + from + "' not found");
+    return NotFound("'" + std::string(from) + "' not found");
   }
   const DirEntry moving = *src_it;
 
   // If the destination exists, it must be replaceable.
-  Result<Inum> existing = LookupLocked(to);
+  Result<Inum> existing = LookupPath(to);
   if (existing.ok()) {
     BKUP_ASSIGN_OR_RETURN(FileState * old, LoadFile(*existing));
     const bool old_is_dir = old->inode.type == InodeType::kDirectory;
@@ -584,10 +433,11 @@ Status Filesystem::DoRename(const std::string& from, const std::string& to) {
     BKUP_RETURN_IF_ERROR(DoUnlink(to, old_is_dir));
   }
 
-  // Remove the source entry.
+  // Remove the source entry (unlinking the destination may have rewritten
+  // the source directory).
   {
-    BKUP_ASSIGN_OR_RETURN(FileState * p, LoadFile(src.parent));
-    BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, ReadDirState(p));
+    BKUP_ASSIGN_OR_RETURN(std::vector<DirEntry> entries,
+                          ReadDirState(src_parent));
     const auto it = std::find_if(
         entries.begin(), entries.end(),
         [&src](const DirEntry& e) { return e.name == src.leaf; });
@@ -595,7 +445,7 @@ Status Filesystem::DoRename(const std::string& from, const std::string& to) {
       return NotFound("source vanished during rename");
     }
     entries.erase(it);
-    BKUP_RETURN_IF_ERROR(WriteDirState(src.parent, p, entries));
+    BKUP_RETURN_IF_ERROR(WriteDirState(src.parent, src_parent, entries));
   }
   // Add the destination entry.
   {
@@ -609,24 +459,6 @@ Status Filesystem::DoRename(const std::string& from, const std::string& to) {
   moved->inode.ctime = env_->now();
   moved->inode_dirty = true;
   return Status::Ok();
-}
-
-Status Filesystem::Rename(const std::string& from, const std::string& to) {
-  BKUP_RETURN_IF_ERROR(DoRename(from, to));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kRename));
-    w.PutString(from);
-    w.PutString(to);
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return Status::Ok();
-}
-
-Result<Inum> Filesystem::LookupPath(const std::string& path) {
-  return LookupLocked(path);
 }
 
 Result<std::vector<DirEntry>> Filesystem::ReadDir(Inum dir) {
@@ -682,37 +514,11 @@ Status Filesystem::DoSetAttr(Inum inum, const SetAttrRequest& request) {
   return Status::Ok();
 }
 
-Status Filesystem::SetAttr(Inum inum, const SetAttrRequest& request) {
-  BKUP_RETURN_IF_ERROR(DoSetAttr(inum, request));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kSetAttr));
-    w.PutU32(inum);
-    w.PutU8((request.mode ? 1 : 0) | (request.uid ? 2 : 0) |
-            (request.gid ? 4 : 0) | (request.mtime ? 8 : 0) |
-            (request.atime ? 16 : 0));
-    w.PutU16(request.mode.value_or(0));
-    w.PutU32(request.uid.value_or(0));
-    w.PutU32(request.gid.value_or(0));
-    w.PutI64(request.mtime.value_or(0));
-    w.PutI64(request.atime.value_or(0));
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return Status::Ok();
-}
-
 Status Filesystem::DoWrite(Inum inum, uint64_t offset,
                            std::span<const uint8_t> data) {
   BKUP_ASSIGN_OR_RETURN(FileState * state, LoadFile(inum));
   if (!state->inode.in_use()) {
     return NotFound("inode not in use");
-  }
-  if (state->inode.type == InodeType::kDirectory && !internal_dir_write_) {
-    // Directories are mutated through the namespace operations only; a raw
-    // Write would corrupt the directory format.
-    return IsADirectory("cannot Write to a directory");
   }
   const uint64_t end = offset + data.size();
   if ((end + kBlockSize - 1) / kBlockSize > kMaxFileBlocks) {
@@ -746,27 +552,6 @@ Status Filesystem::DoWrite(Inum inum, uint64_t offset,
   }
   state->inode.mtime = env_->now();
   state->inode_dirty = true;
-  return Status::Ok();
-}
-
-Status Filesystem::Write(Inum inum, uint64_t offset,
-                         std::span<const uint8_t> data) {
-  BKUP_RETURN_IF_ERROR(DoWrite(inum, offset, data));
-  if (!replaying_) {
-    // Without a log the record would be dropped: skip copying the payload.
-    if (nvram_ != nullptr) {
-      std::vector<uint8_t> rec;
-      rec.reserve(1 + 4 + 8 + 4 + data.size());  // op, inum, offset, length
-      ByteWriter w(&rec);
-      w.PutU8(static_cast<uint8_t>(NvOp::kWrite));
-      w.PutU32(inum);
-      w.PutU64(offset);
-      w.PutU32(static_cast<uint32_t>(data.size()));
-      w.PutBytes(data);
-      LogOp(std::move(rec));
-    }
-    MaybeAutoCp();
-  }
   return Status::Ok();
 }
 
@@ -841,20 +626,6 @@ Status Filesystem::DoTruncate(Inum inum, uint64_t new_size) {
   return Status::Ok();
 }
 
-Status Filesystem::Truncate(Inum inum, uint64_t new_size) {
-  BKUP_RETURN_IF_ERROR(DoTruncate(inum, new_size));
-  if (!replaying_) {
-    std::vector<uint8_t> rec;
-    ByteWriter w(&rec);
-    w.PutU8(static_cast<uint8_t>(NvOp::kTruncate));
-    w.PutU32(inum);
-    w.PutU64(new_size);
-    LogOp(std::move(rec));
-    MaybeAutoCp();
-  }
-  return Status::Ok();
-}
-
 // ========================================================= consistency point
 
 bool Filesystem::HasDirtyState() const {
@@ -866,116 +637,97 @@ bool Filesystem::HasDirtyState() const {
   return false;
 }
 
-Status Filesystem::FlushFile(Inum inum, FileState* fs, CpReport* report) {
-  (void)inum;
-  if (fs->dirty_blocks.empty() && !fs->ptrs_dirty) {
-    return Status::Ok();
+Status Filesystem::WriteAnywhere(uint64_t fbn, const Block& block,
+                                 std::vector<uint32_t>* ptrs,
+                                 std::vector<Vbn>* writes) {
+  BKUP_ASSIGN_OR_RETURN(Vbn vbn, allocator_.Allocate());
+  BKUP_RETURN_IF_ERROR(volume_->WriteBlock(vbn, block));
+  uint32_t& ptr = (*ptrs)[fbn];
+  if (ptr != 0) {
+    allocator_.FreeActive(ptr);
   }
-  BKUP_RETURN_IF_ERROR(EnsurePtrsLoaded(fs));
-  // Write dirty data blocks to fresh locations ("write anywhere").
-  for (const auto& [fbn, block] : fs->dirty_blocks) {
-    BKUP_ASSIGN_OR_RETURN(Vbn vbn, allocator_.Allocate());
-    BKUP_RETURN_IF_ERROR(volume_->WriteBlock(vbn, block));
-    if (fbn < fs->ptrs.size() && fs->ptrs[fbn] != 0) {
-      allocator_.FreeActive(fs->ptrs[fbn]);
-      report->blocks_freed++;
-    }
-    assert(fbn < fs->ptrs.size());
-    fs->ptrs[fbn] = static_cast<uint32_t>(vbn);
-    report->data_writes.push_back(vbn);
-  }
-  fs->dirty_blocks.clear();
-  // Rewrite the indirect chain copy-on-write.
-  auto read = [this](Vbn v, Block* b) { return volume_->ReadBlock(v, b); };
-  auto free_block = [this, report](Vbn v) {
-    allocator_.FreeActive(v);
-    report->blocks_freed++;
-  };
-  BKUP_RETURN_IF_ERROR(FreeIndirectBlocks(read, free_block, &fs->inode));
-  auto write = [this, report](Vbn v, const Block& b) {
-    report->meta_writes.push_back(v);
-    return volume_->WriteBlock(v, b);
-  };
-  auto alloc = [this]() { return allocator_.Allocate(); };
-  BKUP_RETURN_IF_ERROR(StorePointerMap(write, alloc, fs->ptrs, &fs->inode));
-  fs->ptrs_dirty = false;
-  fs->inode_dirty = true;
+  ptr = static_cast<uint32_t>(vbn);
+  writes->push_back(vbn);
   return Status::Ok();
 }
 
-Status Filesystem::FlushInodeFile(CpReport* report) {
-  // Which inode-file blocks contain dirty inodes?
-  std::vector<uint64_t> dirty_fbns;
-  for (auto& [inum, state] : files_) {
-    if (state.inode_dirty) {
-      const uint64_t fbn = inum / kInodesPerBlock;
-      if (dirty_fbns.empty() || dirty_fbns.back() != fbn) {
-        dirty_fbns.push_back(fbn);
-      }
-    }
-  }
-  if (dirty_fbns.empty()) {
-    return Status::Ok();
-  }
-  for (uint64_t fbn : dirty_fbns) {
-    // Start from the old on-disk block (preserving the other inodes), then
-    // patch in every cached inode that lives in it.
-    Block block;
-    if (fbn < inode_file_ptrs_.size() && inode_file_ptrs_[fbn] != 0) {
-      BKUP_RETURN_IF_ERROR(volume_->ReadBlock(inode_file_ptrs_[fbn], &block));
-    } else {
-      block.Zero();
-    }
-    const Inum first = static_cast<Inum>(fbn * kInodesPerBlock);
-    for (Inum inum = first; inum < first + kInodesPerBlock; ++inum) {
-      auto it = files_.find(inum);
-      if (it == files_.end()) {
-        continue;
-      }
-      std::vector<uint8_t> bytes;
-      ByteWriter w(&bytes);
-      it->second.inode.SerializeTo(&w);
-      std::memcpy(block.data.data() + (inum % kInodesPerBlock) * kInodeSize,
-                  bytes.data(), kInodeSize);
-      it->second.inode_dirty = false;
-    }
-    BKUP_ASSIGN_OR_RETURN(Vbn vbn, allocator_.Allocate());
-    BKUP_RETURN_IF_ERROR(volume_->WriteBlock(vbn, block));
-    if (fbn < inode_file_ptrs_.size() && inode_file_ptrs_[fbn] != 0) {
-      allocator_.FreeActive(inode_file_ptrs_[fbn]);
-      report->blocks_freed++;
-    }
-    inode_file_ptrs_[fbn] = static_cast<uint32_t>(vbn);
-    report->meta_writes.push_back(vbn);
-  }
-  // Rewrite the inode file's indirect chain.
-  auto read = [this](Vbn v, Block* b) { return volume_->ReadBlock(v, b); };
-  auto free_block = [this, report](Vbn v) {
-    allocator_.FreeActive(v);
-    report->blocks_freed++;
-  };
-  BKUP_RETURN_IF_ERROR(
-      FreeIndirectBlocks(read, free_block, &inode_file_inode_));
-  auto write = [this, report](Vbn v, const Block& b) {
-    report->meta_writes.push_back(v);
-    return volume_->WriteBlock(v, b);
-  };
-  auto alloc = [this]() { return allocator_.Allocate(); };
-  BKUP_RETURN_IF_ERROR(
-      StorePointerMap(write, alloc, inode_file_ptrs_, &inode_file_inode_));
-  return Status::Ok();
-}
-
-Status Filesystem::FlushBlockMapFile(CpReport* report) {
-  // Detach the old incarnation.
-  for (uint32_t p : blockmap_ptrs_) {
+Status Filesystem::FreeTree(InodeData* inode, std::span<const uint32_t> data) {
+  for (uint32_t p : data) {
     if (p != 0) {
       allocator_.FreeActive(p);
     }
   }
   auto read = [this](Vbn v, Block* b) { return volume_->ReadBlock(v, b); };
   auto free_block = [this](Vbn v) { allocator_.FreeActive(v); };
-  BKUP_RETURN_IF_ERROR(FreeIndirectBlocks(read, free_block, &blockmap_inode_));
+  return FreeIndirectBlocks(read, free_block, inode);
+}
+
+Status Filesystem::StoreTree(const std::vector<uint32_t>& ptrs,
+                             InodeData* inode, CpReport* report) {
+  auto write = [this, report](Vbn v, const Block& b) {
+    report->meta_writes.push_back(v);
+    return volume_->WriteBlock(v, b);
+  };
+  auto alloc = [this]() { return allocator_.Allocate(); };
+  return StorePointerMap(write, alloc, ptrs, inode);
+}
+
+Status Filesystem::FlushFile(FileState* fs, CpReport* report) {
+  if (fs->dirty_blocks.empty() && !fs->ptrs_dirty) {
+    return Status::Ok();
+  }
+  BKUP_RETURN_IF_ERROR(EnsurePtrsLoaded(fs));
+  for (const auto& [fbn, block] : fs->dirty_blocks) {
+    BKUP_RETURN_IF_ERROR(
+        WriteAnywhere(fbn, block, &fs->ptrs, &report->data_writes));
+  }
+  fs->dirty_blocks.clear();
+  // Rewrite the indirect chain copy-on-write.
+  BKUP_RETURN_IF_ERROR(FreeTree(&fs->inode));
+  BKUP_RETURN_IF_ERROR(StoreTree(fs->ptrs, &fs->inode, report));
+  fs->ptrs_dirty = false;
+  fs->inode_dirty = true;
+  return Status::Ok();
+}
+
+Status Filesystem::FlushInodeFile(CpReport* report) {
+  // Every inode-file block holding a dirty inode is rendered from its old
+  // on-disk content (preserving the other inodes) with every cached inode
+  // in it patched in, then written anywhere. Blocks go in ascending order.
+  bool wrote = false;
+  Block block;
+  for (auto it = files_.begin(); it != files_.end();) {
+    if (!it->second.inode_dirty) {
+      ++it;
+      continue;
+    }
+    const uint64_t fbn = it->first / kInodesPerBlock;
+    if (inode_file_ptrs_[fbn] != 0) {
+      BKUP_RETURN_IF_ERROR(volume_->ReadBlock(inode_file_ptrs_[fbn], &block));
+    } else {
+      block.Zero();
+    }
+    const Inum first = static_cast<Inum>(fbn * kInodesPerBlock);
+    for (it = files_.lower_bound(first);
+         it != files_.end() && it->first < first + kInodesPerBlock; ++it) {
+      PutInodeAt(&block, it->first, it->second.inode);
+      it->second.inode_dirty = false;
+    }
+    BKUP_RETURN_IF_ERROR(
+        WriteAnywhere(fbn, block, &inode_file_ptrs_, &report->meta_writes));
+    wrote = true;
+  }
+  if (!wrote) {
+    return Status::Ok();
+  }
+  // Rewrite the inode file's indirect chain.
+  BKUP_RETURN_IF_ERROR(FreeTree(&inode_file_inode_));
+  return StoreTree(inode_file_ptrs_, &inode_file_inode_, report);
+}
+
+Status Filesystem::FlushBlockMapFile(CpReport* report) {
+  // Detach the old incarnation.
+  BKUP_RETURN_IF_ERROR(FreeTree(&blockmap_inode_, blockmap_ptrs_));
 
   // Pre-allocate every data block, then the indirect chain, so that all
   // allocation for this consistency point is finished *before* the map is
@@ -985,13 +737,7 @@ Status Filesystem::FlushBlockMapFile(CpReport* report) {
     BKUP_ASSIGN_OR_RETURN(Vbn vbn, allocator_.Allocate());
     p = static_cast<uint32_t>(vbn);
   }
-  auto write = [this, report](Vbn v, const Block& b) {
-    report->meta_writes.push_back(v);
-    return volume_->WriteBlock(v, b);
-  };
-  auto alloc = [this]() { return allocator_.Allocate(); };
-  BKUP_RETURN_IF_ERROR(
-      StorePointerMap(write, alloc, new_ptrs, &blockmap_inode_));
+  BKUP_RETURN_IF_ERROR(StoreTree(new_ptrs, &blockmap_inode_, report));
 
   // Render and write the final map.
   Block block;
@@ -1022,46 +768,29 @@ Status Filesystem::WriteFsInfo(CpReport* report) {
   return Status::Ok();
 }
 
+Status Filesystem::Flush(CpReport* report) {
+  // 1. User and directory files, ascending inum for determinism.
+  for (auto& [inum, state] : files_) {
+    BKUP_RETURN_IF_ERROR(FlushFile(&state, report));
+  }
+  // 2. The inode file.
+  BKUP_RETURN_IF_ERROR(FlushInodeFile(report));
+  // 3. The block-map file (must be last: it freezes allocation state).
+  BKUP_RETURN_IF_ERROR(FlushBlockMapFile(report));
+  // 4. The root, written atomically at its fixed redundant locations.
+  return WriteFsInfo(report);
+}
+
 Result<CpReport> Filesystem::ConsistencyPoint() {
   assert(!in_cp_);
   in_cp_ = true;
   CpReport report;
   generation_++;
   report.generation = generation_;
-
-  // 1. User and directory files, ascending inum for determinism.
-  for (auto& [inum, state] : files_) {
-    Status st = FlushFile(inum, &state, &report);
-    if (!st.ok()) {
-      in_cp_ = false;
-      return st;
-    }
-  }
-  // 2. The inode file.
-  {
-    Status st = FlushInodeFile(&report);
-    if (!st.ok()) {
-      in_cp_ = false;
-      return st;
-    }
-  }
-  // 3. The block-map file (must be last: it freezes allocation state).
-  {
-    Status st = FlushBlockMapFile(&report);
-    if (!st.ok()) {
-      in_cp_ = false;
-      return st;
-    }
-  }
-  // 4. The root, written atomically at its fixed redundant locations.
-  {
-    Status st = WriteFsInfo(&report);
-    if (!st.ok()) {
-      in_cp_ = false;
-      return st;
-    }
-  }
-  // 5. Everything logged is now durable.
+  const Status flushed = Flush(&report);
+  in_cp_ = false;
+  BKUP_RETURN_IF_ERROR(flushed);
+  // Everything logged is now durable.
   if (nvram_ != nullptr) {
     nvram_->Clear();
   }
@@ -1076,7 +805,6 @@ Result<CpReport> Filesystem::ConsistencyPoint() {
   }
   cp_data_writes_since_mark_ += report.data_writes.size();
   cp_meta_writes_since_mark_ += report.meta_writes.size();
-  in_cp_ = false;
   return report;
 }
 
@@ -1182,120 +910,241 @@ FsStats Filesystem::Stats() const {
   return stats;
 }
 
-// ==================================================================== NVRAM
+// ======================================================= logged mutations
 
-void Filesystem::LogOp(std::vector<uint8_t> record) {
-  if (nvram_ == nullptr) {
-    return;
+Result<Inum> Filesystem::Create(const std::string& path, uint16_t mode) {
+  return Run({.code = OpCode::kCreate, .path = path, .mode = mode});
+}
+
+Result<Inum> Filesystem::Mkdir(const std::string& path, uint16_t mode) {
+  return Run({.code = OpCode::kMkdir, .path = path, .mode = mode});
+}
+
+Result<Inum> Filesystem::SymlinkAt(const std::string& target,
+                                   const std::string& path) {
+  return Run({.code = OpCode::kSymlink, .path = path, .target = target});
+}
+
+Status Filesystem::Link(const std::string& existing,
+                        const std::string& new_path) {
+  return Run({.code = OpCode::kLink, .path = new_path, .target = existing})
+      .status();
+}
+
+Status Filesystem::Unlink(const std::string& path) {
+  return Run({.code = OpCode::kUnlink, .path = path}).status();
+}
+
+Status Filesystem::Rmdir(const std::string& path) {
+  return Run({.code = OpCode::kRmdir, .path = path}).status();
+}
+
+Status Filesystem::Rename(const std::string& from, const std::string& to) {
+  return Run({.code = OpCode::kRename, .path = from, .target = to}).status();
+}
+
+Status Filesystem::SetAttr(Inum inum, const SetAttrRequest& request) {
+  return Run({.code = OpCode::kSetAttr, .inum = inum, .attrs = request})
+      .status();
+}
+
+Status Filesystem::Write(Inum inum, uint64_t offset,
+                         std::span<const uint8_t> data) {
+  return Run({.code = OpCode::kWrite,
+              .inum = inum,
+              .offset = offset,
+              .data = data})
+      .status();
+}
+
+Status Filesystem::Truncate(Inum inum, uint64_t new_size) {
+  return Run({.code = OpCode::kTruncate, .inum = inum, .offset = new_size})
+      .status();
+}
+
+Result<Inum> Filesystem::Run(const LoggedOp& op) {
+  BKUP_ASSIGN_OR_RETURN(Inum inum, Apply(op));
+  if (nvram_ != nullptr) {
+    std::vector<uint8_t> record = EncodeOp(op);
+    if (nvram_->WouldOverflow(record.size())) {
+      // Log pressure forces a consistency point, after which the log is empty.
+      Status st = ConsistencyPoint().status();
+      assert(st.ok());
+      (void)st;
+    }
+    nvram_->Append(std::move(record));
   }
-  if (nvram_->WouldOverflow(record.size())) {
-    // Log pressure forces a consistency point, after which the log is empty.
-    Status st = ConsistencyPoint().status();
-    assert(st.ok());
-    (void)st;
+  MaybeAutoCp();
+  return inum;
+}
+
+Result<Inum> Filesystem::Apply(const LoggedOp& op) {
+  Status st = Status::Ok();
+  switch (op.code) {
+    case OpCode::kCreate:
+      return DoCreate(op.path, InodeType::kFile, op.mode, {});
+    case OpCode::kMkdir:
+      return DoCreate(op.path, InodeType::kDirectory, op.mode, {});
+    case OpCode::kSymlink:
+      return DoCreate(op.path, InodeType::kSymlink, 0777, op.target);
+    case OpCode::kLink:
+      st = DoLink(op.target, op.path);
+      break;
+    case OpCode::kUnlink:
+    case OpCode::kRmdir:
+      st = DoUnlink(op.path, op.code == OpCode::kRmdir);
+      break;
+    case OpCode::kRename:
+      st = DoRename(op.path, op.target);
+      break;
+    case OpCode::kWrite: {
+      // Directories change through the namespace ops only; a raw write
+      // would corrupt the directory format.
+      BKUP_ASSIGN_OR_RETURN(FileState * state, LoadFile(op.inum));
+      if (state->inode.type == InodeType::kDirectory) {
+        return IsADirectory("cannot Write to a directory");
+      }
+      st = DoWrite(op.inum, op.offset, op.data);
+      break;
+    }
+    case OpCode::kTruncate:
+      st = DoTruncate(op.inum, op.offset);
+      break;
+    case OpCode::kSetAttr:
+      st = DoSetAttr(op.inum, op.attrs);
+      break;
   }
-  nvram_->Append(std::move(record));
+  BKUP_RETURN_IF_ERROR(st);
+  return kInvalidInum;
+}
+
+std::vector<uint8_t> Filesystem::EncodeOp(const LoggedOp& op) {
+  std::vector<uint8_t> record;
+  // Fixed fields take at most 32 bytes (setattr).
+  record.reserve(32 + op.path.size() + op.target.size() + op.data.size());
+  ByteWriter w(&record);
+  w.PutU8(static_cast<uint8_t>(op.code));
+  switch (op.code) {
+    case OpCode::kCreate:
+    case OpCode::kMkdir:
+      w.PutString(op.path);
+      w.PutU16(op.mode);
+      break;
+    case OpCode::kSymlink:
+    case OpCode::kLink:
+      w.PutString(op.target);
+      w.PutString(op.path);
+      break;
+    case OpCode::kUnlink:
+    case OpCode::kRmdir:
+      w.PutString(op.path);
+      break;
+    case OpCode::kRename:
+      w.PutString(op.path);
+      w.PutString(op.target);
+      break;
+    case OpCode::kWrite:
+      w.PutU32(op.inum);
+      w.PutU64(op.offset);
+      w.PutU32(static_cast<uint32_t>(op.data.size()));
+      w.PutBytes(op.data);
+      break;
+    case OpCode::kTruncate:
+      w.PutU32(op.inum);
+      w.PutU64(op.offset);
+      break;
+    case OpCode::kSetAttr: {
+      const SetAttrRequest& a = op.attrs;
+      w.PutU32(op.inum);
+      w.PutU8((a.mode ? kSetMode : 0) | (a.uid ? kSetUid : 0) |
+              (a.gid ? kSetGid : 0) | (a.mtime ? kSetMtime : 0) |
+              (a.atime ? kSetAtime : 0));
+      w.PutU16(a.mode.value_or(0));
+      w.PutU32(a.uid.value_or(0));
+      w.PutU32(a.gid.value_or(0));
+      w.PutI64(a.mtime.value_or(0));
+      w.PutI64(a.atime.value_or(0));
+      break;
+    }
+  }
+  return record;
+}
+
+Result<Filesystem::LoggedOp> Filesystem::DecodeOp(
+    std::span<const uint8_t> record) {
+  ByteReader r(record);
+  BKUP_ASSIGN_OR_RETURN(uint8_t code, r.ReadU8());
+  LoggedOp op{.code = static_cast<OpCode>(code)};
+  switch (op.code) {
+    case OpCode::kCreate:
+    case OpCode::kMkdir: {
+      BKUP_ASSIGN_OR_RETURN(op.path, r.ReadStringView());
+      BKUP_ASSIGN_OR_RETURN(op.mode, r.ReadU16());
+      return op;
+    }
+    case OpCode::kSymlink:
+    case OpCode::kLink: {
+      BKUP_ASSIGN_OR_RETURN(op.target, r.ReadStringView());
+      BKUP_ASSIGN_OR_RETURN(op.path, r.ReadStringView());
+      return op;
+    }
+    case OpCode::kUnlink:
+    case OpCode::kRmdir: {
+      BKUP_ASSIGN_OR_RETURN(op.path, r.ReadStringView());
+      return op;
+    }
+    case OpCode::kRename: {
+      BKUP_ASSIGN_OR_RETURN(op.path, r.ReadStringView());
+      BKUP_ASSIGN_OR_RETURN(op.target, r.ReadStringView());
+      return op;
+    }
+    case OpCode::kWrite: {
+      BKUP_ASSIGN_OR_RETURN(op.inum, r.ReadU32());
+      BKUP_ASSIGN_OR_RETURN(op.offset, r.ReadU64());
+      BKUP_ASSIGN_OR_RETURN(uint32_t length, r.ReadU32());
+      BKUP_ASSIGN_OR_RETURN(op.data, r.ReadSpan(length));
+      return op;
+    }
+    case OpCode::kTruncate: {
+      BKUP_ASSIGN_OR_RETURN(op.inum, r.ReadU32());
+      BKUP_ASSIGN_OR_RETURN(op.offset, r.ReadU64());
+      return op;
+    }
+    case OpCode::kSetAttr: {
+      BKUP_ASSIGN_OR_RETURN(op.inum, r.ReadU32());
+      BKUP_ASSIGN_OR_RETURN(uint8_t bits, r.ReadU8());
+      BKUP_ASSIGN_OR_RETURN(uint16_t mode, r.ReadU16());
+      BKUP_ASSIGN_OR_RETURN(uint32_t uid, r.ReadU32());
+      BKUP_ASSIGN_OR_RETURN(uint32_t gid, r.ReadU32());
+      BKUP_ASSIGN_OR_RETURN(int64_t mtime, r.ReadI64());
+      BKUP_ASSIGN_OR_RETURN(int64_t atime, r.ReadI64());
+      SetAttrRequest& a = op.attrs;
+      if (bits & kSetMode) {
+        a.mode = mode;
+      }
+      if (bits & kSetUid) {
+        a.uid = uid;
+      }
+      if (bits & kSetGid) {
+        a.gid = gid;
+      }
+      if (bits & kSetMtime) {
+        a.mtime = mtime;
+      }
+      if (bits & kSetAtime) {
+        a.atime = atime;
+      }
+      return op;
+    }
+  }
+  return Corruption("unknown NVRAM opcode");
 }
 
 Status Filesystem::ReplayNvram() {
-  replaying_ = true;
-  for (const std::vector<uint8_t>& rec : nvram_->records()) {
-    ByteReader r(rec);
-    BKUP_ASSIGN_OR_RETURN(uint8_t op_raw, r.ReadU8());
-    const NvOp op = static_cast<NvOp>(op_raw);
-    Status st = Status::Ok();
-    switch (op) {
-      case NvOp::kCreate: {
-        BKUP_ASSIGN_OR_RETURN(std::string path, r.ReadString());
-        BKUP_ASSIGN_OR_RETURN(uint16_t mode, r.ReadU16());
-        st = DoCreate(path, InodeType::kFile, mode, "").status();
-        break;
-      }
-      case NvOp::kMkdir: {
-        BKUP_ASSIGN_OR_RETURN(std::string path, r.ReadString());
-        BKUP_ASSIGN_OR_RETURN(uint16_t mode, r.ReadU16());
-        st = DoCreate(path, InodeType::kDirectory, mode, "").status();
-        break;
-      }
-      case NvOp::kSymlink: {
-        BKUP_ASSIGN_OR_RETURN(std::string target, r.ReadString());
-        BKUP_ASSIGN_OR_RETURN(std::string path, r.ReadString());
-        st = DoCreate(path, InodeType::kSymlink, 0777, target).status();
-        break;
-      }
-      case NvOp::kLink: {
-        BKUP_ASSIGN_OR_RETURN(std::string existing, r.ReadString());
-        BKUP_ASSIGN_OR_RETURN(std::string path, r.ReadString());
-        st = DoLink(existing, path);
-        break;
-      }
-      case NvOp::kUnlink: {
-        BKUP_ASSIGN_OR_RETURN(std::string path, r.ReadString());
-        st = DoUnlink(path, false);
-        break;
-      }
-      case NvOp::kRmdir: {
-        BKUP_ASSIGN_OR_RETURN(std::string path, r.ReadString());
-        st = DoUnlink(path, true);
-        break;
-      }
-      case NvOp::kRename: {
-        BKUP_ASSIGN_OR_RETURN(std::string from, r.ReadString());
-        BKUP_ASSIGN_OR_RETURN(std::string to, r.ReadString());
-        st = DoRename(from, to);
-        break;
-      }
-      case NvOp::kWrite: {
-        BKUP_ASSIGN_OR_RETURN(uint32_t inum, r.ReadU32());
-        BKUP_ASSIGN_OR_RETURN(uint64_t offset, r.ReadU64());
-        BKUP_ASSIGN_OR_RETURN(uint32_t len, r.ReadU32());
-        BKUP_ASSIGN_OR_RETURN(auto data, r.ReadSpan(len));
-        st = DoWrite(inum, offset, data);
-        break;
-      }
-      case NvOp::kTruncate: {
-        BKUP_ASSIGN_OR_RETURN(uint32_t inum, r.ReadU32());
-        BKUP_ASSIGN_OR_RETURN(uint64_t size, r.ReadU64());
-        st = DoTruncate(inum, size);
-        break;
-      }
-      case NvOp::kSetAttr: {
-        BKUP_ASSIGN_OR_RETURN(uint32_t inum, r.ReadU32());
-        BKUP_ASSIGN_OR_RETURN(uint8_t flags, r.ReadU8());
-        SetAttrRequest req;
-        BKUP_ASSIGN_OR_RETURN(uint16_t mode, r.ReadU16());
-        BKUP_ASSIGN_OR_RETURN(uint32_t uid, r.ReadU32());
-        BKUP_ASSIGN_OR_RETURN(uint32_t gid, r.ReadU32());
-        BKUP_ASSIGN_OR_RETURN(int64_t mtime, r.ReadI64());
-        BKUP_ASSIGN_OR_RETURN(int64_t atime, r.ReadI64());
-        if (flags & 1) {
-          req.mode = mode;
-        }
-        if (flags & 2) {
-          req.uid = uid;
-        }
-        if (flags & 4) {
-          req.gid = gid;
-        }
-        if (flags & 8) {
-          req.mtime = mtime;
-        }
-        if (flags & 16) {
-          req.atime = atime;
-        }
-        st = DoSetAttr(inum, req);
-        break;
-      }
-      default:
-        replaying_ = false;
-        return Corruption("unknown NVRAM opcode");
-    }
-    if (!st.ok()) {
-      replaying_ = false;
-      return st;
-    }
+  for (const std::vector<uint8_t>& record : nvram_->records()) {
+    BKUP_ASSIGN_OR_RETURN(LoggedOp op, DecodeOp(record));
+    BKUP_RETURN_IF_ERROR(Apply(op).status());
   }
-  replaying_ = false;
   return Status::Ok();
 }
 

@@ -14,7 +14,9 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/fs/blockmap.h"
@@ -37,7 +39,6 @@ struct CpReport {
   uint64_t generation = 0;
   std::vector<Vbn> data_writes;  // user data blocks, in allocation order
   std::vector<Vbn> meta_writes;  // indirect, inode-file, block-map, fsinfo
-  uint64_t blocks_freed = 0;
 };
 
 struct SetAttrRequest {
@@ -89,7 +90,7 @@ class Filesystem {
   Status Rmdir(const std::string& path);
   Status Rename(const std::string& from, const std::string& to);
 
-  Result<Inum> LookupPath(const std::string& path);
+  Result<Inum> LookupPath(std::string_view path);
   Result<std::vector<DirEntry>> ReadDir(Inum dir);
   Result<std::string> ReadSymlink(Inum inum);
 
@@ -156,12 +157,46 @@ class Filesystem {
 
   Filesystem(Volume* volume, SimEnvironment* env, NvramLog* nvram);
 
-  // --------- internal helpers (no NVRAM logging; used by replay too) ---
-  Result<Inum> DoCreate(const std::string& path, InodeType type, uint16_t mode,
-                        const std::string& symlink_target);
-  Status DoLink(const std::string& existing, const std::string& new_path);
-  Status DoUnlink(const std::string& path, bool must_be_dir);
-  Status DoRename(const std::string& from, const std::string& to);
+  // ------------------------------------------- logged ops (NVRAM records) ---
+  enum class OpCode : uint8_t {
+    kCreate = 1,
+    kMkdir = 2,
+    kSymlink = 3,
+    kLink = 4,
+    kUnlink = 5,
+    kRmdir = 6,
+    kRename = 7,
+    kWrite = 8,
+    kTruncate = 9,
+    kSetAttr = 10,
+  };
+  // One mutation as the NVRAM log records it. The views point into the
+  // caller's arguments, or into the log record being replayed.
+  struct LoggedOp {
+    OpCode code;
+    std::string_view path = {};    // created, removed or renamed-from path
+    std::string_view target = {};  // symlink target, link source, rename-to
+    uint16_t mode = 0;
+    Inum inum = kInvalidInum;
+    uint64_t offset = 0;  // write offset; truncate's new size
+    std::span<const uint8_t> data = {};
+    SetAttrRequest attrs = {};
+  };
+  static std::vector<uint8_t> EncodeOp(const LoggedOp& op);
+  static Result<LoggedOp> DecodeOp(std::span<const uint8_t> record);
+  // Applies `op` to the in-memory state; returns the new inum for the
+  // create ops. Replay calls this alone.
+  Result<Inum> Apply(const LoggedOp& op);
+  // A public mutation: applies `op`, logs it when a log is attached, then
+  // takes a consistency point if one is due.
+  Result<Inum> Run(const LoggedOp& op);
+  Status ReplayNvram();
+
+  Result<Inum> DoCreate(std::string_view path, InodeType type, uint16_t mode,
+                        std::string_view symlink_target);
+  Status DoLink(std::string_view existing, std::string_view new_path);
+  Status DoUnlink(std::string_view path, bool must_be_dir);
+  Status DoRename(std::string_view from, std::string_view to);
   Status DoWrite(Inum inum, uint64_t offset, std::span<const uint8_t> data);
   Status DoTruncate(Inum inum, uint64_t new_size);
   Status DoSetAttr(Inum inum, const SetAttrRequest& request);
@@ -179,24 +214,31 @@ class Filesystem {
     Inum parent;
     std::string leaf;
   };
-  Result<ResolvedParent> ResolveParent(const std::string& path);
-  Result<Inum> LookupLocked(const std::string& path);
+  Result<ResolvedParent> ResolveParent(std::string_view path);
+  // Looks `parts` up one directory at a time from the root (namei).
+  Result<Inum> Walk(std::span<const std::string> parts);
 
   // Reads a file block honoring dirty state, then disk, then holes.
   Status ReadFileBlockLive(FileState* fs, uint64_t fbn, Block* out,
                            Vbn* vbn = nullptr);
 
   // CP plumbing.
-  Status FlushFile(Inum inum, FileState* fs, CpReport* report);
+  Status Flush(CpReport* report);
+  Status FlushFile(FileState* fs, CpReport* report);
   Status FlushInodeFile(CpReport* report);
   Status FlushBlockMapFile(CpReport* report);
   Status WriteFsInfo(CpReport* report);
+  // The write-anywhere step: writes `block` to a freshly allocated vbn,
+  // frees the block it replaces, points `(*ptrs)[fbn]` at it and records
+  // the write in `writes`.
+  Status WriteAnywhere(uint64_t fbn, const Block& block,
+                       std::vector<uint32_t>* ptrs, std::vector<Vbn>* writes);
+  // Frees the data blocks in `data` and `inode`'s indirect blocks.
+  Status FreeTree(InodeData* inode, std::span<const uint32_t> data = {});
+  // Writes `ptrs` into `inode` through fresh indirect blocks (meta writes).
+  Status StoreTree(const std::vector<uint32_t>& ptrs, InodeData* inode,
+                   CpReport* report);
   void MaybeAutoCp();
-
-  // NVRAM logging + replay.
-  void LogOp(std::vector<uint8_t> record);
-  Status ReplayNvram();
-  std::vector<uint8_t> last_replayed_record_;  // empty unless replaying
 
   Status LoadInodeUsage();
 
@@ -227,8 +269,6 @@ class Filesystem {
   uint64_t cp_data_writes_since_mark_ = 0;
   uint64_t cp_meta_writes_since_mark_ = 0;
   bool in_cp_ = false;
-  bool replaying_ = false;
-  bool internal_dir_write_ = false;
 };
 
 }  // namespace bkup

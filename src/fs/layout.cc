@@ -1,6 +1,7 @@
 #include "src/fs/layout.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/util/checksum.h"
 
@@ -55,6 +56,21 @@ Result<InodeData> InodeData::Deserialize(ByteReader* reader) {
   BKUP_ASSIGN_OR_RETURN(ino.double_indirect, reader->ReadU32());
   BKUP_RETURN_IF_ERROR(reader->Skip(kInodeSize - (reader->position() - start)));
   return ino;
+}
+
+Result<InodeData> InodeAt(const Block& block, Inum inum) {
+  ByteReader r(std::span(block.data)
+                   .subspan((inum % kInodesPerBlock) * kInodeSize, kInodeSize));
+  return InodeData::Deserialize(&r);
+}
+
+void PutInodeAt(Block* block, Inum inum, const InodeData& inode) {
+  std::vector<uint8_t> bytes;
+  bytes.reserve(kInodeSize);
+  ByteWriter w(&bytes);
+  inode.SerializeTo(&w);
+  std::memcpy(block->data.data() + (inum % kInodesPerBlock) * kInodeSize,
+              bytes.data(), kInodeSize);
 }
 
 // ------------------------------------------------------------- directory ---

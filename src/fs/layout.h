@@ -95,6 +95,11 @@ struct InodeData {
   static Result<InodeData> Deserialize(ByteReader* reader);
 };
 
+// Inode-file block slots: inode `inum` lives at slot inum % kInodesPerBlock
+// of inode-file block inum / kInodesPerBlock.
+Result<InodeData> InodeAt(const Block& block, Inum inum);
+void PutInodeAt(Block* block, Inum inum, const InodeData& inode);
+
 // ------------------------------------------------------------- directory ---
 
 struct DirEntry {

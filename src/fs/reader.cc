@@ -31,32 +31,11 @@ Result<InodeData> FsReader::ReadInode(Inum inum) const {
   }
   Block block;
   BKUP_RETURN_IF_ERROR(ReadRaw(inode_file_ptrs_[fbn], &block));
-  const size_t offset = (inum % kInodesPerBlock) * kInodeSize;
-  ByteReader r(std::span(block.data).subspan(offset, kInodeSize));
-  return InodeData::Deserialize(&r);
-}
-
-Status FsReader::ReadFileBlock(const InodeData& inode, uint64_t fbn,
-                               Block* out, Vbn* vbn_out) const {
-  std::vector<uint32_t> ptrs;
-  auto read = [this](Vbn v, Block* b) { return ReadRaw(v, b); };
-  BKUP_RETURN_IF_ERROR(LoadPointerMap(read, inode, &ptrs));
-  if (fbn >= ptrs.size() || ptrs[fbn] == 0) {
-    out->Zero();
-    if (vbn_out != nullptr) {
-      *vbn_out = 0;
-    }
-    return Status::Ok();
-  }
-  if (vbn_out != nullptr) {
-    *vbn_out = ptrs[fbn];
-  }
-  return ReadRaw(ptrs[fbn], out);
+  return InodeAt(block, inum);
 }
 
 Status FsReader::ReadFile(const InodeData& inode, uint64_t offset,
-                          uint64_t length, std::vector<uint8_t>* out,
-                          std::vector<Vbn>* vbns) const {
+                          uint64_t length, std::vector<uint8_t>* out) const {
   out->clear();
   if (offset >= inode.size) {
     return Status::Ok();
@@ -81,9 +60,6 @@ Status FsReader::ReadFile(const InodeData& inode, uint64_t offset,
       BKUP_RETURN_IF_ERROR(ReadRaw(ptrs[fbn], &block));
       out->insert(out->end(), block.data.begin() + static_cast<long>(in_block),
                   block.data.begin() + static_cast<long>(in_block + n));
-      if (vbns != nullptr) {
-        vbns->push_back(ptrs[fbn]);
-      }
     }
     pos += n;
   }
@@ -151,9 +127,10 @@ Result<Inum> FsReader::LookupPath(const std::string& path) const {
   return current;
 }
 
-Result<std::vector<std::string>> SplitPath(const std::string& path) {
+Result<std::vector<std::string>> SplitPath(std::string_view path) {
   if (path.empty() || path[0] != '/') {
-    return InvalidArgument("path must be absolute: '" + path + "'");
+    return InvalidArgument("path must be absolute: '" + std::string(path) +
+                           "'");
   }
   std::vector<std::string> parts;
   size_t i = 1;
@@ -163,19 +140,62 @@ Result<std::vector<std::string>> SplitPath(const std::string& path) {
       j = path.size();
     }
     if (j == i) {
-      return InvalidArgument("empty path component in '" + path + "'");
+      return InvalidArgument("empty path component in '" +
+                             std::string(path) + "'");
     }
-    const std::string part = path.substr(i, j - i);
+    const std::string_view part = path.substr(i, j - i);
     if (part.size() > kMaxNameLen) {
-      return InvalidArgument("name too long in '" + path + "'");
+      return InvalidArgument("name too long in '" + std::string(path) + "'");
     }
     if (part == "." || part == "..") {
       return InvalidArgument("'.' and '..' are not supported in paths");
     }
-    parts.push_back(part);
+    parts.emplace_back(part);
     i = j + 1;
   }
   return parts;
+}
+
+Result<FsInfo> ReadFsInfoFromVolume(Volume* volume) {
+  Block block;
+  BKUP_RETURN_IF_ERROR(volume->ReadBlock(kFsInfoPrimary, &block));
+  Result<FsInfo> info = FsInfo::DeserializeFromBlock(block);
+  if (info.ok()) {
+    return info;
+  }
+  BKUP_RETURN_IF_ERROR(volume->ReadBlock(kFsInfoBackup, &block));
+  info = FsInfo::DeserializeFromBlock(block);
+  if (!info.ok()) {
+    return Corruption("both fsinfo copies unreadable: " +
+                      info.status().message());
+  }
+  return info;
+}
+
+Result<BlockMap> LoadBlockMapFromVolume(Volume* volume, const FsInfo& fsinfo,
+                                        std::vector<Vbn>* reads,
+                                        std::vector<uint32_t>* ptrs) {
+  BlockMap map(fsinfo.volume_blocks);
+  auto read = [volume, reads](Vbn v, Block* b) {
+    if (reads != nullptr) {
+      reads->push_back(v);
+    }
+    return volume->ReadBlock(v, b);
+  };
+  std::vector<uint32_t> local_ptrs;
+  if (ptrs == nullptr) {
+    ptrs = &local_ptrs;
+  }
+  BKUP_RETURN_IF_ERROR(LoadPointerMap(read, fsinfo.blockmap_file, ptrs));
+  Block block;
+  for (uint64_t fbn = 0; fbn < ptrs->size(); ++fbn) {
+    if ((*ptrs)[fbn] == 0) {
+      return Corruption("block-map file has a hole");
+    }
+    BKUP_RETURN_IF_ERROR(read((*ptrs)[fbn], &block));
+    map.LoadFileBlock(fbn, block);
+  }
+  return map;
 }
 
 }  // namespace bkup

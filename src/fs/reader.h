@@ -1,18 +1,25 @@
-// FsReader: a read-only view of an on-disk file system tree, rooted at an
-// inode-file inode. Both snapshots and the post-CP live file system are read
-// this way; logical dump backs up through an FsReader over a snapshot, which
-// is how the paper's dump gets "a completely consistent view of the file
-// system" without taking it off line.
+// Reading an on-disk file system without mounting it.
 //
-// Read methods optionally report the vbns they touched so the backup jobs
-// can charge simulated disk time for every on-disk block access.
+// FsReader is a read-only view of a tree rooted at an inode-file inode. Both
+// snapshots and the post-CP live file system are read this way; logical dump
+// backs up through an FsReader over a snapshot, which is how the paper's dump
+// gets "a completely consistent view of the file system" without taking it
+// off line. Callers that charge simulated disk time for what they read ask
+// for vbns explicitly: `PointerMap` for a file's blocks, `InodeFileVbn` for
+// the inode-file block holding an inode.
+//
+// The root loaders read fsinfo and the block-map file straight off the
+// volume. `Filesystem::Mount` uses them, and so does image dump, which uses
+// the file system "only to access the block map information" (§4.1).
 #ifndef BKUP_FS_READER_H_
 #define BKUP_FS_READER_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/fs/blockmap.h"
 #include "src/fs/file_tree.h"
 #include "src/fs/layout.h"
 #include "src/raid/volume.h"
@@ -32,16 +39,10 @@ class FsReader {
   // the inode file read as free inodes.
   Result<InodeData> ReadInode(Inum inum) const;
 
-  // Reads file block `fbn`; holes fill with zeros. If `vbn_out` is non-null
-  // it receives the on-disk vbn, or 0 for a hole.
-  Status ReadFileBlock(const InodeData& inode, uint64_t fbn, Block* out,
-                       Vbn* vbn_out = nullptr) const;
-
-  // Byte-granular read of [offset, offset+length). Reads past EOF truncate.
-  // If `vbns` is non-null, every on-disk block touched is appended.
+  // Byte-granular read of [offset, offset+length). Reads past EOF truncate;
+  // holes read as zeros.
   Status ReadFile(const InodeData& inode, uint64_t offset, uint64_t length,
-                  std::vector<uint8_t>* out,
-                  std::vector<Vbn>* vbns = nullptr) const;
+                  std::vector<uint8_t>* out) const;
 
   // Full pointer map of a file (0 == hole), for hole-aware dump writers.
   Result<std::vector<uint32_t>> PointerMap(const InodeData& inode) const;
@@ -70,7 +71,20 @@ class FsReader {
 
 // Splits "/a/b/c" into {"a","b","c"}; rejects empty components, names longer
 // than kMaxNameLen, and relative paths.
-Result<std::vector<std::string>> SplitPath(const std::string& path);
+Result<std::vector<std::string>> SplitPath(std::string_view path);
+
+// Reads the current fsinfo from the volume: the primary copy, falling back
+// to the redundant one ("WAFL always uses the most recent consistency point
+// on disk").
+Result<FsInfo> ReadFsInfoFromVolume(Volume* volume);
+
+// Loads the block map by walking the block-map file's pointer tree with raw
+// volume reads. `reads` (optional) collects every vbn touched, so jobs can
+// charge the (small) meta-data read cost of an image dump; `ptrs` (optional)
+// receives the block-map file's pointer map.
+Result<BlockMap> LoadBlockMapFromVolume(Volume* volume, const FsInfo& fsinfo,
+                                        std::vector<Vbn>* reads = nullptr,
+                                        std::vector<uint32_t>* ptrs = nullptr);
 
 }  // namespace bkup
 

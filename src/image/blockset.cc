@@ -1,41 +1,6 @@
 #include "src/image/blockset.h"
 
-#include "src/fs/file_tree.h"
-
 namespace bkup {
-
-Result<FsInfo> ReadFsInfoFromVolume(Volume* volume) {
-  Block block;
-  BKUP_RETURN_IF_ERROR(volume->ReadBlock(kFsInfoPrimary, &block));
-  Result<FsInfo> info = FsInfo::DeserializeFromBlock(block);
-  if (info.ok()) {
-    return info;
-  }
-  BKUP_RETURN_IF_ERROR(volume->ReadBlock(kFsInfoBackup, &block));
-  return FsInfo::DeserializeFromBlock(block);
-}
-
-Result<BlockMap> LoadBlockMapFromVolume(Volume* volume, const FsInfo& fsinfo,
-                                        std::vector<Vbn>* reads) {
-  BlockMap map(fsinfo.volume_blocks);
-  auto read = [volume, reads](Vbn v, Block* b) {
-    if (reads != nullptr) {
-      reads->push_back(v);
-    }
-    return volume->ReadBlock(v, b);
-  };
-  std::vector<uint32_t> ptrs;
-  BKUP_RETURN_IF_ERROR(LoadPointerMap(read, fsinfo.blockmap_file, &ptrs));
-  Block block;
-  for (uint64_t fbn = 0; fbn < ptrs.size(); ++fbn) {
-    if (ptrs[fbn] == 0) {
-      return Corruption("block-map file has a hole");
-    }
-    BKUP_RETURN_IF_ERROR(read(ptrs[fbn], &block));
-    map.LoadFileBlock(fbn, block);
-  }
-  return map;
-}
 
 Bitmap ComputeImageBlockSet(const BlockMap& map,
                             std::optional<int> base_plane) {

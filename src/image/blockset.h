@@ -1,11 +1,12 @@
 // Block-set computation for image dumps — the Table 1 logic.
 //
-// These helpers read the on-disk block map *through the raw volume*, using
-// the file system "only to access the block map information" (§4.1): the
-// fsinfo block names the block-map file, whose 32-bit words say which planes
-// reference each block. A full dump takes every referenced block; an
-// incremental takes the blocks referenced now but not by the base snapshot's
-// plane — the set `B − A`.
+// These helpers work on the block map that `LoadBlockMapFromVolume`
+// (src/fs/reader.h) reads *through the raw volume*, using the file system
+// "only to access the block map information" (§4.1): the fsinfo block names
+// the block-map file, whose 32-bit words say which planes reference each
+// block. A full dump takes every referenced block; an incremental takes the
+// blocks referenced now but not by the base snapshot's plane — the set
+// `B − A`.
 #ifndef BKUP_IMAGE_BLOCKSET_H_
 #define BKUP_IMAGE_BLOCKSET_H_
 
@@ -14,21 +15,11 @@
 
 #include "src/fs/blockmap.h"
 #include "src/fs/layout.h"
-#include "src/raid/volume.h"
+#include "src/fs/reader.h"
 #include "src/util/bitmap.h"
 #include "src/util/status.h"
 
 namespace bkup {
-
-// Reads the current fsinfo from the volume (primary, falling back to the
-// redundant copy).
-Result<FsInfo> ReadFsInfoFromVolume(Volume* volume);
-
-// Loads the block map by walking the block-map file's pointer tree with raw
-// volume reads. `reads` (optional) collects every vbn touched, so jobs can
-// charge the (small) meta-data read cost of an image dump.
-Result<BlockMap> LoadBlockMapFromVolume(Volume* volume, const FsInfo& fsinfo,
-                                        std::vector<Vbn>* reads = nullptr);
 
 // The set of blocks an image dump must include. `base_plane` empty = full
 // dump (every block referenced by any plane); otherwise the incremental set:

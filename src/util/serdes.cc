@@ -36,14 +36,19 @@ Result<int64_t> ByteReader::ReadI64() {
   return static_cast<int64_t>(v);
 }
 
-Result<std::string> ByteReader::ReadString() {
+Result<std::string_view> ByteReader::ReadStringView() {
   BKUP_ASSIGN_OR_RETURN(uint16_t len, ReadU16());
   if (remaining() < len) {
     return Corruption("string truncated");
   }
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
+  std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_), len);
   pos_ += len;
   return s;
+}
+
+Result<std::string> ByteReader::ReadString() {
+  BKUP_ASSIGN_OR_RETURN(std::string_view s, ReadStringView());
+  return std::string(s);
 }
 
 Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t n) {

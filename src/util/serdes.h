@@ -9,6 +9,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/status.h"
@@ -31,7 +32,7 @@ class ByteWriter {
   }
 
   // Length-prefixed (u16) string; names on tape are bounded at 64 KiB.
-  void PutString(const std::string& s) {
+  void PutString(std::string_view s) {
     PutU16(static_cast<uint16_t>(s.size()));
     out_->insert(out_->end(), s.begin(), s.end());
   }
@@ -71,6 +72,8 @@ class ByteReader {
   Result<uint64_t> ReadU64();
   Result<int64_t> ReadI64();
   Result<std::string> ReadString();
+  // The same string as a view into the input, without copying.
+  Result<std::string_view> ReadStringView();
 
   // Copies `n` bytes out; fails with Corruption if fewer remain.
   Result<std::vector<uint8_t>> ReadBytes(size_t n);

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "src/fs/filesystem.h"
+#include "src/util/checksum.h"
 #include "src/util/random.h"
+#include "tests/fs_scenario.h"
 
 namespace bkup {
 namespace {
@@ -20,6 +22,25 @@ VolumeGeometry SmallGeometry() {
   geom.disks_per_group = 4;   // 3 data disks each
   geom.blocks_per_disk = 1024;  // 2 * 3 * 1024 = 6144 data blocks = 24 MiB
   return geom;
+}
+
+// Renders `values` as a C++ initializer, so a failing pin prints what the
+// code now produces.
+std::string Initializer(const std::vector<uint32_t>& values) {
+  std::string out = "{";
+  for (size_t i = 0; i < values.size(); ++i) {
+    out += (i % 6 == 0 ? "\n    " : " ") + std::to_string(values[i]) + "u,";
+  }
+  return out + "}";
+}
+
+uint32_t CrcOfVbns(const std::vector<Vbn>& vbns, uint32_t seed = 0) {
+  std::vector<uint8_t> bytes;
+  ByteWriter w(&bytes);
+  for (Vbn v : vbns) {
+    w.PutU64(v);
+  }
+  return Crc32c(bytes, seed);
 }
 
 struct FsFixture {
@@ -602,6 +623,193 @@ TEST(FsTest, NvramPressureForcesCp) {
   }
   EXPECT_GT(fs->generation(), g0) << "log overflow must take CPs";
   EXPECT_LE(nvram.size_bytes(), nvram.capacity());
+}
+
+// The length and CRC of every record in a log holding all ten op kinds.
+// NvramLog::WouldOverflow times forced consistency points by these lengths,
+// and a log written before a format change must still replay after it.
+TEST(FsTest, NvramRecordsArePinned) {
+  SimEnvironment env;
+  auto volume = Volume::Create(&env, "v", SmallGeometry());
+  NvramLog nvram(32 * kMiB);
+  auto fs = std::move(Filesystem::Format(volume.get(), &env, &nvram)).value();
+  ASSERT_TRUE(LogEveryOpKind(fs.get()).ok());
+  std::vector<uint32_t> actual;
+  std::set<uint8_t> opcodes;
+  for (const std::vector<uint8_t>& record : nvram.records()) {
+    actual.push_back(static_cast<uint32_t>(record.size()));
+    actual.push_back(Crc32c(record));
+    opcodes.insert(record.at(0));
+  }
+  EXPECT_EQ(opcodes.size(), 10u);
+  const std::vector<uint32_t> pinned = {
+      11u, 1310064410u, 11u, 3423186668u, 20u, 2054954507u,
+      20u, 260880591u, 12u, 3693202026u, 11u, 3552157940u,
+      18u, 584103329u, 9017u, 178924765u, 3017u, 2870378396u,
+      13u, 3808523832u, 32u, 4160714454u};
+  EXPECT_EQ(actual, pinned) << Initializer(actual);
+}
+
+// Each op kind logged after a consistency point survives a crash: mounting
+// with the log rebuilds the live tree exactly, and durably.
+TEST(FsTest, EveryLoggedOpReplays) {
+  SimEnvironment env;
+  auto volume = Volume::Create(&env, "v", SmallGeometry());
+  NvramLog nvram(32 * kMiB);
+  auto fs = std::move(Filesystem::Format(volume.get(), &env, &nvram)).value();
+  ASSERT_TRUE(LogEveryOpKind(fs.get()).ok());
+  ASSERT_EQ(nvram.num_records(), 11u);
+  auto live = DescribeTree(fs.get());
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  fs.reset();  // crash
+
+  auto replayed = Filesystem::Mount(volume.get(), &env, &nvram);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_TRUE(nvram.empty()) << "replay ends in a consistency point";
+  auto tree = DescribeTree(replayed->get());
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(*tree, *live);
+
+  replayed->reset();
+  auto remounted = Filesystem::Mount(volume.get(), &env);
+  ASSERT_TRUE(remounted.ok()) << remounted.status().ToString();
+  auto durable = DescribeTree(remounted->get());
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  EXPECT_EQ(*durable, *live);
+}
+
+// A seeded mix of every mutation, automatic and explicit consistency points
+// and snapshots. Pins what each explicit consistency point wrote, in order,
+// the status of every op, the totals the auto-CPs added, and every block of
+// the volume at the end: the write-anywhere layout must not drift.
+TEST(FsTest, ConsistencyPointWritesArePinned) {
+  FsFixture f;
+  Rng rng(1999);
+  std::vector<std::string> dirs = {""};  // "" is the root
+  std::vector<std::string> names;        // non-directories
+  int serial = 0;
+  auto fresh_path = [&](const char* stem) {
+    return dirs[rng.Below(dirs.size())] + "/" + stem + std::to_string(serial++);
+  };
+  auto pick = [&]() -> std::string& { return names[rng.Below(names.size())]; };
+  std::vector<uint32_t> actual;
+  uint32_t ops_crc = 0;
+  for (int step = 0; step < 160; ++step) {
+    f.env.RunUntil(f.env.now() + static_cast<SimDuration>(rng.Below(
+        static_cast<uint64_t>(2 * kSecond))));
+    Status st = Status::Ok();
+    const uint64_t op = names.empty() ? rng.Below(4) : rng.Below(12);
+    if (op <= 1) {
+      const std::string path = fresh_path("f");
+      st = f.fs->Create(path, 0644).status();
+      if (st.ok()) {
+        names.push_back(path);
+      }
+    } else if (op == 2) {
+      const std::string path = fresh_path("d");
+      st = f.fs->Mkdir(path, 0755).status();
+      if (st.ok()) {
+        dirs.push_back(path);
+      }
+    } else if (op == 3) {
+      const std::string path = fresh_path("s");
+      st = f.fs->SymlinkAt(rng.Name(1 + rng.Below(40)), path).status();
+      if (st.ok()) {
+        names.push_back(path);
+      }
+    } else if (op == 4) {
+      const std::string path = fresh_path("h");
+      st = f.fs->Link(pick(), path);
+      if (st.ok()) {
+        names.push_back(path);
+      }
+    } else if (op <= 7) {
+      const Result<Inum> inum = f.fs->LookupPath(pick());
+      st = inum.status();
+      if (inum.ok() && op == 7) {
+        st = f.fs->Truncate(*inum, rng.Below(80 * kKiB));
+      } else if (inum.ok()) {
+        std::vector<uint8_t> data(1 + rng.Below(48 * kKiB));
+        rng.Fill(data);
+        st = f.fs->Write(*inum, rng.Below(64 * kKiB), data);
+      }
+    } else if (op == 8) {
+      const Result<Inum> inum = f.fs->LookupPath(pick());
+      st = inum.status();
+      if (inum.ok()) {
+        SetAttrRequest request;
+        request.mode = static_cast<uint16_t>(rng.Below(01000));
+        if (rng.Chance(0.5)) {
+          request.uid = static_cast<uint32_t>(rng.Below(1000));
+        }
+        if (rng.Chance(0.3)) {
+          request.mtime = static_cast<int64_t>(rng.Below(1'000'000));
+        }
+        st = f.fs->SetAttr(*inum, request);
+      }
+    } else if (op == 9) {
+      std::string& from = pick();
+      const std::string to = fresh_path("r");
+      st = f.fs->Rename(from, to);
+      if (st.ok()) {
+        from = to;
+      }
+    } else if (op == 10) {
+      const size_t i = rng.Below(names.size());
+      st = f.fs->Unlink(names[i]);
+      names.erase(names.begin() + static_cast<long>(i));
+    } else if (dirs.size() > 1) {
+      const size_t i = 1 + rng.Below(dirs.size() - 1);
+      st = f.fs->Rmdir(dirs[i]);
+      if (st.ok()) {
+        dirs.erase(dirs.begin() + static_cast<long>(i));
+      }
+    }
+    if (step == 50 && st.ok()) {
+      // One file reaches into the double-indirect range.
+      std::vector<uint8_t> data(4 * kMiB + 300 * kKiB);
+      rng.Fill(data);
+      const Result<Inum> inum = f.fs->LookupPath(pick());
+      st = inum.ok() ? f.fs->Write(*inum, 0, data) : inum.status();
+    }
+    const uint8_t code = static_cast<uint8_t>(st.code());
+    ops_crc = Crc32c(std::span(&code, 1), ops_crc);
+    if (step == 40 || step == 70 || step == 130) {
+      ASSERT_TRUE(f.fs->CreateSnapshot("s" + std::to_string(step)).ok());
+    }
+    if (step == 100) {
+      ASSERT_TRUE(f.fs->DeleteSnapshot("s40").ok());
+    }
+    if (step % 17 == 16 || step == 159) {
+      auto report = f.fs->ConsistencyPoint();
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      actual.push_back(static_cast<uint32_t>(report->data_writes.size()));
+      actual.push_back(CrcOfVbns(report->data_writes));
+      actual.push_back(static_cast<uint32_t>(report->meta_writes.size()));
+      actual.push_back(CrcOfVbns(report->meta_writes));
+    }
+  }
+  actual.push_back(ops_crc);
+  actual.push_back(static_cast<uint32_t>(f.fs->generation()));
+  actual.push_back(static_cast<uint32_t>(f.fs->cp_data_writes_since_mark()));
+  actual.push_back(static_cast<uint32_t>(f.fs->cp_meta_writes_since_mark()));
+  uint32_t volume_crc = 0;
+  Block block;
+  for (Vbn v = 0; v < f.volume->num_blocks(); ++v) {
+    ASSERT_TRUE(f.volume->ReadBlock(v, &block).ok());
+    volume_crc = Crc32c(block.data, volume_crc);
+  }
+  actual.push_back(volume_crc);
+  const std::vector<uint32_t> pinned = {
+      14u, 165008277u, 10u, 2438057045u, 6u, 1791923932u,
+      10u, 3197226480u, 1101u, 2541367736u, 12u, 1021201136u,
+      4u, 3446775806u, 9u, 3433048468u, 13u, 821264116u,
+      10u, 1235619956u, 2u, 2447877724u, 9u, 848165023u,
+      3u, 207376222u, 10u, 4252442721u, 5u, 1182043851u,
+      10u, 2636070006u, 9u, 3952042891u, 10u, 1763479193u,
+      14u, 1094663236u, 11u, 959413946u, 3668428281u, 27u,
+      1320u, 265u, 1041622693u};
+  EXPECT_EQ(actual, pinned) << Initializer(actual);
 }
 
 // ---------------------------------------------------------------- stats ---
